@@ -737,7 +737,14 @@ and compile_call ctx ~target ~ft =
       (* push imm is limited to 32-bit sign-extended values *)
       match op with
       | X.Imm i when not (Int64.equal i (Int64.of_int32 (Int64.to_int32 i))) ->
-          X.Reg (force_reg ctx d e)
+          if d >= ring_len && target = `Reg scratch then begin
+            (* A deep entry reloads through the scratch register, which
+               holds the indirect-call target. Every ring register is dead
+               once the deep arguments are being pushed. *)
+            emit ctx (X.Mov (X.W64, X.Reg (ring 0), X.Imm i));
+            X.Reg (ring 0)
+          end
+          else X.Reg (force_reg ctx d e)
       | other -> other
     in
     emit ctx (X.Push op)
@@ -1355,12 +1362,16 @@ and compile_call_indirect ctx tyidx =
   let table_size = Array.length m.W.table in
   emit ctx (X.Cmp (X.W64, X.Reg r, X.Imm (Int64.of_int table_size)));
   emit ctx (X.Jcc (X.AE, "__trap_table"));
-  emit ctx
-    (X.Mov
-       ( X.W32,
-         X.Reg scratch,
-         X.Mem (X.mem ~index:(r, X.S4) ~disp:ctx.cfg.table_types_base ()) ));
-  emit ctx (X.Cmp (X.W32, X.Reg scratch, X.Imm (Int64.of_int tyidx)));
+  let type_slot = X.Mem (X.mem ~index:(r, X.S4) ~disp:ctx.cfg.table_types_base ()) in
+  let tyidx_imm = X.Imm (Int64.of_int tyidx) in
+  if r = scratch then
+    (* A deep index already lives in the scratch register: compare the
+       signature in memory so the index survives for the target load. *)
+    emit ctx (X.Cmp (X.W32, type_slot, tyidx_imm))
+  else begin
+    emit ctx (X.Mov (X.W32, X.Reg scratch, type_slot));
+    emit ctx (X.Cmp (X.W32, X.Reg scratch, tyidx_imm))
+  end;
   emit ctx (X.Jcc (X.NE, "__trap_sig"));
   emit ctx
     (X.Mov (X.W64, X.Reg scratch, X.Mem (X.mem ~index:(r, X.S8) ~disp:ctx.cfg.table_base ())));

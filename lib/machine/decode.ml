@@ -1,15 +1,55 @@
-(* Decode/execute primitives shared by every engine: effective addresses,
-   TLB/MPK-checked memory access with the page/dcache fast paths, operand
-   evaluation, flags, and the pure value helpers — plus [step], the
-   AST-matching reference interpreter that defines observable behavior.
-   The threaded compiler ([Translate]) and the superblock tier ([Tier])
-   must reproduce everything here bit-identically. *)
+(* Decode/execute primitives shared by every engine: registers, effective
+   addresses, TLB/MPK-checked memory access with the page/dcache fast
+   paths, flags and the pure value helpers; the per-op bodies both
+   compiled tiers run ([compile_body]); and [step], the AST-matching
+   reference interpreter that defines observable behavior. The tier-1
+   closures ([Translate]) and superblocks ([Tier]) are built from
+   [compile_body] and must reproduce [step] bit-identically.
+
+   Hot-path rule: no [int64] crosses a closure or module boundary while an
+   instruction executes. dune's default profile compiles with [-opaque],
+   so no call into another module inlines, and an [int64] passed to or
+   returned from a call that does not inline is boxed on the minor heap.
+   Every helper that takes or returns an [int64] is therefore [@inline]
+   and lives in this unit, next to the bodies that use it; operands are
+   resolved once, at translate time, into plain descriptors ([opnd]).
+   Bodies let-bind an [int64] before passing it to a helper: an inlined
+   argument stays unboxed only when it is a let-bound variable or a fresh
+   arithmetic result. Calls that leave the unit on the hot path take and
+   return only [int], [bool], [unit] or [Bytes.t]. *)
 
 open Sfi_x86.Ast
 open Mstate
 module Space = Sfi_vmem.Space
 module Tlb = Sfi_vmem.Tlb
 module Mpk = Sfi_vmem.Mpk
+
+(* --- Registers --- *)
+
+let rax = gpr_index RAX
+let rcx = gpr_index RCX
+let rdx = gpr_index RDX
+let rsp = gpr_index RSP
+let[@inline] reg_get t i = Bytes.get_int64_ne t.regs (i lsl 3)
+let[@inline] reg_set t i v = Bytes.set_int64_ne t.regs (i lsl 3) v
+
+let[@inline] read_reg_w t w i =
+  let v = reg_get t i in
+  match w with
+  | W64 -> v
+  | W32 -> Int64.logand v 0xFFFFFFFFL
+  | W16 -> Int64.logand v 0xFFFFL
+  | W8 -> Int64.logand v 0xFFL
+
+(* x86 semantics: 32-bit writes zero-extend; 8/16-bit writes preserve the
+   upper bits of the destination. *)
+let[@inline] write_reg_w t w i v =
+  match w with
+  | W64 -> reg_set t i v
+  | W32 -> reg_set t i (Int64.logand v 0xFFFFFFFFL)
+  | W16 ->
+      reg_set t i (Int64.logor (Int64.logand (reg_get t i) (-0x10000L)) (Int64.logand v 0xFFFFL))
+  | W8 -> reg_set t i (Int64.logor (Int64.logand (reg_get t i) (-0x100L)) (Int64.logand v 0xFFL))
 
 (* --- Effective addresses --- *)
 
@@ -50,6 +90,11 @@ let payload_of prot key =
   lor (if prot.Sfi_vmem.Prot.write then 2 else 0)
   lor (key lsl 3)
 
+(* The verdict a TLB payload gives an access: protection bits AND the
+   current PKRU. *)
+let allows t payload ~write =
+  payload land (if write then 2 else 1) <> 0 && Mpk.allows t.pkru ~key:(payload lsr 3) ~write
+
 let check_tlb_generation t =
   let g = Space.generation t.space in
   if g <> t.space_generation then begin
@@ -58,27 +103,22 @@ let check_tlb_generation t =
     invalidate_pcache t
   end
 
-(* Full TLB walk for [page]; counter effects identical to the pre-cache
-   interpreter. Returns the TLB slot plus both access verdicts (protection
-   AND current PKRU) so the fast path can reuse them. *)
+(* Full TLB walk for [page], trapping unless the access is allowed;
+   counter effects identical to the pre-cache interpreter. Returns the TLB
+   slot, so the fast path can pin it and read its payload. *)
 let check_page_slow t ~page ~write =
-  match Tlb.lookup_slot t.tlb ~page with
-  | Some (payload, slot) ->
-      let key = payload lsr 3 in
-      let read_ok = payload land 1 <> 0 && Mpk.allows t.pkru ~key ~write:false in
-      let write_ok = payload land 2 <> 0 && Mpk.allows t.pkru ~key ~write:true in
-      if not (if write then write_ok else read_ok) then raise (Trap_exn Trap_out_of_bounds);
-      (slot, read_ok, write_ok)
-  | None -> (
+  let slot = Tlb.lookup_slot t.tlb ~page in
+  let slot =
+    if slot >= 0 then slot
+    else begin
       t.counters.cycles <- t.counters.cycles + Tlb.walk_cost t.tlb;
       match Space.page_info t.space ~addr:(page * Space.page_size) with
       | None -> raise (Trap_exn Trap_out_of_bounds)
-      | Some (prot, key) ->
-          let slot = Tlb.fill_slot t.tlb ~page ~payload:(payload_of prot key) in
-          let read_ok = prot.Sfi_vmem.Prot.read && Mpk.allows t.pkru ~key ~write:false in
-          let write_ok = prot.Sfi_vmem.Prot.write && Mpk.allows t.pkru ~key ~write:true in
-          if not (if write then write_ok else read_ok) then raise (Trap_exn Trap_out_of_bounds);
-          (slot, read_ok, write_ok))
+      | Some (prot, key) -> Tlb.fill_slot t.tlb ~page ~payload:(payload_of prot key)
+    end
+  in
+  if not (allows t (Tlb.payload t.tlb ~slot) ~write) then raise (Trap_exn Trap_out_of_bounds);
+  slot
 
 let touch_dcache t addr =
   let line = addr lsr 6 in
@@ -87,11 +127,13 @@ let touch_dcache t addr =
      && Tlb.holds t.dcache ~slot:(Array.unsafe_get t.lc_slot idx) ~page:line
   then Tlb.touch t.dcache ~slot:(Array.unsafe_get t.lc_slot idx)
   else begin
-    (match Tlb.lookup_slot t.dcache ~page:line with
-    | Some (_, slot) -> Array.unsafe_set t.lc_slot idx slot
-    | None ->
-        t.counters.cycles <- t.counters.cycles + t.cost.Cost.dcache_miss_cycles;
-        Array.unsafe_set t.lc_slot idx (Tlb.fill_slot t.dcache ~page:line ~payload:0));
+    let slot = Tlb.lookup_slot t.dcache ~page:line in
+    Array.unsafe_set t.lc_slot idx
+      (if slot >= 0 then slot
+       else begin
+         t.counters.cycles <- t.counters.cycles + t.cost.Cost.dcache_miss_cycles;
+         Tlb.fill_slot t.dcache ~page:line ~payload:0
+       end);
     Array.unsafe_set t.lc_tag idx line
   end
 
@@ -113,11 +155,12 @@ let check_access t ~addr ~len ~write =
        then raise (Trap_exn Trap_out_of_bounds)
      end
      else begin
-       let slot, read_ok, write_ok = check_page_slow t ~page:first ~write in
+       let slot = check_page_slow t ~page:first ~write in
+       let payload = Tlb.payload t.tlb ~slot in
        Array.unsafe_set t.pc_tag idx first;
        Array.unsafe_set t.pc_slot idx slot;
-       Array.unsafe_set t.pc_read_ok idx read_ok;
-       Array.unsafe_set t.pc_write_ok idx write_ok;
+       Array.unsafe_set t.pc_read_ok idx (allows t payload ~write:false);
+       Array.unsafe_set t.pc_write_ok idx (allows t payload ~write:true);
        Array.unsafe_set t.pc_bepoch idx (-1)
      end);
     if last <> first then ignore (check_page_slow t ~page:last ~write);
@@ -168,7 +211,7 @@ let rw_bytes t page =
 
 let page_mask = Space.page_size - 1
 
-let load_mem t w addr =
+let[@inline] load_mem t w addr =
   let len = width_bytes w in
   check_access t ~addr ~len ~write:false;
   t.counters.loads <- t.counters.loads + 1;
@@ -188,7 +231,7 @@ let load_mem t w addr =
     | W32 -> Int64.logand (Int64.of_int32 (Space.read32 t.space addr)) 0xFFFFFFFFL
     | W64 -> Space.read64 t.space addr
 
-let store_mem t w addr v =
+let[@inline] store_mem t w addr v =
   let len = width_bytes w in
   check_access t ~addr ~len ~write:true;
   t.counters.stores <- t.counters.stores + 1;
@@ -197,22 +240,22 @@ let store_mem t w addr v =
   if off + len <= Space.page_size then begin
     let b = rw_bytes t (addr lsr 12) in
     match w with
-    | W8 -> Bytes.set b off (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
-    | W16 -> Bytes.set_uint16_le b off (Int64.to_int (Int64.logand v 0xFFFFL))
+    | W8 -> Bytes.set b off (Char.unsafe_chr (Int64.to_int v land 0xFF))
+    | W16 -> Bytes.set_uint16_le b off (Int64.to_int v land 0xFFFF)
     | W32 -> Bytes.set_int32_le b off (Int64.to_int32 v)
     | W64 -> Bytes.set_int64_le b off v
   end
   else
     match w with
-    | W8 -> Space.write8 t.space addr (Int64.to_int (Int64.logand v 0xFFL))
-    | W16 -> Space.write16 t.space addr (Int64.to_int (Int64.logand v 0xFFFFL))
+    | W8 -> Space.write8 t.space addr (Int64.to_int v land 0xFF)
+    | W16 -> Space.write16 t.space addr (Int64.to_int v land 0xFFFF)
     | W32 -> Space.write32 t.space addr (Int64.to_int32 v)
     | W64 -> Space.write64 t.space addr v
 
-(* --- Operand evaluation --- *)
+(* --- Operand evaluation (reference interpreter) --- *)
 
 let read_operand t w = function
-  | Reg r -> read_reg_w t w r
+  | Reg r -> read_reg_w t w (gpr_index r)
   | Imm i -> (
       match w with
       | W64 -> i
@@ -223,29 +266,29 @@ let read_operand t w = function
 
 let write_operand t w op v =
   match op with
-  | Reg r -> write_reg_w t w r v
+  | Reg r -> write_reg_w t w (gpr_index r) v
   | Mem m -> store_mem t w (effective_address t m) v
   | Imm _ -> invalid_arg "Machine: immediate as destination"
 
 (* --- Flags --- *)
 
-let width_bits = function W8 -> 8 | W16 -> 16 | W32 -> 32 | W64 -> 64
+let[@inline] width_bits = function W8 -> 8 | W16 -> 16 | W32 -> 32 | W64 -> 64
 
-let mask_of_width = function
+let[@inline] mask_of_width = function
   | W8 -> 0xFFL
   | W16 -> 0xFFFFL
   | W32 -> 0xFFFFFFFFL
   | W64 -> -1L
 
-let sign_bit w v = Int64.logand v (Int64.shift_left 1L (width_bits w - 1)) <> 0L
+let[@inline] sign_bit w v = Int64.logand v (Int64.shift_left 1L (width_bits w - 1)) <> 0L
 
-let set_logic_flags t w r =
+let[@inline] set_logic_flags t w r =
   t.zf <- Int64.logand r (mask_of_width w) = 0L;
   t.sf <- sign_bit w r;
   t.cf <- false;
   t.of_ <- false
 
-let set_add_flags t w a b r =
+let[@inline] set_add_flags t w a b r =
   t.zf <- Int64.logand r (mask_of_width w) = 0L;
   t.sf <- sign_bit w r;
   (if w = W64 then t.cf <- Int64.unsigned_compare r a < 0
@@ -254,7 +297,7 @@ let set_add_flags t w a b r =
      t.cf <- Int64.unsigned_compare (Int64.add ua ub) (mask_of_width w) > 0);
   t.of_ <- sign_bit w a = sign_bit w b && sign_bit w r <> sign_bit w a
 
-let set_sub_flags t w a b r =
+let[@inline] set_sub_flags t w a b r =
   t.zf <- Int64.logand r (mask_of_width w) = 0L;
   t.sf <- sign_bit w r;
   (let ua = Int64.logand a (mask_of_width w) and ub = Int64.logand b (mask_of_width w) in
@@ -277,7 +320,7 @@ let eval_cond t = function
 
 (* --- Sign extension helper for Movsx / division --- *)
 
-let sext w v =
+let[@inline] sext w v =
   match w with
   | W64 -> v
   | _ ->
@@ -307,25 +350,25 @@ let charge_frontend t len =
     end
   end
 
-let push64 t v =
-  let rsp = Int64.to_int (get_reg t RSP) - 8 in
-  set_reg t RSP (Int64.of_int rsp);
-  check_access t ~addr:rsp ~len:8 ~write:true;
+let[@inline] push64 t v =
+  let rsp_v = Int64.to_int (reg_get t rsp) - 8 in
+  reg_set t rsp (Int64.of_int rsp_v);
+  check_access t ~addr:rsp_v ~len:8 ~write:true;
   t.counters.stores <- t.counters.stores + 1;
-  if rsp land page_mask <= Space.page_size - 8 then
-    Bytes.set_int64_le (rw_bytes t (rsp lsr 12)) (rsp land page_mask) v
-  else Space.write64 t.space rsp v
+  if rsp_v land page_mask <= Space.page_size - 8 then
+    Bytes.set_int64_le (rw_bytes t (rsp_v lsr 12)) (rsp_v land page_mask) v
+  else Space.write64 t.space rsp_v v
 
-let pop64 t =
-  let rsp = Int64.to_int (get_reg t RSP) in
-  check_access t ~addr:rsp ~len:8 ~write:false;
+let[@inline] pop64 t =
+  let rsp_v = Int64.to_int (reg_get t rsp) in
+  check_access t ~addr:rsp_v ~len:8 ~write:false;
   t.counters.loads <- t.counters.loads + 1;
   let v =
-    if rsp land page_mask <= Space.page_size - 8 then
-      Bytes.get_int64_le (ro_bytes t (rsp lsr 12)) (rsp land page_mask)
-    else Space.read64 t.space rsp
+    if rsp_v land page_mask <= Space.page_size - 8 then
+      Bytes.get_int64_le (ro_bytes t (rsp_v lsr 12)) (rsp_v land page_mask)
+    else Space.read64 t.space rsp_v
   in
-  set_reg t RSP (Int64.of_int (rsp + 8));
+  reg_set t rsp (Int64.of_int (rsp_v + 8));
   v
 
 let halt_sentinel = 0L
@@ -352,9 +395,9 @@ let return_address t =
   l.ret_addrs.(t.pc)
 
 (* Pure value computations shared by the reference interpreter and the
-   compiled closures, so the executors cannot drift. *)
+   per-op bodies, so the executors cannot drift. *)
 
-let shift_value w op a n =
+let[@inline] shift_value w op a n =
   let bits = width_bits w in
   let masked = Int64.logand a (mask_of_width w) in
   match op with
@@ -368,66 +411,55 @@ let shift_value w op a n =
       if n = 0 then a
       else Int64.logor (Int64.shift_right_logical masked n) (Int64.shift_left masked (bits - n))
 
-let bitcnt_value k w v =
-  let bits = width_bits w in
+let rec popcount x n = if x = 0 then n else popcount (x land (x - 1)) (n + 1)
+let rec bit_length x n = if x = 0 then n else bit_length (x lsr 1) (n + 1)
+let rec trailing_zeros x n = if x land 1 <> 0 then n else trailing_zeros (x lsr 1) (n + 1)
+
+(* [v] is already masked to [w]; counted as two 32-bit halves in [int]. *)
+let[@inline] bitcnt_value k w v =
+  let lo = Int64.to_int v land 0xFFFFFFFF and hi = Int64.to_int (Int64.shift_right_logical v 32) in
   match k with
-  | Popcnt ->
-      let n = ref 0 and x = ref v in
-      for _ = 1 to 64 do
-        if Int64.logand !x 1L = 1L then incr n;
-        x := Int64.shift_right_logical !x 1
-      done;
-      !n
+  | Popcnt -> popcount lo (popcount hi 0)
   | Tzcnt ->
-      if v = 0L then bits
-      else begin
-        let n = ref 0 and x = ref v in
-        while Int64.logand !x 1L = 0L do
-          incr n;
-          x := Int64.shift_right_logical !x 1
-        done;
-        !n
-      end
-  | Lzcnt ->
-      if v = 0L then bits
-      else begin
-        let n = ref 0 in
-        let top = Int64.shift_left 1L (bits - 1) in
-        let x = ref v in
-        while Int64.logand !x top = 0L do
-          incr n;
-          x := Int64.shift_left !x 1
-        done;
-        !n
-      end
+      if lo <> 0 then trailing_zeros lo 0
+      else if hi <> 0 then 32 + trailing_zeros hi 0
+      else width_bits w
+  | Lzcnt -> width_bits w - if hi <> 0 then 32 + bit_length hi 0 else bit_length lo 0
 
 let div_by_zero = Trap_exn Trap_integer_divide_by_zero
 let div_overflow = Trap_exn Trap_integer_overflow
 
-(* Division semantics without the cycle charge — the superblock tier batches
-   the charge at block entry and runs only this core. *)
-let exec_div_core t w signed ~read =
-  let divisor = read t in
+(* [Int64.unsigned_div], restated so it inlines: the stdlib's is too large
+   for the inliner and would box. *)
+let[@inline] unsigned_div n d =
+  if d < 0L then if Int64.unsigned_compare n d < 0 then 0L else 1L
+  else
+    let q = Int64.shift_left (Int64.div (Int64.shift_right_logical n 1) d) 1 in
+    let r = Int64.sub n (Int64.mul q d) in
+    if Int64.unsigned_compare r d >= 0 then Int64.succ q else q
+
+(* Division semantics without the cycle charge, which the caller issues
+   (tier 1 and [step] per instruction, superblocks batched at entry). *)
+let[@inline] div t w signed divisor =
   if signed then begin
-    let a = sext w (read_reg_w t w RAX) in
+    let a = sext w (read_reg_w t w rax) in
     let b = sext w divisor in
     if b = 0L then raise div_by_zero;
-    let min_w = Int64.shift_left 1L (width_bits w - 1) |> sext w in
+    let min_w = sext w (Int64.shift_left 1L (width_bits w - 1)) in
     if a = min_w && b = -1L then raise div_overflow;
-    write_reg_w t w RAX (Int64.div a b);
-    write_reg_w t w RDX (Int64.rem a b)
+    let q = Int64.div a b in
+    let r = Int64.rem a b in
+    write_reg_w t w rax q;
+    write_reg_w t w rdx r
   end
   else begin
-    let a = read_reg_w t w RAX in
-    let b = divisor in
-    if b = 0L then raise div_by_zero;
-    write_reg_w t w RAX (Int64.unsigned_div a b);
-    write_reg_w t w RDX (Int64.unsigned_rem a b)
+    let a = read_reg_w t w rax in
+    if divisor = 0L then raise div_by_zero;
+    let q = unsigned_div a divisor in
+    let r = Int64.sub a (Int64.mul q divisor) in
+    write_reg_w t w rax q;
+    write_reg_w t w rdx r
   end
-
-let exec_div t w signed ~read =
-  charge t t.cost.Cost.div_cycles;
-  exec_div_core t w signed ~read
 
 let vreg_index (XMM n) =
   if n < 0 || n > 15 then invalid_arg "Machine: bad xmm register";
@@ -449,6 +481,253 @@ let vstore_data t addr vi =
   let off = addr land page_mask in
   if off <= Space.page_size - 16 then Bytes.blit t.vregs.(vi) 0 (rw_bytes t (addr lsr 12)) off 16
   else Space.write_bytes t.space ~addr (Bytes.copy t.vregs.(vi))
+
+(* --- Per-op bodies --- *)
+
+(* A memory operand resolved at translate time: register indices (-1 =
+   absent), scale, displacement, the segment whose base is added ([None]
+   for Lea), and whether the sum wraps to 32 bits. *)
+type ea = { base : int; index : int; scale : int; disp : int; seg : seg option; mask32 : bool }
+
+(* A resolved operand; immediates are pre-masked to the operand width. *)
+type opnd = Oreg of int | Oimm of int64 | Omem of ea
+
+let resolve_ea ~lea (m : mem) =
+  let index, scale =
+    match m.index with Some (r, s) -> (gpr_index r, scale_factor s) | None -> (-1, 0)
+  in
+  {
+    base = (match m.base with Some r -> gpr_index r | None -> -1);
+    index;
+    scale;
+    disp = m.disp;
+    seg = (if lea then None else if m.native_base then Some GS else m.seg);
+    mask32 = (if lea then m.addr32 else m.addr32 && not m.native_base);
+  }
+
+let resolve w = function
+  | Reg r -> Oreg (gpr_index r)
+  | Imm i -> Oimm (Int64.logand i (mask_of_width w))
+  | Mem m -> Omem (resolve_ea ~lea:false m)
+
+(* The address expression without the segment base: Lea's value. *)
+let[@inline] addr_sum t e =
+  let b = if e.base >= 0 then reg_get t e.base else 0L in
+  let s =
+    if e.index >= 0 then Int64.add b (Int64.mul (reg_get t e.index) (Int64.of_int e.scale)) else b
+  in
+  let s = Int64.add s (Int64.of_int e.disp) in
+  if e.mask32 then Int64.logand s 0xFFFFFFFFL else s
+
+let[@inline] ea_addr t e =
+  let seg = match e.seg with None -> 0 | Some FS -> t.fs_base | Some GS -> t.gs_base in
+  Int64.to_int (Int64.add (Int64.of_int seg) (addr_sum t e)) land addr_mask_47
+
+let[@inline] read t w = function
+  | Oreg i -> read_reg_w t w i
+  | Oimm v -> v
+  | Omem e -> load_mem t w (ea_addr t e)
+
+let[@inline] write t w o v =
+  match o with
+  | Oreg i -> write_reg_w t w i v
+  | Omem e -> store_mem t w (ea_addr t e) v
+  | Oimm _ -> invalid_arg "Machine: immediate as destination"
+
+(* Instruction [idx]'s semantics plus its dynamic charges (TLB walks,
+   dcache misses, load/store latency, the taken-branch adder); the caller
+   issues the per-instruction prologue and the fixed cycle charge. Ops that
+   redirect control set [t.pc] themselves; for every other op the caller
+   writes the successor pc. *)
+let compile_body t (l : loaded) idx =
+  let next = idx + 1 and tgt = l.targets.(idx) and ret_addr = l.ret_addrs.(idx) in
+  let index_of_off = l.index_of_off and code_base = t.code_base in
+  match l.program.(idx) with
+  | Label _ | Nop -> fun _ -> ()
+  | Mov (w, dst, src) ->
+      let d = resolve w dst and s = resolve w src in
+      fun t ->
+        let v = read t w s in
+        write t w d v
+  | Movzx (dw, sw, dst, src) ->
+      let d = gpr_index dst and s = resolve sw src in
+      fun t ->
+        let v = read t sw s in
+        write_reg_w t dw d v
+  | Movsx (dw, sw, dst, src) ->
+      let d = gpr_index dst and s = resolve sw src in
+      fun t ->
+        let v = read t sw s in
+        let v = sext sw v in
+        write_reg_w t dw d v
+  | Lea (w, dst, m) ->
+      let d = gpr_index dst and e = resolve_ea ~lea:true m in
+      fun t ->
+        let v = addr_sum t e in
+        write_reg_w t w d v
+  | Alu (op, w, dst, src) ->
+      let d = resolve w dst and s = resolve w src in
+      fun t ->
+        let a = read t w d in
+        let b = read t w s in
+        let r =
+          match op with
+          | Add -> Int64.add a b
+          | Sub -> Int64.sub a b
+          | And -> Int64.logand a b
+          | Or -> Int64.logor a b
+          | Xor -> Int64.logxor a b
+        in
+        (match op with
+        | Add -> set_add_flags t w a b r
+        | Sub -> set_sub_flags t w a b r
+        | And | Or | Xor -> set_logic_flags t w r);
+        write t w d r
+  | Shift (op, w, dst, count) ->
+      let d = resolve w dst and nmask = width_bits w - 1 in
+      let cl, imm = match count with Count_imm n -> (false, n) | Count_cl -> (true, 0) in
+      fun t ->
+        let n = (if cl then Int64.to_int (reg_get t rcx) land 0x3F else imm) land nmask in
+        let a = read t w d in
+        let r = shift_value w op a n in
+        set_logic_flags t w r;
+        write t w d r
+  | Imul (w, dst, src) ->
+      let d = gpr_index dst and s = resolve w src in
+      fun t ->
+        let b = read t w s in
+        let a = read_reg_w t w d in
+        write_reg_w t w d (Int64.mul a b)
+  | Bitcnt (k, w, dst, src) ->
+      let d = gpr_index dst and s = resolve w src in
+      fun t ->
+        let v = read t w s in
+        let v = Int64.logand v (mask_of_width w) in
+        write_reg_w t w d (Int64.of_int (bitcnt_value k w v))
+  | Div (w, signed, src) ->
+      let s = resolve w src in
+      fun t ->
+        let v = read t w s in
+        div t w signed v
+  | Cqo w ->
+      fun t ->
+        let a = read_reg_w t w rax in
+        let a = sext w a in
+        write_reg_w t w rdx (if a < 0L then -1L else 0L)
+  | Neg (w, op) ->
+      let d = resolve w op in
+      fun t ->
+        let a = read t w d in
+        let r = Int64.neg a in
+        set_sub_flags t w 0L a r;
+        write t w d r
+  | Not (w, op) ->
+      let d = resolve w op in
+      fun t ->
+        let a = read t w d in
+        write t w d (Int64.lognot a)
+  | Cmp (w, a, b) ->
+      let a = resolve w a and b = resolve w b in
+      fun t ->
+        let va = read t w a in
+        let vb = read t w b in
+        set_sub_flags t w va vb (Int64.sub va vb)
+  | Test (w, a, b) ->
+      let a = resolve w a and b = resolve w b in
+      fun t ->
+        let va = read t w a in
+        let vb = read t w b in
+        set_logic_flags t w (Int64.logand va vb)
+  | Setcc (c, r) ->
+      let i = gpr_index r in
+      fun t -> reg_set t i (if eval_cond t c then 1L else 0L)
+  | Cmovcc (c, w, dst, src) ->
+      let d = gpr_index dst and s = resolve w src in
+      fun t ->
+        if eval_cond t c then begin
+          let v = read t w s in
+          write_reg_w t w d v
+        end
+        else if w = W32 then begin
+          (* Hardware quirk: cmov with a 32-bit destination zero-extends
+             even when the move does not happen. *)
+          let v = read_reg_w t w d in
+          write_reg_w t w d v
+        end
+  | Jmp _ -> if tgt < 0 then fun _ -> raise Not_found else fun t -> t.pc <- tgt
+  | Jcc (c, _) ->
+      fun t ->
+        if eval_cond t c then begin
+          charge t t.cost.Cost.taken_branch_cycles;
+          if tgt < 0 then raise Not_found;
+          t.pc <- tgt
+        end
+        else t.pc <- next
+  | Jmp_reg r ->
+      let i = gpr_index r in
+      fun t -> jump_via index_of_off code_base t (Int64.to_int (reg_get t i) land addr_mask_47)
+  | Call _ ->
+      fun t ->
+        push64 t ret_addr;
+        if tgt < 0 then raise Not_found;
+        t.pc <- tgt
+  | Call_reg r ->
+      let i = gpr_index r in
+      fun t ->
+        push64 t ret_addr;
+        jump_via index_of_off code_base t (Int64.to_int (reg_get t i) land addr_mask_47)
+  | Ret ->
+      fun t ->
+        let addr = pop64 t in
+        if addr = halt_sentinel then raise Halt_exn;
+        jump_via index_of_off code_base t (Int64.to_int addr land addr_mask_47)
+  | Push op ->
+      let s = resolve W64 op in
+      fun t ->
+        let v = read t W64 s in
+        push64 t v
+  | Pop r ->
+      let i = gpr_index r in
+      fun t ->
+        let v = pop64 t in
+        reg_set t i v
+  | (Wrfsbase r | Wrgsbase r) as instr ->
+      let i = gpr_index r and is_fs = match instr with Wrfsbase _ -> true | _ -> false in
+      fun t ->
+        t.counters.seg_base_writes <- t.counters.seg_base_writes + 1;
+        let v = Int64.to_int (reg_get t i) land addr_mask_47 in
+        if is_fs then t.fs_base <- v else t.gs_base <- v
+  | Rdfsbase r ->
+      let i = gpr_index r in
+      fun t -> reg_set t i (Int64.of_int t.fs_base)
+  | Rdgsbase r ->
+      let i = gpr_index r in
+      fun t -> reg_set t i (Int64.of_int t.gs_base)
+  | Wrpkru ->
+      fun t ->
+        t.counters.pkru_writes <- t.counters.pkru_writes + 1;
+        t.pkru <- Int64.to_int (reg_get t rax) land 0xFFFFFFFF;
+        invalidate_pcache t;
+        if Sfi_trace.Trace.enabled t.trace then Sfi_trace.Trace.pkru_write t.trace ~value:t.pkru;
+        t.pc <- next
+  | Rdpkru ->
+      fun t ->
+        reg_set t rax (Int64.of_int t.pkru);
+        reg_set t rdx 0L
+  | Vload (v, m) ->
+      let e = resolve_ea ~lea:false m and vi = vreg_index v in
+      fun t -> vload_data t vi (ea_addr t e)
+  | Vstore (m, v) ->
+      let e = resolve_ea ~lea:false m and vi = vreg_index v in
+      fun t -> vstore_data t (ea_addr t e) vi
+  | Vzero v ->
+      let vi = vreg_index v in
+      fun t -> Bytes.fill t.vregs.(vi) 0 16 '\000'
+  | Vdup8 (v, b) ->
+      let vi = vreg_index v and c = Char.chr (b land 0xFF) in
+      fun t -> Bytes.fill t.vregs.(vi) 0 16 c
+  | Hostcall n -> fun t -> t.hostcall t n
+  | Trap k -> fun _ -> raise (Trap_exn k)
 
 (* --- The reference interpreter --- *)
 
@@ -476,13 +755,13 @@ let step t =
       write_operand t w dst (read_operand t w src)
   | Movzx (dw, sw, dst, src) ->
       charge t cost.Cost.alu_cycles;
-      write_reg_w t dw dst (read_operand t sw src)
+      write_reg_w t dw (gpr_index dst) (read_operand t sw src)
   | Movsx (dw, sw, dst, src) ->
       charge t cost.Cost.alu_cycles;
-      write_reg_w t dw dst (sext sw (read_operand t sw src))
+      write_reg_w t dw (gpr_index dst) (sext sw (read_operand t sw src))
   | Lea (w, dst, m) ->
       charge t cost.Cost.lea_cycles;
-      write_reg_w t w dst (lea_value t m)
+      write_reg_w t w (gpr_index dst) (lea_value t m)
   | Alu (op, w, dst, src) ->
       charge t cost.Cost.alu_cycles;
       let a = read_operand t w dst and b = read_operand t w src in
@@ -513,17 +792,19 @@ let step t =
       write_operand t w dst r
   | Imul (w, dst, src) ->
       charge t cost.Cost.mul_cycles;
-      let r = Int64.mul (read_reg_w t w dst) (read_operand t w src) in
-      write_reg_w t w dst r
+      let r = Int64.mul (read_reg_w t w (gpr_index dst)) (read_operand t w src) in
+      write_reg_w t w (gpr_index dst) r
   | Bitcnt (k, w, dst, src) ->
       charge t cost.Cost.alu_cycles;
       let v = Int64.logand (read_operand t w src) (mask_of_width w) in
-      write_reg_w t w dst (Int64.of_int (bitcnt_value k w v))
-  | Div (w, signed, src) -> exec_div t w signed ~read:(fun t -> read_operand t w src)
+      write_reg_w t w (gpr_index dst) (Int64.of_int (bitcnt_value k w v))
+  | Div (w, signed, src) ->
+      charge t cost.Cost.div_cycles;
+      div t w signed (read_operand t w src)
   | Cqo w ->
       charge t cost.Cost.alu_cycles;
-      let a = sext w (read_reg_w t w RAX) in
-      write_reg_w t w RDX (if Int64.compare a 0L < 0 then -1L else 0L)
+      let a = sext w (read_reg_w t w rax) in
+      write_reg_w t w rdx (if Int64.compare a 0L < 0 then -1L else 0L)
   | Neg (w, op) ->
       charge t cost.Cost.alu_cycles;
       let a = read_operand t w op in
@@ -546,11 +827,11 @@ let step t =
       set_reg t r (if eval_cond t c then 1L else 0L)
   | Cmovcc (c, w, dst, src) ->
       charge t cost.Cost.alu_cycles;
-      if eval_cond t c then write_reg_w t w dst (read_operand t w src)
+      if eval_cond t c then write_reg_w t w (gpr_index dst) (read_operand t w src)
       else if w = W32 then
         (* Hardware quirk: cmov with a 32-bit destination zero-extends even
            when the move does not happen. *)
-        write_reg_w t w dst (read_reg_w t w dst)
+        write_reg_w t w (gpr_index dst) (read_reg_w t w (gpr_index dst))
   | Jmp _ ->
       charge t (cost.Cost.branch_cycles + cost.Cost.taken_branch_cycles);
       next_pc := direct_target ()

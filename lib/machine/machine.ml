@@ -1,17 +1,26 @@
 (* The [Machine] facade over the execution pipeline:
 
      {!Mstate}    — the [t] record, satellite types, state accessors
-     {!Decode}    — operand/memory/flag primitives + the reference
-                    interpreter ([step])
-     {!Translate} — load-time threaded-code compiler + basic-block
-                    discovery and classification
+     {!Decode}    — operand/memory/flag primitives, the per-op bodies
+                    both compiled tiers run ([compile_body]), and the
+                    reference interpreter ([step])
+     {!Translate} — load-time threaded-code compiler (prologue + fixed
+                    charge + body) + basic-block discovery and
+                    classification
      {!Tier}      — superblock promotion (batched counter charges with a
                     rollback side table) and the tiered dispatch loop
 
    Only this module has a public interface; the pipeline stages are
    private to the library. Everything engine-selection-dependent
    ([load_program], [set_engine], [set_trace], [run]) lives here because
-   it has to see all the stages at once. *)
+   it has to see all the stages at once.
+
+   Hot-path rule: no [int64] crosses a closure or module boundary while
+   an instruction executes. dune's default profile compiles with
+   [-opaque], so calls between these modules never inline and every
+   [int64] passed through one is boxed; the helpers the bodies use are
+   therefore [@inline] and live in [Decode] beside them (see its header
+   and DESIGN.md). *)
 
 include Mstate
 

@@ -269,34 +269,11 @@ let code_bounds t =
   let l = get_loaded t in
   (t.code_base, l.code_len)
 
-(* --- Register access --- *)
+(* --- Register access (boxed; the hot path uses [Decode]'s inline
+   accessors) --- *)
 
-let reg_get t i = Bytes.get_int64_ne t.regs (i lsl 3)
-let reg_set t i v = Bytes.set_int64_ne t.regs (i lsl 3) v
-let get_reg t r = reg_get t (gpr_index r)
-let set_reg t r v = reg_set t (gpr_index r) v
-
-let read_reg_w t w r =
-  let v = reg_get t (gpr_index r) in
-  match w with
-  | W64 -> v
-  | W32 -> Int64.logand v 0xFFFFFFFFL
-  | W16 -> Int64.logand v 0xFFFFL
-  | W8 -> Int64.logand v 0xFFL
-
-(* x86 semantics: 32-bit writes zero-extend; 8/16-bit writes preserve the
-   upper bits of the destination. *)
-let write_reg_w t w r v =
-  let i = gpr_index r in
-  match w with
-  | W64 -> reg_set t i v
-  | W32 -> reg_set t i (Int64.logand v 0xFFFFFFFFL)
-  | W16 ->
-      reg_set t i
-        (Int64.logor (Int64.logand (reg_get t i) (Int64.lognot 0xFFFFL)) (Int64.logand v 0xFFFFL))
-  | W8 ->
-      reg_set t i
-        (Int64.logor (Int64.logand (reg_get t i) (Int64.lognot 0xFFL)) (Int64.logand v 0xFFL))
+let get_reg t r = Bytes.get_int64_ne t.regs (gpr_index r lsl 3)
+let set_reg t r v = Bytes.set_int64_ne t.regs (gpr_index r lsl 3) v
 
 let get_seg_base t = function FS -> t.fs_base | GS -> t.gs_base
 let set_seg_base t seg v = match seg with FS -> t.fs_base <- v | GS -> t.gs_base <- v

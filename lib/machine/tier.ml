@@ -1,229 +1,20 @@
 (* Tier 2: superblock promotion. A promoted basic block executes as one
    closure that charges instruction/code-byte/fixed-cycle counters once at
    block entry (constant-folded at promotion time) and then runs per-op
-   bodies stripped of their per-instruction prologues. Dynamic costs —
-   dTLB walks, dcache misses, load/store counters, taken-branch cycles,
-   segment/PKRU side effects — stay live inside the bodies, so at every
-   dispatch boundary the counters are bit-identical to what [Decode.step]
-   would have produced. Blocks that can fault mid-way run guarded: each
-   body publishes its instruction index in [t.pc] before executing, and a
-   prefix-sum side table rolls the batched charges back to exactly the
-   faulting instruction before the trap is re-raised. *)
+   bodies ([Decode.compile_body], the same ones tier 1 runs after its
+   per-instruction prologue). Dynamic costs — dTLB walks, dcache misses,
+   load/store counters, taken-branch cycles, segment/PKRU side effects —
+   stay live inside the bodies, so at every dispatch boundary the
+   counters are bit-identical to what [Decode.step] would have produced.
+   Blocks that can fault mid-way run guarded: each body publishes its
+   instruction index in [t.pc] before executing, and a prefix-sum side
+   table rolls the batched charges back to exactly the faulting
+   instruction before the trap is re-raised. *)
 
 open Sfi_x86.Ast
 open Mstate
 open Decode
 open Translate
-
-(* The cycle charge [compile_instr] issues unconditionally, before any
-   trap point — everything except dynamic charges (TLB walk, dcache miss,
-   load/store latency, the taken-branch adder). Batched at block entry. *)
-let fixed_cycles t (i : instr) =
-  let c = t.cost in
-  match i with
-  | Label _ -> 0
-  | Nop | Mov _ | Movzx _ | Movsx _ | Alu _ | Shift _ | Bitcnt _ | Cqo _ | Neg _ | Not _ | Cmp _
-  | Test _ | Setcc _ | Cmovcc _ | Rdfsbase _ | Rdgsbase _ | Rdpkru ->
-      c.Cost.alu_cycles
-  | Lea _ -> c.Cost.lea_cycles
-  | Imul _ -> c.Cost.mul_cycles
-  | Div _ -> c.Cost.div_cycles
-  | Jmp _ -> c.Cost.branch_cycles + c.Cost.taken_branch_cycles
-  | Jcc _ -> c.Cost.branch_cycles
-  | Jmp_reg _ -> c.Cost.indirect_branch_cycles
-  | Call _ -> c.Cost.call_ret_cycles
-  | Call_reg _ -> c.Cost.call_ret_cycles + c.Cost.indirect_branch_cycles
-  | Ret -> c.Cost.call_ret_cycles
-  | Push _ -> c.Cost.store_cycles
-  | Pop _ -> c.Cost.load_cycles
-  | Wrfsbase _ | Wrgsbase _ ->
-      if t.fsgsbase_available then c.Cost.wrsegbase_cycles else c.Cost.wrsegbase_syscall_cycles
-  | Wrpkru -> c.Cost.wrpkru_cycles
-  | Vload _ | Vstore _ | Vzero _ | Vdup8 _ -> c.Cost.vector_cycles
-  | Hostcall _ -> c.Cost.hostcall_cycles
-  | Trap _ -> 0
-
-(* Ops whose body establishes the successor pc itself. Everything else
-   falls through and only the last body of a block needs a pc write. *)
-let is_control = function
-  | Jmp _ | Jcc _ | Jmp_reg _ | Call _ | Call_reg _ | Ret | Wrpkru -> true
-  | _ -> false
-
-(* [compile_instr] minus the per-instruction prologue and fixed charge:
-   semantics plus dynamic charges only. Control-flow bodies set [t.pc];
-   straight-line bodies leave it to the block wrapper. *)
-let compile_body (l : loaded) ~code_base ~idx (instr : instr) =
-  let next = idx + 1 in
-  let tgt = l.targets.(idx) in
-  let ret_addr = l.ret_addrs.(idx) in
-  let index_of_off = l.index_of_off in
-  match instr with
-  | Label _ | Nop -> fun _ -> ()
-  | Mov (w, dst, src) ->
-      let rd = compile_read w src and wr = compile_write w dst in
-      fun t -> wr t (rd t)
-  | Movzx (dw, sw, dst, src) ->
-      let rd = compile_read sw src and wr = compile_write_reg dw dst in
-      fun t -> wr t (rd t)
-  | Movsx (dw, sw, dst, src) ->
-      let rd = compile_read sw src and wr = compile_write_reg dw dst in
-      fun t -> wr t (sext sw (rd t))
-  | Lea (w, dst, m) ->
-      let lv = compile_lea m and wr = compile_write_reg w dst in
-      fun t -> wr t (lv t)
-  | Alu (op, w, dst, src) ->
-      let rd = compile_read w dst and rs = compile_read w src and wr = compile_write w dst in
-      let f =
-        match op with
-        | Add -> Int64.add
-        | Sub -> Int64.sub
-        | And -> Int64.logand
-        | Or -> Int64.logor
-        | Xor -> Int64.logxor
-      in
-      fun t ->
-        let a = rd t and b = rs t in
-        let r = f a b in
-        (match op with
-        | Add -> set_add_flags t w a b r
-        | Sub -> set_sub_flags t w a b r
-        | And | Or | Xor -> set_logic_flags t w r);
-        wr t r
-  | Shift (op, w, dst, count) ->
-      let rd = compile_read w dst and wr = compile_write w dst in
-      let rcx = gpr_index RCX in
-      let get_n =
-        match count with
-        | Count_imm n -> fun _ -> n
-        | Count_cl -> fun t -> Int64.to_int (Int64.logand (reg_get t rcx) 0x3FL)
-      in
-      let nmask = width_bits w - 1 in
-      fun t ->
-        let n = get_n t land nmask in
-        let a = rd t in
-        let r = shift_value w op a n in
-        set_logic_flags t w r;
-        wr t r
-  | Imul (w, dst, src) ->
-      let rdd = compile_read_reg w dst and rs = compile_read w src in
-      let wr = compile_write_reg w dst in
-      fun t ->
-        let b = rs t in
-        wr t (Int64.mul (rdd t) b)
-  | Bitcnt (k, w, dst, src) ->
-      let rs = compile_read w src and wr = compile_write_reg w dst in
-      let m = mask_of_width w in
-      fun t ->
-        let v = Int64.logand (rs t) m in
-        wr t (Int64.of_int (bitcnt_value k w v))
-  | Div (w, signed, src) ->
-      let rs = compile_read w src in
-      fun t -> exec_div_core t w signed ~read:rs
-  | Cqo w ->
-      fun t ->
-        let a = sext w (read_reg_w t w RAX) in
-        write_reg_w t w RDX (if Int64.compare a 0L < 0 then -1L else 0L)
-  | Neg (w, op) ->
-      let rd = compile_read w op and wr = compile_write w op in
-      fun t ->
-        let a = rd t in
-        let r = Int64.neg a in
-        set_sub_flags t w 0L a r;
-        wr t r
-  | Not (w, op) ->
-      let rd = compile_read w op and wr = compile_write w op in
-      fun t -> wr t (Int64.lognot (rd t))
-  | Cmp (w, a, b) ->
-      let ra = compile_read w a and rb = compile_read w b in
-      fun t ->
-        let va = ra t and vb = rb t in
-        set_sub_flags t w va vb (Int64.sub va vb)
-  | Test (w, a, b) ->
-      let ra = compile_read w a and rb = compile_read w b in
-      fun t ->
-        let va = ra t and vb = rb t in
-        set_logic_flags t w (Int64.logand va vb)
-  | Setcc (c, r) ->
-      let i = gpr_index r in
-      fun t -> reg_set t i (if eval_cond t c then 1L else 0L)
-  | Cmovcc (c, w, dst, src) ->
-      let rs = compile_read w src in
-      let rdd = compile_read_reg w dst and wr = compile_write_reg w dst in
-      fun t -> if eval_cond t c then wr t (rs t) else if w = W32 then wr t (rdd t)
-  | Jmp _ ->
-      (* Only resolved targets are promotable ([Bbypass] otherwise), and
-         the taken-branch adder is unconditional, so it lives in the fixed
-         batch. *)
-      fun t -> t.pc <- tgt
-  | Jcc (c, _) ->
-      fun t ->
-        if eval_cond t c then begin
-          charge t t.cost.Cost.taken_branch_cycles;
-          t.pc <- tgt
-        end
-        else t.pc <- next
-  | Jmp_reg r ->
-      let i = gpr_index r in
-      fun t -> jump_via index_of_off code_base t (Int64.to_int (reg_get t i) land addr_mask_47)
-  | Call _ ->
-      fun t ->
-        push64 t ret_addr;
-        t.pc <- tgt
-  | Call_reg r ->
-      let i = gpr_index r in
-      fun t ->
-        push64 t ret_addr;
-        jump_via index_of_off code_base t (Int64.to_int (reg_get t i) land addr_mask_47)
-  | Ret ->
-      fun t ->
-        let addr = pop64 t in
-        if addr = halt_sentinel then raise Halt_exn;
-        jump_via index_of_off code_base t (Int64.to_int addr land addr_mask_47)
-  | Push op ->
-      let rd = compile_read W64 op in
-      fun t -> push64 t (rd t)
-  | Pop r ->
-      let i = gpr_index r in
-      fun t -> reg_set t i (pop64 t)
-  | Wrfsbase r | Wrgsbase r ->
-      let i = gpr_index r in
-      let is_fs = match instr with Wrfsbase _ -> true | _ -> false in
-      fun t ->
-        t.counters.seg_base_writes <- t.counters.seg_base_writes + 1;
-        let v = Int64.to_int (reg_get t i) land addr_mask_47 in
-        if is_fs then t.fs_base <- v else t.gs_base <- v
-  | Rdfsbase r ->
-      let i = gpr_index r in
-      fun t -> reg_set t i (Int64.of_int t.fs_base)
-  | Rdgsbase r ->
-      let i = gpr_index r in
-      fun t -> reg_set t i (Int64.of_int t.gs_base)
-  | Wrpkru ->
-      let rax = gpr_index RAX in
-      fun t ->
-        t.counters.pkru_writes <- t.counters.pkru_writes + 1;
-        t.pkru <- Int64.to_int (Int64.logand (reg_get t rax) 0xFFFFFFFFL);
-        invalidate_pcache t;
-        if Sfi_trace.Trace.enabled t.trace then Sfi_trace.Trace.pkru_write t.trace ~value:t.pkru;
-        t.pc <- next
-  | Rdpkru ->
-      let rax = gpr_index RAX and rdx = gpr_index RDX in
-      fun t ->
-        reg_set t rax (Int64.of_int t.pkru);
-        reg_set t rdx 0L
-  | Vload (v, m) ->
-      let ea = compile_ea m and vi = vreg_index v in
-      fun t -> vload_data t vi (ea t)
-  | Vstore (m, v) ->
-      let ea = compile_ea m and vi = vreg_index v in
-      fun t -> vstore_data t (ea t) vi
-  | Vzero v ->
-      let vi = vreg_index v in
-      fun t -> Bytes.fill t.vregs.(vi) 0 16 '\000'
-  | Vdup8 (v, b) ->
-      let vi = vreg_index v and c = Char.chr (b land 0xFF) in
-      fun t -> Bytes.fill t.vregs.(vi) 0 16 c
-  | Hostcall _ | Trap _ -> invalid_arg "Machine.Tier: bypass instruction in superblock"
 
 let class_code = function Bpure -> 0 | Bload -> 1 | Bhazard -> 2 | Bbypass -> 3
 
@@ -251,34 +42,10 @@ let promote_block t (l : loaded) (b : block) =
   let fixed = pre_fixed.(k) in
   let n_instrs = pre_instrs.(k) in
   let guarded = b.b_class <> Bpure in
-  let body_at j =
-    let idx = s + j in
-    let core = compile_body l ~code_base:t.code_base ~idx prog.(idx) in
-    let core =
-      if j = k - 1 && not (is_control prog.(idx)) then fun t ->
-        core t;
-        t.pc <- idx + 1
-      else core
-    in
-    if guarded then fun t ->
-      (* Publish the slot index before executing so a trap (and the
-         sanitizer's fault attribution) lands on the right instruction,
-         and so the rollback below knows how far the block got. *)
-      t.pc <- idx;
-      core t
-    else core
-  in
-  (* Fuse the bodies into one chained closure — no per-op dispatch table
-     lookup left. *)
-  let chain = ref (body_at 0) in
-  for j = 1 to k - 1 do
-    let prev = !chain and next = body_at j in
-    chain :=
-      fun t ->
-        prev t;
-        next t
-  done;
-  let bodies = !chain in
+  let bodies = Array.init k (fun j -> compile_body t l (s + j)) in
+  (* Successor pc for a block that falls through; a control-flow body
+     sets its own. *)
+  let exit_pc = if is_control prog.(s + k - 1) then -1 else s + k in
   let bpc = t.cost.Cost.frontend_bytes_per_cycle in
   let sb =
     if not guarded then fun t ->
@@ -292,7 +59,10 @@ let promote_block t (l : loaded) (b : block) =
         c.cycles <- (c.cycles + (total / bpc));
         t.fetch_accum <- total mod bpc
       end;
-      bodies t
+      for j = 0 to k - 1 do
+        (Array.unsafe_get bodies j) t
+      done;
+      (if exit_pc >= 0 then t.pc <- exit_pc)
     else fun t ->
       let c = t.counters in
       let accum_in = t.fetch_accum in
@@ -305,7 +75,16 @@ let promote_block t (l : loaded) (b : block) =
         c.cycles <- (c.cycles + (total / bpc));
         t.fetch_accum <- total mod bpc
       end;
-      try bodies t
+      try
+        for j = 0 to k - 1 do
+          (* Publish the slot index before executing so a trap (and the
+             sanitizer's fault attribution) lands on the right
+             instruction, and so the rollback below knows how far the
+             block got. *)
+          t.pc <- s + j;
+          (Array.unsafe_get bodies j) t
+        done;
+        if exit_pc >= 0 then t.pc <- exit_pc
       with e ->
         (* Roll the batch back to the faulting slot: [step] charges an
            instruction's prologue and fixed cycles before any of its trap

@@ -1,396 +1,69 @@
 (* Tier-1 translation: [install] compiles each instruction once into an
-   [exec : t -> unit] closure with operands, widths, branch targets, encoded
-   lengths and return addresses pre-resolved, and partitions the program
-   into classified basic blocks for the superblock tier. The closures must
-   reproduce [Decode.step]'s observable behavior exactly — same counters,
-   same charge order, same traps — which {!Lockstep} checks instruction by
-   instruction. *)
+   [exec : t -> unit] closure — the per-instruction prologue, the fixed
+   cycle charge, then the op's [Decode.compile_body], with operands,
+   widths, branch targets, encoded lengths and return addresses
+   pre-resolved — and partitions the program into classified basic blocks
+   for the superblock tier. The closures must reproduce [Decode.step]'s
+   observable behavior exactly — same counters, same charge order, same
+   traps — which {!Lockstep} checks instruction by instruction. *)
 
 open Sfi_x86.Ast
 open Mstate
 open Decode
 module Encode = Sfi_x86.Encode
 
-let compile_read_reg w r =
-  let i = gpr_index r in
-  match w with
-  | W64 -> fun t -> reg_get t i
-  | W32 -> fun t -> Int64.logand (reg_get t i) 0xFFFFFFFFL
-  | W16 -> fun t -> Int64.logand (reg_get t i) 0xFFFFL
-  | W8 -> fun t -> Int64.logand (reg_get t i) 0xFFL
+(* The cycle charge [step] issues unconditionally, before any trap point —
+   everything except dynamic charges (TLB walk, dcache miss, load/store
+   latency, the taken-branch adder). Tier 1 charges it per instruction,
+   superblocks once at block entry. *)
+let fixed_cycles t (i : instr) =
+  let c = t.cost in
+  match i with
+  | Label _ | Trap _ -> 0
+  | Nop | Mov _ | Movzx _ | Movsx _ | Alu _ | Shift _ | Bitcnt _ | Cqo _ | Neg _ | Not _ | Cmp _
+  | Test _ | Setcc _ | Cmovcc _ | Rdfsbase _ | Rdgsbase _ | Rdpkru ->
+      c.Cost.alu_cycles
+  | Lea _ -> c.Cost.lea_cycles
+  | Imul _ -> c.Cost.mul_cycles
+  | Div _ -> c.Cost.div_cycles
+  | Jmp _ -> c.Cost.branch_cycles + c.Cost.taken_branch_cycles
+  | Jcc _ -> c.Cost.branch_cycles
+  | Jmp_reg _ -> c.Cost.indirect_branch_cycles
+  | Call _ -> c.Cost.call_ret_cycles
+  | Call_reg _ -> c.Cost.call_ret_cycles + c.Cost.indirect_branch_cycles
+  | Ret -> c.Cost.call_ret_cycles
+  | Push _ -> c.Cost.store_cycles
+  | Pop _ -> c.Cost.load_cycles
+  | Wrfsbase _ | Wrgsbase _ ->
+      if t.fsgsbase_available then c.Cost.wrsegbase_cycles else c.Cost.wrsegbase_syscall_cycles
+  | Wrpkru -> c.Cost.wrpkru_cycles
+  | Vload _ | Vstore _ | Vzero _ | Vdup8 _ -> c.Cost.vector_cycles
+  | Hostcall _ -> c.Cost.hostcall_cycles
 
-let compile_write_reg w r =
-  let i = gpr_index r in
-  match w with
-  | W64 -> fun t v -> reg_set t i v
-  | W32 -> fun t v -> reg_set t i (Int64.logand v 0xFFFFFFFFL)
-  | W16 ->
-      fun t v ->
-        reg_set t i
-          (Int64.logor (Int64.logand (reg_get t i) (Int64.lognot 0xFFFFL)) (Int64.logand v 0xFFFFL))
-  | W8 ->
-      fun t v ->
-        reg_set t i
-          (Int64.logor (Int64.logand (reg_get t i) (Int64.lognot 0xFFL)) (Int64.logand v 0xFFL))
+(* Ops whose body establishes the successor pc itself (or always raises).
+   Everything else falls through to [idx + 1]. *)
+let is_control = function
+  | Jmp _ | Jcc _ | Jmp_reg _ | Call _ | Call_reg _ | Ret | Wrpkru | Trap _ -> true
+  | _ -> false
 
-let compile_index = function
-  | Some (r, s) ->
-      let i = gpr_index r and f = Int64.of_int (scale_factor s) in
-      fun t -> Int64.mul (reg_get t i) f
-  | None -> fun _ -> 0L
-
-let compile_ea (m : mem) =
-  let base_i = match m.base with Some r -> gpr_index r | None -> -1 in
-  let index_part = compile_index m.index in
-  let disp = Int64.of_int m.disp in
-  let mask32 = m.addr32 && not m.native_base in
-  let native = m.native_base in
-  let seg = m.seg in
-  fun t ->
-    let base = if base_i >= 0 then reg_get t base_i else 0L in
-    let sum = Int64.add (Int64.add base (index_part t)) disp in
-    let sum = if mask32 then Int64.logand sum 0xFFFFFFFFL else sum in
-    let segv =
-      if native then t.gs_base else match seg with Some s -> get_seg_base t s | None -> 0
-    in
-    Int64.to_int (Int64.add (Int64.of_int segv) sum) land addr_mask_47
-
-let compile_lea (m : mem) =
-  let base_i = match m.base with Some r -> gpr_index r | None -> -1 in
-  let index_part = compile_index m.index in
-  let disp = Int64.of_int m.disp in
-  let mask32 = m.addr32 in
-  fun t ->
-    let base = if base_i >= 0 then reg_get t base_i else 0L in
-    let sum = Int64.add (Int64.add base (index_part t)) disp in
-    if mask32 then Int64.logand sum 0xFFFFFFFFL else sum
-
-let compile_read w op =
-  match op with
-  | Reg r -> compile_read_reg w r
-  | Imm i ->
-      let v =
-        match w with
-        | W64 -> i
-        | W32 -> Int64.logand i 0xFFFFFFFFL
-        | W16 -> Int64.logand i 0xFFFFL
-        | W8 -> Int64.logand i 0xFFL
-      in
-      fun _ -> v
-  | Mem m ->
-      let ea = compile_ea m in
-      fun t -> load_mem t w (ea t)
-
-let compile_write w op =
-  match op with
-  | Reg r -> compile_write_reg w r
-  | Mem m ->
-      let ea = compile_ea m in
-      fun t v -> store_mem t w (ea t) v
-  | Imm _ -> fun _ _ -> invalid_arg "Machine: immediate as destination"
-
-let compile_instr ~labels ~index_of_off ~code_base ~len ~next ~ret_addr (instr : instr) =
-  let target lbl = match Hashtbl.find_opt labels lbl with Some i -> i | None -> -1 in
-  let prologue t =
-    t.counters.instructions <- t.counters.instructions + 1;
-    charge_frontend t len
-  in
-  match instr with
+let compile_instr t (l : loaded) idx =
+  let next = idx + 1 in
+  match l.program.(idx) with
   | Label _ -> fun t -> t.pc <- next
-  | Nop ->
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
+  | instr ->
+      let body = compile_body t l idx in
+      let len = l.lengths.(idx) and fixed = fixed_cycles t instr in
+      if is_control instr then fun t ->
+        t.counters.instructions <- t.counters.instructions + 1;
+        charge_frontend t len;
+        t.counters.cycles <- t.counters.cycles + fixed;
+        body t
+      else fun t ->
+        t.counters.instructions <- t.counters.instructions + 1;
+        charge_frontend t len;
+        t.counters.cycles <- t.counters.cycles + fixed;
+        body t;
         t.pc <- next
-  | Mov (w, dst, src) ->
-      let rd = compile_read w src and wr = compile_write w dst in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        wr t (rd t);
-        t.pc <- next
-  | Movzx (dw, sw, dst, src) ->
-      let rd = compile_read sw src and wr = compile_write_reg dw dst in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        wr t (rd t);
-        t.pc <- next
-  | Movsx (dw, sw, dst, src) ->
-      let rd = compile_read sw src and wr = compile_write_reg dw dst in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        wr t (sext sw (rd t));
-        t.pc <- next
-  | Lea (w, dst, m) ->
-      let lv = compile_lea m and wr = compile_write_reg w dst in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.lea_cycles;
-        wr t (lv t);
-        t.pc <- next
-  | Alu (op, w, dst, src) ->
-      let rd = compile_read w dst and rs = compile_read w src and wr = compile_write w dst in
-      let f =
-        match op with
-        | Add -> Int64.add
-        | Sub -> Int64.sub
-        | And -> Int64.logand
-        | Or -> Int64.logor
-        | Xor -> Int64.logxor
-      in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        let a = rd t and b = rs t in
-        let r = f a b in
-        (match op with
-        | Add -> set_add_flags t w a b r
-        | Sub -> set_sub_flags t w a b r
-        | And | Or | Xor -> set_logic_flags t w r);
-        wr t r;
-        t.pc <- next
-  | Shift (op, w, dst, count) ->
-      let rd = compile_read w dst and wr = compile_write w dst in
-      let rcx = gpr_index RCX in
-      let get_n =
-        match count with
-        | Count_imm n -> fun _ -> n
-        | Count_cl -> fun t -> Int64.to_int (Int64.logand (reg_get t rcx) 0x3FL)
-      in
-      let nmask = width_bits w - 1 in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        let n = get_n t land nmask in
-        let a = rd t in
-        let r = shift_value w op a n in
-        set_logic_flags t w r;
-        wr t r;
-        t.pc <- next
-  | Imul (w, dst, src) ->
-      let rdd = compile_read_reg w dst and rs = compile_read w src in
-      let wr = compile_write_reg w dst in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.mul_cycles;
-        let b = rs t in
-        wr t (Int64.mul (rdd t) b);
-        t.pc <- next
-  | Bitcnt (k, w, dst, src) ->
-      let rs = compile_read w src and wr = compile_write_reg w dst in
-      let m = mask_of_width w in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        let v = Int64.logand (rs t) m in
-        wr t (Int64.of_int (bitcnt_value k w v));
-        t.pc <- next
-  | Div (w, signed, src) ->
-      let rs = compile_read w src in
-      fun t ->
-        prologue t;
-        exec_div t w signed ~read:rs;
-        t.pc <- next
-  | Cqo w ->
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        let a = sext w (read_reg_w t w RAX) in
-        write_reg_w t w RDX (if Int64.compare a 0L < 0 then -1L else 0L);
-        t.pc <- next
-  | Neg (w, op) ->
-      let rd = compile_read w op and wr = compile_write w op in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        let a = rd t in
-        let r = Int64.neg a in
-        set_sub_flags t w 0L a r;
-        wr t r;
-        t.pc <- next
-  | Not (w, op) ->
-      let rd = compile_read w op and wr = compile_write w op in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        wr t (Int64.lognot (rd t));
-        t.pc <- next
-  | Cmp (w, a, b) ->
-      let ra = compile_read w a and rb = compile_read w b in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        let va = ra t and vb = rb t in
-        set_sub_flags t w va vb (Int64.sub va vb);
-        t.pc <- next
-  | Test (w, a, b) ->
-      let ra = compile_read w a and rb = compile_read w b in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        let va = ra t and vb = rb t in
-        set_logic_flags t w (Int64.logand va vb);
-        t.pc <- next
-  | Setcc (c, r) ->
-      let i = gpr_index r in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        reg_set t i (if eval_cond t c then 1L else 0L);
-        t.pc <- next
-  | Cmovcc (c, w, dst, src) ->
-      let rs = compile_read w src in
-      let rdd = compile_read_reg w dst and wr = compile_write_reg w dst in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        (if eval_cond t c then wr t (rs t) else if w = W32 then wr t (rdd t));
-        t.pc <- next
-  | Jmp lbl ->
-      let tgt = target lbl in
-      fun t ->
-        prologue t;
-        charge t (t.cost.Cost.branch_cycles + t.cost.Cost.taken_branch_cycles);
-        if tgt < 0 then raise Not_found;
-        t.pc <- tgt
-  | Jcc (c, lbl) ->
-      let tgt = target lbl in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.branch_cycles;
-        if eval_cond t c then begin
-          charge t t.cost.Cost.taken_branch_cycles;
-          if tgt < 0 then raise Not_found;
-          t.pc <- tgt
-        end
-        else t.pc <- next
-  | Jmp_reg r ->
-      let i = gpr_index r in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.indirect_branch_cycles;
-        jump_via index_of_off code_base t (Int64.to_int (reg_get t i) land addr_mask_47)
-  | Call lbl ->
-      let tgt = target lbl in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.call_ret_cycles;
-        push64 t ret_addr;
-        if tgt < 0 then raise Not_found;
-        t.pc <- tgt
-  | Call_reg r ->
-      let i = gpr_index r in
-      fun t ->
-        prologue t;
-        charge t (t.cost.Cost.call_ret_cycles + t.cost.Cost.indirect_branch_cycles);
-        push64 t ret_addr;
-        jump_via index_of_off code_base t (Int64.to_int (reg_get t i) land addr_mask_47)
-  | Ret ->
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.call_ret_cycles;
-        let addr = pop64 t in
-        if addr = halt_sentinel then raise Halt_exn;
-        jump_via index_of_off code_base t (Int64.to_int addr land addr_mask_47)
-  | Push op ->
-      let rd = compile_read W64 op in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.store_cycles;
-        push64 t (rd t);
-        t.pc <- next
-  | Pop r ->
-      let i = gpr_index r in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.load_cycles;
-        reg_set t i (pop64 t);
-        t.pc <- next
-  | Wrfsbase r | Wrgsbase r ->
-      let i = gpr_index r in
-      let is_fs = match instr with Wrfsbase _ -> true | _ -> false in
-      fun t ->
-        prologue t;
-        charge t
-          (if t.fsgsbase_available then t.cost.Cost.wrsegbase_cycles
-           else t.cost.Cost.wrsegbase_syscall_cycles);
-        t.counters.seg_base_writes <- t.counters.seg_base_writes + 1;
-        let v = Int64.to_int (reg_get t i) land addr_mask_47 in
-        if is_fs then t.fs_base <- v else t.gs_base <- v;
-        t.pc <- next
-  | Rdfsbase r ->
-      let i = gpr_index r in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        reg_set t i (Int64.of_int t.fs_base);
-        t.pc <- next
-  | Rdgsbase r ->
-      let i = gpr_index r in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        reg_set t i (Int64.of_int t.gs_base);
-        t.pc <- next
-  | Wrpkru ->
-      let rax = gpr_index RAX in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.wrpkru_cycles;
-        t.counters.pkru_writes <- t.counters.pkru_writes + 1;
-        t.pkru <- Int64.to_int (Int64.logand (reg_get t rax) 0xFFFFFFFFL);
-        invalidate_pcache t;
-        if Sfi_trace.Trace.enabled t.trace then
-          Sfi_trace.Trace.pkru_write t.trace ~value:t.pkru;
-        t.pc <- next
-  | Rdpkru ->
-      let rax = gpr_index RAX and rdx = gpr_index RDX in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        reg_set t rax (Int64.of_int t.pkru);
-        reg_set t rdx 0L;
-        t.pc <- next
-  | Vload (v, m) ->
-      let ea = compile_ea m and vi = vreg_index v in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.vector_cycles;
-        vload_data t vi (ea t);
-        t.pc <- next
-  | Vstore (m, v) ->
-      let ea = compile_ea m and vi = vreg_index v in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.vector_cycles;
-        vstore_data t (ea t) vi;
-        t.pc <- next
-  | Vzero v ->
-      let vi = vreg_index v in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.vector_cycles;
-        Bytes.fill t.vregs.(vi) 0 16 '\000';
-        t.pc <- next
-  | Vdup8 (v, b) ->
-      let vi = vreg_index v and c = Char.chr (b land 0xFF) in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.vector_cycles;
-        Bytes.fill t.vregs.(vi) 0 16 c;
-        t.pc <- next
-  | Hostcall n ->
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.hostcall_cycles;
-        t.hostcall t n;
-        t.pc <- next
-  | Trap k ->
-      fun t ->
-        prologue t;
-        raise (Trap_exn k)
 
 (* --- Basic-block discovery and classification --- *)
 
@@ -494,33 +167,31 @@ let install t program =
         let off = if idx + 1 < n then offsets.(idx + 1) else code_len in
         Int64.of_int (t.code_base + off))
   in
+  let blocks, block_of = analyze_blocks program targets in
   (* exec.(n) is the off-end sentinel: running past the last instruction is
      an out-of-bounds fetch, exactly as [step] treats pc >= n. *)
-  let exec = Array.make (n + 1) (fun _ -> raise (Trap_exn Trap_out_of_bounds)) in
+  let l =
+    {
+      program;
+      offsets;
+      labels;
+      code_len;
+      lengths;
+      targets;
+      ret_addrs;
+      index_of_off;
+      exec = Array.make (n + 1) (fun _ -> raise (Trap_exn Trap_out_of_bounds));
+      blocks;
+      block_of;
+      sb_len = Array.make (n + 1) 0;
+      sb_exec = Array.make (n + 1) (fun _ -> ());
+      promoted = 0;
+    }
+  in
   for idx = 0 to n - 1 do
-    exec.(idx) <-
-      compile_instr ~labels ~index_of_off ~code_base:t.code_base ~len:lengths.(idx)
-        ~next:(idx + 1) ~ret_addr:ret_addrs.(idx) program.(idx)
+    l.exec.(idx) <- compile_instr t l idx
   done;
-  let blocks, block_of = analyze_blocks program targets in
-  t.loaded <-
-    Some
-      {
-        program;
-        offsets;
-        labels;
-        code_len;
-        lengths;
-        targets;
-        ret_addrs;
-        index_of_off;
-        exec;
-        blocks;
-        block_of;
-        sb_len = Array.make (n + 1) 0;
-        sb_exec = Array.make (n + 1) (fun _ -> ());
-        promoted = 0;
-      };
+  t.loaded <- Some l;
   (* Samples collected against the replaced program describe instruction
      indices that no longer mean anything; they are dropped, and the loss
      is visible through [prof_dropped] whether or not the profiler is

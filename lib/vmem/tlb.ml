@@ -43,22 +43,25 @@ let lookup_slot t ~page =
   let set = page mod t.sets in
   let base = set * t.config.ways in
   t.clock <- t.clock + 1;
-  let rec find way =
-    if way >= t.config.ways then None
-    else if t.tags.(base + way) = page then Some way
-    else find (way + 1)
-  in
-  match find 0 with
-  | Some way ->
-      t.hits <- t.hits + 1;
-      t.stamps.(base + way) <- t.clock;
-      Some (t.payloads.(base + way), base + way)
-  | None ->
-      t.misses <- t.misses + 1;
-      None
+  let way = ref 0 in
+  while !way < t.config.ways && t.tags.(base + !way) <> page do
+    incr way
+  done;
+  if !way < t.config.ways then begin
+    t.hits <- t.hits + 1;
+    t.stamps.(base + !way) <- t.clock;
+    base + !way
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    -1
+  end
+
+let payload t ~slot = t.payloads.(slot)
 
 let lookup t ~page =
-  match lookup_slot t ~page with Some (payload, _) -> Some payload | None -> None
+  let slot = lookup_slot t ~page in
+  if slot >= 0 then Some t.payloads.(slot) else None
 
 let fill_slot t ~page ~payload =
   let set = page mod t.sets in

@@ -36,10 +36,14 @@ val fill : t -> page:int -> payload:int -> unit
     is itself a recency event: the inserted line is stamped strictly newer
     than every line touched before it. *)
 
-val lookup_slot : t -> page:int -> (int * int) option
-(** Like {!lookup} but also returns the entry's slot index, so callers can
-    pin a hot translation and re-touch it cheaply via {!touch} without a
-    full set scan. Counter effects are identical to {!lookup}. *)
+val lookup_slot : t -> page:int -> int
+(** Like {!lookup} but returns the entry's slot index on a hit and -1 on a
+    miss, without allocating. Callers read the payload with {!payload} and
+    can pin a hot translation and re-touch it cheaply via {!touch} without
+    a full set scan. Counter effects are identical to {!lookup}. *)
+
+val payload : t -> slot:int -> int
+(** The payload cached in [slot]. *)
 
 val fill_slot : t -> page:int -> payload:int -> int
 (** Like {!fill} but returns the slot index the translation landed in. *)

@@ -290,6 +290,29 @@ let test_indirect_sig () =
   let m = build b in
   check_differential "bad_sig" m "bad" []
 
+(* call_indirect with its index and an i64 argument below the register
+   ring: both reach the machine through the scratch register, which also
+   carries the signature check and the call target. *)
+let test_indirect_deep () =
+  let b = create ~memory_pages:1 () in
+  let inc = declare b "inc" ~params:[ W.I64 ] ~results:[ W.I64 ] () in
+  define b inc [ get 0; i64 1; add64 ];
+  let dbl = declare b "dbl" ~params:[ W.I64 ] ~results:[ W.I64 ] () in
+  define b dbl [ get 0; get 0; add64 ];
+  elem b [ inc; dbl ];
+  let run = declare b "run" ~params:[ W.I32 ] ~results:[ W.I64 ] () in
+  define b run
+    [
+      i64 1; i64 2; i64 3; i64 4; i64 5; i64 6;
+      i64' 0x1234_5678_9ABC_DEF0L; get 0;
+      call_indirect b ~params:[ W.I64 ] ~results:[ W.I64 ];
+      add64; add64; add64; add64; add64; add64;
+    ];
+  let m = build b in
+  check_differential "deep_index0" m "run" [ vi32 0 ];
+  check_differential "deep_index1" m "run" [ vi32 1 ];
+  check_differential "deep_index_oob" m "run" [ vi32 2 ]
+
 (* imports *)
 let test_imports () =
   let b = create ~memory_pages:1 () in
@@ -396,6 +419,7 @@ let tests =
     case "bulk" test_bulk;
     case "calls" test_calls;
     case "indirect signature" test_indirect_sig;
+    case "indirect call with a deep index and argument" test_indirect_deep;
     case "imports" test_imports;
     case "unreachable" test_unreachable;
     case "segue cost function (future work)" test_segue_cost_function;

@@ -211,6 +211,142 @@ let qcheck_differential =
     check_engines_agree
 
 (* ------------------------------------------------------------------ *)
+(* Operand shape x width differential.                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Straight-line x86 covering every operand shape (register, immediate,
+   memory) at every width for the ops whose compiled bodies specialise on
+   resolved operands. Codegen output rarely writes 8/16-bit registers,
+   where a partial write must keep the upper bits (a 32-bit write
+   zero-extends), so this drives the machine directly. Registers start
+   with high-bit values; RBX points a few bytes from a page boundary so
+   memory operands straddle it, and at the top of the mapping some of them
+   straddle into unmapped memory and trap mid-superblock. RBX and RSI (the
+   address registers) are never written. *)
+
+let shape_dsts = [| X.RAX; X.RCX; X.RDX; X.RDI; X.R8; X.R9; X.R10; X.R11 |]
+let shape_srcs = Array.append shape_dsts [| X.RBX; X.RSI |]
+let pick rng a = a.(Prng.int rng (Array.length a))
+
+(* Full-range values, and the sign bits of every width +/- 1. *)
+let high_bit_value rng =
+  if Prng.bool rng then Prng.next_int64 rng
+  else
+    let v = Int64.shift_left 1L (pick rng [| 7; 15; 31; 63 |]) in
+    pick rng [| v; Int64.pred v; Int64.neg v |]
+
+let gen_mem rng =
+  let index =
+    if Prng.bool rng then Some (X.RSI, pick rng [| X.S1; X.S2; X.S4; X.S8 |]) else None
+  in
+  X.mem ~base:X.RBX ?index ~disp:(Prng.int_in rng (-12) 12) ~addr32:(Prng.int rng 4 = 0) ()
+
+let gen_dst rng = if Prng.int rng 3 = 0 then X.Mem (gen_mem rng) else X.Reg (pick rng shape_dsts)
+
+(* A source operand; at most one memory operand per instruction. *)
+let gen_src rng ~dst =
+  match (Prng.int rng 3, dst) with
+  | 0, _ | 2, X.Mem _ -> X.Reg (pick rng shape_srcs)
+  | 1, _ -> X.Imm (high_bit_value rng)
+  | _ -> X.Mem (gen_mem rng)
+
+let gen_shape_instr rng =
+  let w = pick rng [| X.W8; X.W16; X.W32; X.W64 |] in
+  let dst = gen_dst rng in
+  let dreg = pick rng shape_dsts in
+  let reg_or_mem () = if Prng.bool rng then X.Reg (pick rng shape_srcs) else X.Mem (gen_mem rng) in
+  match Prng.int rng 12 with
+  | 0 -> X.Mov (w, dst, gen_src rng ~dst)
+  | 1 ->
+      let dw = pick rng [| X.W16; X.W32; X.W64 |] in
+      X.Movzx (dw, pick rng [| X.W8; X.W16 |], dreg, reg_or_mem ())
+  | 2 ->
+      let dw = pick rng [| X.W32; X.W64 |] in
+      X.Movsx (dw, pick rng [| X.W8; X.W16; X.W32 |], dreg, reg_or_mem ())
+  | 3 -> X.Alu (pick rng [| X.Add; X.Sub; X.And; X.Or; X.Xor |], w, dst, gen_src rng ~dst)
+  | 4 -> X.Cmp (w, dst, gen_src rng ~dst)
+  | 5 -> X.Test (w, dst, gen_src rng ~dst)
+  | 6 ->
+      let count = if Prng.bool rng then X.Count_cl else X.Count_imm (Prng.int rng 70) in
+      X.Shift (pick rng [| X.Shl; X.Shr; X.Sar; X.Rol; X.Ror |], w, dst, count)
+  | 7 -> X.Imul (w, dreg, gen_src rng ~dst:(X.Reg dreg))
+  | 8 -> X.Neg (w, dst)
+  | 9 -> X.Not (w, dst)
+  | 10 ->
+      let c = pick rng [| X.E; X.NE; X.L; X.LE; X.G; X.GE; X.B; X.BE; X.A; X.AE; X.S; X.NS |] in
+      X.Cmovcc (c, w, dreg, reg_or_mem ())
+  | _ ->
+      (* Lea never touches memory: any register may form the address, so
+         32-bit address wrap-around shows. *)
+      let index = if Prng.bool rng then Some (pick rng shape_srcs, X.S8) else None in
+      let base = pick rng shape_srcs and disp = Prng.int_in rng (-9) 9 in
+      X.Lea (w, dreg, X.mem ~base ?index ~disp ~addr32:(Prng.bool rng) ())
+
+(* Labels every few instructions split the program into several blocks,
+   so the tiered engine runs a mix of superblocks and tier-1 slots. *)
+let gen_shape_program rng =
+  List.concat
+    (List.init (Prng.int_in rng 20 40) (fun i ->
+         let instr = gen_shape_instr rng in
+         if i > 0 && Prng.int rng 6 = 0 then [ X.Label (Printf.sprintf "b%d" i); instr ]
+         else [ instr ]))
+
+let shape_setup rng =
+  let top = Prng.bool rng in
+  let boundary = mb + ((if top then 16 else 4) * Space.page_size) in
+  let rbx = boundary + Prng.int_in rng (-10) (if top then -4 else 10) in
+  let regs = Array.map (fun r -> (r, high_bit_value rng)) shape_dsts in
+  let words = Array.init 8 (fun _ -> high_bit_value rng) in
+  fun m ->
+    Array.iter (fun (r, v) -> Machine.set_reg m r v) regs;
+    Machine.set_reg m X.RBX (Int64.of_int rbx);
+    Machine.set_reg m X.RSI (Int64.of_int (rbx land 3));
+    Array.iteri
+      (fun i v -> Space.write64 (Machine.space m) (boundary - 32 + (8 * i)) v)
+      (if top then Array.sub words 0 4 else words)
+
+let shape_memory m =
+  let read page len =
+    Space.read_bytes (Machine.space m) ~addr:(mb + (page * Space.page_size)) ~len
+  in
+  Bytes.cat (read 3 (2 * Space.page_size)) (read 15 Space.page_size)
+
+let check_shapes_agree seed =
+  let rng = Prng.create ~seed:(Int64.of_int seed) in
+  let program = gen_shape_program rng in
+  let make = make_machine ~setup:(shape_setup rng) program in
+  List.iter
+    (fun (engines, stride) ->
+      match Lockstep.run_pair ~engines ~stride ~make ~entry:"entry" () with
+      | Ok _ -> ()
+      | Error d ->
+          QCheck.Test.fail_reportf "seed %d: %s" seed
+            (Format.asprintf "%a" Lockstep.pp_divergence d))
+    [
+      ((Machine.Reference, Machine.Threaded), 1);
+      ((Machine.Reference, Machine.Tier2), 7);
+      ((Machine.Threaded, Machine.Tier2), 1000);
+    ];
+  let final engine =
+    let m = make () in
+    Machine.set_engine m engine;
+    let st = Machine.execute m ~entry:"entry" () in
+    (st, Machine.snapshot m, shape_memory m)
+  in
+  let reference = final Machine.Reference in
+  List.iter
+    (fun engine ->
+      if final engine <> reference then
+        QCheck.Test.fail_reportf "seed %d: final state or memory differs from the reference" seed)
+    [ Machine.Threaded; Machine.Tier2 ];
+  true
+
+let qcheck_shapes =
+  QCheck.Test.make ~count:200 ~name:"operand shape x width: reference = threaded = tier2"
+    QCheck.(int_range 0 99999)
+    check_shapes_agree
+
+(* ------------------------------------------------------------------ *)
 (* Page-access cache invalidation edges.                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -360,6 +496,7 @@ let tests =
     case "lockstep: every trap kind" test_lockstep_traps;
     case "lockstep: pkru and hostcalls" test_lockstep_pkru_and_hostcall;
     QCheck_alcotest.to_alcotest qcheck_differential;
+    QCheck_alcotest.to_alcotest qcheck_shapes;
     case "page cache: mprotect invalidates" test_pcache_prot_change;
     case "page cache: set_pkru invalidates" test_pcache_pkru_write;
     case "page cache: unmap invalidates" test_pcache_unmap;

@@ -12,8 +12,20 @@ module Fuzz = Sfi_fuzz.Fuzz
    the reference interpreter, all six SFI strategies on both the step and
    threaded engines (sanitizer armed), and — for the tame subset — the
    native / LFI / LFI+Segue triple. Any divergence fails the suite with
-   the minimized reproducer. *)
+   the minimized reproducer. Programs that once diverged ride along by
+   seed:
+   - -3526136549200349681: a call_indirect whose table index sat below
+     the register ring, in the scratch register, which the signature
+     check then overwrote. *)
+let regression_seeds = [ -3526136549200349681L ]
+
 let test_corpus () =
+  List.iter
+    (fun seed ->
+      match (Fuzz.check_program (Fuzz.generate seed)).Fuzz.failure with
+      | None -> ()
+      | Some (oracle, detail) -> Alcotest.failf "seed %Ld: %s: %s" seed oracle detail)
+    regression_seeds;
   let report = Fuzz.run_corpus ~seed:0x5EEDL ~count:40 () in
   (match report.Fuzz.r_divergences with
   | [] -> ()

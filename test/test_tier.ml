@@ -2,8 +2,9 @@
    across program swaps (the [profile_dropped] contract), eager and
    adaptive superblock promotion, bit-identity of mid-run promotion with
    the per-instruction engines (handcrafted, qcheck-random, and fuzzer
-   corpus programs), trace-driven demotion of trappable superblocks, and
-   the page-access-cache invalidation edge across a superblock boundary. *)
+   corpus programs), trace-driven demotion of trappable superblocks, the
+   page-access-cache invalidation edge across a superblock boundary, and
+   the allocation-free execution core. *)
 
 module X = Sfi_x86.Ast
 module Machine = Sfi_machine.Machine
@@ -321,6 +322,60 @@ let test_pcache_superblock_boundary () =
   Alcotest.(check bool) "post-trap snapshot bit-identical to reference" true
     (snap2 = snap_ref)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation regression: the execution core must not box.             *)
+(* ------------------------------------------------------------------ *)
+
+(* A register+memory loop: loads, stores and read-modify-write ALU ops at
+   several widths, sign/zero extension, shift, lea, imul, push/pop and a
+   conditional branch — 14 instructions per trip. *)
+let alloc_loop n =
+  let at disp = X.Mem (X.mem ~base:X.RBX ~disp ()) in
+  [
+    X.Mov (X.W64, X.Reg X.RBX, X.Imm (Int64.of_int mb));
+    X.Mov (X.W64, X.Reg X.RCX, X.Imm (Int64.of_int n));
+    X.Label "loop";
+    X.Mov (X.W64, at 0, X.Reg X.RCX);
+    X.Alu (X.Add, X.W64, X.Reg X.RAX, at 0);
+    X.Alu (X.Xor, X.W32, at 8, X.Reg X.RAX);
+    X.Mov (X.W16, at 16, X.Reg X.RAX);
+    X.Movzx (X.W64, X.W16, X.RDX, at 16);
+    X.Movsx (X.W64, X.W8, X.RSI, at 8);
+    X.Shift (X.Shl, X.W64, X.Reg X.RDX, X.Count_imm 3);
+    X.Lea (X.W64, X.RDI, X.mem ~base:X.RDX ~index:(X.RSI, X.S4) ~disp:7 ());
+    X.Imul (X.W64, X.RDI, X.Reg X.RDX);
+    X.Push (X.Reg X.RDI);
+    X.Pop X.R8;
+    X.Alu (X.Sub, X.W64, X.Reg X.RCX, X.Imm 1L);
+    X.Cmp (X.W64, X.Reg X.RCX, X.Imm 0L);
+    X.Jcc (X.NE, "loop");
+  ]
+
+(* Minor-heap words spent running the loop for [n] trips, and the
+   instructions that took. Promotion (Tier2) and the halt-sentinel push
+   happen before the measurement starts. *)
+let loop_minor_words engine n =
+  let m = make_machine (alloc_loop n) () in
+  Machine.set_engine m engine;
+  Machine.start m ~entry:"entry";
+  let before = Gc.minor_words () in
+  (match Machine.run m ~fuel:(1 lsl 30) with
+  | Machine.Halted -> ()
+  | _ -> Alcotest.fail "loop should halt");
+  let words = Gc.minor_words () -. before in
+  (words, (Machine.counters m).Machine.instructions)
+
+let test_hot_path_allocation_free () =
+  List.iter
+    (fun (name, engine) ->
+      let w1, i1 = loop_minor_words engine 1_000 in
+      let w2, i2 = loop_minor_words engine 10_000 in
+      let per_instr = (w2 -. w1) /. float_of_int (i2 - i1) in
+      if per_instr > 0.01 then
+        Alcotest.failf "%s: %.3f minor words per extra instruction (%.0f -> %.0f words)" name
+          per_instr w1 w2)
+    [ ("tier2", Machine.Tier2); ("threaded", Machine.Threaded) ]
+
 let case name f = Alcotest.test_case name `Quick f
 
 let tests =
@@ -336,4 +391,5 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_adaptive;
     case "fuzz corpus through the tiered engine arm" test_fuzz_corpus_tiered;
     case "page cache: invalidation across a superblock" test_pcache_superblock_boundary;
+    case "hot path: no allocation per instruction" test_hot_path_allocation_free;
   ]
