@@ -1387,12 +1387,12 @@ let compile_func cfg m fresh code (f : W.func) =
   let all_locals = Array.of_list (params @ f.W.locals) in
   let pool = local_pool cfg in
   let n_locals = Array.length all_locals in
-  let homes =
-    Array.init n_locals (fun i ->
-        match List.nth_opt pool i with
-        | Some r -> Hreg r
-        | None -> Hframe (i - List.length pool))
-  in
+  (* Filled in place from a constant, like [compile]'s tables. *)
+  let homes = Array.make n_locals (Hframe 0) in
+  for i = 0 to n_locals - 1 do
+    homes.(i) <-
+      (match List.nth_opt pool i with Some r -> Hreg r | None -> Hframe (i - List.length pool))
+  done;
   let n_frame_locals = max 0 (n_locals - List.length pool) in
   let saved_regs =
     List.filteri (fun i _ -> i < n_locals) pool
@@ -1622,16 +1622,19 @@ let compile cfg (m : W.module_) =
    with Unsupported msg -> invalid_arg ("Codegen: " ^ msg));
   emit_builtins code;
   let program = Vec.to_array code in
-  let func_labels =
-    Array.init (W.num_funcs m) (fun idx -> if idx < nimports then "" else func_label m idx)
-  in
-  let table_entries =
-    Array.map
-      (fun fidx ->
-        if fidx < nimports then invalid_arg "Codegen: imports cannot be table entries";
-        (func_label m fidx, m.W.funcs.(fidx - nimports).W.ftype))
-      m.W.table
-  in
+  (* Both tables start from a constant and are filled in place: [Array.init]
+     or [Array.map] whose first element is fresh forces a minor collection
+     once the array passes 256 words. *)
+  let func_labels = Array.make (W.num_funcs m) "" in
+  for idx = nimports to W.num_funcs m - 1 do
+    func_labels.(idx) <- func_label m idx
+  done;
+  let table_entries = Array.make (Array.length m.W.table) ("", 0) in
+  Array.iteri
+    (fun i fidx ->
+      if fidx < nimports then invalid_arg "Codegen: imports cannot be table entries";
+      table_entries.(i) <- (func_label m fidx, m.W.funcs.(fidx - nimports).W.ftype))
+    m.W.table;
   {
     program;
     config = cfg;

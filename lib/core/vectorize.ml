@@ -124,12 +124,12 @@ let rec transform_instrs count instrs =
       | other -> [ other ])
     instrs
 
+(* Rewritten in a copy, not by [Array.map]: a fresh first element would
+   force a minor collection once a module has more than 256 functions. *)
 let transform count (m : W.module_) =
-  {
-    m with
-    W.funcs =
-      Array.map (fun f -> { f with W.body = transform_instrs count f.W.body }) m.W.funcs;
-  }
+  let funcs = Array.copy m.W.funcs in
+  Array.iteri (fun i f -> funcs.(i) <- { f with W.body = transform_instrs count f.W.body }) funcs;
+  { m with W.funcs }
 
 let apply strategy m =
   (* The pass does not recognize segment-relative operands: full Segue

@@ -389,10 +389,10 @@ let jump_to_address t addr =
   let l = get_loaded t in
   jump_via l.index_of_off t.code_base t addr
 
-let return_address t =
-  (* Byte address of the instruction after the current one. *)
-  let l = get_loaded t in
-  l.ret_addrs.(t.pc)
+(* Code offset of the instruction after [idx]: a call there pushes
+   [code_base] plus this. *)
+let next_offset (l : loaded) idx =
+  if idx + 1 < Array.length l.offsets then l.offsets.(idx + 1) else l.code_len
 
 (* Pure value computations shared by the reference interpreter and the
    per-op bodies, so the executors cannot drift. *)
@@ -540,7 +540,7 @@ let[@inline] write t w o v =
    redirect control set [t.pc] themselves; for every other op the caller
    writes the successor pc. *)
 let compile_body t (l : loaded) idx =
-  let next = idx + 1 and tgt = l.targets.(idx) and ret_addr = l.ret_addrs.(idx) in
+  let next = idx + 1 and tgt = l.targets.(idx) in
   let index_of_off = l.index_of_off and code_base = t.code_base in
   match l.program.(idx) with
   | Label _ | Nop -> fun _ -> ()
@@ -667,12 +667,13 @@ let compile_body t (l : loaded) idx =
       let i = gpr_index r in
       fun t -> jump_via index_of_off code_base t (Int64.to_int (reg_get t i) land addr_mask_47)
   | Call _ ->
+      let ret_addr = Int64.of_int (code_base + next_offset l idx) in
       fun t ->
         push64 t ret_addr;
         if tgt < 0 then raise Not_found;
         t.pc <- tgt
   | Call_reg r ->
-      let i = gpr_index r in
+      let i = gpr_index r and ret_addr = Int64.of_int (code_base + next_offset l idx) in
       fun t ->
         push64 t ret_addr;
         jump_via index_of_off code_base t (Int64.to_int (reg_get t i) land addr_mask_47)
@@ -847,11 +848,11 @@ let step t =
       next_pc := t.pc
   | Call _ ->
       charge t cost.Cost.call_ret_cycles;
-      push64 t (return_address t);
+      push64 t (Int64.of_int (t.code_base + next_offset l t.pc));
       next_pc := direct_target ()
   | Call_reg r ->
       charge t (cost.Cost.call_ret_cycles + cost.Cost.indirect_branch_cycles);
-      push64 t (return_address t);
+      push64 t (Int64.of_int (t.code_base + next_offset l t.pc));
       jump_to_address t (Int64.to_int (get_reg t r) land addr_mask_47);
       next_pc := t.pc
   | Ret ->

@@ -66,7 +66,6 @@ type loaded = {
   code_len : int;
   lengths : int array; (* encoded length of each instruction *)
   targets : int array; (* direct-branch target index, -1 = unresolved label *)
-  ret_addrs : int64 array; (* byte address of the following instruction *)
   index_of_off : int array; (* code byte offset -> instruction index, -1 = none *)
   exec : (t -> unit) array; (* threaded code; exec.(n) is the off-end sentinel *)
   blocks : block array; (* partition of [0, n) into basic blocks *)

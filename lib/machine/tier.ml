@@ -28,12 +28,15 @@ let promote_block t (l : loaded) (b : block) =
      [step] never runs their prologue. Index [done_] = slots whose
      prologue+fixed [step] would have charged before a fault at slot
      [done_ - 1]. *)
+  (* Bodies are filled in the loop, not by [Array.init]: see DESIGN.md, load path. *)
+  let bodies = Array.make k (fun _ -> ()) in
   let pre_bytes = Array.make (k + 1) 0 in
   let pre_fixed = Array.make (k + 1) 0 in
   let pre_instrs = Array.make (k + 1) 0 in
   for j = 0 to k - 1 do
     let i = prog.(s + j) in
     let is_label = match i with Label _ -> true | _ -> false in
+    bodies.(j) <- compile_body t l (s + j);
     pre_bytes.(j + 1) <- (pre_bytes.(j) + if is_label then 0 else l.lengths.(s + j));
     pre_fixed.(j + 1) <- (pre_fixed.(j) + if is_label then 0 else fixed_cycles t i);
     pre_instrs.(j + 1) <- (pre_instrs.(j) + if is_label then 0 else 1)
@@ -42,7 +45,6 @@ let promote_block t (l : loaded) (b : block) =
   let fixed = pre_fixed.(k) in
   let n_instrs = pre_instrs.(k) in
   let guarded = b.b_class <> Bpure in
-  let bodies = Array.init k (fun j -> compile_body t l (s + j)) in
   (* Successor pc for a block that falls through; a control-flow body
      sets its own. *)
   let exit_pc = if is_control prog.(s + k - 1) then -1 else s + k in

@@ -106,21 +106,22 @@ let instr_class ~targets idx (i : instr) =
 
 let analyze_blocks program targets =
   let n = Array.length program in
-  let leader = Array.make (n + 1) false in
-  if n > 0 then leader.(0) <- true;
-  Array.iteri
-    (fun idx i ->
-      (match i with Label _ -> leader.(idx) <- true | _ -> ());
-      if is_terminator i && idx + 1 < n then leader.(idx + 1) <- true)
-    program;
-  let blocks = ref [] in
+  let leader idx =
+    idx = 0
+    || (match program.(idx) with Label _ -> true | _ -> false)
+    || is_terminator program.(idx - 1)
+  in
+  (* Filled in place, not by [Array.of_list]: see DESIGN.md, load path. *)
+  let nblocks = ref 0 in
+  for idx = 0 to n - 1 do if leader idx then incr nblocks done;
+  let blocks = Array.make !nblocks { b_start = 0; b_len = 0; b_class = Bpure } in
   let block_of = Array.make n (-1) in
   let bi = ref 0 in
   let i = ref 0 in
   while !i < n do
     let s = !i in
     let j = ref (s + 1) in
-    while !j < n && not leader.(!j) do
+    while !j < n && not (leader !j) do
       incr j
     done;
     let cls = ref Bpure in
@@ -128,16 +129,21 @@ let analyze_blocks program targets =
       cls := class_max !cls (instr_class ~targets k program.(k));
       block_of.(k) <- !bi
     done;
-    blocks := { b_start = s; b_len = !j - s; b_class = !cls } :: !blocks;
+    blocks.(!bi) <- { b_start = s; b_len = !j - s; b_class = !cls };
     incr bi;
     i := !j
   done;
-  (Array.of_list (List.rev !blocks), block_of)
+  (blocks, block_of)
 
 (* --- Program installation (the body of [Machine.load_program]) --- *)
 
 let install t program =
-  let offsets = Encode.layout program in
+  let n = Array.length program in
+  (* One encoding pass; offsets and code length are its prefix sums. *)
+  let lengths = Encode.lengths program in
+  let offsets = Array.make n 0 and code_len = ref 0 in
+  Array.iteri (fun idx len -> offsets.(idx) <- !code_len; code_len := !code_len + len) lengths;
+  let code_len = !code_len in
   let labels = Hashtbl.create 64 in
   Array.iteri
     (fun idx i ->
@@ -147,9 +153,6 @@ let install t program =
           Hashtbl.replace labels l idx
       | _ -> ())
     program;
-  let code_len = Encode.program_length program in
-  let n = Array.length program in
-  let lengths = Encode.lengths program in
   (* First instruction at a given byte offset wins (labels share the offset
      of the instruction that follows them). *)
   let index_of_off = Array.make (code_len + 1) (-1) in
@@ -162,11 +165,6 @@ let install t program =
         | _ -> -1)
       program
   in
-  let ret_addrs =
-    Array.init n (fun idx ->
-        let off = if idx + 1 < n then offsets.(idx + 1) else code_len in
-        Int64.of_int (t.code_base + off))
-  in
   let blocks, block_of = analyze_blocks program targets in
   (* exec.(n) is the off-end sentinel: running past the last instruction is
      an out-of-bounds fetch, exactly as [step] treats pc >= n. *)
@@ -178,7 +176,6 @@ let install t program =
       code_len;
       lengths;
       targets;
-      ret_addrs;
       index_of_off;
       exec = Array.make (n + 1) (fun _ -> raise (Trap_exn Trap_out_of_bounds));
       blocks;

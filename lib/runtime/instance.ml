@@ -65,24 +65,26 @@ let sandbox_pkru_image inst =
 let bake_heap_image (m : W.module_) =
   Space.image_of_data (List.map (fun { W.doffset; dbytes } -> (doffset, dbytes)) m.W.data)
 
+(* Each field is one 8-byte segment, copied once into the image's page.
+   The fields cover page 0 and every page the globals reach, so the image
+   has the same pages as a zero-filled, page-rounded vmctx template. *)
 let bake_vmctx_image (m : W.module_) ~min_pages =
-  let nglobals = Array.length m.W.globals in
-  let len =
-    max 4096 (Sfi_util.Units.align_up (Codegen.vmctx_globals + (8 * nglobals)) 4096)
+  let word off v =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    (off, Bytes.unsafe_to_string b)
   in
-  let b = Bytes.make len '\000' in
-  Bytes.set_int64_le b Codegen.vmctx_memory_bytes (Int64.of_int (min_pages * wasm_page));
-  Bytes.set_int64_le b Codegen.vmctx_pkru_host (Int64.of_int Mpk.allow_all);
-  Array.iteri
-    (fun i (g : W.global) ->
-      let bits =
-        match g.W.ginit with
-        | W.V_i32 v -> Int64.logand (Int64.of_int32 v) 0xFFFFFFFFL
-        | W.V_i64 v -> v
-      in
-      Bytes.set_int64_le b (Codegen.vmctx_globals + (8 * i)) bits)
-    m.W.globals;
-  Space.image_of_data [ (0, Bytes.to_string b) ]
+  let global i (g : W.global) =
+    word
+      (Codegen.vmctx_globals + (8 * i))
+      (match g.W.ginit with
+      | W.V_i32 v -> Int64.logand (Int64.of_int32 v) 0xFFFFFFFFL
+      | W.V_i64 v -> v)
+  in
+  Space.image_of_data
+    (word Codegen.vmctx_memory_bytes (Int64.of_int (min_pages * wasm_page))
+    :: word Codegen.vmctx_pkru_host (Int64.of_int Mpk.allow_all)
+    :: List.mapi global (Array.to_list m.W.globals))
 
 (* --- memory mapping and growth --- *)
 

@@ -36,7 +36,7 @@ type t = {
 let create ?(max_map_count = 65530) () =
   {
     vmas = Imap.empty;
-    pages = Hashtbl.create 4096;
+    pages = Hashtbl.create 16;
     regions = Imap.empty;
     max_map_count;
     generation = 0;

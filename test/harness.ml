@@ -98,3 +98,21 @@ let vi32 v = W.V_i32 (Int32.of_int v)
 let vi64 v = W.V_i64 (Int64.of_int v)
 
 let case name f = Alcotest.test_case name `Quick f
+
+(* Fails if [f] runs more minor collections than its allocation explains:
+   one per filled minor heap, one for the partly filled last heap, and one
+   per major cycle it completes (OCaml 5 empties the minor heap to end a
+   cycle). What it catches is the collection OCaml 5's [caml_make_vect]
+   forces whenever [Array.make]/[init]/[map]/[of_list] builds an array of
+   more than 256 words from a young boxed element. *)
+let check_no_forced_minor_gcs what f =
+  let s0 = Gc.quick_stat () and w0 = Gc.minor_words () in
+  f ();
+  let s1 = Gc.quick_stat () and words = Gc.minor_words () -. w0 in
+  let collections = s1.Gc.minor_collections - s0.Gc.minor_collections in
+  let majors = s1.Gc.major_collections - s0.Gc.major_collections in
+  let heap = float_of_int (Gc.get ()).Gc.minor_heap_size in
+  let bound = 1 + int_of_float (words /. heap) + majors in
+  if collections > bound then
+    Alcotest.failf "%s: %d minor collections for %.0f minor words and %d major cycles (bound %d)"
+      what collections words majors bound

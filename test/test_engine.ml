@@ -486,6 +486,82 @@ let test_pcache_host_write_visible () =
       Alcotest.(check int64) "read before host store" 5L (Machine.get_reg m X.RCX);
       Alcotest.(check int64) "host store visible" 7L (Machine.get_reg m X.RAX))
 
+(* ------------------------------------------------------------------ *)
+(* Load-path layout: one length pass, return addresses derived.        *)
+(* ------------------------------------------------------------------ *)
+
+module Mstate = Sfi_machine.Mstate
+module Encode = Sfi_x86.Encode
+
+(* The programs the load path sees: the fuzz corpus and every benchmark
+   workload module, compiled under stock Wasm and under Segue. *)
+let load_path_programs =
+  lazy
+    (let modules =
+       List.init 40 (fun i ->
+           (Sfi_fuzz.Fuzz.generate (Int64.of_int (0x5EED + i))).Sfi_fuzz.Fuzz.p_module)
+       @ List.map (fun k -> Lazy.force k.Sfi_workloads.Kernel.wasm) Sfi_workloads.Spec2006.all
+       @ List.map Sfi_faas.Workloads.module_of Sfi_faas.Workloads.all
+     in
+     List.concat_map
+       (fun m ->
+         List.map
+           (fun strategy ->
+             (Codegen.compile (Codegen.default_config ~strategy ()) m).Codegen.program)
+           [ Strategy.wasm_default; Strategy.segue ])
+       modules)
+
+(* [install]'s single-pass offsets, lengths and code length equal the
+   encoder's own three passes, and every call pushes [code_base] plus the
+   next instruction's offset, through the tier-1 closure and the
+   reference [step] alike. A call may leave through a trap or an
+   unresolved label after its push; only the pushed word is checked. *)
+let test_load_layout_and_return_addresses () =
+  let calls = ref 0 and call_regs = ref 0 in
+  List.iter
+    (fun program ->
+      let space = Space.create () in
+      (match Space.map space ~addr:mb ~len:Space.page_size ~prot:Prot.rw with
+      | Ok () -> ()
+      | Error e -> failwith e);
+      let t = Mstate.create space in
+      Sfi_machine.Translate.install t program;
+      let l = Mstate.get_loaded t in
+      let offsets = Encode.layout program and code_len = Encode.program_length program in
+      Alcotest.(check (array int)) "offsets" offsets l.Mstate.offsets;
+      Alcotest.(check (array int)) "lengths" (Encode.lengths program) l.Mstate.lengths;
+      Alcotest.(check int) "code length" code_len l.Mstate.code_len;
+      let n = Array.length program and top = mb + Space.page_size in
+      Array.iteri
+        (fun idx (i : X.instr) ->
+          match i with
+          | X.Call _ | X.Call_reg _ ->
+              incr (match i with X.Call _ -> calls | _ -> call_regs);
+              let expected =
+                t.Mstate.code_base + if idx + 1 < n then offsets.(idx + 1) else code_len
+              in
+              List.iter
+                (fun (engine, exec) ->
+                  Space.write64 space (top - 8) 0L;
+                  Mstate.set_reg t X.RSP (Int64.of_int top);
+                  t.Mstate.pc <- idx;
+                  (try exec t with _ -> ());
+                  Alcotest.(check int64)
+                    (Printf.sprintf "%s: return address of instruction %d" engine idx)
+                    (Int64.of_int expected)
+                    (Space.read64 space (top - 8)))
+                [
+                  ("tier 1", fun t -> l.Mstate.exec.(idx) t);
+                  ("reference", Sfi_machine.Decode.step);
+                ]
+          | _ -> ())
+        program)
+    (Lazy.force load_path_programs);
+  Alcotest.(check bool)
+    (Printf.sprintf "direct (%d) and indirect (%d) calls covered" !calls !call_regs)
+    true
+    (!calls > 0 && !call_regs > 0)
+
 let case name f = Alcotest.test_case name `Quick f
 
 let tests =
@@ -502,4 +578,5 @@ let tests =
     case "page cache: unmap invalidates" test_pcache_unmap;
     case "page cache: madvise drops cached bytes" test_pcache_madvise;
     case "page cache: host writes visible" test_pcache_host_write_visible;
+    case "load path: layout and return addresses" test_load_layout_and_return_addresses;
   ]

@@ -11,6 +11,7 @@ module Pool = Sfi_core.Pool
 module Runtime = Sfi_runtime.Runtime
 module Machine = Sfi_machine.Machine
 module Units = Sfi_util.Units
+module Space = Sfi_vmem.Space
 open Sfi_wasm.Builder
 
 let touch_module () =
@@ -397,6 +398,57 @@ let test_domain_metrics_harvest () =
   Alcotest.(check bool) "zero_metrics is the identity" true
     (Runtime.add_metrics Runtime.zero_metrics merged = merged)
 
+(* The vmctx image is written straight into its pages. It must hold the
+   same pages and bytes as the zero-filled, page-rounded template that
+   used to be copied into it. *)
+let vmctx_template (m : W.module_) ~min_pages =
+  let len =
+    max 4096 (Units.align_up (Codegen.vmctx_globals + (8 * Array.length m.W.globals)) 4096)
+  in
+  let b = Bytes.make len '\000' in
+  Bytes.set_int64_le b Codegen.vmctx_memory_bytes (Int64.of_int (min_pages * 65536));
+  Bytes.set_int64_le b Codegen.vmctx_pkru_host (Int64.of_int Sfi_vmem.Mpk.allow_all);
+  Array.iteri
+    (fun i (g : W.global) ->
+      Bytes.set_int64_le b (Codegen.vmctx_globals + (8 * i)) (Harness.value_bits g.W.ginit))
+    m.W.globals;
+  (len, Space.image_of_data [ (0, Bytes.to_string b) ])
+
+let image_bytes img ~len =
+  let space = Space.create () and base = 1 lsl 20 in
+  let ok = function Ok () -> () | Error e -> Alcotest.fail e in
+  ok (Space.map space ~addr:base ~len ~prot:Sfi_vmem.Prot.r);
+  ok (Space.set_backing space ~addr:base ~len img);
+  Space.read_bytes space ~addr:base ~len
+
+let test_vmctx_image_bytes () =
+  let global i =
+    if i mod 2 = 0 then { W.gtype = W.I32; gmutable = true; ginit = W.V_i32 (Int32.of_int (-i)) }
+    else { W.gtype = W.I64; gmutable = false; ginit = W.V_i64 (Int64.of_int (i * -977)) }
+  in
+  let base = touch_module () in
+  let modules =
+    [
+      (base, 0);
+      (base, 3);
+      ({ base with W.globals = Array.init 5 global }, 2);
+      (* 600 globals reach the vmctx's second page. *)
+      ({ base with W.globals = Array.init 600 global }, 1);
+      ((Sfi_fuzz.Fuzz.generate 0x5EEDL).Sfi_fuzz.Fuzz.p_module, 1);
+    ]
+  in
+  List.iteri
+    (fun k (m, min_pages) ->
+      let len, expected = vmctx_template m ~min_pages in
+      let img = Sfi_runtime.Instance.bake_vmctx_image m ~min_pages in
+      let name = Printf.sprintf "module %d" k in
+      Alcotest.(check int) (name ^ ": pages") (Space.image_pages expected) (Space.image_pages img);
+      (* One page past the template shows the image ends where it did. *)
+      let len = len + Space.page_size in
+      Alcotest.(check bool) (name ^ ": bytes") true
+        (Bytes.equal (image_bytes expected ~len) (image_bytes img ~len)))
+    modules
+
 let tests =
   [
     Harness.case "lifecycle and recycling" test_lifecycle_and_recycling;
@@ -417,4 +469,5 @@ let tests =
     Harness.case "import dispatch" test_import_dispatch;
     Harness.case "segment base once per entry (sec 4.1)" test_segment_base_once_per_entry;
     Harness.case "domain metrics harvest across domains" test_domain_metrics_harvest;
+    Harness.case "vmctx image bytes match the copied template" test_vmctx_image_bytes;
   ]

@@ -376,6 +376,41 @@ let test_hot_path_allocation_free () =
           per_instr w1 w2)
     [ ("tier2", Machine.Tier2); ("threaded", Machine.Threaded) ]
 
+(* ------------------------------------------------------------------ *)
+(* Load-path regression: no forced minor collections.                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Past every 256-slot threshold on the load path: ~1,200 instructions in
+   600 blocks (300 of them end in a direct call), and one 302-slot block,
+   ended by an indirect call, that [Tier2] promotes whole. *)
+let big_body =
+  let blocks =
+    List.init 300 (fun i ->
+        [
+          X.Label (Printf.sprintf "b%d" i);
+          X.Call "leaf";
+          X.Alu (X.Add, X.W64, X.Reg X.RAX, X.Imm 1L);
+        ])
+  in
+  let straight = List.init 300 (fun _ -> X.Alu (X.Xor, X.W64, X.Reg X.RDX, X.Reg X.RAX)) in
+  List.concat blocks
+  @ (X.Label "long" :: straight)
+  @ [ X.Call_reg X.RBX; X.Ret; X.Label "leaf"; X.Ret ]
+
+let test_load_no_forced_minor_gc () =
+  let program = Array.of_list (X.Label "entry" :: big_body) in
+  Harness.check_no_forced_minor_gcs "20 Tier2 engine loads" (fun () ->
+      for _ = 1 to 20 do
+        let m = Machine.create (Space.create ()) in
+        Machine.set_engine m Machine.Tier2;
+        Machine.load_program m program
+      done);
+  (* The program is real: it runs to completion, identically on the
+     reference and tiered engines. *)
+  lockstep_tiered
+    ~setup:(fun m -> Machine.set_reg m X.RBX (Int64.of_int (Machine.label_address m "leaf")))
+    (Machine.Reference, Machine.Tier2) big_body
+
 let case name f = Alcotest.test_case name `Quick f
 
 let tests =
@@ -392,4 +427,5 @@ let tests =
     case "fuzz corpus through the tiered engine arm" test_fuzz_corpus_tiered;
     case "page cache: invalidation across a superblock" test_pcache_superblock_boundary;
     case "hot path: no allocation per instruction" test_hot_path_allocation_free;
+    case "load path: no forced minor collections" test_load_no_forced_minor_gc;
   ]

@@ -225,6 +225,38 @@ let test_vec () =
   Alcotest.check_raises "out of bounds" (Invalid_argument "Vec: index out of bounds")
     (fun () -> ignore (Vec.get v 200))
 
+(* Growth past 256 slots must not force a minor collection per vector. *)
+let test_vec_growth_no_forced_minor_gc () =
+  Harness.check_no_forced_minor_gcs "20 vectors of 1,000 boxed values" (fun () ->
+      for _ = 1 to 20 do
+        let v = Vec.create () in
+        for i = 1 to 1_000 do
+          ignore (Vec.push v (ref i))
+        done;
+        if !(Vec.get v 999) <> 1_000 then Alcotest.fail "vec lost a value"
+      done)
+
+(* An element replaced by [set] is unreachable from the vector, even
+   where a grown vector's unused tail repeated it. *)
+let test_vec_set_releases () =
+  let v = Vec.create () and gone = Weak.create 2 in
+  (let fill () =
+     for i = 0 to 4 do
+       let x = ref i in
+       if i = 0 then Weak.set gone 0 (Some x);
+       if i = 2 then Weak.set gone 1 (Some x);
+       ignore (Vec.push v x)
+     done
+   in
+   fill ());
+  Vec.set v 0 (ref 10);
+  Vec.set v 2 (ref 12);
+  Gc.full_major ();
+  Alcotest.(check bool) "replaced head released" false (Weak.check gone 0);
+  Alcotest.(check bool) "replaced element released" false (Weak.check gone 1);
+  Alcotest.(check (list int)) "contents" [ 10; 1; 12; 3; 4 ]
+    (List.map ( ! ) (Array.to_list (Vec.to_array v)))
+
 let tests =
   [
     Harness.case "prng determinism" test_prng_determinism;
@@ -240,4 +272,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_align_up;
     Harness.case "table" test_table;
     Harness.case "vec" test_vec;
+    Harness.case "vec growth: no forced minor collections" test_vec_growth_no_forced_minor_gc;
+    Harness.case "vec set: replaced elements released" test_vec_set_releases;
   ]
