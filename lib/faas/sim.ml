@@ -947,25 +947,18 @@ let run cfg =
      built for. Off by default to keep earlier figures reproducible. *)
   let rr_cursor = ref 0 in
   let n_requests = Array.length requests in
+  (* The legacy scan is the same scan with the cursor parked at 0. *)
   let ready_in proc =
-    let found = ref None in
-    if cfg.fair_scheduling then begin
-      let i = ref 0 in
-      while !found = None && !i < n_requests do
-        let r = requests.((!rr_cursor + !i) mod n_requests) in
-        if (proc < 0 || r.proc = proc) && r.ready_at <= !clock then begin
-          found := Some r;
-          rr_cursor := (!rr_cursor + !i + 1) mod n_requests
-        end;
-        incr i
-      done
-    end
-    else
-      Array.iter
-        (fun r ->
-          if !found = None && (proc < 0 || r.proc = proc) && r.ready_at <= !clock then
-            found := Some r)
-        requests;
+    let found = ref None and i = ref 0 in
+    while !found = None && !i < n_requests do
+      let j = !rr_cursor + !i in
+      let r = requests.(if j < n_requests then j else j - n_requests) in
+      if (proc < 0 || r.proc = proc) && r.ready_at <= !clock then begin
+        found := Some r;
+        if cfg.fair_scheduling then rr_cursor := (j + 1) mod n_requests
+      end;
+      incr i
+    done;
     !found
   in
   let next_ready_time () =

@@ -34,20 +34,25 @@ let slot_color e slot =
    ladder): refuse a claim once live instances reach the shrunken pool
    size, regardless of which free list the slot would come from. *)
 let claim_slot e =
-  let live = e.next_slot - List.length e.free_slots in
-  if live >= e.max_slots - e.slot_reserve then None
+  if e.live_slots >= e.max_slots - e.slot_reserve then None
   else
     match e.free_slots with
     | s :: rest ->
         e.free_slots <- rest;
+        e.live_slots <- e.live_slots + 1;
         Some s
     | [] ->
         if e.next_slot >= e.max_slots then None
         else begin
           let s = e.next_slot in
           e.next_slot <- s + 1;
+          e.live_slots <- e.live_slots + 1;
           Some s
         end
+
+let free_slot e slot =
+  e.free_slots <- slot :: e.free_slots;
+  e.live_slots <- e.live_slots - 1
 
 (* --- vmctx accessors --- *)
 
@@ -219,7 +224,7 @@ let release inst =
     inst.live <- false;
     recycle_slot e inst;
     (match e.current with Some i when i == inst -> e.current <- None | _ -> ());
-    e.free_slots <- inst.id :: e.free_slots
+    free_slot e inst.id
   end
 
 let kill inst =
@@ -233,7 +238,7 @@ let kill inst =
     recycle_slot e inst;
     set_accessible e inst ~pages:0;
     (match e.current with Some i when i == inst -> e.current <- None | _ -> ());
-    e.free_slots <- inst.id :: e.free_slots;
+    free_slot e inst.id;
     Trace.kill e.trace ~sandbox:inst.id
   end
 

@@ -151,6 +151,7 @@ type engine = {
   max_slots : int;
   mutable free_slots : int list;
   mutable next_slot : int;
+  mutable live_slots : int; (* next_slot - List.length free_slots *)
   slot_mapped_pages : (int, int) Hashtbl.t; (* slot -> pages ever mapped *)
   imports : (string, import) Hashtbl.t;
   mutable current : instance option;

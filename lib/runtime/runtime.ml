@@ -105,6 +105,7 @@ let create_engine ?cost ?tlb ?(fsgsbase_available = true) ?max_map_count
       max_slots;
       free_slots = [];
       next_slot = 0;
+      live_slots = 0;
       slot_mapped_pages = Hashtbl.create 64;
       imports = Hashtbl.create 8;
       current = None;

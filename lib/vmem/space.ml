@@ -26,7 +26,11 @@ type region = {
 
 type t = {
   mutable vmas : vma Imap.t; (* keyed by start address *)
+  mutable vma_count : int; (* [Imap.cardinal vmas], without the tree walk *)
   pages : (int, Bytes.t) Hashtbl.t;
+  mutable frames : Bytes.t list;
+      (* private pages dropped since materialization, reused by the next
+         fault: no more frames than the peak resident count *)
   mutable regions : region Imap.t; (* keyed by start address *)
   max_map_count : int;
   mutable generation : int; (* bumped whenever the VMA layout changes *)
@@ -36,7 +40,9 @@ type t = {
 let create ?(max_map_count = 65530) () =
   {
     vmas = Imap.empty;
+    vma_count = 0;
     pages = Hashtbl.create 16;
+    frames = [];
     regions = Imap.empty;
     max_map_count;
     generation = 0;
@@ -46,7 +52,7 @@ let create ?(max_map_count = 65530) () =
 let generation t = t.generation
 let data_epoch t = t.data_epoch
 
-let vma_count t = Imap.cardinal t.vmas
+let vma_count t = t.vma_count
 let max_map_count t = t.max_map_count
 
 let vma_end v = v.start + v.len
@@ -72,35 +78,41 @@ let region_of_page t p =
 
 let image_page r p = Hashtbl.find_opt r.r_image.img_pages (p - (r.r_start lsr page_shift))
 
+(* Take page [p]'s private frame out of the page store and keep it for
+   reuse. Every caller bumps [data_epoch], which is what makes reuse safe:
+   a [Bytes.t] cached from an older epoch is never read again. *)
+let release_frame t p =
+  match Hashtbl.find_opt t.pages p with
+  | Some b ->
+      Hashtbl.remove t.pages p;
+      t.frames <- b :: t.frames
+  | None -> ()
+
 (* Forget a page's private copy; if a COW region covers it, its dirty set
    must forget it too (the next write re-privatizes from the image). *)
 let drop_page t p =
-  Hashtbl.remove t.pages p;
+  release_frame t p;
   match region_of_page t p with Some r -> Hashtbl.remove r.r_private p | None -> ()
 
-(* Any existing VMA overlapping [addr, addr+len)? *)
-let overlapping t addr len =
-  let finish = addr + len in
-  (* The VMA starting before addr may extend into the range... *)
-  let before =
-    match Imap.find_last_opt (fun s -> s < addr) t.vmas with
-    | Some (_, v) when vma_end v > addr -> [ v ]
-    | Some _ | None -> []
-  in
-  (* ...and any VMA starting inside the range overlaps. *)
-  let inside =
-    Imap.fold
-      (fun s v acc -> if s >= addr && s < finish then v :: acc else acc)
-      t.vmas []
-  in
-  before @ inside
+(* Does an existing VMA overlap [addr, addr+len)? Either the last one
+   starting before [addr] extends into the range, or the first one
+   starting at or after [addr] starts inside it. *)
+let overlaps t addr len =
+  (match Imap.find_last_opt (fun s -> s < addr) t.vmas with
+  | Some (_, v) -> vma_end v > addr
+  | None -> false)
+  ||
+  match Imap.find_first_opt (fun s -> s >= addr) t.vmas with
+  | Some (s, _) -> s < addr + len
+  | None -> false
 
 let map t ~addr ~len ~prot =
   if not (aligned addr len) then Error "map: unaligned or empty range"
-  else if overlapping t addr len <> [] then Error "map: overlaps existing mapping"
+  else if overlaps t addr len then Error "map: overlaps existing mapping"
   else if vma_count t >= t.max_map_count then Error "map: vm.max_map_count exceeded"
   else begin
     t.vmas <- Imap.add addr { start = addr; len; prot; pkey = Mpk.default_key } t.vmas;
+    t.vma_count <- t.vma_count + 1;
     t.generation <- t.generation + 1;
     Ok ()
   end
@@ -112,7 +124,8 @@ let split_at t addr =
   | Some v when v.start < addr ->
       let left = { v with len = addr - v.start } in
       let right = { v with start = addr; len = vma_end v - addr } in
-      t.vmas <- Imap.add addr right (Imap.add v.start left t.vmas)
+      t.vmas <- Imap.add addr right (Imap.add v.start left t.vmas);
+      t.vma_count <- t.vma_count + 1
   | Some _ | None -> ()
 
 (* Merge VMAs with identical attributes that became adjacent after an
@@ -129,6 +142,7 @@ let merge_range t addr len =
           match Imap.find_opt (vma_end v) t.vmas with
           | Some next when next.prot = v.prot && next.pkey = v.pkey ->
               t.vmas <- Imap.remove next.start t.vmas;
+              t.vma_count <- t.vma_count - 1;
               t.vmas <- Imap.add v.start { v with len = v.len + next.len } t.vmas;
               merge_from pos
           | Some next -> merge_from (vma_end next)
@@ -153,13 +167,26 @@ let update_range t addr len f =
     in
     if not (covered addr) then Error "range not fully mapped"
     else begin
+      let before = t.vmas and count_before = t.vma_count in
       split_at t addr;
       split_at t finish;
-      let updated =
-        Imap.map (fun v -> if v.start >= addr && vma_end v <= finish then f v else v) t.vmas
+      (* After the splits the covered VMAs are a gapless chain from [addr]
+         to [finish]: update just those. *)
+      let rec update pos =
+        if pos < finish then begin
+          let v = Imap.find pos t.vmas in
+          t.vmas <- Imap.add pos (f v) t.vmas;
+          update (vma_end v)
+        end
       in
-      t.vmas <- updated;
-      if vma_count t > t.max_map_count then Error "vm.max_map_count exceeded"
+      update addr;
+      if vma_count t > t.max_map_count then begin
+        (* Fail without a trace: the splits and new attributes never
+           happened, so the unbumped [generation] stays truthful. *)
+        t.vmas <- before;
+        t.vma_count <- count_before;
+        Error "vm.max_map_count exceeded"
+      end
       else begin
         merge_range t addr len;
         t.generation <- t.generation + 1;
@@ -181,6 +208,7 @@ let unmap t ~addr ~len =
     split_at t (addr + len);
     let finish = addr + len in
     t.vmas <- Imap.filter (fun s v -> not (s >= addr && vma_end v <= finish)) t.vmas;
+    t.vma_count <- Imap.cardinal t.vmas;
     (* Drop page contents. *)
     for p = page_of_addr addr to page_of_addr (finish - 1) do
       drop_page t p
@@ -233,6 +261,21 @@ let get_page_ro t p =
       | Some r -> ( match image_page r p with Some b -> b | None -> zero_page)
       | None -> zero_page)
 
+(* A page frame for a fault: a reused one when any was dropped, else a
+   fresh one. Its old contents are overwritten, by [src] or by zeros. *)
+let new_frame t src =
+  match (t.frames, src) with
+  | b :: rest, Some img ->
+      t.frames <- rest;
+      Bytes.blit img 0 b 0 page_size;
+      b
+  | b :: rest, None ->
+      t.frames <- rest;
+      Bytes.fill b 0 page_size '\000';
+      b
+  | [], Some img -> Bytes.copy img
+  | [], None -> Bytes.make page_size '\000'
+
 let get_page_rw t p =
   match Hashtbl.find_opt t.pages p with
   | Some b -> b
@@ -242,10 +285,8 @@ let get_page_rw t p =
         | Some r ->
             (* Copy-on-write fault: privatize the image page. *)
             Hashtbl.replace r.r_private p ();
-            (match image_page r p with
-            | Some img -> Bytes.copy img
-            | None -> Bytes.make page_size '\000')
-        | None -> Bytes.make page_size '\000'
+            new_frame t (image_page r p)
+        | None -> new_frame t None
       in
       Hashtbl.replace t.pages p b;
       (* A fresh backing page replaces the shared zero/image page for reads
@@ -388,7 +429,11 @@ let find_region_exact t ~addr ~len =
 let set_backing t ~addr ~len image =
   if not (aligned addr len) then Error "set_backing: unaligned or empty range"
   else if
-    Imap.exists (fun s r -> s < addr + len && s + r.r_len > addr) t.regions
+    (* Regions never overlap, so only the last one starting before the
+       range's end can reach into it. *)
+    match Imap.find_last_opt (fun s -> s < addr + len) t.regions with
+    | Some (s, r) -> s + r.r_len > addr
+    | None -> false
   then Error "set_backing: overlaps an existing backing region"
   else begin
     t.regions <-
@@ -411,7 +456,7 @@ let recycle t ~addr ~len =
   | Some r ->
       let n = Hashtbl.length r.r_private in
       if n > 0 then begin
-        Hashtbl.iter (fun p () -> Hashtbl.remove t.pages p) r.r_private;
+        Hashtbl.iter (fun p () -> release_frame t p) r.r_private;
         Hashtbl.reset r.r_private;
         t.data_epoch <- t.data_epoch + 1
       end;

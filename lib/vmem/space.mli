@@ -32,12 +32,14 @@ val map : t -> addr:int -> len:int -> prot:Prot.t -> (unit, string) result
 val unmap : t -> addr:int -> len:int -> (unit, string) result
 
 val protect : t -> addr:int -> len:int -> prot:Prot.t -> (unit, string) result
-(** [mprotect]. The range must be fully mapped. *)
+(** [mprotect]. The range must be fully mapped. Costs O(log n) per VMA
+    the range covers, not O(VMAs in the space). On [Error] nothing
+    changed. *)
 
 val pkey_protect : t -> addr:int -> len:int -> prot:Prot.t -> key:int -> (unit, string) result
 (** [pkey_mprotect] — assign an MPK color to a mapped range (§5.1, step 2 of
     ColorGuard). Splitting a VMA can exceed the map-count budget, which this
-    reports as an error. *)
+    reports as an error, leaving the layout as it was. *)
 
 val madvise_dontneed : t -> addr:int -> len:int -> (unit, string) result
 (** Zero the range's contents but keep mapping, protection and pkey — how
@@ -52,16 +54,19 @@ val vma_count : t -> int
 val max_map_count : t -> int
 
 val generation : t -> int
-(** Incremented on every layout change ([map], [unmap], [protect],
-    [pkey_protect]). The machine's TLB model uses this to invalidate cached
-    translations, exactly as a kernel shoots down TLBs after mapping
-    changes. *)
+(** Incremented on every successful layout change ([map], [unmap],
+    [protect], [pkey_protect]). The machine's TLB model uses this to
+    invalidate cached translations, exactly as a kernel shoots down TLBs
+    after mapping changes. *)
 
 val data_epoch : t -> int
 (** Incremented whenever a page's backing store changes identity — a fresh
-    page is materialized, pages are discarded by [madvise_dontneed], or a
-    range is unmapped. Callers caching a [Bytes.t] from {!page_for_read} /
-    {!page_for_write} must revalidate when this moves. *)
+    page is materialized, pages are discarded by [madvise_dontneed],
+    [recycle] or [unmap]. Callers caching a [Bytes.t] from {!page_for_read}
+    / {!page_for_write} must revalidate when this moves, and this is
+    load-bearing: a discarded page's frame goes back to the space and the
+    next materialization reuses it, so a [Bytes.t] held past an epoch
+    change may by then hold another page's contents. *)
 
 val page_info : t -> addr:int -> (Prot.t * int) option
 (** Protection and pkey covering this address, if mapped. *)
@@ -146,5 +151,7 @@ val recycle : t -> addr:int -> len:int -> (int, string) result
 (** Drop every private page of the backing region exactly covering
     [\[addr, addr+len)], so reads revert to the pristine image. Returns the
     number of pages dropped — the recycle's whole cost, O(dirty pages).
+    The dropped frames are kept for the space's next copy-on-write faults,
+    so a warm recycle/fault cycle allocates no pages.
     Mapping, protection and pkeys are untouched (MPK colors survive, §7
     Observation 2). *)

@@ -14,6 +14,7 @@ type t = {
   payloads : int array;
   stamps : int array; (* LRU stamps; larger = more recent *)
   mutable clock : int;
+  mutable floor : int; (* a slot is valid iff its stamp is above this *)
   mutable hits : int;
   mutable misses : int;
   mutable trace : Sfi_trace.Trace.t;
@@ -30,6 +31,7 @@ let create config =
     payloads = Array.make config.entries 0;
     stamps = Array.make config.entries 0;
     clock = 0;
+    floor = 0;
     hits = 0;
     misses = 0;
     trace = Sfi_trace.Trace.null;
@@ -47,7 +49,10 @@ let lookup_slot t ~page =
   while !way < t.config.ways && t.tags.(base + !way) <> page do
     incr way
   done;
-  if !way < t.config.ways then begin
+  (* A flushed slot keeps its tag, but never sits ahead of a live slot
+     with the same tag: while a set has a flushed way, a fill takes the
+     lowest one. *)
+  if !way < t.config.ways && t.stamps.(base + !way) > t.floor then begin
     t.hits <- t.hits + 1;
     t.stamps.(base + !way) <- t.clock;
     base + !way
@@ -63,12 +68,22 @@ let lookup t ~page =
   let slot = lookup_slot t ~page in
   if slot >= 0 then Some t.payloads.(slot) else None
 
+(* Slots flushed since their last fill rank as stamp 0, as if the flush
+   had zeroed them. *)
+let[@inline] live_stamp t slot =
+  let s = t.stamps.(slot) in
+  if s > t.floor then s else 0
+
 let fill_slot t ~page ~payload =
   let set = page mod t.sets in
   let base = set * t.config.ways in
-  let victim = ref 0 in
-  for way = 1 to t.config.ways - 1 do
-    if t.stamps.(base + way) < t.stamps.(base + !victim) then victim := way
+  let victim = ref base and oldest = ref (live_stamp t base) in
+  for slot = base + 1 to base + t.config.ways - 1 do
+    let s = live_stamp t slot in
+    if s < !oldest then begin
+      victim := slot;
+      oldest := s
+    end
   done;
   (* A fill is a recency event of its own: without the increment a
      just-filled line reuses the last lookup/touch clock, ties with the
@@ -76,14 +91,13 @@ let fill_slot t ~page ~payload =
      in the set. *)
   t.clock <- t.clock + 1;
   if Sfi_trace.Trace.enabled t.trace then begin
-    let displaced = t.tags.(base + !victim) in
-    if displaced >= 0 then Sfi_trace.Trace.tlb_evict t.trace ~page:displaced;
+    if !oldest > 0 then Sfi_trace.Trace.tlb_evict t.trace ~page:t.tags.(!victim);
     Sfi_trace.Trace.tlb_fill t.trace ~page
   end;
-  t.tags.(base + !victim) <- page;
-  t.payloads.(base + !victim) <- payload;
-  t.stamps.(base + !victim) <- t.clock;
-  base + !victim
+  t.tags.(!victim) <- page;
+  t.payloads.(!victim) <- payload;
+  t.stamps.(!victim) <- t.clock;
+  !victim
 
 let fill t ~page ~payload = ignore (fill_slot t ~page ~payload)
 
@@ -94,9 +108,10 @@ let touch t ~slot =
   t.hits <- t.hits + 1;
   t.stamps.(slot) <- t.clock
 
-let flush t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamps 0 (Array.length t.stamps) 0
+(* Every stamp given out so far is at most [clock], so raising the floor
+   to it invalidates every slot at once; later lookups, fills and touches
+   stamp above it. *)
+let flush t = t.floor <- t.clock
 
 let misses t = t.misses
 let hits t = t.hits

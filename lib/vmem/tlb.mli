@@ -50,7 +50,11 @@ val fill_slot : t -> page:int -> payload:int -> int
 
 val holds : t -> slot:int -> page:int -> bool
 (** Is [slot] still caching the translation for [page]? False once the
-    entry is evicted or the TLB flushed. *)
+    entry is evicted. A single tag compare: it does {e not} see a
+    {!flush}, which leaves tags in place. Callers that pin slots in a
+    front cache (the machine's page and line caches) must drop every pin
+    when they flush, so [holds] is only ever asked about a slot returned
+    by {!lookup_slot} or {!fill_slot} since the last flush. *)
 
 val touch : t -> slot:int -> unit
 (** Record a repeat hit on a pinned slot: advances the clock, counts a hit
@@ -62,7 +66,12 @@ val walk_cost : t -> int
 
 val flush : t -> unit
 (** Full flush — what a CR3 write (process context switch) does.
-    ColorGuard transitions never call this. *)
+    ColorGuard transitions never call this. O(1): it raises a stamp floor
+    instead of clearing the entries, and slots stamped at or below the
+    floor count as invalid (a miss to {!lookup_slot}, the preferred victim
+    of {!fill_slot}, no [tlb.evict] event). Hits, misses, slot choice and
+    trace events are exactly those of clearing every entry. See {!holds}
+    for what a front cache must do alongside. *)
 
 val misses : t -> int
 val hits : t -> int

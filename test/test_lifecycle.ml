@@ -247,6 +247,78 @@ let test_transition_classes () =
   Runtime.reset_metrics e;
   Alcotest.(check int) "metrics reset" 0 (Runtime.metrics e).Runtime.m_transitions
 
+(* ------------------------------------------------------------------ *)
+(* Host cost of a warm cycle.                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The FaaS sim's ColorGuard engine: a 128-slot striped pool (about 3
+   VMAs per live slot) behind the server-class TLB, serving Micro-KV. *)
+let churn_engine () =
+  let params =
+    {
+      Pool.num_slots = 128;
+      max_memory_bytes = 4 * Units.mib;
+      expected_slot_bytes = 4 * Units.mib;
+      guard_bytes = 32 * Units.mib;
+      pre_guard_enabled = false;
+      num_pkeys_available = Sfi_vmem.Mpk.max_usable_keys;
+      stripe_enabled = true;
+    }
+  in
+  let layout = match Pool.compute_with_fallback params with Ok (l, _) -> l | Error m -> failwith m in
+  let cfg = { (Codegen.default_config ()) with Codegen.colorguard = true } in
+  Runtime.create_engine
+    ~tlb:{ Sfi_vmem.Tlb.entries = 1536; ways = 8; page_walk_levels = 4; walk_cycles_per_level = 5 }
+    ~allocator:(Runtime.Pool layout)
+    (Codegen.compile cfg (Sfi_faas.Workloads.module_of Sfi_faas.Workloads.Micro_kv))
+
+(* Minor and major words allocated per warm release + instantiate +
+   invoke cycle, with [live] instances held in the pool. *)
+let words_per_warm_cycle ~live =
+  let e = churn_engine () in
+  let insts = Array.init live (fun _ -> Runtime.instantiate e) in
+  let cycle k =
+    Runtime.release insts.(live - 1);
+    let i = Runtime.instantiate e in
+    insts.(live - 1) <- i;
+    ignore (expect_ok (Runtime.invoke i "handle" [ Int64.of_int k ]))
+  in
+  for k = 1 to 50 do
+    cycle k
+  done;
+  let cycles = 1000 in
+  (* OCaml 5 adds major-heap allocations to [major_words] only at a major
+     slice, so flush the count on both sides of the window; the full major
+     also promotes the engine's set-up garbage before the window opens. *)
+  Gc.full_major ();
+  let s0 = Gc.quick_stat () in
+  for k = 1 to cycles do
+    cycle k
+  done;
+  ignore (Gc.major_slice 0);
+  let s1 = Gc.quick_stat () in
+  let per f = (f s1 -. f s0) /. float_of_int cycles in
+  (per (fun s -> s.Gc.minor_words), per (fun s -> s.Gc.major_words))
+
+(* A warm cycle's host cost must follow the pages and VMAs it touches:
+   no fresh 4 KiB page per copy-on-write fault (a page is a major-heap
+   block), and no per-protect rebuild of the whole VMA map (minor words
+   growing with the number of live slots). *)
+let test_warm_cycle_allocation () =
+  let minor16, major16 = words_per_warm_cycle ~live:16 in
+  let minor128, major128 = words_per_warm_cycle ~live:128 in
+  List.iter
+    (fun (live, major) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d live: %.1f major words per cycle < 50" live major)
+        true (major < 50.0))
+    [ (16, major16); (128, major128) ];
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per cycle: %.1f at 128 live within 10%% of %.1f at 16" minor128
+       minor16)
+    true
+    (Float.abs (minor128 -. minor16) <= 0.1 *. minor16)
+
 let case name f = Alcotest.test_case name `Quick f
 
 let tests =
@@ -257,4 +329,5 @@ let tests =
     case "cold/warm instantiation counters" test_cold_warm_counters;
     case "host block scrubbed across tenants" test_host_block_scrubbed_on_recycle;
     case "transition classes and pkru elision" test_transition_classes;
+    case "warm cycle allocation independent of pool size" test_warm_cycle_allocation;
   ]

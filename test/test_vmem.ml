@@ -93,6 +93,29 @@ let test_max_map_count () =
   err "vma budget" (Space.map s ~addr:(4 * mb) ~len:page ~prot:Prot.rw);
   Alcotest.(check int) "reports limit" 3 (Space.max_map_count s)
 
+(* A protect whose split would exceed the VMA budget must fail without a
+   trace: the split and the new attributes used to stay in the map while
+   [generation] did not move, so the TLB kept the old permissions. *)
+let test_protect_over_budget_is_atomic () =
+  let s = Space.create ~max_map_count:2 () in
+  ok (Space.map s ~addr:mb ~len:(4 * page) ~prot:Prot.rw);
+  ok (Space.map s ~addr:(2 * mb) ~len:page ~prot:Prot.rw);
+  let probes = [ mb; mb + page - 1; mb + page; mb + (2 * page); mb + (4 * page) - 1 ] in
+  let snapshot () =
+    ( Space.vma_count s,
+      Space.generation s,
+      List.map (fun a -> (Space.find_vma s a, Space.page_info s ~addr:a)) probes )
+  in
+  let before = snapshot () in
+  err "split past max_map_count"
+    (Space.pkey_protect s ~addr:(mb + page) ~len:page ~prot:Prot.r ~key:3);
+  Alcotest.(check bool) "vma count, generation, vmas and page info unchanged" true
+    (snapshot () = before);
+  (* The same update inside the budget still goes through. *)
+  ok (Space.pkey_protect s ~addr:mb ~len:(4 * page) ~prot:Prot.r ~key:3);
+  Alcotest.(check (option (pair bool int))) "whole-vma update applied" (Some (false, 3))
+    (Option.map (fun (p, k) -> (p.Prot.write, k)) (Space.page_info s ~addr:(mb + page)))
+
 let test_data_ops () =
   let s = Space.create () in
   ok (Space.map s ~addr:mb ~len:(2 * page) ~prot:Prot.rw);
@@ -176,6 +199,577 @@ let test_tlb_fill_recency () =
     (Tlb.lookup t ~page:2);
   Alcotest.(check bool) "older line was the victim" true (Tlb.lookup t ~page:0 = None)
 
+(* ------------------------------------------------------------------ *)
+(* TLB: O(1) flush against an eager-flush reference.                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The TLB as it was before the stamp-floor flush, verbatim: a flush
+   clears every tag and stamp. The differential below holds the real TLB
+   to exactly its slots, payloads, counters and trace events. *)
+module Eager_tlb = struct
+  type t = {
+    ways : int;
+    sets : int;
+    tags : int array;
+    payloads : int array;
+    stamps : int array;
+    mutable clock : int;
+    mutable hits : int;
+    mutable misses : int;
+    trace : Sfi_trace.Trace.t;
+  }
+
+  let create ~entries ~ways trace =
+    {
+      ways;
+      sets = entries / ways;
+      tags = Array.make entries (-1);
+      payloads = Array.make entries 0;
+      stamps = Array.make entries 0;
+      clock = 0;
+      hits = 0;
+      misses = 0;
+      trace;
+    }
+
+  let lookup_slot t ~page =
+    let base = page mod t.sets * t.ways in
+    t.clock <- t.clock + 1;
+    let way = ref 0 in
+    while !way < t.ways && t.tags.(base + !way) <> page do
+      incr way
+    done;
+    if !way < t.ways then begin
+      t.hits <- t.hits + 1;
+      t.stamps.(base + !way) <- t.clock;
+      base + !way
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      -1
+    end
+
+  let fill_slot t ~page ~payload =
+    let base = page mod t.sets * t.ways in
+    let victim = ref 0 in
+    for way = 1 to t.ways - 1 do
+      if t.stamps.(base + way) < t.stamps.(base + !victim) then victim := way
+    done;
+    t.clock <- t.clock + 1;
+    let displaced = t.tags.(base + !victim) in
+    if displaced >= 0 then Sfi_trace.Trace.tlb_evict t.trace ~page:displaced;
+    Sfi_trace.Trace.tlb_fill t.trace ~page;
+    t.tags.(base + !victim) <- page;
+    t.payloads.(base + !victim) <- payload;
+    t.stamps.(base + !victim) <- t.clock;
+    base + !victim
+
+  let holds t ~slot ~page = t.tags.(slot) = page
+
+  let touch t ~slot =
+    t.clock <- t.clock + 1;
+    t.hits <- t.hits + 1;
+    t.stamps.(slot) <- t.clock
+
+  let flush t =
+    Array.fill t.tags 0 (Array.length t.tags) (-1);
+    Array.fill t.stamps 0 (Array.length t.stamps) 0
+end
+
+type tlb_op =
+  | T_lookup of int
+  | T_fill of int * int  (** page, payload *)
+  | T_touch of int  (** index into the pinned slots *)
+  | T_holds of int
+  | T_flush
+
+let tlb_op_to_string = function
+  | T_lookup p -> Printf.sprintf "lookup %d" p
+  | T_fill (p, v) -> Printf.sprintf "fill %d=%d" p v
+  | T_touch i -> Printf.sprintf "touch #%d" i
+  | T_holds i -> Printf.sprintf "holds #%d" i
+  | T_flush -> "flush"
+
+let tlb_ops_arb =
+  let open QCheck.Gen in
+  (* Few enough pages that sets overflow and flushed tags get looked up
+     again. *)
+  let page = int_bound 40 in
+  let op =
+    frequency
+      [
+        (6, map (fun p -> T_lookup p) page);
+        (4, map2 (fun p v -> T_fill (p, v)) page (int_bound 1000));
+        (4, map (fun i -> T_touch i) (int_bound 7));
+        (2, map (fun i -> T_holds i) (int_bound 7));
+        (1, return T_flush);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (geo, ops) ->
+      Printf.sprintf "%dx%d: %s" (fst geo) (snd geo)
+        (String.concat "; " (List.map tlb_op_to_string ops)))
+    (pair (oneofl [ (8, 2); (16, 4); (4, 4); (8, 1) ]) (list_size (int_range 1 120) op))
+
+let tlb_events ring =
+  List.map (fun e -> (e.Sfi_trace.Trace.ev_name, e.ev_a0)) (Sfi_trace.Trace.events ring)
+
+(* Drive both TLBs the way the machine does: slots returned by a lookup
+   hit or a fill are pinned in a front cache, which a flush empties;
+   [touch] only goes to a pinned slot that still [holds] its page. *)
+let tlb_matches_eager ((entries, ways), ops) =
+  let ring = Sfi_trace.Trace.create_ring ~capacity:512 ()
+  and ref_ring = Sfi_trace.Trace.create_ring ~capacity:512 () in
+  let t = Tlb.create { Tlb.entries; ways; page_walk_levels = 4; walk_cycles_per_level = 5 } in
+  Tlb.set_trace t ring;
+  let r = Eager_tlb.create ~entries ~ways ref_ring in
+  let pins = ref [] in
+  let pin slot page = if slot >= 0 then pins := (slot, page) :: !pins in
+  let pinned i = match !pins with [] -> None | l -> Some (List.nth l (i mod List.length l)) in
+  let step op =
+    match op with
+    | T_lookup page ->
+        let slot = Tlb.lookup_slot t ~page in
+        let ref_slot = Eager_tlb.lookup_slot r ~page in
+        pin slot page;
+        slot = ref_slot && (slot < 0 || Tlb.payload t ~slot = r.Eager_tlb.payloads.(slot))
+    | T_fill (page, payload) ->
+        let slot = Tlb.fill_slot t ~page ~payload in
+        pin slot page;
+        slot = Eager_tlb.fill_slot r ~page ~payload
+    | T_touch i -> (
+        match pinned i with
+        | Some (slot, page) ->
+            let holds = Tlb.holds t ~slot ~page in
+            if holds then begin
+              Tlb.touch t ~slot;
+              Eager_tlb.touch r ~slot
+            end;
+            holds = Eager_tlb.holds r ~slot ~page
+        | None -> true)
+    | T_holds i -> (
+        match pinned i with
+        | Some (slot, page) -> Tlb.holds t ~slot ~page = Eager_tlb.holds r ~slot ~page
+        | None -> true)
+    | T_flush ->
+        Tlb.flush t;
+        Eager_tlb.flush r;
+        pins := [];
+        true
+  in
+  List.for_all
+    (fun op -> step op && Tlb.hits t = r.Eager_tlb.hits && Tlb.misses t = r.Eager_tlb.misses)
+    ops
+  && tlb_events ring = tlb_events ref_ring
+
+let prop_tlb_matches_eager =
+  QCheck.Test.make ~name:"tlb: O(1) flush matches an eager-flush reference" ~count:1000
+    tlb_ops_arb tlb_matches_eager
+
+(* ------------------------------------------------------------------ *)
+(* Space against a brute-force model.                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The model keeps VMAs as a sorted list, private pages as whole-page
+   byte copies and backing regions with their dirty sets. Every VMA
+   operation is the kernel procedure spelled out on a list: split at the
+   edges, update or drop what lies inside, then the same left-to-right
+   merge walk. Reads of a page nobody wrote come from the covering
+   region's image, else zeros. *)
+module Space_model = struct
+  type region = { rs : int; rl : int; img : int -> Bytes.t option; dirty : (int, unit) Hashtbl.t }
+
+  type t = {
+    mutable vmas : Space.vma list; (* sorted by start *)
+    pages : (int, Bytes.t) Hashtbl.t;
+    mutable regions : region list;
+    max_map_count : int;
+  }
+
+  let create max_map_count =
+    { vmas = []; pages = Hashtbl.create 16; regions = []; max_map_count }
+
+  let vend (v : Space.vma) = v.start + v.len
+  let find t a = List.find_opt (fun (v : Space.vma) -> v.start <= a && a < vend v) t.vmas
+  let aligned a l = a >= 0 && l > 0 && a mod page = 0 && l mod page = 0
+  let sorted l = List.sort (fun (a : Space.vma) b -> compare a.start b.start) l
+
+  let split_at t a =
+    match find t a with
+    | Some v when v.start < a ->
+        t.vmas <-
+          sorted
+            ({ v with len = a - v.start }
+            :: { v with start = a; len = vend v - a }
+            :: List.filter (fun w -> w != v) t.vmas)
+    | Some _ | None -> ()
+
+  let merge t addr len =
+    let finish = addr + len in
+    let rec from pos =
+      if pos <= finish then
+        match List.rev (List.filter (fun (v : Space.vma) -> v.start <= pos) t.vmas) with
+        | [] -> ()
+        | v :: _ -> (
+            match List.find_opt (fun (n : Space.vma) -> n.start = vend v) t.vmas with
+            | Some n when n.prot = v.prot && n.pkey = v.pkey ->
+                t.vmas <-
+                  sorted
+                    ({ v with len = v.len + n.len }
+                    :: List.filter (fun w -> w != v && w != n) t.vmas);
+                from pos
+            | Some n -> from (vend n)
+            | None -> ())
+    in
+    from (max 0 (addr - 1))
+
+  let map t addr len prot =
+    if not (aligned addr len) then false
+    else if List.exists (fun (v : Space.vma) -> v.start < addr + len && vend v > addr) t.vmas
+    then false
+    else if List.length t.vmas >= t.max_map_count then false
+    else begin
+      t.vmas <- sorted ({ Space.start = addr; len; prot; pkey = Mpk.default_key } :: t.vmas);
+      true
+    end
+
+  let update t addr len f =
+    let rec covered a = a >= addr + len || (find t a <> None && covered (a + page)) in
+    if not (aligned addr len && covered addr) then false
+    else begin
+      let before = t.vmas in
+      split_at t addr;
+      split_at t (addr + len);
+      t.vmas <-
+        List.map
+          (fun (v : Space.vma) -> if v.start >= addr && vend v <= addr + len then f v else v)
+          t.vmas;
+      if List.length t.vmas > t.max_map_count then begin
+        t.vmas <- before;
+        false
+      end
+      else begin
+        merge t addr len;
+        true
+      end
+    end
+
+  let region_of t p =
+    let a = p * page in
+    List.find_opt (fun r -> r.rs <= a && a < r.rs + r.rl) t.regions
+
+  let drop_page t p =
+    Hashtbl.remove t.pages p;
+    Option.iter (fun r -> Hashtbl.remove r.dirty p) (region_of t p)
+
+  let drop_range t addr len =
+    for p = addr / page to ((addr + len) / page) - 1 do
+      drop_page t p
+    done
+
+  let unmap t addr len =
+    aligned addr len
+    && begin
+         split_at t addr;
+         split_at t (addr + len);
+         t.vmas <-
+           List.filter
+             (fun (v : Space.vma) -> not (v.start >= addr && vend v <= addr + len))
+             t.vmas;
+         drop_range t addr len;
+         t.regions <-
+           List.filter (fun r -> not (r.rs >= addr && r.rs + r.rl <= addr + len)) t.regions;
+         true
+       end
+
+  let pristine t p =
+    match region_of t p with
+    | Some r -> (
+        match r.img (p - (r.rs / page)) with
+        | Some b -> Bytes.copy b
+        | None -> Bytes.make page '\000')
+    | None -> Bytes.make page '\000'
+
+  let write8 t a v =
+    let p = a / page in
+    let b =
+      match Hashtbl.find_opt t.pages p with
+      | Some b -> b
+      | None ->
+          let b = pristine t p in
+          Option.iter (fun r -> Hashtbl.replace r.dirty p ()) (region_of t p);
+          Hashtbl.replace t.pages p b;
+          b
+    in
+    Bytes.set b (a mod page) (Char.chr (v land 0xFF))
+
+  let read8 t a =
+    let p = a / page in
+    let b =
+      match Hashtbl.find_opt t.pages p with
+      | Some b -> Some b
+      | None -> Option.bind (region_of t p) (fun r -> r.img (p - (r.rs / page)))
+    in
+    match b with Some b -> Char.code (Bytes.get b (a mod page)) | None -> 0
+
+  let set_backing t addr len img =
+    aligned addr len
+    && (not (List.exists (fun r -> r.rs < addr + len && r.rs + r.rl > addr) t.regions))
+    && begin
+         t.regions <- { rs = addr; rl = len; img; dirty = Hashtbl.create 4 } :: t.regions;
+         true
+       end
+
+  let recycle t addr len =
+    match List.find_opt (fun r -> r.rs = addr && r.rl = len) t.regions with
+    | None -> None
+    | Some r ->
+        let n = Hashtbl.length r.dirty in
+        Hashtbl.iter (fun p () -> Hashtbl.remove t.pages p) r.dirty;
+        Hashtbl.reset r.dirty;
+        Some n
+end
+
+(* Images: one spanning three pages (one absent), one empty. *)
+let image_segments =
+  [|
+    [ (0, "pristine-image"); (page - 5, "crosses-a-page"); (3 * page + 100, String.make 300 'i') ];
+    [];
+  |]
+
+let image_bytes segs =
+  let pages = Hashtbl.create 4 in
+  List.iter
+    (fun (off, str) ->
+      String.iteri
+        (fun i c ->
+          let a = off + i in
+          let b =
+            match Hashtbl.find_opt pages (a / page) with
+            | Some b -> b
+            | None ->
+                let b = Bytes.make page '\000' in
+                Hashtbl.replace pages (a / page) b;
+                b
+          in
+          Bytes.set b (a mod page) c)
+        str)
+    segs;
+  Hashtbl.find_opt pages
+
+type space_op =
+  | S_map of int * int * int  (** first page, pages, prot index *)
+  | S_unmap of int * int
+  | S_protect of int * int * int
+  | S_pkey of int * int * int * int  (** ... key *)
+  | S_madvise of int * int
+  | S_backing of int * int * int  (** ... image index *)
+  | S_recycle of int  (** index into the model's regions *)
+  | S_recycle_range of int * int
+  | S_write of int * int * int64  (** width in bytes, address, value *)
+  | S_fill of int * int * int
+  | S_read of int * int
+  | S_read_page of int
+
+let window_pages = 12
+let prots = [| Prot.rw; Prot.r; Prot.none |]
+
+let space_op_to_string = function
+  | S_map (p, n, pr) -> Printf.sprintf "map %d+%d p%d" p n pr
+  | S_unmap (p, n) -> Printf.sprintf "unmap %d+%d" p n
+  | S_protect (p, n, pr) -> Printf.sprintf "protect %d+%d p%d" p n pr
+  | S_pkey (p, n, pr, k) -> Printf.sprintf "pkey %d+%d p%d k%d" p n pr k
+  | S_madvise (p, n) -> Printf.sprintf "madvise %d+%d" p n
+  | S_backing (p, n, i) -> Printf.sprintf "backing %d+%d img%d" p n i
+  | S_recycle i -> Printf.sprintf "recycle #%d" i
+  | S_recycle_range (p, n) -> Printf.sprintf "recycle %d+%d" p n
+  | S_write (w, a, v) -> Printf.sprintf "write%d %#x=%Ld" (8 * w) a v
+  | S_fill (a, n, b) -> Printf.sprintf "fill %#x+%d=%d" a n b
+  | S_read (w, a) -> Printf.sprintf "read%d %#x" (8 * w) a
+  | S_read_page p -> Printf.sprintf "read page %d" p
+
+let space_ops_arb =
+  let open QCheck.Gen in
+  let range =
+    int_bound (window_pages - 1) >>= fun p ->
+    int_range 1 (min 4 (window_pages - p)) >|= fun n -> (p, n)
+  in
+  let addr = int_bound ((window_pages * page) - 1) in
+  let op =
+    frequency
+      [
+        (4, map2 (fun (p, n) pr -> S_map (p, n, pr)) range (int_bound 2));
+        (1, map (fun (p, n) -> S_unmap (p, n)) range);
+        (3, map2 (fun (p, n) pr -> S_protect (p, n, pr)) range (int_bound 2));
+        (3, map3 (fun (p, n) pr k -> S_pkey (p, n, pr, k)) range (int_bound 2) (int_bound 3));
+        (1, map (fun (p, n) -> S_madvise (p, n)) range);
+        (2, map2 (fun (p, n) i -> S_backing (p, n, i)) range (int_bound 1));
+        (2, map (fun i -> S_recycle i) (int_bound 3));
+        (1, map (fun (p, n) -> S_recycle_range (p, n)) range);
+        (6, map3 (fun w a v -> S_write (w, a, v)) (oneofl [ 1; 2; 4; 8 ]) addr ui64);
+        (1, map3 (fun a n b -> S_fill (a, n, b)) addr (int_bound 5000) (int_bound 255));
+        (3, map2 (fun w a -> S_read (w, a)) (oneofl [ 1; 2; 4; 8 ]) addr);
+        (1, map (fun p -> S_read_page p) (int_bound (window_pages - 1)));
+      ]
+  in
+  QCheck.make
+    ~print:(fun (mmc, ops) ->
+      Printf.sprintf "max_map_count %d: %s" mmc
+        (String.concat "; " (List.map space_op_to_string ops)))
+    (pair (int_range 2 8) (list_size (int_range 1 60) op))
+
+let space_matches_model (max_map_count, ops) =
+  let base = mb in
+  let s = Space.create ~max_map_count () in
+  let m = Space_model.create max_map_count in
+  let images = Array.map Space.image_of_data image_segments in
+  let model_images = Array.map image_bytes image_segments in
+  let res = function Ok _ -> true | Error _ -> false in
+  let read_n w a =
+    match w with
+    | 1 -> Int64.of_int (Space.read8 s a)
+    | 2 -> Int64.of_int (Space.read16 s a)
+    | 4 -> Int64.logand (Int64.of_int32 (Space.read32 s a)) 0xFFFFFFFFL
+    | _ -> Space.read64 s a
+  in
+  let model_read_n w a =
+    let v = ref 0L in
+    for i = w - 1 downto 0 do
+      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Space_model.read8 m (a + i)))
+    done;
+    !v
+  in
+  (* The generation must move exactly on a successful layout change. *)
+  let step op =
+    let r = ref true and layout = ref false in
+    let check_same got want = r := got = want in
+    (match op with
+    | S_map (p, n, pr) ->
+        let got = res (Space.map s ~addr:(base + (p * page)) ~len:(n * page) ~prot:prots.(pr)) in
+        check_same got (Space_model.map m (base + (p * page)) (n * page) prots.(pr));
+        layout := got
+    | S_unmap (p, n) ->
+        let got = res (Space.unmap s ~addr:(base + (p * page)) ~len:(n * page)) in
+        check_same got (Space_model.unmap m (base + (p * page)) (n * page));
+        layout := got
+    | S_protect (p, n, pr) ->
+        let got =
+          res (Space.protect s ~addr:(base + (p * page)) ~len:(n * page) ~prot:prots.(pr))
+        in
+        check_same got
+          (Space_model.update m (base + (p * page)) (n * page) (fun v ->
+               { v with prot = prots.(pr) }));
+        layout := got
+    | S_pkey (p, n, pr, key) ->
+        let got =
+          res
+            (Space.pkey_protect s ~addr:(base + (p * page)) ~len:(n * page) ~prot:prots.(pr)
+               ~key)
+        in
+        check_same got
+          (Space_model.update m (base + (p * page)) (n * page) (fun v ->
+               { v with prot = prots.(pr); pkey = key }));
+        layout := got
+    | S_madvise (p, n) ->
+        ok (Space.madvise_dontneed s ~addr:(base + (p * page)) ~len:(n * page));
+        Space_model.drop_range m (base + (p * page)) (n * page)
+    | S_backing (p, n, i) ->
+        check_same
+          (res (Space.set_backing s ~addr:(base + (p * page)) ~len:(n * page) images.(i)))
+          (Space_model.set_backing m (base + (p * page)) (n * page) model_images.(i))
+    | S_recycle i -> (
+        match m.Space_model.regions with
+        | [] -> ()
+        | regions ->
+            let reg = List.nth regions (i mod List.length regions) in
+            let got = Space.recycle s ~addr:reg.Space_model.rs ~len:reg.rl in
+            check_same (Result.to_option got) (Space_model.recycle m reg.rs reg.rl))
+    | S_recycle_range (p, n) ->
+        let got = Space.recycle s ~addr:(base + (p * page)) ~len:(n * page) in
+        check_same (Result.to_option got)
+          (Space_model.recycle m (base + (p * page)) (n * page))
+    | S_write (w, a, v) ->
+        let a = base + a in
+        (match w with
+        | 1 -> Space.write8 s a (Int64.to_int v)
+        | 2 -> Space.write16 s a (Int64.to_int v)
+        | 4 -> Space.write32 s a (Int64.to_int32 v)
+        | _ -> Space.write64 s a v);
+        for i = 0 to w - 1 do
+          Space_model.write8 m (a + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)))
+        done
+    | S_fill (a, n, b) ->
+        Space.fill s ~addr:(base + a) ~len:n ~byte:b;
+        for i = 0 to n - 1 do
+          Space_model.write8 m (base + a + i) b
+        done
+    | S_read (w, a) -> check_same (read_n w (base + a)) (model_read_n w (base + a))
+    | S_read_page p ->
+        let a = base + (p * page) in
+        check_same
+          (Space.read_bytes s ~addr:a ~len:page)
+          (Bytes.init page (fun i -> Char.chr (Space_model.read8 m (a + i)))));
+    (!r, !layout)
+  in
+  (* After every step: the VMA layout at every page edge and inside every
+     page, dirty counts, residency, and a few bytes of every page. *)
+  let consistent () =
+    Space.vma_count s = List.length m.Space_model.vmas
+    && List.for_all
+         (fun p ->
+           List.for_all
+             (fun a -> Space.find_vma s a = Space_model.find m a)
+             [ base + (p * page) - 1; base + (p * page); base + (p * page) + 2048 ])
+         (List.init (window_pages + 2) Fun.id)
+    && List.for_all
+         (fun r ->
+           Space.dirty_pages s ~addr:r.Space_model.rs = Hashtbl.length r.Space_model.dirty)
+         m.Space_model.regions
+    && Space.resident_pages s = Hashtbl.length m.Space_model.pages
+    && List.for_all
+         (fun p ->
+           List.for_all
+             (fun off -> read_n 8 (base + (p * page) + off) = model_read_n 8 (base + (p * page) + off))
+             [ 0; 2044; page - 8 ])
+         (List.init window_pages Fun.id)
+  in
+  List.for_all
+    (fun op ->
+      let generation = Space.generation s in
+      let same, layout = step op in
+      same
+      && Space.generation s = generation + (if layout then 1 else 0)
+      && consistent ())
+    ops
+
+let prop_space_matches_model =
+  QCheck.Test.make ~name:"space matches a brute-force vma/page model" ~count:1000 space_ops_arb
+    space_matches_model
+
+(* A dropped frame comes back for the next fault: filled with the image
+   page on a copy-on-write fault, with zeros on an anonymous one. *)
+let test_frames_reused_clean () =
+  let s = Space.create () in
+  let img = Space.image_of_data [ (0, String.make page 'i') ] in
+  ok (Space.map s ~addr:mb ~len:(2 * page) ~prot:Prot.rw);
+  ok (Space.set_backing s ~addr:mb ~len:(2 * page) img);
+  ok (Space.map s ~addr:(2 * mb) ~len:page ~prot:Prot.rw);
+  let dirty_all addr = Space.fill s ~addr ~len:page ~byte:0xAB in
+  let page_is addr c =
+    Bytes.equal (Space.read_bytes s ~addr ~len:page) (Bytes.make page c)
+  in
+  dirty_all mb;
+  dirty_all (mb + page);
+  Alcotest.(check (result int string)) "two pages recycled" (Ok 2)
+    (Space.recycle s ~addr:mb ~len:(2 * page));
+  Space.write8 s (2 * mb) 0;
+  Alcotest.(check bool) "reused frame zeroed for an anonymous page" true (page_is (2 * mb) '\000');
+  Space.write8 s mb (Char.code 'i');
+  Alcotest.(check bool) "reused frame holds the image page" true (page_is mb 'i');
+  Space.write8 s (mb + page) 0;
+  Alcotest.(check bool) "image hole reads as zeros" true (page_is (mb + page) '\000');
+  Alcotest.(check int) "resident pages" 3 (Space.resident_pages s)
+
 let test_mte () =
   let m = Mte.create () in
   Alcotest.(check int) "untagged is 0" 0 (Mte.tag_of m ~addr:0x100);
@@ -221,10 +815,14 @@ let tests =
     Harness.case "pkey + access checks" test_pkey_and_access;
     Harness.case "madvise keeps colors" test_madvise_zeroes_but_keeps_layout;
     Harness.case "max_map_count" test_max_map_count;
+    Harness.case "protect over the vma budget is atomic" test_protect_over_budget_is_atomic;
     Harness.case "data ops" test_data_ops;
+    Harness.case "dropped frames reused clean" test_frames_reused_clean;
+    QCheck_alcotest.to_alcotest prop_space_matches_model;
     Harness.case "mpk" test_mpk;
     Harness.case "tlb" test_tlb;
     Harness.case "tlb fill recency" test_tlb_fill_recency;
+    QCheck_alcotest.to_alcotest prop_tlb_matches_eager;
     Harness.case "mte" test_mte;
     QCheck_alcotest.to_alcotest prop_space_roundtrip;
   ]
