@@ -17,8 +17,6 @@
      dune exec bench/main.exe -- --jobs 4    # domain count (default: all cores)
      dune exec bench/main.exe -- --serial    # single-domain, unbuffered output
      dune exec bench/main.exe -- --list      # list experiment ids
-     dune exec bench/main.exe -- --bechamel  # Bechamel micro-measurements
-                                             # (one Test.make per table/figure)
 *)
 
 module Stats = Sfi_util.Stats
@@ -1015,13 +1013,13 @@ let ablations () =
   | Error m -> note "chain planning failed: %s" m)
 
 (* ------------------------------------------------------------------ *)
-(* Engine: threaded-code engine vs the reference interpreter.          *)
+(* Engine: the compiled engine vs the reference interpreter.           *)
 (* ------------------------------------------------------------------ *)
 
 let engine_compare () =
   section
-    "Engine - reference step interpreter vs threaded code vs superblock tiers (host-side \
-     throughput; simulated counters must agree bit-for-bit across all four)";
+    "Engine - reference step interpreter vs the lazily compiled engine (host-side \
+     throughput; simulated counters must agree bit-for-bit)";
   let t =
     Table.create
       ~headers:
@@ -1034,17 +1032,14 @@ let engine_compare () =
       (m, Unix.gettimeofday () -. t0)
     in
     let rm, rs = timed Machine.Reference in
-    let tm, ts = timed Machine.Threaded in
-    let t2m, t2s = timed Machine.Tier2 in
-    let am, as_ = timed Machine.Adaptive in
-    let agrees (a : Kernel.measurement) (b : Kernel.measurement) =
-      a.Kernel.result = b.Kernel.result
-      && a.Kernel.cycles = b.Kernel.cycles
-      && a.Kernel.instructions = b.Kernel.instructions
-      && a.Kernel.dtlb_misses = b.Kernel.dtlb_misses
-      && a.Kernel.dcache_misses = b.Kernel.dcache_misses
+    let cm, cs = timed Machine.Compiled in
+    let agree =
+      rm.Kernel.result = cm.Kernel.result
+      && rm.Kernel.cycles = cm.Kernel.cycles
+      && rm.Kernel.instructions = cm.Kernel.instructions
+      && rm.Kernel.dtlb_misses = cm.Kernel.dtlb_misses
+      && rm.Kernel.dcache_misses = cm.Kernel.dcache_misses
     in
-    let agree = agrees rm tm && agrees rm t2m && agrees rm am in
     let row name (m : Kernel.measurement) s =
       let sb_pct =
         100.0
@@ -1062,35 +1057,32 @@ let engine_compare () =
         ]
     in
     row "reference" rm rs;
-    row "threaded" tm ts;
-    row "tier2" t2m t2s;
-    row "adaptive" am as_;
+    row "compiled" cm cs;
     if not agree then failwith (k.Kernel.name ^ ": engines diverged");
-    (rs, ts, t2s, as_)
+    (rs, cs)
   in
-  let quads = List.map check [ Sfi_workloads.Polybench.gemm; Sfi_workloads.Polybench.atax ] in
+  let pairs = List.map check [ Sfi_workloads.Polybench.gemm; Sfi_workloads.Polybench.atax ] in
   print_table t;
-  let tot f = List.fold_left (fun a q -> a +. f q) 0.0 quads in
-  let rs = tot (fun (a, _, _, _) -> a)
-  and ts = tot (fun (_, b, _, _) -> b)
-  and t2s = tot (fun (_, _, c, _) -> c)
-  and as_ = tot (fun (_, _, _, d) -> d) in
-  metric "tier2_speedup_vs_threaded" (ts /. t2s);
-  metric "adaptive_speedup_vs_threaded" (ts /. as_);
+  let rs = List.fold_left (fun a (r, _) -> a +. r) 0.0 pairs
+  and cs = List.fold_left (fun a (_, c) -> a +. c) 0.0 pairs in
+  metric "compiled_speedup_vs_reference" (rs /. cs);
   note
-    "Engine ablation on this subset (identical simulated counters on every kernel): threaded \
-     %.2fx reference; tier2 %.2fx threaded; adaptive %.2fx threaded (profiler armed, hot \
-     blocks promoted mid-run)."
-    (rs /. ts) (ts /. t2s) (ts /. as_);
+    "Engine ablation on this subset (identical simulated counters on every kernel): compiled \
+     %.2fx reference (instructions compiled on first dispatch, blocks fused on first entry)."
+    (rs /. cs);
   (* Tracing ablation: the same kernel with the default (no sink), an
      explicit null sink, and a live ring sink. The null sink must be free —
      every emission site is one load-and-branch — and the ring sink must
-     stay under a few percent. Best-of-batches wall timing, as above. *)
+     stay under a few percent. Best-of-batches wall timing, as above. It
+     runs on the reference interpreter, which dispatches identically under
+     all three: on the compiled engine a live sink also sends trappable
+     superblocks back to per-instruction dispatch, so the ablation would
+     time that dispatch change rather than the emission sites. *)
   let ablate = Sfi_workloads.Polybench.atax in
   let one ?trace () =
     (match trace with Some sink -> Trace.clear sink | None -> ());
     let t0 = Unix.gettimeofday () in
-    ignore (Kernel.run ?trace ~engine:Machine.Threaded ~strategy:Strategy.segue ablate);
+    ignore (Kernel.run ?trace ~engine:Machine.Reference ~strategy:Strategy.segue ablate);
     Unix.gettimeofday () -. t0
   in
   ignore (one ()) (* warm the code and the kernel's lazy module *);
@@ -1111,70 +1103,15 @@ let engine_compare () =
   metric "trace_null_overhead_pct" (pct null_s);
   metric "trace_ring_overhead_pct" (pct ring_s);
   note
-    "Tracing ablation (atax, best of 7): no sink %.1f ms, null sink %.1f ms (%+.1f%%), ring \
-     sink %.1f ms (%+.1f%%, %d events). Null must be free; the ring budget is <5%%."
+    "Tracing ablation (atax on the reference engine, best of 7): no sink %.1f ms, null sink \
+     %.1f ms (%+.1f%%), ring sink %.1f ms (%+.1f%%, %d events). Null must be free; the ring \
+     budget is <5%%."
     (base_s *. 1e3) (null_s *. 1e3) (pct null_s) (ring_s *. 1e3) (pct ring_s)
     (Trace.length ring);
   (* Wall-clock ablations on shared CI machines are noisy; only a
      pathological regression fails the experiment. *)
   if pct ring_s > 25.0 then
     failwith (Printf.sprintf "engine: ring-sink tracing overhead %.1f%% > 25%%" (pct ring_s))
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-measurements: one Test.make per table/figure.        *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let quick_kernel (k : Kernel.t) strategy =
-    Staged.stage (fun () ->
-        let small = { k with Kernel.args = [ 2L ]; native = None } in
-        ignore (Kernel.run ~strategy small))
-  in
-  let tests =
-    [
-      Test.make ~name:"fig3_spec2006_segue"
-        (quick_kernel Sfi_workloads.Spec2006.namd Strategy.segue);
-      Test.make ~name:"table2_binary_size"
-        (Staged.stage (fun () ->
-             ignore (Kernel.code_size ~strategy:Strategy.segue Sfi_workloads.Spec2006.namd)));
-      Test.make ~name:"fig4_sightglass_wamr"
-        (quick_kernel Sfi_workloads.Sightglass.gimli Strategy.segue_loads_only);
-      Test.make ~name:"sec6_2_polybench" (quick_kernel Sfi_workloads.Polybench.atax Strategy.segue);
-      Test.make ~name:"fig5_spec2017_lfi"
-        (Staged.stage (fun () ->
-             let m = Lazy.force Sfi_workloads.Spec2017.leela.Kernel.wasm in
-             ignore (Lfi.run_lfi ~segue:true m ~entry:"run" ~args:[ 50L ])));
-      Test.make ~name:"table1_invariants"
-        (Staged.stage (fun () ->
-             match Pool.compute Pool.default_params with
-             | Ok l -> ignore (Invariants.check l)
-             | Error _ -> ()));
-      Test.make ~name:"sec6_4_2_scaling"
-        (Staged.stage (fun () -> ignore (Colorguard.scaling Pool.default_params)));
-      Test.make ~name:"fig6_faas"
-        (Staged.stage (fun () ->
-             let cfg = Sim.default_config () in
-             ignore (Sim.run { cfg with Sim.duration_ns = 1.0e6; Sim.concurrency = 16 })));
-      Test.make ~name:"sec7_mte"
-        (Staged.stage (fun () ->
-             let store = Sfi_vmem.Mte.create () in
-             ignore
-               (Colorguard.Mte_cost.init_instance Colorguard.Mte_cost.default store
-                  ~memory_bytes:65536 ~tag:5)));
-    ]
-  in
-  List.iter
-    (fun test ->
-      let instances = Toolkit.Instance.[ monotonic_clock ] in
-      let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.25) () in
-      let results = Benchmark.all cfg instances test in
-      Hashtbl.iter
-        (fun name b ->
-          Printf.printf "bechamel: %-24s %d raw samples\n%!" name
-            (Array.length b.Bechamel.Benchmark.lr))
-        results)
-    tests
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzz gate.                                             *)
@@ -1457,7 +1394,7 @@ let write_json file outcomes ~jobs ~total_wall_s =
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
   p "  \"harness\": \"bench/main.exe\",\n";
-  p "  \"engine\": \"adaptive\",\n";
+  p "  \"engine\": \"compiled\",\n";
   p "  \"jobs\": %d,\n" jobs;
   p "  \"total_wall_s\": %.3f,\n" total_wall_s;
   p "  \"baseline_step_serial_total_wall_s\": %.1f,\n" baseline_step_serial_total_wall_s;
@@ -1662,7 +1599,7 @@ let () =
   and names = ref [] in
   let usage () =
     prerr_endline
-      "usage: main.exe [--list] [--bechamel] [--quick] [--serial] [--jobs N] [--json FILE] \
+      "usage: main.exe [--list] [--quick] [--serial] [--jobs N] [--json FILE] \
        [--check-baseline FILE] [experiment ...]";
     exit 1
   in
@@ -1670,9 +1607,6 @@ let () =
     | [] -> ()
     | "--list" :: _ ->
         List.iter (fun (name, _) -> print_endline name) experiments;
-        exit 0
-    | "--bechamel" :: _ ->
-        bechamel_suite ();
         exit 0
     | "--json" :: file :: rest ->
         json := Some file;

@@ -88,30 +88,6 @@ let disasm_cmd =
 
 (* --- run ------------------------------------------------------------ *)
 
-let engine_conv =
-  let parse = function
-    | "threaded" -> Ok Sfi_machine.Machine.Threaded
-    | "reference" -> Ok Sfi_machine.Machine.Reference
-    | "tier2" -> Ok Sfi_machine.Machine.Tier2
-    | "adaptive" -> Ok Sfi_machine.Machine.Adaptive
-    | s -> Error (`Msg ("unknown engine " ^ s ^ " (threaded|reference|tier2|adaptive)"))
-  in
-  let print ppf = function
-    | Sfi_machine.Machine.Threaded -> Format.pp_print_string ppf "threaded"
-    | Sfi_machine.Machine.Reference -> Format.pp_print_string ppf "reference"
-    | Sfi_machine.Machine.Tier2 -> Format.pp_print_string ppf "tier2"
-    | Sfi_machine.Machine.Adaptive -> Format.pp_print_string ppf "adaptive"
-  in
-  Arg.conv (parse, print)
-
-let engine_arg =
-  Arg.(value & opt engine_conv Sfi_machine.Machine.Adaptive
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: adaptive (profiler-driven superblock promotion of hot \
-                 blocks, default), tier2 (eager superblock promotion of every eligible \
-                 basic block), threaded (pre-translated closures, no superblocks), or \
-                 reference (the AST interpreter used as the differential oracle).")
-
 (* The unified Prometheus-style snapshot: machine counters of one
    measurement plus the domain-local runtime aggregate (transitions by
    class, PKRU elisions, lifecycle work) accumulated since the matching
@@ -129,7 +105,7 @@ let run_cmd =
              ~doc:"Write a Prometheus text-exposition snapshot of the run's machine and \
                    runtime counters to $(docv).")
   in
-  let run name strategy vectorize arg engine metrics_out =
+  let run name strategy vectorize arg metrics_out =
     match find_kernel name with
     | Error (`Msg m) -> prerr_endline m; exit 1
     | Ok k ->
@@ -139,7 +115,7 @@ let run_cmd =
           | None -> k
         in
         Runtime.reset_domain_metrics ();
-        let m = Kernel.run ~vectorize ~engine ~strategy k in
+        let m = Kernel.run ~vectorize ~strategy k in
         Printf.printf "%s under %s (args %s)\n" (kernel_id k) (Strategy.name strategy)
           (String.concat "," (List.map Int64.to_string k.Kernel.args));
         Printf.printf "  result        %Ld\n" m.Kernel.result;
@@ -159,8 +135,7 @@ let run_cmd =
             Printf.printf "  metrics       -> %s\n" path
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a kernel on the simulated machine and print its counters.")
-    Term.(const run $ kernel_arg $ strategy_arg $ vectorize_arg $ arg_override $ engine_arg
-          $ metrics_out)
+    Term.(const run $ kernel_arg $ strategy_arg $ vectorize_arg $ arg_override $ metrics_out)
 
 (* --- trace ------------------------------------------------------------ *)
 
@@ -187,13 +162,13 @@ let trace_cmd =
          & info [ "profile-interval" ] ~docv:"N"
              ~doc:"Hot-PC profiler sampling period in simulated instructions.")
   in
-  let run name strategy vectorize engine out check capacity interval =
+  let run name strategy vectorize out check capacity interval =
     match find_kernel name with
     | Error (`Msg m) -> prerr_endline m; exit 1
     | Ok k ->
         let cfg = { (Codegen.default_config ~strategy ()) with Codegen.vectorize } in
         let compiled = Codegen.compile cfg (Lazy.force k.Kernel.wasm) in
-        let eng = Runtime.create_engine ~engine compiled in
+        let eng = Runtime.create_engine compiled in
         let sink = Trace.create_ring ~capacity () in
         Runtime.set_trace eng sink;
         Machine.arm_profiler ~interval (Runtime.machine eng);
@@ -268,8 +243,8 @@ let trace_cmd =
          "Run a kernel with structured tracing and the hot-PC profiler armed; export a \
           Chrome trace_event JSON (one track per sandbox plus the machine track) and print \
           per-class latency summaries.")
-    Term.(const run $ kernel_arg $ strategy_arg $ vectorize_arg $ engine_arg $ out $ check
-          $ capacity $ interval)
+    Term.(const run $ kernel_arg $ strategy_arg $ vectorize_arg $ out $ check $ capacity
+          $ interval)
 
 (* --- layout ---------------------------------------------------------- *)
 
@@ -657,14 +632,13 @@ let chaos_cmd =
          & info [ "metrics-out" ] ~docv:"FILE"
              ~doc:"Write a Prometheus snapshot of the chaos run's serving counters to $(docv).")
   in
-  let run workload engine seed perturbations duration floor repeat metrics_out =
+  let run workload seed perturbations duration floor repeat metrics_out =
     let cfg =
       {
         (Chaos.default_config ~seed:(Int64.of_int seed) ~perturbations ()) with
         Chaos.workload;
         duration_ns = duration *. 1e6;
         availability_floor = floor;
-        engine = Some engine;
       }
     in
     let flight = Sfi_trace.Flight.create () in
@@ -759,8 +733,8 @@ let chaos_cmd =
           and check resilience invariants: no cross-tenant blast radius, availability floor, \
           all breakers re-closed at quiescence. Deterministic per seed.")
     Term.(
-      const run $ workload_arg $ engine_arg $ seed $ perturbations $ duration $ floor
-      $ repeat $ metrics_out)
+      const run $ workload_arg $ seed $ perturbations $ duration $ floor $ repeat
+      $ metrics_out)
 
 (* --- postmortem ------------------------------------------------------- *)
 
@@ -793,13 +767,12 @@ let postmortem_cmd =
              ~doc:"Flight-recorder ring capacity: each bundle keeps the last $(docv) events \
                    before its freeze.")
   in
-  let run workload engine seed perturbations duration reason capacity =
+  let run workload seed perturbations duration reason capacity =
     let cfg =
       {
         (Chaos.default_config ~seed:(Int64.of_int seed) ~perturbations ()) with
         Chaos.workload;
         duration_ns = duration *. 1e6;
-        engine = Some engine;
       }
     in
     let flight = Flight.create ~capacity () in
@@ -838,8 +811,7 @@ let postmortem_cmd =
           freeze, the machine and serving counters at the instant of the fault, and the \
           admission/breaker/ladder state. Deterministic per seed.")
     Term.(
-      const run $ workload_arg $ engine_arg $ seed $ perturbations $ duration $ reason
-      $ capacity)
+      const run $ workload_arg $ seed $ perturbations $ duration $ reason $ capacity)
 
 (* --- scale ------------------------------------------------------------ *)
 
@@ -886,7 +858,7 @@ let scale_cmd =
              ~doc:"Run every point twice and fail unless results are bit-identical \
                    (result, runtime counters and trace fingerprints).")
   in
-  let run workload engine shard_counts tenants duration rps skew seed no_steal repeat =
+  let run workload shard_counts tenants duration rps skew seed no_steal repeat =
     let duration_ns = duration *. 1e6 in
     let seed = Int64.of_int seed in
     let arrivals =
@@ -908,7 +880,7 @@ let scale_cmd =
     in
     let base =
       {
-        (Sim.default_config ~workload ~engine ~overload ~fair_scheduling:true ()) with
+        (Sim.default_config ~workload ~overload ~fair_scheduling:true ()) with
         Sim.concurrency = tenants;
         duration_ns;
         seed;
@@ -963,8 +935,8 @@ let scale_cmd =
           deterministic tail work-stealing. Goodput is per simulated time, so the sweep is \
           reproducible on any host.")
     Term.(
-      const run $ workload_arg $ engine_arg $ shard_counts $ tenants $ duration $ rps $ skew
-      $ seed $ no_steal $ repeat)
+      const run $ workload_arg $ shard_counts $ tenants $ duration $ rps $ skew $ seed
+      $ no_steal $ repeat)
 
 let () =
   let doc = "Segue & ColorGuard SFI toolchain (simulated x86-64)" in

@@ -155,7 +155,7 @@ type config = {
   overload : overload;  (** resilience policy ({!no_overload} = legacy) *)
   engine : Sfi_machine.Machine.engine_kind option;
       (** execution engine for the machines (default:
-          {!Sfi_runtime.Runtime.create_engine}'s default, [Adaptive]);
+          {!Sfi_runtime.Runtime.create_engine}'s default, [Compiled]);
           [Reference] runs the differential oracle *)
   chaos : chaos_event list;  (** perturbation schedule (applied in time order) *)
   on_perturbation : (chaos_report -> unit) option;
@@ -225,7 +225,7 @@ type tenant_stat = {
           against *)
   t_sb_share : float;
       (** fraction of this tenant's retired instructions executed inside
-          promoted superblocks (0 under the untiered engines) *)
+          promoted superblocks (0 under the [Reference] engine) *)
   t_burn : float;
       (** fast-window error-budget burn rate at end of run (0 when SLOs
           are off) — the [sfi top] BURN column *)

@@ -495,11 +495,12 @@ type mach_extra = { c_counters : Machine.counters; c_dtlb : int; c_dcache : int 
 
 let copy_counters (c : Machine.counters) = { c with Machine.instructions = c.Machine.instructions }
 
-let run_compiled ~sanitizer ~strategy ~kind m args =
+let run_compiled ~sanitizer ~strategy ~kind ~traced m args =
   let cfg = Codegen.default_config ~strategy () in
   let compiled = Codegen.compile cfg m in
   let eng = Runtime.create_engine ~engine:kind compiled in
   if sanitizer then Runtime.arm_sanitizer eng;
+  if traced then Runtime.set_trace eng (Sfi_trace.Trace.create_ring ~capacity:256 ());
   let inst = Runtime.instantiate eng in
   let outcome =
     match Runtime.invoke inst "run" (List.map value_bits args) with
@@ -531,11 +532,10 @@ let run_compiled ~sanitizer ~strategy ~kind m args =
    pages), a neighbour is instantiated, the first is killed and its slot
    re-instantiated — so the second run executes on a recycled slot. If
    recycle misses a dirty page (or drops a clean one), the recycled run
-   diverges from the interpreter. Default codegen config, threaded
-   engine. *)
+   diverges from the interpreter. Default codegen config and engine. *)
 let run_churned ~sanitizer m args =
   let compiled = Codegen.compile (Codegen.default_config ()) m in
-  let eng = Runtime.create_engine ~engine:Machine.Threaded compiled in
+  let eng = Runtime.create_engine compiled in
   if sanitizer then Runtime.arm_sanitizer eng;
   let args64 = List.map value_bits args in
   let i0 = Runtime.instantiate eng in
@@ -678,14 +678,16 @@ type check_result = {
   failure : (string * string) option;
 }
 
-(* The three-way differential arm: the reference oracle, the threaded
-   tier-1 engine, and the eagerly tiered superblock engine. [Tier2]
-   (every eligible block promoted up front) dominates [Adaptive] for
-   coverage — the adaptive engine executes a subset of the same
-   superblocks, and its promotion timing is separately pinned by the
-   tier test suite. *)
+(* The three-way differential arm: the reference oracle, the compiled
+   engine, and the compiled engine with a live trace sink — under which
+   trappable blocks stay on per-instruction dispatch while pure blocks
+   still promote on first entry. [traced] is the arm's flag. *)
 let engine_kinds =
-  [ ("step", Machine.Reference); ("threaded", Machine.Threaded); ("tier2", Machine.Tier2) ]
+  [
+    ("step", Machine.Reference, false);
+    ("compiled", Machine.Compiled, false);
+    ("compiled-traced", Machine.Compiled, true);
+  ]
 
 exception Found of string * string
 
@@ -702,9 +704,9 @@ let check_module ?(sanitizer = true) ?(churn = true) ~lfi m args =
         List.iter
           (fun strategy ->
             let sname = Strategy.name strategy in
-            let run_one (ename, kind) =
+            let run_one (ename, kind, traced) =
               incr execs;
-              match run_compiled ~sanitizer ~strategy ~kind m args with
+              match run_compiled ~sanitizer ~strategy ~kind ~traced m args with
               | r -> (ename, r)
               | exception Runtime.Sanitizer_violation v ->
                   raise

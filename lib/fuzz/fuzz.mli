@@ -3,15 +3,16 @@
     Every execution path this repository implements is a semantics for the
     same mini-Wasm language: the reference interpreter
     ({!Sfi_wasm.Interp}), the {!Sfi_core.Codegen} lowerings under each of
-    the six SFI strategies executed by both machine engines (step and
-    threaded), and the LFI rewriter applied to the native lowering. This
+    the six SFI strategies executed by both machine engines (the step
+    reference, and the compiled engine with and without a live trace
+    sink), and the LFI rewriter applied to the native lowering. This
     module generates seeded random programs over the full op set —
     loads/stores of every width with boundary-hugging addresses, bulk
     memory ops, [memory.grow], [br_table], [call_indirect] with
     out-of-bounds and type-mismatching indices — and runs each program
     through every semantics, comparing results, trap kinds, final linear
     memories, memory sizes, globals, and (within a strategy) the
-    bit-identical performance counters the two engines must agree on.
+    bit-identical performance counters every engine arm must agree on.
 
     Compiled runs execute with the runtime's SFI sanitizer armed
     ({!Sfi_runtime.Runtime.arm_sanitizer}), so an access that escapes the

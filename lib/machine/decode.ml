@@ -2,8 +2,9 @@
    addresses, TLB/MPK-checked memory access with the page/dcache fast
    paths, flags and the pure value helpers; the per-op bodies both
    compiled tiers run ([compile_body]); and [step], the AST-matching
-   reference interpreter that defines observable behavior. The tier-1
-   closures ([Translate]) and superblocks ([Tier]) are built from
+   reference interpreter that defines observable behavior. The
+   per-instruction closures ([Translate]) and superblocks ([Tier]) of the
+   compiled engine are built from
    [compile_body] and must reproduce [step] bit-identically.
 
    Hot-path rule: no [int64] crosses a closure or module boundary while an
@@ -924,7 +925,7 @@ let run_reference t ~fuel =
        else begin
          decr budget;
          step t;
-         if sampling then prof_sample t
+         if sampling then prof_sample t 1
        end
      done
    with

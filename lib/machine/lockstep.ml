@@ -2,7 +2,7 @@ type divergence = {
   at_step : int;
   field : string;
   reference : string;
-  threaded : string;
+  candidate : string;
 }
 
 let status_string = function
@@ -11,69 +11,73 @@ let status_string = function
   | Machine.Trapped k -> "trapped: " ^ Sfi_x86.Ast.trap_name k
 
 (* First field on which the two snapshots disagree, if any. *)
-let diff_snapshots (r : Machine.snapshot) (th : Machine.snapshot) =
+let diff_snapshots (r : Machine.snapshot) (c : Machine.snapshot) =
   let open Machine in
   let i64 = Int64.to_string in
   let b = string_of_bool in
   let i = string_of_int in
   let rec find_reg idx =
     if idx >= Array.length r.s_regs then None
-    else if r.s_regs.(idx) <> th.s_regs.(idx) then
-      Some (Printf.sprintf "reg%d" idx, i64 r.s_regs.(idx), i64 th.s_regs.(idx))
+    else if r.s_regs.(idx) <> c.s_regs.(idx) then
+      Some (Printf.sprintf "reg%d" idx, i64 r.s_regs.(idx), i64 c.s_regs.(idx))
     else find_reg (idx + 1)
   in
   let scalar =
     List.find_opt
       (fun (_, a, b) -> a <> b)
       [
-        ("pc", i r.s_pc, i th.s_pc);
-        ("zf", b r.s_zf, b th.s_zf);
-        ("sf", b r.s_sf, b th.s_sf);
-        ("cf", b r.s_cf, b th.s_cf);
-        ("of", b r.s_of, b th.s_of);
-        ("fs_base", i r.s_fs_base, i th.s_fs_base);
-        ("gs_base", i r.s_gs_base, i th.s_gs_base);
-        ("pkru", i r.s_pkru, i th.s_pkru);
-        ("instructions", i r.s_instructions, i th.s_instructions);
-        ("cycles", i r.s_cycles, i th.s_cycles);
-        ("loads", i r.s_loads, i th.s_loads);
-        ("stores", i r.s_stores, i th.s_stores);
-        ("code_bytes", i r.s_code_bytes, i th.s_code_bytes);
-        ("seg_base_writes", i r.s_seg_base_writes, i th.s_seg_base_writes);
-        ("pkru_writes", i r.s_pkru_writes, i th.s_pkru_writes);
-        ("dtlb_hits", i r.s_dtlb_hits, i th.s_dtlb_hits);
-        ("dtlb_misses", i r.s_dtlb_misses, i th.s_dtlb_misses);
-        ("dcache_misses", i r.s_dcache_misses, i th.s_dcache_misses);
+        ("pc", i r.s_pc, i c.s_pc);
+        ("zf", b r.s_zf, b c.s_zf);
+        ("sf", b r.s_sf, b c.s_sf);
+        ("cf", b r.s_cf, b c.s_cf);
+        ("of", b r.s_of, b c.s_of);
+        ("fs_base", i r.s_fs_base, i c.s_fs_base);
+        ("gs_base", i r.s_gs_base, i c.s_gs_base);
+        ("pkru", i r.s_pkru, i c.s_pkru);
+        ("instructions", i r.s_instructions, i c.s_instructions);
+        ("cycles", i r.s_cycles, i c.s_cycles);
+        ("loads", i r.s_loads, i c.s_loads);
+        ("stores", i r.s_stores, i c.s_stores);
+        ("code_bytes", i r.s_code_bytes, i c.s_code_bytes);
+        ("seg_base_writes", i r.s_seg_base_writes, i c.s_seg_base_writes);
+        ("pkru_writes", i r.s_pkru_writes, i c.s_pkru_writes);
+        ("dtlb_hits", i r.s_dtlb_hits, i c.s_dtlb_hits);
+        ("dtlb_misses", i r.s_dtlb_misses, i c.s_dtlb_misses);
+        ("dcache_misses", i r.s_dcache_misses, i c.s_dcache_misses);
       ]
   in
   match scalar with Some _ as d -> d | None -> find_reg 0
 
-let run_pair ?(engines = (Machine.Reference, Machine.Threaded)) ?(stride = 1) ~make ~entry
-    ?(fuel = 1 lsl 20) () =
+let run_pair ?(stride = 1) ~make ~entry ?(fuel = 1 lsl 20) () =
   if stride <= 0 then invalid_arg "Lockstep.run_pair: stride must be > 0";
-  let ka, kb = engines in
-  let m_a = make () in
-  let m_b = make () in
-  Machine.set_engine m_a ka;
-  Machine.set_engine m_b kb;
-  Machine.start m_a ~entry;
-  Machine.start m_b ~entry;
+  let m_r = make () in
+  let m_c = make () in
+  Machine.set_engine m_r Machine.Reference;
+  Machine.set_engine m_c Machine.Compiled;
+  Machine.start m_r ~entry;
+  Machine.start m_c ~entry;
   let rec advance step =
     if step >= fuel then Ok Machine.Yielded
     else begin
-      let sr = Machine.run m_a ~fuel:stride in
-      let st = Machine.run m_b ~fuel:stride in
-      if sr <> st then
+      let sr = Machine.run m_r ~fuel:stride in
+      let sc = Machine.run m_c ~fuel:stride in
+      if sr <> sc then
         Error
-          { at_step = step; field = "status"; reference = status_string sr; threaded = status_string st }
+          {
+            at_step = step;
+            field = "status";
+            reference = status_string sr;
+            candidate = status_string sc;
+          }
       else
-        match diff_snapshots (Machine.snapshot m_a) (Machine.snapshot m_b) with
-        | Some (field, reference, threaded) -> Error { at_step = step; field; reference; threaded }
+        match diff_snapshots (Machine.snapshot m_r) (Machine.snapshot m_c) with
+        | Some (field, reference, candidate) ->
+            Error { at_step = step; field; reference; candidate }
         | None -> ( match sr with Machine.Yielded -> advance (step + stride) | s -> Ok s)
     end
   in
   advance 0
 
 let pp_divergence fmt d =
-  Format.fprintf fmt "step %d: %s differs (reference=%s, threaded=%s)" d.at_step d.field
-    d.reference d.threaded
+  Format.fprintf fmt "step %d: %s differs (reference=%s, candidate=%s)" d.at_step d.field
+    d.reference d.candidate

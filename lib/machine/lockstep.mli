@@ -1,31 +1,30 @@
-(** Lockstep differential validation of any ordered pair of execution
-    engines.
+(** Lockstep differential validation of the [Compiled] engine against the
+    [Reference] oracle.
 
     Builds two identically-configured machines from the caller's [make]
-    thunk, runs each on one of the requested {!Machine.engine_kind}s
-    (default {!Machine.Reference} vs {!Machine.Threaded}), advances both
-    in [stride]-instruction slices ([run ~fuel:stride], default 1) and
-    compares the full {!Machine.snapshot} — registers, flags, segment
-    bases, PKRU, pc, and every performance counter including dTLB and
-    dcache statistics — after each slice. The first disagreement is
-    reported with the step number and field; agreement through termination
-    proves the engines observationally identical on that program.
+    thunk, runs one on {!Machine.Reference} and the other on
+    {!Machine.Compiled}, advances both in [stride]-instruction slices
+    ([run ~fuel:stride], default 1) and compares the full
+    {!Machine.snapshot} — registers, flags, segment bases, PKRU, pc, and
+    every performance counter including dTLB and dcache statistics — after
+    each slice. The first disagreement is reported with the step number
+    and field; agreement through termination proves the engines
+    observationally identical on that program.
 
-    A stride of 1 never lets the tiered engines enter a superblock (a
-    block needs its whole slot budget up front), so strides > 1 are the
-    interesting setting for [Tier2]/[Adaptive]: every slice edge is a
-    dispatch boundary at which batched charges must have converged with
-    the per-instruction engines. *)
+    A stride of 1 never lets the compiled engine enter a superblock (a
+    block needs its whole slot budget up front), so it pins the
+    per-instruction closures; strides > 1 also enter superblocks, and
+    every slice edge is a dispatch boundary at which batched charges must
+    have converged with the oracle. *)
 
 type divergence = {
   at_step : int;  (** instruction index at which the engines disagreed *)
   field : string;  (** snapshot field (or "status") that differs *)
-  reference : string;  (** value under the first engine of the pair *)
-  threaded : string;  (** value under the second engine of the pair *)
+  reference : string;  (** value under [Reference] *)
+  candidate : string;  (** value under [Compiled] *)
 }
 
 val run_pair :
-  ?engines:Machine.engine_kind * Machine.engine_kind ->
   ?stride:int ->
   make:(unit -> Machine.t) ->
   entry:string ->

@@ -4,11 +4,12 @@
      {!Decode}    — operand/memory/flag primitives, the per-op bodies
                     both compiled tiers run ([compile_body]), and the
                     reference interpreter ([step])
-     {!Translate} — load-time threaded-code compiler (prologue + fixed
-                    charge + body) + basic-block discovery and
-                    classification
-     {!Tier}      — superblock promotion (batched counter charges with a
-                    rollback side table) and the tiered dispatch loop
+     {!Translate} — lazy threaded-code compiler (prologue + fixed
+                    charge + body, compiled on first dispatch) +
+                    basic-block discovery and classification
+     {!Tier}      — superblock promotion on first block entry (batched
+                    counter charges with a rollback side table) and the
+                    compiled engine's dispatch loop
 
    Only this module has a public interface; the pipeline stages are
    private to the library. Everything engine-selection-dependent
@@ -33,9 +34,7 @@ let arm_profiler ?(interval = 64) t =
   t.prof_interval <- interval;
   t.prof_credit <- interval;
   let n = match t.loaded with Some l -> Array.length l.program + 1 | None -> 1 in
-  t.prof_counts <- Array.make n 0;
-  t.prof_total <- 0;
-  t.prof_last_scan <- 0
+  t.prof_counts <- Array.make n 0
 
 let disarm_profiler t = t.prof_interval <- 0
 let profile_samples t = Array.fold_left ( + ) 0 t.prof_counts
@@ -59,26 +58,7 @@ let hot_regions t =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
       |> List.sort (fun (la, a) (lb, b) -> if a <> b then compare b a else compare la lb)
 
-(* --- Tier policy and stats --- *)
-
-type tier_config = { threshold : int; stride : int; min_len : int }
-
-let tier_config t =
-  { threshold = t.tier_threshold; stride = t.tier_stride; min_len = t.tier_min_len }
-
-let set_tier_config t { threshold; stride; min_len } =
-  if threshold <= 0 || stride <= 0 || min_len <= 0 then
-    invalid_arg "Machine.set_tier_config: knobs must be > 0";
-  t.tier_threshold <- threshold;
-  t.tier_stride <- stride;
-  t.tier_min_len <- min_len
-
-let default_tier_config =
-  {
-    threshold = default_tier_threshold;
-    stride = default_tier_stride;
-    min_len = default_tier_min_len;
-  }
+(* --- Tier stats --- *)
 
 type tier_stats = {
   blocks_total : int;
@@ -104,16 +84,9 @@ let superblock_retired t = t.sb_retired
 
 let load_program t program =
   Translate.install t program;
-  match t.engine with Tier2 -> Tier.promote_all t | _ -> ()
+  Tier.arm t
 
-let set_engine t k =
-  t.engine <- k;
-  if k = Tier2 && t.loaded <> None then Tier.promote_all t;
-  (* Adaptive promotion feeds on profiler samples; arm at the default
-     cadence when the engine is selected. An explicit [disarm_profiler]
-     afterwards sticks — sampling stops and the tier assignment freezes
-     at whatever has been promoted so far. *)
-  if k = Adaptive && t.prof_interval = 0 then arm_profiler t
+let set_engine t k = t.engine <- k
 
 let set_trace t sink =
   t.trace <- sink;
@@ -125,8 +98,9 @@ let set_trace t sink =
       int_of_float (Cost.ns_of_cycles t.cost t.counters.cycles));
   Tlb.set_trace t.tlb sink;
   (* Promoted trappable blocks batch the cycle charges the sink's
-     timestamps derive from; fall back to tier 1 for them. *)
-  if Sfi_trace.Trace.enabled sink then Tier.demote_unsafe t
+     timestamps derive from: a live sink sends them back to tier 1, a
+     disabled one re-arms them. *)
+  Tier.arm t
 
 (* --- Execution --- *)
 
@@ -134,28 +108,12 @@ let retired_key = Domain.DLS.new_key (fun () -> ref 0)
 let retired_instructions () = !(Domain.DLS.get retired_key)
 let reset_retired_instructions () = Domain.DLS.get retired_key := 0
 
-(* The adaptive engine re-scans for newly hot blocks between dispatch
-   chunks of this many slots. Promotion only ever happens at a dispatch
-   boundary, where tiered and untiered counters agree bit-for-bit, so the
-   chunking is unobservable; it exists so a single large [run ~fuel] call
-   (the runtime invokes with 2^30) still tiers up mid-activation. *)
-let adaptive_chunk = 1 lsl 15
-
 let run t ~fuel =
   let before = t.counters.instructions in
   let status =
     match t.engine with
-    | Threaded -> Translate.run_threaded t ~fuel
     | Reference -> Decode.run_reference t ~fuel
-    | Tier2 -> Tier.run_tiered t ~fuel
-    | Adaptive ->
-        let rec go remaining =
-          Tier.adaptive_scan t;
-          let slice = if remaining < adaptive_chunk then remaining else adaptive_chunk in
-          let st = Tier.run_tiered t ~fuel:slice in
-          if st = Yielded && remaining > slice then go (remaining - slice) else st
-        in
-        go fuel
+    | Compiled -> Tier.run t ~fuel
   in
   let r = Domain.DLS.get retired_key in
   r := !r + (t.counters.instructions - before);

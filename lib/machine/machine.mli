@@ -59,8 +59,10 @@ val load_program : t -> Sfi_x86.Ast.program -> unit
 (** Replaces any previously loaded program. Raises [Invalid_argument] on
     duplicate labels. Profiler samples collected against the replaced
     program are dropped and accounted in {!profile_dropped} (the
-    histogram is resized for the new program). Under the [Tier2] engine,
-    every eligible block of the new program is promoted immediately. *)
+    histogram is resized for the new program). Loading resolves labels,
+    byte offsets and basic blocks but compiles no instruction: the
+    [Compiled] engine translates each instruction on its first dispatch
+    and fuses each eligible block on its first entry. *)
 
 val label_address : t -> string -> int
 (** Code byte address of a label (code_base + offset). Raises [Not_found]
@@ -92,50 +94,31 @@ val start : t -> entry:string -> unit
     return address. The caller must have set up RSP to a mapped stack. *)
 
 type engine_kind =
-  | Threaded  (** pre-translated closure-threaded code (default) *)
-  | Reference  (** the original AST-matching interpreter *)
-  | Tier2
-      (** threaded code plus eager superblock promotion: every eligible
-          basic block is fused into a single closure at load time (and on
-          [set_engine]), with per-instruction counter updates batched into
-          one charge per block *)
-  | Adaptive
-      (** profiler-driven tiering: blocks start on the threaded
-          dispatcher and are promoted to superblocks between {!run}
-          slices once the sampling profiler sees them go hot (see
-          {!set_tier_config}) *)
+  | Reference  (** the AST-matching interpreter, kept as the differential oracle *)
+  | Compiled
+      (** closure-threaded code compiled lazily (the default): each
+          instruction is translated on its first dispatch, and each
+          eligible basic block is fused into a superblock on its first
+          entry, with per-instruction counter updates batched into one
+          charge per block *)
 
 val engine : t -> engine_kind
 val set_engine : t -> engine_kind -> unit
-(** Select the execution engine used by {!run}. All engines are
+(** Select the execution engine used by {!run}. Both engines are
     observationally identical — same registers, flags, counters and traps
     — which {!Lockstep} validates instruction by instruction; [Reference]
-    exists as the differential oracle and costs several times more host
-    time per simulated instruction. Superblocks charge their fixed costs
-    at block entry and roll back to the faulting instruction on a trap,
-    so at every dispatch boundary (any [run ~fuel] slice edge) the
-    {!snapshot} of a tiered machine is bit-identical to an untiered
-    one. *)
-
-(** {1 Tier policy} *)
-
-type tier_config = {
-  threshold : int;  (** profiler samples in a block before promotion (default 8) *)
-  stride : int;  (** fresh samples between promotion scans (default 256) *)
-  min_len : int;  (** smallest block worth fusing, in dispatch slots (default 2) *)
-}
-
-val default_tier_config : tier_config
-val tier_config : t -> tier_config
-
-val set_tier_config : t -> tier_config -> unit
-(** Tune the [Adaptive] promotion policy. Raises [Invalid_argument] if any
-    knob is [<= 0]. Takes effect at the next promotion scan; already
-    promoted blocks stay promoted. *)
+    costs several times more host time per simulated instruction.
+    Superblocks charge their fixed costs at block entry and roll back to
+    the faulting instruction on a trap, and a block is entered only when
+    the remaining fuel covers all of it, so at every dispatch boundary
+    (any [run ~fuel] slice edge) the {!snapshot} of a [Compiled] machine is
+    bit-identical to a [Reference] one. *)
 
 type tier_stats = {
   blocks_total : int;  (** basic blocks in the loaded program *)
-  blocks_promoted : int;  (** currently running as superblocks *)
+  blocks_promoted : int;
+      (** currently running as superblocks: entered at least once, and
+          eligible under the current trace sink *)
   promotions : int;  (** lifetime promotions, across [load_program]s *)
   superblock_instructions : int;
       (** instructions retired inside superblocks (lifetime) — a host-side
@@ -208,21 +191,21 @@ val set_trace : t -> Sfi_trace.Trace.t -> unit
     on every [wrpkru] (both engines, identically) and a
     [fuel.checkpoint] each time {!run} yields. Trace emission never
     touches the performance counters, so traced and untraced runs stay
-    bit-identical under {!Lockstep}. *)
+    bit-identical under {!Lockstep}. An enabled sink sends promoted
+    blocks that can trap mid-way back to per-instruction dispatch (their
+    batched charges would shift the events' timestamps); pure blocks keep
+    running as superblocks. *)
 
 val arm_profiler : ?interval:int -> t -> unit
 (** Start sampling the program counter every [interval] (default 64)
     executed instructions into a per-instruction histogram. Arming
     clears previous samples. Sampling runs in a dedicated dispatch loop
     so the disarmed hot path is unchanged, and it perturbs no
-    architectural state or counters. Selecting the [Adaptive] engine
-    arms the profiler (at the default interval) if it is not already
-    armed. *)
+    architectural state or counters. A superblock's samples are
+    attributed to its exit instruction. *)
 
 val disarm_profiler : t -> unit
-(** Stop sampling. Collected samples remain readable. Under the
-    [Adaptive] engine this also freezes tier promotion at the current
-    assignment — already-promoted superblocks keep running. *)
+(** Stop sampling. Collected samples remain readable. *)
 
 val profile_samples : t -> int
 (** Total samples collected since the profiler was last armed. *)

@@ -1,7 +1,7 @@
 (* Machine state: the [t] record, its satellite types, construction, and the
    small accessors that touch only state. The execution pipeline is layered
    on top — [Decode] (operand/memory primitives + the reference
-   interpreter), [Translate] (threaded-code compiler + basic-block
+   interpreter), [Translate] (lazy threaded-code compiler + basic-block
    analysis), [Tier] (superblock promotion) — and re-exported through the
    [Machine] facade, which is the only module with a public interface. *)
 
@@ -31,7 +31,7 @@ exception Trap_exn of trap_kind
    sentinel. *)
 exception Halt_exn
 
-type engine_kind = Threaded | Reference | Tier2 | Adaptive
+type engine_kind = Reference | Compiled
 
 (* SFI sanitizer hook. [San_read]/[San_write] fire after an access passed
    every architectural check (mapping, protection, PKRU) — i.e. for
@@ -43,7 +43,7 @@ type engine_kind = Threaded | Reference | Tier2 | Adaptive
    generic out-of-bounds trap. *)
 type sanitizer_access = San_read | San_write | San_branch
 
-(* Basic-block classes, after the Adaptive Flow Director tier taxonomy:
+(* Basic-block classes, after the adaptive flow director's tier taxonomy:
    [Bpure] is compute-only code that cannot trap or touch memory, [Bload]
    is no-store-no-branch code (loads, pops, division — trappable but
    side-effect-free until retirement), [Bhazard] is everything with stores
@@ -67,16 +67,20 @@ type loaded = {
   lengths : int array; (* encoded length of each instruction *)
   targets : int array; (* direct-branch target index, -1 = unresolved label *)
   index_of_off : int array; (* code byte offset -> instruction index, -1 = none *)
-  exec : (t -> unit) array; (* threaded code; exec.(n) is the off-end sentinel *)
+  (* Closure-threaded code, compiled lazily: a slot holds [Translate]'s
+     shared stub until its first dispatch compiles it in place. exec.(n)
+     is the off-end sentinel. *)
+  exec : (t -> unit) array;
   blocks : block array; (* partition of [0, n) into basic blocks *)
   block_of : int array; (* instruction index -> block index *)
-  (* Tier-2 dispatch tables, indexed by instruction like [exec].
-     [sb_len.(i) = 0] means instruction [i] does not head a promoted
-     superblock; [k > 0] means [sb_exec.(i)] executes the whole [k]-slot
-     block with batched counter charges. *)
+  (* Superblock dispatch tables, indexed by instruction like [exec].
+     [sb_len.(i) = 0] means instruction [i] heads no eligible block;
+     [k > 0] means [sb_exec.(i)] executes the whole [k]-slot block with
+     batched counter charges — or, until its first entry, is [Tier]'s
+     stub that promotes the block and then runs it. *)
   sb_len : int array;
   sb_exec : (t -> unit) array;
-  mutable promoted : int; (* blocks currently promoted *)
+  mutable promoted : int; (* blocks currently promoted (stubs excluded) *)
 }
 
 and t = {
@@ -135,24 +139,17 @@ and t = {
   mutable trace : Sfi_trace.Trace.t;
   (* Sampling hot-PC profiler: every [prof_interval] executed instructions
      (0 = disarmed) the current pc is bucketed into [prof_counts]. The
-     sampling run loops are separate from the untraced ones, so the
-     default path keeps its tight dispatch. [prof_total] mirrors the
-     histogram sum so promotion scans can throttle without an O(n) fold;
-     [prof_dropped] counts samples discarded when [load_program] replaces
-     the program the histogram described. *)
+     sampling run loop is separate from the unsampled one, so the default
+     path keeps its tight dispatch. [prof_dropped] counts samples
+     discarded when [load_program] replaces the program the histogram
+     described. *)
   mutable prof_interval : int;
   mutable prof_credit : int;
   mutable prof_counts : int array;
-  mutable prof_total : int;
   mutable prof_dropped : int;
-  mutable prof_last_scan : int;
-  (* Tier promotion policy knobs + lifetime stats. [sb_retired] counts
-     instructions retired inside superblocks (a host-side statistic, not
-     part of the observable snapshot — tiered and untierd runs differ on
-     it by design). *)
-  mutable tier_threshold : int;
-  mutable tier_stride : int;
-  mutable tier_min_len : int;
+  (* Lifetime tier stats. [sb_retired] counts instructions retired inside
+     superblocks (a host-side statistic, not part of the observable
+     snapshot — the engines differ on it by design). *)
   mutable tier_promotions : int;
   mutable sb_retired : int;
 }
@@ -183,15 +180,6 @@ let default_dcache_config =
   (* 512 lines x 8 ways x 64 B = 32 KiB, a typical L1D. *)
   { Tlb.entries = 512; ways = 8; page_walk_levels = 0; walk_cycles_per_level = 0 }
 
-(* Defaults for the promotion policy: a block is worth a superblock once
-   the profiler has seen ~threshold samples land in it (at the default
-   1-in-64 sampling cadence that is ~512 retired instructions), scans are
-   amortized over [tier_stride] fresh samples, and 1-slot blocks are never
-   promoted (nothing to batch). *)
-let default_tier_threshold = 8
-let default_tier_stride = 256
-let default_tier_min_len = 2
-
 let create ?(cost = Cost.default) ?(tlb = Tlb.default_config) ?(code_base = default_code_base)
     ?(fsgsbase_available = true) space =
   {
@@ -217,7 +205,7 @@ let create ?(cost = Cost.default) ?(tlb = Tlb.default_config) ?(code_base = defa
     counters = fresh_counters ();
     last_fault = None;
     hostcall = (fun _ n -> invalid_arg (Printf.sprintf "no hostcall handler (hostcall %d)" n));
-    engine = Threaded;
+    engine = Compiled;
     sanitizer = None;
     pc_tag = Array.make pc_size (-1);
     pc_slot = Array.make pc_size 0;
@@ -232,12 +220,7 @@ let create ?(cost = Cost.default) ?(tlb = Tlb.default_config) ?(code_base = defa
     prof_interval = 0;
     prof_credit = 0;
     prof_counts = [||];
-    prof_total = 0;
     prof_dropped = 0;
-    prof_last_scan = 0;
-    tier_threshold = default_tier_threshold;
-    tier_stride = default_tier_stride;
-    tier_min_len = default_tier_min_len;
     tier_promotions = 0;
     sb_retired = 0;
   }
@@ -294,31 +277,17 @@ let instr_at t idx =
   | Some l when idx >= 0 && idx < Array.length l.program -> Some l.program.(idx)
   | _ -> None
 
-(* Bucket the pc a sampling loop stopped at. Counter effects: none — the
-   profiler observes execution without perturbing it, so armed and
-   disarmed runs stay bit-identical under lockstep comparison. *)
-let[@inline] prof_sample t =
-  t.prof_credit <- t.prof_credit - 1;
-  if t.prof_credit <= 0 then begin
-    t.prof_credit <- t.prof_interval;
-    let pc = t.pc in
-    if pc >= 0 && pc < Array.length t.prof_counts then begin
-      t.prof_counts.(pc) <- t.prof_counts.(pc) + 1;
-      t.prof_total <- t.prof_total + 1
-    end
-  end
-
-(* Same cadence for a superblock that just retired [slots] dispatch slots:
-   spend the credit in one subtraction and bucket the block-exit pc. The
-   histogram is a statistical view, so attributing the whole block to its
-   exit pc is fine — and it is never part of the observable snapshot. *)
-let[@inline] prof_sample_block t slots =
+(* Bucket the pc a sampling loop stopped at after retiring [slots]
+   dispatch slots (1, or a whole superblock's worth: the credit is spent
+   in one subtraction and the block is attributed to its exit pc — the
+   histogram is a statistical view). Counter effects: none — the profiler
+   observes execution without perturbing it, so armed and disarmed runs
+   stay bit-identical under lockstep comparison. *)
+let[@inline] prof_sample t slots =
   t.prof_credit <- t.prof_credit - slots;
   if t.prof_credit <= 0 then begin
     t.prof_credit <- t.prof_interval;
     let pc = t.pc in
-    if pc >= 0 && pc < Array.length t.prof_counts then begin
-      t.prof_counts.(pc) <- t.prof_counts.(pc) + 1;
-      t.prof_total <- t.prof_total + 1
-    end
+    if pc >= 0 && pc < Array.length t.prof_counts then
+      t.prof_counts.(pc) <- t.prof_counts.(pc) + 1
   end

@@ -1,6 +1,9 @@
-(* Tier 2: superblock promotion. A promoted basic block executes as one
-   closure that charges instruction/code-byte/fixed-cycle counters once at
-   block entry (constant-folded at promotion time) and then runs per-op
+(* Tier 2: superblock promotion and the compiled engine's dispatch loop.
+   Every eligible basic block head starts with a stub that promotes the
+   block on its first entry, so only blocks that actually run are ever
+   fused. A promoted basic block executes as one closure that charges
+   instruction/code-byte/fixed-cycle counters once at block entry
+   (constant-folded at promotion time) and then runs per-op
    bodies ([Decode.compile_body], the same ones tier 1 runs after its
    per-instruction prologue). Dynamic costs — dTLB walks, dcache misses,
    load/store counters, taken-branch cycles, segment/PKRU side effects —
@@ -16,10 +19,8 @@ open Mstate
 open Decode
 open Translate
 
-let class_code = function Bpure -> 0 | Bload -> 1 | Bhazard -> 2 | Bbypass -> 3
-
-(* Build and install the superblock closure for [b]. The caller has
-   already checked eligibility. *)
+(* Build and install the superblock closure for [b] in place of its stub
+   ([arm] already set its [sb_len]). *)
 let promote_block t (l : loaded) (b : block) =
   let s = b.b_start and k = b.b_len in
   let prog = l.program in
@@ -106,75 +107,65 @@ let promote_block t (l : loaded) (b : block) =
         raise e
   in
   l.sb_exec.(s) <- sb;
-  l.sb_len.(s) <- k;
   l.promoted <- l.promoted + 1;
   t.tier_promotions <- t.tier_promotions + 1;
   if Sfi_trace.Trace.enabled t.trace then
-    Sfi_trace.Trace.tier_promote t.trace ~cls:(class_code b.b_class) ~block:s ~len:k
+    Sfi_trace.Trace.tier_promote t.trace ~cls:(class_rank b.b_class) ~block:s ~len:k
 
-(* Promotion policy. [Bbypass] never promotes; trappable classes promote
-   only while tracing is off, because their dynamic TLB/dcache/PKRU events
+(* Promotion policy. Blocks of one dispatch slot never promote (nothing
+   to batch), nor do [Bbypass] blocks; trappable classes promote only
+   while tracing is off, because their dynamic TLB/dcache/PKRU events
    carry cycle timestamps that batching would shift. [Bpure] blocks emit
    nothing and promote unconditionally. *)
 let eligible t (b : block) =
-  b.b_len >= t.tier_min_len
+  b.b_len >= 2
   &&
   match b.b_class with
   | Bpure -> true
   | Bload | Bhazard -> not (Sfi_trace.Trace.enabled t.trace)
   | Bbypass -> false
 
-let promote_all t =
-  match t.loaded with
-  | None -> ()
-  | Some l ->
-      Array.iter (fun b -> if l.sb_len.(b.b_start) = 0 && eligible t b then promote_block t l b) l.blocks
+(* The initial [sb_exec] of every eligible block head: promote the block
+   at [t.pc], then run the superblock that replaced this stub. The
+   dispatch loop only calls it with a budget that covers the whole block,
+   exactly as it would call the superblock. Closed, so statically
+   allocated, like [Translate.compile_on_dispatch]. *)
+let promote_on_entry t =
+  let l = get_loaded t in
+  promote_block t l l.blocks.(l.block_of.(t.pc));
+  l.sb_exec.(t.pc) t
 
-(* Demote promoted blocks that are no longer safe under the current trace
-   sink (called when [set_trace] installs an enabled sink). Stale
-   [sb_exec] entries are unreachable once [sb_len] is zeroed. *)
-let demote_unsafe t =
+(* Match the superblock tables to the current eligibility: arm the stub
+   on every eligible block head that has none, and demote every block
+   that is no longer eligible — on [load_program], and on [set_trace],
+   whose sink decides whether trappable blocks may batch. A demoted
+   block's stale [sb_exec] is unreachable once [sb_len] is zeroed. *)
+let arm t =
   match t.loaded with
   | None -> ()
   | Some l ->
       Array.iter
         (fun b ->
-          if l.sb_len.(b.b_start) > 0 && b.b_class <> Bpure then begin
-            l.sb_len.(b.b_start) <- 0;
-            l.promoted <- l.promoted - 1
+          let s = b.b_start in
+          if eligible t b then begin
+            if l.sb_len.(s) = 0 then begin
+              l.sb_len.(s) <- b.b_len;
+              l.sb_exec.(s) <- promote_on_entry
+            end
+          end
+          else if l.sb_len.(s) > 0 then begin
+            if l.sb_exec.(s) != promote_on_entry then l.promoted <- l.promoted - 1;
+            l.sb_len.(s) <- 0
           end)
         l.blocks
 
-(* Profiler-driven promotion sweep, throttled to one O(program) pass per
-   [tier_stride] fresh samples. A block is hot once the histogram holds
-   [tier_threshold] samples across its slots. *)
-let adaptive_scan t =
-  match t.loaded with
-  | None -> ()
-  | Some l ->
-      if t.prof_total - t.prof_last_scan >= t.tier_stride then begin
-        t.prof_last_scan <- t.prof_total;
-        let counts = t.prof_counts in
-        let ncounts = Array.length counts in
-        Array.iter
-          (fun b ->
-            if l.sb_len.(b.b_start) = 0 && eligible t b then begin
-              let sum = ref 0 in
-              let hi = min (b.b_start + b.b_len) ncounts in
-              for i = b.b_start to hi - 1 do
-                sum := !sum + counts.(i)
-              done;
-              if !sum >= t.tier_threshold then promote_block t l b
-            end)
-          l.blocks
-      end
-
-(* The tiered dispatch loop: superblock when the current pc heads one and
-   the remaining budget covers all of its slots (so fuel boundaries stay
-   aligned with tier-1 dispatch slots), single threaded-code dispatch
-   otherwise. A superblock retires [k] dispatch slots of fuel — exactly
-   what tier 1 would have spent on the same instructions. *)
-let run_tiered t ~fuel =
+(* The compiled engine's dispatch loop: superblock when the current pc
+   heads one and the remaining budget covers all of its slots (so fuel
+   boundaries stay aligned with tier-1 dispatch slots), single
+   threaded-code dispatch otherwise. A superblock retires [k] dispatch
+   slots of fuel — exactly what tier 1 would have spent on the same
+   instructions. *)
+let run t ~fuel =
   let l = get_loaded t in
   let code = l.exec in
   let sb_len = l.sb_len in
@@ -191,12 +182,12 @@ let run_tiered t ~fuel =
           if k > 0 && k <= !budget then begin
             budget := !budget - k;
             sb_exec.(pc) t;
-            prof_sample_block t k
+            prof_sample t k
           end
           else begin
             decr budget;
             code.(pc) t;
-            prof_sample t
+            prof_sample t 1
           end
         done;
         Yielded

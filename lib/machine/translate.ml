@@ -1,11 +1,13 @@
-(* Tier-1 translation: [install] compiles each instruction once into an
+(* Tier-1 translation: [compile_instr] compiles one instruction into an
    [exec : t -> unit] closure — the per-instruction prologue, the fixed
    cycle charge, then the op's [Decode.compile_body], with operands,
    widths, branch targets, encoded lengths and return addresses
-   pre-resolved — and partitions the program into classified basic blocks
-   for the superblock tier. The closures must reproduce [Decode.step]'s
-   observable behavior exactly — same counters, same charge order, same
-   traps — which {!Lockstep} checks instruction by instruction. *)
+   pre-resolved. [install] compiles nothing: it fills [exec] with a stub
+   that compiles its slot on first dispatch, and partitions the program
+   into classified basic blocks for the superblock tier. The closures must
+   reproduce [Decode.step]'s observable behavior exactly — same counters,
+   same charge order, same traps — which {!Lockstep} checks instruction by
+   instruction. *)
 
 open Sfi_x86.Ast
 open Mstate
@@ -137,6 +139,18 @@ let analyze_blocks program targets =
 
 (* --- Program installation (the body of [Machine.load_program]) --- *)
 
+(* The initial content of every [exec] slot: compile the instruction at
+   [t.pc], overwrite the slot with it, run it. A closed top-level function,
+   so it is statically allocated and filling a large array with it does
+   not force a minor collection (see DESIGN.md, load path). *)
+let compile_on_dispatch t =
+  let l = get_loaded t in
+  let f = compile_instr t l t.pc in
+  l.exec.(t.pc) <- f;
+  f t
+
+let off_end _ = raise (Trap_exn Trap_out_of_bounds)
+
 let install t program =
   let n = Array.length program in
   (* One encoding pass; offsets and code length are its prefix sums. *)
@@ -168,6 +182,8 @@ let install t program =
   let blocks, block_of = analyze_blocks program targets in
   (* exec.(n) is the off-end sentinel: running past the last instruction is
      an out-of-bounds fetch, exactly as [step] treats pc >= n. *)
+  let exec = Array.make (n + 1) compile_on_dispatch in
+  exec.(n) <- off_end;
   let l =
     {
       program;
@@ -177,17 +193,14 @@ let install t program =
       lengths;
       targets;
       index_of_off;
-      exec = Array.make (n + 1) (fun _ -> raise (Trap_exn Trap_out_of_bounds));
+      exec;
       blocks;
       block_of;
       sb_len = Array.make (n + 1) 0;
-      sb_exec = Array.make (n + 1) (fun _ -> ());
+      sb_exec = Array.make (n + 1) off_end;
       promoted = 0;
     }
   in
-  for idx = 0 to n - 1 do
-    l.exec.(idx) <- compile_instr t l idx
-  done;
   t.loaded <- Some l;
   (* Samples collected against the replaced program describe instruction
      indices that no longer mean anything; they are dropped, and the loss
@@ -199,39 +212,4 @@ let install t program =
   if stale > 0 then t.prof_dropped <- t.prof_dropped + stale;
   if t.prof_interval > 0 then t.prof_counts <- Array.make (n + 1) 0
   else if Array.length t.prof_counts > 0 then t.prof_counts <- [||];
-  t.prof_total <- 0;
-  t.prof_last_scan <- 0;
   t.pc <- 0
-
-let run_threaded t ~fuel =
-  let l = get_loaded t in
-  let code = l.exec in
-  if fuel <= 0 then Yielded
-  else if t.pc < 0 || t.pc > Array.length l.program then
-    (* [step] would trap here; once inside the loop the closures maintain
-       pc within [0, n] (index n being the off-end sentinel). *)
-    Trapped Trap_out_of_bounds
-  else begin
-    let budget = ref fuel in
-    try
-      if t.prof_interval > 0 then begin
-        (* Separate sampling loop so the default path below keeps its
-           tight two-load dispatch. *)
-        while !budget > 0 do
-          decr budget;
-          code.(t.pc) t;
-          prof_sample t
-        done;
-        Yielded
-      end
-      else begin
-        while !budget > 0 do
-          decr budget;
-          code.(t.pc) t
-        done;
-        Yielded
-      end
-    with
-    | Halt_exn | Hostcall_exit _ -> Halted
-    | Trap_exn k -> Trapped k
-  end

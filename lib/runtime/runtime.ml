@@ -61,11 +61,7 @@ let create_engine ?cost ?tlb ?(fsgsbase_available = true) ?max_map_count
     (compiled : Codegen.compiled) =
   let space = Space.create ?max_map_count () in
   let machine = Machine.create ?cost ?tlb ~fsgsbase_available ?code_base space in
-  (* Default to the adaptive tier: threaded dispatch with profiler-driven
-     superblock promotion of hot blocks — observationally identical to
-     [Threaded] (lockstep- and fuzzer-pinned) and strictly faster on
-     host time once a workload has hot loops. *)
-  Machine.set_engine machine (match engine with Some k -> k | None -> Machine.Adaptive);
+  Option.iter (Machine.set_engine machine) engine;
   Machine.load_program machine compiled.Codegen.program;
   (* Indirect-call tables: code addresses and type ids, host memory. *)
   let cfg = compiled.Codegen.config in

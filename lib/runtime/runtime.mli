@@ -79,9 +79,9 @@ val create_engine :
     [readonly_springboard_cycles] (default 24) price the thin hostcall
     springboards of the corresponding {!hostcall_class}es, per Kolosick et
     al.'s zero-cost transitions. [engine] selects the machine's execution
-    engine (default {!Sfi_machine.Machine.Adaptive}: threaded dispatch
-    plus profiler-driven superblock promotion — observationally identical
-    to [Threaded] but faster on host time once hot blocks tier up). *)
+    engine (default {!Sfi_machine.Machine.Compiled}, which compiles each
+    instruction on first dispatch and fuses each eligible basic block on
+    first entry; [Reference] is the bit-identical oracle). *)
 
 val machine : engine -> Sfi_machine.Machine.t
 val space : engine -> Sfi_vmem.Space.t
@@ -159,7 +159,7 @@ val num_slots : engine -> int
 (** Slot-pool capacity of the engine ([4096] for the [Simple]
     allocator). *)
 
-(** {1 Adaptive admission}
+(** {1 Admission control}
 
     A CoDel-style controlled-delay queue over the slot pool plus a
     token-bucket rate limiter per tenant, replacing the blind FIFO

@@ -130,26 +130,25 @@ let split_at t addr =
 
 (* Merge VMAs with identical attributes that became adjacent after an
    update, as the kernel does — keeps vma_count honest for the
-   max_map_count experiments. *)
+   max_map_count experiments. Walks every VMA from the one ending at
+   [addr] (so a merge across the left edge happens) to the one starting at
+   [addr + len] (across the right edge), comparing each with its
+   successor. *)
 let merge_range t addr len =
   let finish = addr + len in
   let rec merge_from pos =
-    if pos > finish then ()
-    else
-      match Imap.find_last_opt (fun s -> s <= pos) t.vmas with
-      | None -> ()
-      | Some (_, v) -> (
-          match Imap.find_opt (vma_end v) t.vmas with
-          | Some next when next.prot = v.prot && next.pkey = v.pkey ->
-              t.vmas <- Imap.remove next.start t.vmas;
-              t.vma_count <- t.vma_count - 1;
-              t.vmas <- Imap.add v.start { v with len = v.len + next.len } t.vmas;
-              merge_from pos
-          | Some next -> merge_from (vma_end next)
-          | None -> ())
+    match Imap.find_first_opt (fun s -> s >= pos) t.vmas with
+    | Some (_, v) when v.start <= finish -> (
+        match Imap.find_opt (vma_end v) t.vmas with
+        | Some next when next.prot = v.prot && next.pkey = v.pkey ->
+            t.vmas <- Imap.remove next.start t.vmas;
+            t.vma_count <- t.vma_count - 1;
+            t.vmas <- Imap.add v.start { v with len = v.len + next.len } t.vmas;
+            merge_from v.start
+        | Some _ | None -> merge_from (vma_end v))
+    | Some _ | None -> ()
   in
-  (* Start just before the range so a merge across the left edge happens. *)
-  merge_from (max 0 (addr - 1))
+  merge_from (match find_vma t (addr - 1) with Some v -> v.start | None -> addr)
 
 (* Apply [f] to every VMA fully inside [addr, addr+len), after splitting at
    the edges. The range must be fully mapped. *)

@@ -1,5 +1,5 @@
-(* Differential validation of the threaded execution engine against the
-   reference step interpreter: lockstep snapshot comparison on handcrafted
+(* Differential validation of the compiled (closure-threaded) execution
+   engine against the reference step interpreter: lockstep snapshot comparison on handcrafted
    programs covering every trap kind and control-flow shape, a randomized
    qcheck property reusing the test_random_programs generator through the
    full Wasm pipeline, and targeted tests for the page-access cache's
@@ -185,7 +185,7 @@ let check_engines_agree seed =
   let a = Int64.logand (Prng.next_int64 rng) 0xFFFFFFFFL in
   let b = Prng.next_int64 rng in
   let r_res, r_c, r_tlb, r_dc, r_mem = run_wasm Machine.Reference m [ a; b ] in
-  let t_res, t_c, t_tlb, t_dc, t_mem = run_wasm Machine.Threaded m [ a; b ] in
+  let t_res, t_c, t_tlb, t_dc, t_mem = run_wasm Machine.Compiled m [ a; b ] in
   (match (r_res, t_res) with
   | Ok rv, Ok tv ->
       if rv <> tv then QCheck.Test.fail_reportf "seed %d: result %Ld vs %Ld" seed rv tv
@@ -193,10 +193,10 @@ let check_engines_agree seed =
       if rk <> tk then
         QCheck.Test.fail_reportf "seed %d: trap %s vs %s" seed (X.trap_name rk) (X.trap_name tk)
   | Ok rv, Error tk ->
-      QCheck.Test.fail_reportf "seed %d: reference %Ld, threaded trapped %s" seed rv
+      QCheck.Test.fail_reportf "seed %d: reference %Ld, compiled trapped %s" seed rv
         (X.trap_name tk)
   | Error rk, Ok tv ->
-      QCheck.Test.fail_reportf "seed %d: reference trapped %s, threaded %Ld" seed
+      QCheck.Test.fail_reportf "seed %d: reference trapped %s, compiled %Ld" seed
         (X.trap_name rk) tv);
   if r_c <> t_c then QCheck.Test.fail_reportf "seed %d: counters diverged" seed;
   if r_tlb <> t_tlb then QCheck.Test.fail_reportf "seed %d: dTLB %d vs %d" seed r_tlb t_tlb;
@@ -316,33 +316,25 @@ let check_shapes_agree seed =
   let program = gen_shape_program rng in
   let make = make_machine ~setup:(shape_setup rng) program in
   List.iter
-    (fun (engines, stride) ->
-      match Lockstep.run_pair ~engines ~stride ~make ~entry:"entry" () with
+    (fun stride ->
+      match Lockstep.run_pair ~stride ~make ~entry:"entry" () with
       | Ok _ -> ()
       | Error d ->
           QCheck.Test.fail_reportf "seed %d: %s" seed
             (Format.asprintf "%a" Lockstep.pp_divergence d))
-    [
-      ((Machine.Reference, Machine.Threaded), 1);
-      ((Machine.Reference, Machine.Tier2), 7);
-      ((Machine.Threaded, Machine.Tier2), 1000);
-    ];
+    [ 1; 7; 1000 ];
   let final engine =
     let m = make () in
     Machine.set_engine m engine;
     let st = Machine.execute m ~entry:"entry" () in
     (st, Machine.snapshot m, shape_memory m)
   in
-  let reference = final Machine.Reference in
-  List.iter
-    (fun engine ->
-      if final engine <> reference then
-        QCheck.Test.fail_reportf "seed %d: final state or memory differs from the reference" seed)
-    [ Machine.Threaded; Machine.Tier2 ];
+  if final Machine.Compiled <> final Machine.Reference then
+    QCheck.Test.fail_reportf "seed %d: final state or memory differs from the reference" seed;
   true
 
 let qcheck_shapes =
-  QCheck.Test.make ~count:200 ~name:"operand shape x width: reference = threaded = tier2"
+  QCheck.Test.make ~count:200 ~name:"operand shape x width: reference = compiled"
     QCheck.(int_range 0 99999)
     check_shapes_agree
 
@@ -359,7 +351,7 @@ let run_with engine ?pkru ?setup instrs =
   (m, st)
 
 let both_engines f =
-  List.iter (fun e -> f e) [ Machine.Reference; Machine.Threaded ]
+  List.iter (fun e -> f e) [ Machine.Reference; Machine.Compiled ]
 
 let test_pcache_prot_change () =
   (* A warm read of the page must not let a later store bypass mprotect. *)

@@ -347,8 +347,9 @@ let check_sim_observers_bit_identical engine =
     | Some b -> b.Flight.b_events <> []
     | None -> false)
 
-let test_sim_observers_bit_identical_threaded () =
-  check_sim_observers_bit_identical Machine.Threaded
+(* The compiled engine runs closure-threaded code, hence the case name. *)
+let test_sim_observers_bit_identical_compiled () =
+  check_sim_observers_bit_identical Machine.Compiled
 
 let test_sim_observers_bit_identical_reference () =
   check_sim_observers_bit_identical Machine.Reference
@@ -534,7 +535,7 @@ let tests =
     Harness.case "flight untraced tap and freeze" test_flight_untraced_tap_and_freeze;
     Harness.case "flight taps an enabled primary" test_flight_tap_tees_enabled_primary;
     Harness.case "sim observers bit-identical (threaded)"
-      test_sim_observers_bit_identical_threaded;
+      test_sim_observers_bit_identical_compiled;
     Harness.case "sim observers bit-identical (reference)"
       test_sim_observers_bit_identical_reference;
     Harness.case "chaos freezes a post-mortem per fault class"

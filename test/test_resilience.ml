@@ -349,7 +349,8 @@ let check_chaos_deterministic engine =
   Alcotest.(check int) "every perturbation applied" 40 a.Chaos.sim.Sim.chaos_applied;
   Alcotest.(check int) "all breakers re-closed" 0 a.Chaos.sim.Sim.breakers_open_at_end
 
-let test_chaos_deterministic_threaded () = check_chaos_deterministic Machine.Threaded
+(* The compiled engine runs closure-threaded code, hence the case name. *)
+let test_chaos_deterministic_compiled () = check_chaos_deterministic Machine.Compiled
 let test_chaos_deterministic_reference () = check_chaos_deterministic Machine.Reference
 
 let test_chaos_seed_changes_schedule () =
@@ -374,7 +375,7 @@ let tests =
     Harness.case "admission queue capacity" test_admission_queue_capacity;
     QCheck_alcotest.to_alcotest prop_fifo_model;
     Harness.case "sim watchdog always armed" test_watchdog_always_armed;
-    Harness.case "chaos deterministic (threaded)" test_chaos_deterministic_threaded;
+    Harness.case "chaos deterministic (threaded)" test_chaos_deterministic_compiled;
     Harness.case "chaos deterministic (reference)" test_chaos_deterministic_reference;
     Harness.case "chaos seed changes schedule" test_chaos_seed_changes_schedule;
   ]

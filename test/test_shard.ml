@@ -11,7 +11,7 @@ module Trace = Sfi_trace.Trace
 module Runtime = Sfi_runtime.Runtime
 module Machine = Sfi_machine.Machine
 
-let base_cfg ?(seed = 11L) ?(workload = Wk.Micro_kv) ?(engine = Machine.Threaded)
+let base_cfg ?(seed = 11L) ?(workload = Wk.Micro_kv) ?(engine = Machine.Compiled)
     ?(concurrency = 24) ?(open_loop = false) () =
   let cfg = Sim.default_config ~workload ~engine () in
   let cfg = { cfg with Sim.concurrency; duration_ns = 8.0e6; io_mean_ns = 1.0e6; seed } in
@@ -74,8 +74,8 @@ let prop_one_shard_bit_identical =
   QCheck.Test.make ~name:"1-shard run == unsharded Sim.run (both engines)"
     ~count:6
     QCheck.(triple small_nat bool bool)
-    (fun (seed, open_loop, threaded) ->
-      let engine = if threaded then Machine.Threaded else Machine.Reference in
+    (fun (seed, open_loop, compiled) ->
+      let engine = if compiled then Machine.Compiled else Machine.Reference in
       let cfg =
         base_cfg
           ~seed:(Int64.of_int (seed + 1))
@@ -97,7 +97,7 @@ let test_ksharded_deterministic () =
       Alcotest.(check int64) "metrics deterministic across repeats" m1 m2;
       let r3, _, _ = run (base_cfg ~engine ~open_loop:true ~concurrency:32 ~seed:8L ()) in
       Alcotest.(check bool) "different seed diverges" true (r1 <> r3))
-    [ Machine.Threaded; Machine.Reference ]
+    [ Machine.Compiled; Machine.Reference ]
 
 let test_ksharded_report_shape () =
   let cfg = base_cfg ~open_loop:true ~concurrency:32 () in

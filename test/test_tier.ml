@@ -1,10 +1,11 @@
-(* Tests for the tiered execution pipeline: profiler sample accounting
-   across program swaps (the [profile_dropped] contract), eager and
-   adaptive superblock promotion, bit-identity of mid-run promotion with
-   the per-instruction engines (handcrafted, qcheck-random, and fuzzer
-   corpus programs), trace-driven demotion of trappable superblocks, the
-   page-access-cache invalidation edge across a superblock boundary, and
-   the allocation-free execution core. *)
+(* Tests for the compiled engine's tier pipeline: profiler sample
+   accounting across program swaps (the [profile_dropped] contract),
+   promotion of a block on its first entry (and of no block that never
+   runs), bit-identity of that promotion with the reference interpreter
+   at fuel edges before and after it (handcrafted, qcheck-random, and
+   fuzzer corpus programs), trace-driven demotion of trappable
+   superblocks, the page-access-cache invalidation edge across a
+   superblock boundary, and the allocation-free execution core. *)
 
 module X = Sfi_x86.Ast
 module Machine = Sfi_machine.Machine
@@ -72,24 +73,8 @@ let test_profile_dropped_on_swap () =
   Alcotest.(check int) "dropped count is lifetime, not clobbered" s
     (Machine.profile_dropped m)
 
-let test_disarm_sticks_under_adaptive () =
-  let m = make_machine (loop_program 200) () in
-  Machine.set_engine m Machine.Adaptive;
-  (match Machine.execute m ~entry:"entry" () with
-  | Machine.Halted -> ()
-  | _ -> Alcotest.fail "loop should halt");
-  let s = Machine.profile_samples m in
-  Alcotest.(check bool) "adaptive auto-armed the profiler" true (s > 0);
-  (* An explicit disarm must survive further adaptive runs: promotion
-     freezes, sampling stops, and the histogram is left readable. *)
-  Machine.disarm_profiler m;
-  (match Machine.execute m ~entry:"entry" () with
-  | Machine.Halted -> ()
-  | _ -> Alcotest.fail "loop should halt");
-  Alcotest.(check int) "disarmed: no new samples" s (Machine.profile_samples m)
-
 (* ------------------------------------------------------------------ *)
-(* Promotion policy: eager tier 2, adaptive, trace demotion.           *)
+(* Promotion on first entry, trace demotion.                           *)
 (* ------------------------------------------------------------------ *)
 
 (* A pure block (entry, ends in jmp) followed by a hazardous block (the
@@ -107,73 +92,120 @@ let mixed_program =
     X.Nop;
   ]
 
-let test_tier2_eager_promotion () =
+(* Six blocks: the entry block (ends in the call), its return
+   continuation, [used] up to its hostcall (bypass: never promoted), the
+   rest of [used], [unused] — which never runs — and the one-slot [Ret]
+   the harness appends. Three eligible blocks run. *)
+let unreachable_fn_program =
+  [
+    X.Mov (X.W64, X.Reg X.RAX, X.Imm 1L);
+    X.Alu (X.Add, X.W64, X.Reg X.RAX, X.Imm 2L);
+    X.Call "used";
+    X.Alu (X.Add, X.W64, X.Reg X.RAX, X.Imm 1L);
+    X.Ret;
+    X.Label "used";
+    X.Mov (X.W64, X.Reg X.RBX, X.Imm 5L);
+    X.Hostcall 1;
+    X.Alu (X.Add, X.W64, X.Reg X.RBX, X.Reg X.RAX);
+    X.Ret;
+    X.Label "unused";
+    X.Mov (X.W64, X.Reg X.RCX, X.Imm 7L);
+    X.Alu (X.Xor, X.W64, X.Reg X.RCX, X.Reg X.RCX);
+    X.Ret;
+  ]
+
+let test_only_entered_blocks_promoted () =
   let setup m = Machine.set_hostcall_handler m (fun _ _ -> ()) in
-  let m = make_machine ~setup mixed_program () in
-  Machine.set_engine m Machine.Tier2;
+  let m = make_machine ~setup unreachable_fn_program () in
   let st = Machine.tier_stats m in
-  Alcotest.(check bool) "blocks discovered" true (st.Machine.blocks_total >= 3);
-  (* The hostcall block can never be a superblock, so promotion must stop
-     short of the full block count. *)
-  Alcotest.(check bool) "some blocks promoted" true (st.Machine.blocks_promoted > 0);
-  Alcotest.(check bool) "bypass block not promoted" true
-    (st.Machine.blocks_promoted < st.Machine.blocks_total);
+  Alcotest.(check int) "blocks discovered" 6 st.Machine.blocks_total;
+  Alcotest.(check int) "nothing promoted at load" 0 st.Machine.blocks_promoted;
+  Alcotest.(check int) "no promotions at load" 0 st.Machine.promotions;
   (match Machine.execute m ~entry:"entry" () with
   | Machine.Halted -> ()
   | _ -> Alcotest.fail "should halt");
+  let st = Machine.tier_stats m in
+  Alcotest.(check int) "the three entered blocks promoted" 3 st.Machine.blocks_promoted;
+  Alcotest.(check int) "one promotion per entered block" 3 st.Machine.promotions;
   Alcotest.(check bool) "instructions retired in superblocks" true
-    (Machine.superblock_retired m > 0)
-
-let test_adaptive_promotes_hot_loop () =
-  let m = make_machine (loop_program 20_000) () in
-  Machine.set_engine m Machine.Adaptive;
-  Alcotest.(check int) "nothing promoted before running" 0
-    (Machine.tier_stats m).Machine.blocks_promoted;
+    (st.Machine.superblock_instructions > 0);
+  (* A second activation re-enters promoted blocks: no new promotions. *)
   (match Machine.execute m ~entry:"entry" () with
   | Machine.Halted -> ()
-  | _ -> Alcotest.fail "loop should halt");
-  let st = Machine.tier_stats m in
-  Alcotest.(check bool) "hot loop promoted mid-run" true (st.Machine.blocks_promoted > 0);
-  Alcotest.(check bool) "superblock instructions retired" true
-    (st.Machine.superblock_instructions > 0)
+  | _ -> Alcotest.fail "should halt again");
+  Alcotest.(check int) "re-entry does not re-promote" 3
+    (Machine.tier_stats m).Machine.promotions
 
+(* Two pure and two hazardous (store) blocks in sequence, then the
+   load-class exit block ([Ret]). Each block spans four dispatch slots. *)
+let alternating_program =
+  [
+    X.Mov (X.W64, X.Reg X.RAX, X.Imm 1L);
+    X.Alu (X.Add, X.W64, X.Reg X.RAX, X.Imm 2L);
+    X.Jmp "store1";
+    X.Label "store1";
+    X.Mov (X.W64, X.Reg X.RBX, X.Imm (Int64.of_int mb));
+    X.Mov (X.W64, X.Mem (X.mem ~base:X.RBX ()), X.Imm 5L);
+    X.Jmp "pure2";
+    X.Label "pure2";
+    X.Alu (X.Add, X.W64, X.Reg X.RAX, X.Imm 3L);
+    X.Alu (X.Xor, X.W64, X.Reg X.RDX, X.Reg X.RAX);
+    X.Jmp "store2";
+    X.Label "store2";
+    X.Mov (X.W64, X.Mem (X.mem ~base:X.RBX ~disp:8 ()), X.Reg X.RAX);
+    X.Mov (X.W64, X.Reg X.RCX, X.Mem (X.mem ~base:X.RBX ()));
+    X.Jmp "done";
+    X.Label "done";
+    X.Nop;
+  ]
+
+(* Run the first two blocks, install a live sink, run the rest; the
+   reference machine runs the same slices under the same sink. *)
 let test_trace_demotes_trappable_blocks () =
-  let setup m = Machine.set_hostcall_handler m (fun _ _ -> ()) in
-  let m = make_machine ~setup mixed_program () in
-  Machine.set_engine m Machine.Tier2;
-  let before = (Machine.tier_stats m).Machine.blocks_promoted in
-  (* An enabled trace sink derives timestamps from the cycle counter, and
-     a trappable superblock batches its cycle charges; those blocks fall
-     back to tier 1. Pure blocks cannot trap mid-block, so they stay. *)
-  Machine.set_trace m (Trace.create_ring ~capacity:64 ());
-  let after = (Machine.tier_stats m).Machine.blocks_promoted in
-  Alcotest.(check bool) "trappable superblocks demoted" true (after < before);
-  Alcotest.(check bool) "pure superblocks survive tracing" true (after > 0);
-  match Machine.execute m ~entry:"entry" () with
-  | Machine.Halted -> ()
-  | _ -> Alcotest.fail "should halt"
-
-let test_tier_config_validated () =
-  let m = make_machine [ X.Nop ] () in
-  Alcotest.(check bool) "defaults exposed" true
-    (Machine.tier_config m = Machine.default_tier_config);
-  Alcotest.check_raises "zero stride rejected"
-    (Invalid_argument "Machine.set_tier_config: knobs must be > 0") (fun () ->
-      Machine.set_tier_config m { Machine.default_tier_config with Machine.stride = 0 });
-  let cfg = { Machine.threshold = 2; stride = 64; min_len = 3 } in
-  Machine.set_tier_config m cfg;
-  Alcotest.(check bool) "knobs round-trip" true (Machine.tier_config m = cfg)
+  let run engine =
+    let m = make_machine alternating_program () in
+    Machine.set_engine m engine;
+    Machine.start m ~entry:"entry";
+    (match Machine.run m ~fuel:8 with
+    | Machine.Yielded -> ()
+    | _ -> Alcotest.fail "first slice should yield");
+    let promoted_before = (Machine.tier_stats m).Machine.blocks_promoted in
+    (* An enabled sink derives timestamps from the cycle counter, and a
+       trappable superblock batches its cycle charges: those blocks fall
+       back to per-instruction dispatch. Pure blocks cannot trap mid-block,
+       so they stay. *)
+    Machine.set_trace m (Trace.create_ring ~capacity:64 ());
+    let promoted_traced = (Machine.tier_stats m).Machine.blocks_promoted in
+    (match Machine.run m ~fuel:1000 with
+    | Machine.Halted -> ()
+    | _ -> Alcotest.fail "should halt");
+    (m, promoted_before, promoted_traced)
+  in
+  let m, before, traced = run Machine.Compiled in
+  Alcotest.(check int) "both entered blocks promoted" 2 before;
+  Alcotest.(check int) "the store block demoted, the pure one kept" 1 traced;
+  let st = Machine.tier_stats m in
+  (* Under the sink, the second pure block still promotes on first entry;
+     the second store block and the load-class exit block do not. *)
+  Alcotest.(check int) "only the pure block promoted under the sink" 3 st.Machine.promotions;
+  Alcotest.(check int) "pure blocks running as superblocks" 2 st.Machine.blocks_promoted;
+  let r, _, _ = run Machine.Reference in
+  Alcotest.(check bool) "snapshot bit-identical to reference" true
+    (Machine.snapshot m = Machine.snapshot r)
 
 (* ------------------------------------------------------------------ *)
 (* Mid-run promotion is unobservable.                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Drive two identical machines in fixed slices; promote every block on
-   one of them between two slices (set_engine Tier2 mid-run) and demand
-   the full snapshot stays bit-identical at every later slice edge. *)
+(* Drive two identical machines in fixed slices; switch one of them from
+   the reference interpreter to the compiled engine between two slices
+   and demand the full snapshot stays bit-identical at every later slice
+   edge. *)
 let test_midrun_promotion_snapshot_identical () =
   let a = make_machine (loop_program 500) () in
   let b = make_machine (loop_program 500) () in
+  Machine.set_engine a Machine.Reference;
+  Machine.set_engine b Machine.Reference;
   Machine.start a ~entry:"entry";
   Machine.start b ~entry:"entry";
   let stride = 57 in
@@ -181,7 +213,7 @@ let test_midrun_promotion_snapshot_identical () =
   let continue_ = ref true in
   while !continue_ do
     incr slice;
-    if !slice = 4 then Machine.set_engine b Machine.Tier2;
+    if !slice = 4 then Machine.set_engine b Machine.Compiled;
     let sa = Machine.run a ~fuel:stride in
     let sb = Machine.run b ~fuel:stride in
     if sa <> sb then Alcotest.failf "status diverged at slice %d" !slice;
@@ -189,35 +221,38 @@ let test_midrun_promotion_snapshot_identical () =
       Alcotest.failf "snapshot diverged at slice %d" !slice;
     if sa <> Machine.Yielded then continue_ := false
   done;
-  Alcotest.(check bool) "promoted machine actually used superblocks" true
+  Alcotest.(check bool) "switched machine actually used superblocks" true
     (Machine.superblock_retired b > 0)
 
-(* The same property via Lockstep: a stride wide enough to enter
-   superblocks, reference vs the two tiered engines. *)
-let lockstep_tiered ?setup engines instrs =
-  match
-    Lockstep.run_pair ~engines ~stride:97 ~make:(make_machine ?setup instrs) ~entry:"entry"
-      ()
-  with
-  | Ok _ -> ()
-  | Error d ->
-      Alcotest.failf "engines diverged: %s" (Format.asprintf "%a" Lockstep.pp_divergence d)
+(* The same property via Lockstep, at strides that land fuel edges
+   mid-block both before a block's first entry (so the entry runs per
+   instruction) and after its promotion. *)
+let lockstep_strides ?setup instrs =
+  List.iter
+    (fun stride ->
+      match
+        Lockstep.run_pair ~stride ~make:(make_machine ?setup instrs) ~entry:"entry" ()
+      with
+      | Ok _ -> ()
+      | Error d ->
+          Alcotest.failf "stride %d: engines diverged: %s" stride
+            (Format.asprintf "%a" Lockstep.pp_divergence d))
+    [ 1; 7; 97 ]
 
-let test_lockstep_tiered_engines () =
-  lockstep_tiered (Machine.Reference, Machine.Tier2) (loop_program 300);
-  lockstep_tiered (Machine.Threaded, Machine.Adaptive) (loop_program 300);
-  lockstep_tiered
-    ~setup:(fun m -> Machine.set_hostcall_handler m (fun _ _ -> ()))
-    (Machine.Reference, Machine.Tier2) mixed_program
+let test_lockstep_strides () =
+  lockstep_strides (loop_program 300);
+  lockstep_strides ~setup:(fun m -> Machine.set_hostcall_handler m (fun _ _ -> ())) mixed_program
 
-(* Randomized: the adaptive engine against the reference interpreter
-   through the full Wasm pipeline. Promotion happens at chunk boundaries
-   mid-invoke, so agreement here pins "promoting between run slices is
-   unobservable" on generated programs. *)
-let run_wasm engine m args =
+(* Randomized: the compiled engine under a live trace sink against the
+   reference interpreter through the full Wasm pipeline. Trappable blocks
+   stay per-instruction, pure ones promote mid-invoke, so agreement here
+   pins "promotion under tracing is unobservable" on generated
+   programs. *)
+let run_wasm ?(traced = false) engine m args =
   let cfg = Codegen.default_config ~strategy:Strategy.segue () in
   let compiled = Codegen.compile cfg m in
   let eng = Runtime.create_engine ~engine compiled in
+  if traced then Runtime.set_trace eng (Trace.create_ring ~capacity:256 ());
   let inst = Runtime.instantiate eng in
   let result = Runtime.invoke inst "run" args in
   let mach = Runtime.machine eng in
@@ -227,13 +262,13 @@ let run_wasm engine m args =
     Machine.dcache_misses mach,
     Runtime.read_memory inst ~addr:0 ~len:4096 )
 
-let check_adaptive_agrees seed =
+let check_traced_agrees seed =
   let rng = Prng.create ~seed:(Int64.of_int seed) in
   let m = Test_random_programs.gen_module rng in
   let a = Int64.logand (Prng.next_int64 rng) 0xFFFFFFFFL in
   let b = Prng.next_int64 rng in
   let r_res, r_c, r_tlb, r_dc, r_mem = run_wasm Machine.Reference m [ a; b ] in
-  let t_res, t_c, t_tlb, t_dc, t_mem = run_wasm Machine.Adaptive m [ a; b ] in
+  let t_res, t_c, t_tlb, t_dc, t_mem = run_wasm ~traced:true Machine.Compiled m [ a; b ] in
   (match (r_res, t_res) with
   | Ok rv, Ok tv ->
       if rv <> tv then QCheck.Test.fail_reportf "seed %d: result %Ld vs %Ld" seed rv tv
@@ -242,10 +277,10 @@ let check_adaptive_agrees seed =
         QCheck.Test.fail_reportf "seed %d: trap %s vs %s" seed (X.trap_name rk)
           (X.trap_name tk)
   | Ok rv, Error tk ->
-      QCheck.Test.fail_reportf "seed %d: reference %Ld, adaptive trapped %s" seed rv
+      QCheck.Test.fail_reportf "seed %d: reference %Ld, compiled trapped %s" seed rv
         (X.trap_name tk)
   | Error rk, Ok tv ->
-      QCheck.Test.fail_reportf "seed %d: reference trapped %s, adaptive %Ld" seed
+      QCheck.Test.fail_reportf "seed %d: reference trapped %s, compiled %Ld" seed
         (X.trap_name rk) tv);
   if r_c <> t_c then QCheck.Test.fail_reportf "seed %d: counters diverged" seed;
   if r_tlb <> t_tlb then QCheck.Test.fail_reportf "seed %d: dTLB %d vs %d" seed r_tlb t_tlb;
@@ -254,14 +289,14 @@ let check_adaptive_agrees seed =
     QCheck.Test.fail_reportf "seed %d: final memory images differ" seed;
   true
 
-let qcheck_adaptive =
-  QCheck.Test.make ~count:40 ~name:"adaptive = reference on random programs"
+let qcheck_traced =
+  QCheck.Test.make ~count:40 ~name:"compiled-traced = reference on random programs"
     QCheck.(int_range 20000 29999)
-    check_adaptive_agrees
+    check_traced_agrees
 
 (* Fuzzer corpus: a dozen generated programs through the full oracle,
-   whose engine arm is now the reference / threaded / tier2 triple. Seeds
-   deliberately disjoint from the test_fuzz corpus. *)
+   whose engine arm is the reference / compiled / compiled-traced triple.
+   Seeds deliberately disjoint from the test_fuzz corpus. *)
 let test_fuzz_corpus_tiered () =
   for i = 0 to 11 do
     let p = Fuzz.generate (Int64.of_int (0xC0FFEE + i)) in
@@ -306,11 +341,11 @@ let test_pcache_superblock_boundary () =
     let st = Machine.execute m ~entry:"entry" () in
     (m, st, Machine.snapshot m)
   in
-  let t2, st2, snap2 = run Machine.Tier2 in
+  let t2, st2, snap2 = run Machine.Compiled in
   (match st2 with
   | Machine.Trapped X.Trap_out_of_bounds -> ()
   | Machine.Trapped k -> Alcotest.failf "wrong trap: %s" (X.trap_name k)
-  | _ -> Alcotest.fail "store after mprotect must trap under tier 2");
+  | _ -> Alcotest.fail "store after mprotect must trap under the compiled engine");
   (* The trapping store lives inside a promoted superblock: the trap
      crossed a batched block, exercising the rollback side table. *)
   Alcotest.(check bool) "store block was promoted" true
@@ -352,11 +387,13 @@ let alloc_loop n =
   ]
 
 (* Minor-heap words spent running the loop for [n] trips, and the
-   instructions that took. Promotion (Tier2) and the halt-sentinel push
-   happen before the measurement starts. *)
-let loop_minor_words engine n =
+   instructions that took. Compiling instructions and promoting blocks
+   on first use costs the same for every [n], so it cancels out of the
+   difference the test takes. Under a live sink the loop's store block
+   runs per instruction. *)
+let loop_minor_words ~traced n =
   let m = make_machine (alloc_loop n) () in
-  Machine.set_engine m engine;
+  if traced then Machine.set_trace m (Trace.create_ring ~capacity:64 ());
   Machine.start m ~entry:"entry";
   let before = Gc.minor_words () in
   (match Machine.run m ~fuel:(1 lsl 30) with
@@ -367,14 +404,14 @@ let loop_minor_words engine n =
 
 let test_hot_path_allocation_free () =
   List.iter
-    (fun (name, engine) ->
-      let w1, i1 = loop_minor_words engine 1_000 in
-      let w2, i2 = loop_minor_words engine 10_000 in
+    (fun (name, traced) ->
+      let w1, i1 = loop_minor_words ~traced 1_000 in
+      let w2, i2 = loop_minor_words ~traced 10_000 in
       let per_instr = (w2 -. w1) /. float_of_int (i2 - i1) in
       if per_instr > 0.01 then
         Alcotest.failf "%s: %.3f minor words per extra instruction (%.0f -> %.0f words)" name
           per_instr w1 w2)
-    [ ("tier2", Machine.Tier2); ("threaded", Machine.Threaded) ]
+    [ ("compiled", false); ("compiled-traced", true) ]
 
 (* ------------------------------------------------------------------ *)
 (* Load-path regression: no forced minor collections.                  *)
@@ -382,7 +419,7 @@ let test_hot_path_allocation_free () =
 
 (* Past every 256-slot threshold on the load path: ~1,200 instructions in
    600 blocks (300 of them end in a direct call), and one 302-slot block,
-   ended by an indirect call, that [Tier2] promotes whole. *)
+   ended by an indirect call, that the compiled engine promotes whole. *)
 let big_body =
   let blocks =
     List.init 300 (fun i ->
@@ -399,31 +436,27 @@ let big_body =
 
 let test_load_no_forced_minor_gc () =
   let program = Array.of_list (X.Label "entry" :: big_body) in
-  Harness.check_no_forced_minor_gcs "20 Tier2 engine loads" (fun () ->
+  Harness.check_no_forced_minor_gcs "20 engine loads" (fun () ->
       for _ = 1 to 20 do
         let m = Machine.create (Space.create ()) in
-        Machine.set_engine m Machine.Tier2;
         Machine.load_program m program
       done);
   (* The program is real: it runs to completion, identically on the
-     reference and tiered engines. *)
-  lockstep_tiered
+     reference and compiled engines. *)
+  lockstep_strides
     ~setup:(fun m -> Machine.set_reg m X.RBX (Int64.of_int (Machine.label_address m "leaf")))
-    (Machine.Reference, Machine.Tier2) big_body
+    big_body
 
 let case name f = Alcotest.test_case name `Quick f
 
 let tests =
   [
     case "profiler: load_program surfaces dropped samples" test_profile_dropped_on_swap;
-    case "profiler: disarm sticks under adaptive" test_disarm_sticks_under_adaptive;
-    case "tier2: eager promotion and stats" test_tier2_eager_promotion;
-    case "adaptive: hot loop promoted mid-run" test_adaptive_promotes_hot_loop;
+    case "promotion: only entered blocks, once each" test_only_entered_blocks_promoted;
     case "trace: trappable superblocks demoted" test_trace_demotes_trappable_blocks;
-    case "tier config: knobs validated and round-trip" test_tier_config_validated;
     case "mid-run promotion: snapshots bit-identical" test_midrun_promotion_snapshot_identical;
-    case "lockstep: tiered engine pairs" test_lockstep_tiered_engines;
-    QCheck_alcotest.to_alcotest qcheck_adaptive;
+    case "lockstep: tiered engine pairs" test_lockstep_strides;
+    QCheck_alcotest.to_alcotest qcheck_traced;
     case "fuzz corpus through the tiered engine arm" test_fuzz_corpus_tiered;
     case "page cache: invalidation across a superblock" test_pcache_superblock_boundary;
     case "hot path: no allocation per instruction" test_hot_path_allocation_free;

@@ -195,9 +195,9 @@ let test_merge_shards () =
 
 (* End-to-end: a traced engine run must produce the four headline
    categories on the right tracks, validate structurally, and export
-   schema-clean Chrome JSON. *)
-let test_engine_run_categories_and_export () =
-  let eng = Runtime.create_engine (Lazy.force traced_compiled) in
+   schema-clean Chrome JSON — on both machine engines. *)
+let check_engine_run_categories_and_export engine =
+  let eng = Runtime.create_engine ~engine (Lazy.force traced_compiled) in
   let ring = Trace.create_ring () in
   Runtime.set_trace eng ring;
   let inst = Runtime.instantiate eng in
@@ -228,6 +228,10 @@ let test_engine_run_categories_and_export () =
         (fun c ->
           if not (List.mem c r.Trace.json_cats) then Alcotest.failf "category %s missing from json" c)
         [ "transition"; "lifecycle"; "fault"; "tlb" ]
+
+let test_engine_run_categories_and_export () =
+  List.iter check_engine_run_categories_and_export
+    [ Machine.Compiled; Machine.Reference ]
 
 (* Observational neutrality: the same program on the same engine config
    must retire the same instructions and cycles whether it runs under

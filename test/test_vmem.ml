@@ -38,7 +38,24 @@ let test_protect_split_merge () =
   (* Restore: the kernel-style merge collapses them back into one. *)
   ok (Space.protect s ~addr:(mb + (2 * page)) ~len:(2 * page) ~prot:Prot.rw);
   Alcotest.(check int) "merged back" 1 (Space.vma_count s);
-  err "protect unmapped" (Space.protect s ~addr:(16 * mb) ~len:page ~prot:Prot.rw)
+  err "protect unmapped" (Space.protect s ~addr:(16 * mb) ~len:page ~prot:Prot.rw);
+  (* Three separate mappings; re-keying the last two makes them equal, and
+     they merge even though the first one cannot join them. *)
+  let s = Space.create () in
+  ok (Space.map s ~addr:mb ~len:page ~prot:Prot.none);
+  ok (Space.map s ~addr:(mb + page) ~len:page ~prot:Prot.rw);
+  ok (Space.map s ~addr:(mb + (2 * page)) ~len:page ~prot:Prot.rw);
+  Alcotest.(check int) "three mappings" 3 (Space.vma_count s);
+  ok (Space.pkey_protect s ~addr:(mb + page) ~len:(2 * page) ~prot:Prot.rw ~key:3);
+  Alcotest.(check int) "equal neighbours past an unmergeable one merge" 2 (Space.vma_count s);
+  (* A split at the bottom of the lowest mapping heals with nothing
+     mapped below it. *)
+  let s = Space.create () in
+  ok (Space.map s ~addr:mb ~len:(2 * page) ~prot:Prot.rw);
+  ok (Space.protect s ~addr:mb ~len:page ~prot:Prot.r);
+  Alcotest.(check int) "split at the bottom" 2 (Space.vma_count s);
+  ok (Space.protect s ~addr:mb ~len:page ~prot:Prot.rw);
+  Alcotest.(check int) "merged back with nothing below" 1 (Space.vma_count s)
 
 let test_pkey_and_access () =
   let s = Space.create () in
@@ -373,8 +390,8 @@ let prop_tlb_matches_eager =
 (* The model keeps VMAs as a sorted list, private pages as whole-page
    byte copies and backing regions with their dirty sets. Every VMA
    operation is the kernel procedure spelled out on a list: split at the
-   edges, update or drop what lies inside, then the same left-to-right
-   merge walk. Reads of a page nobody wrote come from the covering
+   edges, update or drop what lies inside, then merge equal neighbours
+   until none are left around the range. Reads of a page nobody wrote come from the covering
    region's image, else zeros. *)
 module Space_model = struct
   type region = { rs : int; rl : int; img : int -> Bytes.t option; dirty : (int, unit) Hashtbl.t }
@@ -404,24 +421,30 @@ module Space_model = struct
             :: List.filter (fun w -> w != v) t.vmas)
     | Some _ | None -> ()
 
+  (* The kernel's merge, stated without a walk: every VMA from the one
+     ending at [addr] to the one starting at [addr + len] absorbs its
+     adjacent successor while the two have equal attributes. *)
   let merge t addr len =
-    let finish = addr + len in
-    let rec from pos =
-      if pos <= finish then
-        match List.rev (List.filter (fun (v : Space.vma) -> v.start <= pos) t.vmas) with
-        | [] -> ()
-        | v :: _ -> (
-            match List.find_opt (fun (n : Space.vma) -> n.start = vend v) t.vmas with
-            | Some n when n.prot = v.prot && n.pkey = v.pkey ->
-                t.vmas <-
-                  sorted
-                    ({ v with len = v.len + n.len }
-                    :: List.filter (fun w -> w != v && w != n) t.vmas);
-                from pos
-            | Some n -> from (vend n)
-            | None -> ())
+    let lo = match find t (addr - 1) with Some v -> v.start | None -> addr in
+    let mergeable (v : Space.vma) (n : Space.vma) =
+      n.start = vend v && n.prot = v.prot && n.pkey = v.pkey
     in
-    from (max 0 (addr - 1))
+    let rec go () =
+      let pair =
+        List.find_map
+          (fun (v : Space.vma) ->
+            if v.start < lo || v.start > addr + len then None
+            else Option.map (fun n -> (v, n)) (List.find_opt (mergeable v) t.vmas))
+          t.vmas
+      in
+      match pair with
+      | Some (v, n) ->
+          t.vmas <-
+            sorted ({ v with len = v.len + n.len } :: List.filter (fun w -> w != v && w != n) t.vmas);
+          go ()
+      | None -> ()
+    in
+    go ()
 
   let map t addr len prot =
     if not (aligned addr len) then false
