@@ -1,6 +1,6 @@
 (* Tests for the compiled engine's tier pipeline: profiler sample
    accounting across program swaps (the [profile_dropped] contract),
-   promotion of a block on its first entry (and of no block that never
+   promotion of a block on its first entry, mid-run (and of no block that never
    runs), bit-identity of that promotion with the reference interpreter
    at fuel edges before and after it (handcrafted, qcheck-random, and
    fuzzer corpus programs), trace-driven demotion of trappable
@@ -135,6 +135,30 @@ let test_only_entered_blocks_promoted () =
   | _ -> Alcotest.fail "should halt again");
   Alcotest.(check int) "re-entry does not re-promote" 3
     (Machine.tier_stats m).Machine.promotions
+
+(* A long-running loop promotes its blocks inside the first fuel slice,
+   while the activation is still live, and never again however many
+   trips it makes. *)
+let test_hot_loop_promoted_mid_run () =
+  let m = make_machine (loop_program 20_000) () in
+  Alcotest.(check int) "nothing promoted before running" 0
+    (Machine.tier_stats m).Machine.blocks_promoted;
+  Machine.start m ~entry:"entry";
+  (match Machine.run m ~fuel:64 with
+  | Machine.Yielded -> ()
+  | _ -> Alcotest.fail "first slice should yield mid-loop");
+  let st = Machine.tier_stats m in
+  Alcotest.(check bool) "loop promoted mid-run" true (st.Machine.blocks_promoted > 0);
+  Alcotest.(check bool) "superblock instructions retired mid-run" true
+    (st.Machine.superblock_instructions > 0);
+  let promotions = st.Machine.promotions in
+  (match Machine.run m ~fuel:1_000_000 with
+  | Machine.Halted -> ()
+  | _ -> Alcotest.fail "loop should halt");
+  let st = Machine.tier_stats m in
+  Alcotest.(check int) "later trips do not re-promote" promotions st.Machine.promotions;
+  Alcotest.(check bool) "the loop body ran as a superblock" true
+    (st.Machine.superblock_instructions > 6 * 19_000)
 
 (* Two pure and two hazardous (store) blocks in sequence, then the
    load-class exit block ([Ret]). Each block spans four dispatch slots. *)
@@ -453,6 +477,7 @@ let tests =
   [
     case "profiler: load_program surfaces dropped samples" test_profile_dropped_on_swap;
     case "promotion: only entered blocks, once each" test_only_entered_blocks_promoted;
+    case "hot loop: promoted mid-run, once" test_hot_loop_promoted_mid_run;
     case "trace: trappable superblocks demoted" test_trace_demotes_trappable_blocks;
     case "mid-run promotion: snapshots bit-identical" test_midrun_promotion_snapshot_identical;
     case "lockstep: tiered engine pairs" test_lockstep_strides;
