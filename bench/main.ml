@@ -1068,21 +1068,17 @@ let engine_compare () =
   metric "compiled_speedup_vs_reference" (rs /. cs);
   note
     "Engine ablation on this subset (identical simulated counters on every kernel): compiled \
-     %.2fx reference (instructions compiled on first dispatch, blocks fused on first entry)."
+     %.2fx reference (blocks compiled on first entry, run as slot ranges with batched charges)."
     (rs /. cs);
   (* Tracing ablation: the same kernel with the default (no sink), an
      explicit null sink, and a live ring sink. The null sink must be free —
      every emission site is one load-and-branch — and the ring sink must
-     stay under a few percent. Best-of-batches wall timing, as above. It
-     runs on the reference interpreter, which dispatches identically under
-     all three: on the compiled engine a live sink also sends trappable
-     superblocks back to per-instruction dispatch, so the ablation would
-     time that dispatch change rather than the emission sites. *)
+     stay under a few percent. Best-of-batches wall timing, as above. *)
   let ablate = Sfi_workloads.Polybench.atax in
   let one ?trace () =
     (match trace with Some sink -> Trace.clear sink | None -> ());
     let t0 = Unix.gettimeofday () in
-    ignore (Kernel.run ?trace ~engine:Machine.Reference ~strategy:Strategy.segue ablate);
+    ignore (Kernel.run ?trace ~strategy:Strategy.segue ablate);
     Unix.gettimeofday () -. t0
   in
   ignore (one ()) (* warm the code and the kernel's lazy module *);
@@ -1103,7 +1099,7 @@ let engine_compare () =
   metric "trace_null_overhead_pct" (pct null_s);
   metric "trace_ring_overhead_pct" (pct ring_s);
   note
-    "Tracing ablation (atax on the reference engine, best of 7): no sink %.1f ms, null sink \
+    "Tracing ablation (atax on the default compiled engine, best of 7): no sink %.1f ms, null sink \
      %.1f ms (%+.1f%%), ring sink %.1f ms (%+.1f%%, %d events). Null must be free; the ring \
      budget is <5%%."
     (base_s *. 1e3) (null_s *. 1e3) (pct null_s) (ring_s *. 1e3) (pct ring_s)

@@ -23,7 +23,7 @@ let plan ?(num_keys = Sfi_vmem.Mpk.max_usable_keys) ~reach ~sizes () =
     let cursor = ref 0 in
     let padding = ref 0 in
     let place size =
-      (* Prefer the eligible color that has waited longest (smallest
+      (* Prefer the free color that has waited longest (smallest
          next_ok): round-robin-ish fairness keeps all colors advancing. *)
       let best = ref (-1) in
       for c = 0 to num_keys - 1 do
@@ -32,7 +32,7 @@ let plan ?(num_keys = Sfi_vmem.Mpk.max_usable_keys) ~reach ~sizes () =
       let c =
         if !best >= 0 then !best
         else begin
-          (* No eligible color: pad to the earliest eligibility point —
+          (* No free color: pad to the earliest eligibility point —
              the guard-before-reuse case the paper describes, which mixed
              sizes mostly avoid. *)
           let soonest = ref 0 in

@@ -10,7 +10,7 @@
     This module implements that planner: slots of arbitrary (Wasm-page
     aligned) sizes are packed contiguously, each colored greedily with the
     first color whose previous slot is already at least the isolation
-    distance behind; padding is inserted only when no color is eligible.
+    distance behind; padding is inserted only when no color is free.
     Large slots naturally advance every color's eligibility, so mixed
     populations pack with almost no padding. *)
 
@@ -23,7 +23,7 @@ type placement = {
 type t = {
   placements : placement list;  (** in input order *)
   total_bytes : int;  (** chain footprint including padding + trailing guard *)
-  padding_bytes : int;  (** padding inserted when no color was eligible *)
+  padding_bytes : int;  (** padding inserted when no color was free *)
   reach : int;  (** the isolation distance used *)
 }
 

@@ -673,7 +673,7 @@ let rec compile_body ctx (instrs : W.instr list) : bool =
       compile_if ctx cond bt then_b else_b;
       compile_body ctx rest
   | i :: rest ->
-      if compile_instr ctx i then true else compile_body ctx rest
+      if compile_op ctx i then true else compile_body ctx rest
 
 and compile_if ctx cond bt then_b else_b =
   normalize_for_control ctx;
@@ -1025,7 +1025,7 @@ and compile_div ctx w ~signed ~want_rem =
     end
   end
 
-and compile_instr ctx (i : W.instr) : bool =
+and compile_op ctx (i : W.instr) : bool =
   match i with
   | W.Unreachable ->
       emit ctx (X.Trap X.Trap_unreachable);
@@ -1151,7 +1151,7 @@ and compile_instr ctx (i : W.instr) : bool =
       false
   | W.Local_tee n ->
       compile_local_set ctx n;
-      compile_instr ctx (W.Local_get n)
+      compile_op ctx (W.Local_get n)
   | W.Global_get n ->
       let ty = ctx.m.W.globals.(n).W.gtype in
       let target, commit = result_target ctx ty in

@@ -224,8 +224,9 @@ type tenant_stat = {
           admission queueing) — what the request deadline is checked
           against *)
   t_sb_share : float;
-      (** fraction of this tenant's retired instructions executed inside
-          promoted superblocks (0 under the [Reference] engine) *)
+      (** fraction of this tenant's retired instructions executed by
+          batched ranges of promoted blocks (0 under the [Reference]
+          engine) *)
   t_burn : float;
       (** fast-window error-budget burn rate at end of run (0 when SLOs
           are off) — the [sfi top] BURN column *)

@@ -679,9 +679,9 @@ type check_result = {
 }
 
 (* The three-way differential arm: the reference oracle, the compiled
-   engine, and the compiled engine with a live trace sink — under which
-   trappable blocks stay on per-instruction dispatch while pure blocks
-   still promote on first entry. [traced] is the arm's flag. *)
+   engine, and the compiled engine with a live trace sink — which runs
+   the same blocks as without one, so the arm pins that a sink perturbs
+   nothing. [traced] is the arm's flag. *)
 let engine_kinds =
   [
     ("step", Machine.Reference, false);
@@ -987,6 +987,37 @@ let replay ?(sanitizer = true) ?(churn = true) ppf seed =
 
 (* --- sanitizer self-test ------------------------------------------------ *)
 
+(* Drive one weakening: [run engine ~sanitized] builds a fresh engine and
+   invokes the probe. Disarmed, the probe must run silently to [expect];
+   armed, each engine must raise a violation that [ok] accepts, and the
+   two reports must agree on everything but the free-text detail — the
+   compiled engine reports from inside a batched range, where its
+   counters must read as [step]'s would at the faulting instruction. *)
+let weakening what ~expect ~ok run =
+  let flagged engine =
+    match run engine ~sanitized:true with
+    | `Result _ -> Error (what ^ ": sanitizer missed it")
+    | `Violation v when ok v -> Ok v
+    | `Violation v -> Error (Format.asprintf "%s: wrong violation: %a" what Runtime.pp_violation v)
+  in
+  match run Machine.Compiled ~sanitized:false with
+  | `Violation _ -> Error (what ^ ": violation raised with the sanitizer disarmed")
+  | `Result (Error k) -> Error (what ^ ": probe trapped without sanitizer: " ^ X.trap_name k)
+  | `Result (Ok raw) when Int64.logand raw 0xFFFFFFFFL <> expect ->
+      Error (Printf.sprintf "%s: probe returned %Ld, expected %Ld" what raw expect)
+  | `Result (Ok _) -> (
+      match (flagged Machine.Reference, flagged Machine.Compiled) with
+      | (Error _ as e), _ | _, (Error _ as e) -> e
+      | Ok r, Ok c ->
+          if { r with Runtime.v_detail = "" } = { c with Runtime.v_detail = "" } then
+            Ok
+              (Printf.sprintf "%s flagged at instruction #%d `%s`" what c.Runtime.v_instr_count
+                 c.Runtime.v_instr)
+          else
+            Error
+              (Format.asprintf "%s: engines disagree: reference %a; compiled %a" what
+                 Runtime.pp_violation r Runtime.pp_violation c))
+
 (* Weakening 1: Simple allocator, an rw page mapped deep inside the guard
    reservation, and a store that reaches it. The hardware accepts the
    access, the differential oracle cannot see it (the interpreter would
@@ -999,41 +1030,27 @@ let self_test_guard_hole () =
   B.define b f [ B.i32 0x10_0000; B.i64' 0xDEAD_BEEFL; B.store64 (); B.i32 42 ];
   let m = B.build b in
   let compiled = Codegen.compile (Codegen.default_config ~strategy:Strategy.segue ()) m in
-  let run ~sanitized =
+  let hole = ref 0 in
+  let run engine ~sanitized =
     let eng =
-      Runtime.create_engine ~allocator:(Runtime.Simple { reservation = 4 * Units.gib }) compiled
+      Runtime.create_engine ~engine
+        ~allocator:(Runtime.Simple { reservation = 4 * Units.gib })
+        compiled
     in
     let inst = Runtime.instantiate eng in
-    let hole = Runtime.heap_base inst + 0x10_0000 in
-    (match Space.map (Runtime.space eng) ~addr:hole ~len:Space.page_size ~prot:Prot.rw with
+    hole := Runtime.heap_base inst + 0x10_0000;
+    (match Space.map (Runtime.space eng) ~addr:!hole ~len:Space.page_size ~prot:Prot.rw with
     | Ok () -> ()
     | Error msg -> failwith ("fuzz self-test: map guard hole: " ^ msg));
     if sanitized then Runtime.arm_sanitizer eng;
-    ( hole,
-      try `Result (Runtime.invoke inst "run" [])
-      with Runtime.Sanitizer_violation v -> `Violation v )
+    try `Result (Runtime.invoke inst "run" []) with Runtime.Sanitizer_violation v -> `Violation v
   in
-  match run ~sanitized:false with
-  | _, `Violation _ -> Error "guard hole: violation raised with the sanitizer disarmed"
-  | _, `Result (Error k) ->
-      Error ("guard hole: probe trapped without sanitizer: " ^ X.trap_name k)
-  | _, `Result (Ok raw) when Int64.logand raw 0xFFFFFFFFL <> 42L ->
-      Error (Printf.sprintf "guard hole: probe returned %Ld, expected 42" raw)
-  | hole, `Result (Ok _) -> (
-      match run ~sanitized:true with
-      | _, `Result _ -> Error "guard hole: sanitizer missed the out-of-slot store"
-      | _, `Violation v ->
-          if
-            v.Runtime.v_kind = `Write
-            && v.Runtime.v_addr = hole
-            && v.Runtime.v_len = 8
-            && v.Runtime.v_attribution = `Slot 0
-            && v.Runtime.v_instr <> "<no instruction>"
-          then
-            Ok
-              (Printf.sprintf "guard-hole store flagged at instruction #%d `%s`"
-                 v.Runtime.v_instr_count v.Runtime.v_instr)
-          else Error (Format.asprintf "guard hole: wrong violation: %a" Runtime.pp_violation v))
+  weakening "guard-hole store" ~expect:42L run ~ok:(fun v ->
+      v.Runtime.v_kind = `Write
+      && v.Runtime.v_addr = !hole
+      && v.Runtime.v_len = 8
+      && v.Runtime.v_attribution = `Slot 0
+      && v.Runtime.v_instr <> "<no instruction>")
 
 (* Weakening 2: striped ColorGuard pool, but the sandbox PKRU image in the
    vmctx is overwritten with allow-all — the entry sequence then installs
@@ -1063,38 +1080,22 @@ let self_test_pkru_swap () =
     | Ok l -> l
     | Error e -> failwith ("fuzz self-test: pool layout: " ^ e)
   in
-  let run ~sanitized =
-    let eng = Runtime.create_engine ~allocator:(Runtime.Pool layout) compiled in
+  let run engine ~sanitized =
+    let eng = Runtime.create_engine ~engine ~allocator:(Runtime.Pool layout) compiled in
     let inst = Runtime.instantiate eng in
     if Runtime.color inst = 0 then failwith "fuzz self-test: pool did not color slot 0";
     Space.write64 (Runtime.space eng)
       (Runtime.vmctx_addr inst + Codegen.vmctx_pkru_sandbox)
       (Int64.of_int Mpk.allow_all);
     if sanitized then Runtime.arm_sanitizer eng;
-    try `Result (Runtime.invoke inst "run" [])
-    with Runtime.Sanitizer_violation v -> `Violation v
+    try `Result (Runtime.invoke inst "run" []) with Runtime.Sanitizer_violation v -> `Violation v
   in
-  match run ~sanitized:false with
-  | `Violation _ -> Error "pkru swap: violation raised with the sanitizer disarmed"
-  | `Result (Error k) -> Error ("pkru swap: probe trapped without sanitizer: " ^ X.trap_name k)
-  | `Result (Ok raw) when Int64.logand raw 0xFFFFFFFFL <> 7L ->
-      Error (Printf.sprintf "pkru swap: probe returned %Ld, expected 7" raw)
-  | `Result (Ok _) -> (
-      match run ~sanitized:true with
-      | `Result _ -> Error "pkru swap: sanitizer missed the swapped PKRU image"
-      | `Violation v ->
-          let mentions_pkru =
-            let s = v.Runtime.v_detail in
-            let rec find i =
-              i + 4 <= String.length s && (String.equal (String.sub s i 4) "PKRU" || find (i + 1))
-            in
-            find 0
-          in
-          if mentions_pkru && v.Runtime.v_instr <> "<no instruction>" then
-            Ok
-              (Printf.sprintf "swapped PKRU flagged at instruction #%d `%s`"
-                 v.Runtime.v_instr_count v.Runtime.v_instr)
-          else Error (Format.asprintf "pkru swap: wrong violation: %a" Runtime.pp_violation v))
+  weakening "swapped PKRU" ~expect:7L run ~ok:(fun v ->
+      let s = v.Runtime.v_detail in
+      let rec find i =
+        i + 4 <= String.length s && (String.equal (String.sub s i 4) "PKRU" || find (i + 1))
+      in
+      find 0 && v.Runtime.v_instr <> "<no instruction>")
 
 let self_test () =
   match self_test_guard_hole () with

@@ -124,7 +124,9 @@ val replay : ?sanitizer:bool -> ?churn:bool -> Format.formatter -> int64 -> chec
     a guard-region hole (an rw page mapped inside the reservation past the
     memory bound, silently writable without the sanitizer) and a swapped
     PKRU image under ColorGuard (the entry sequence installs allow-all
-    instead of the sandbox's color). *)
+    instead of the sandbox's color). Each weakening runs on both machine
+    engines, which must report identical violations (every field but
+    the free-text detail, the retired-instruction count included). *)
 
 val self_test : unit -> (string, string) result
 

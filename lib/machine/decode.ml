@@ -1,11 +1,10 @@
 (* Decode/execute primitives shared by every engine: registers, effective
    addresses, TLB/MPK-checked memory access with the page/dcache fast
-   paths, flags and the pure value helpers; the per-op bodies both
-   compiled tiers run ([compile_body]); and [step], the AST-matching
-   reference interpreter that defines observable behavior. The
-   per-instruction closures ([Translate]) and superblocks ([Tier]) of the
-   compiled engine are built from
-   [compile_body] and must reproduce [step] bit-identically.
+   paths, flags and the pure value helpers; the per-op bodies the
+   compiled engine runs ([compile_body]); and [step], the AST-matching
+   reference interpreter that defines observable behavior. The compiled
+   engine's blocks ([Tier]) are built from [compile_body] and must
+   reproduce [step] bit-identically.
 
    Hot-path rule: no [int64] crosses a closure or module boundary while an
    instruction executes. dune's default profile compiles with [-opaque],
@@ -440,7 +439,7 @@ let[@inline] unsigned_div n d =
     if Int64.unsigned_compare r d >= 0 then Int64.succ q else q
 
 (* Division semantics without the cycle charge, which the caller issues
-   (tier 1 and [step] per instruction, superblocks batched at entry). *)
+   ([step] per instruction, the compiled engine once per range). *)
 let[@inline] div t w signed divisor =
   if signed then begin
     let a = sext w (read_reg_w t w rax) in
@@ -537,9 +536,9 @@ let[@inline] write t w o v =
 
 (* Instruction [idx]'s semantics plus its dynamic charges (TLB walks,
    dcache misses, load/store latency, the taken-branch adder); the caller
-   issues the per-instruction prologue and the fixed cycle charge. Ops that
-   redirect control set [t.pc] themselves; for every other op the caller
-   writes the successor pc. *)
+   issues the retired-instruction, code-byte and fixed cycle charges. Ops
+   that redirect control set [t.pc] themselves; for every other op the
+   caller writes the successor pc. *)
 let compile_body t (l : loaded) idx =
   let next = idx + 1 and tgt = l.targets.(idx) in
   let index_of_off = l.index_of_off and code_base = t.code_base in

@@ -44,6 +44,7 @@ let diff_snapshots (r : Machine.snapshot) (c : Machine.snapshot) =
         ("dtlb_hits", i r.s_dtlb_hits, i c.s_dtlb_hits);
         ("dtlb_misses", i r.s_dtlb_misses, i c.s_dtlb_misses);
         ("dcache_misses", i r.s_dcache_misses, i c.s_dcache_misses);
+        ("fetch_accum", i r.s_fetch_accum, i c.s_fetch_accum);
       ]
   in
   match scalar with Some _ as d -> d | None -> find_reg 0

@@ -11,11 +11,11 @@
     and field; agreement through termination proves the engines
     observationally identical on that program.
 
-    A stride of 1 never lets the compiled engine enter a superblock (a
-    block needs its whole slot budget up front), so it pins the
-    per-instruction closures; strides > 1 also enter superblocks, and
-    every slice edge is a dispatch boundary at which batched charges must
-    have converged with the oracle. *)
+    A stride of 1 makes every dispatch of the compiled engine a one-slot
+    range, entered at any slot of its block; strides > 1 also run
+    multi-slot ranges, split wherever a slice edge falls, and every slice
+    edge is a dispatch boundary at which batched charges must have
+    converged with the oracle. *)
 
 type divergence = {
   at_step : int;  (** instruction index at which the engines disagreed *)

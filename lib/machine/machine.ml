@@ -2,14 +2,14 @@
 
      {!Mstate}    — the [t] record, satellite types, state accessors
      {!Decode}    — operand/memory/flag primitives, the per-op bodies
-                    both compiled tiers run ([compile_body]), and the
+                    the compiled engine runs ([compile_body]), and the
                     reference interpreter ([step])
-     {!Translate} — lazy threaded-code compiler (prologue + fixed
-                    charge + body, compiled on first dispatch) +
+     {!Translate} — program installation: layout, label resolution,
                     basic-block discovery and classification
-     {!Tier}      — superblock promotion on first block entry (batched
-                    counter charges with a rollback side table) and the
-                    compiled engine's dispatch loop
+     {!Tier}      — block compilation on first entry, the compiled
+                    engine's dispatch loop (slot ranges with batched
+                    charges), and [lead], how far a range in flight has
+                    charged ahead of [step]
 
    Only this module has a public interface; the pipeline stages are
    private to the library. Everything engine-selection-dependent
@@ -69,7 +69,8 @@ type tier_stats = {
 
 let tier_stats t =
   let total, promoted =
-    match t.loaded with None -> (0, 0) | Some l -> (Array.length l.blocks, l.promoted)
+    (* [blocks] ends with the off-end sentinel. *)
+    match t.loaded with None -> (0, 0) | Some l -> (Array.length l.blocks - 1, l.promoted)
   in
   {
     blocks_total = total;
@@ -82,25 +83,20 @@ let superblock_retired t = t.sb_retired
 
 (* --- Program loading, engine and trace selection --- *)
 
-let load_program t program =
-  Translate.install t program;
-  Tier.arm t
+let load_program = Translate.install
 
 let set_engine t k = t.engine <- k
 
 let set_trace t sink =
   t.trace <- sink;
   (* Timestamps are simulated nanoseconds derived from the cycle counter,
-     so trace emission never perturbs the counters both engines must agree
-     on. The dTLB shares the sink (fill/evict events on the machine
-     track). *)
+     less what a guarded range in flight has charged ahead of [step], so
+     trace emission never perturbs the counters both engines must agree
+     on, and both engines stamp an event alike. The dTLB shares the sink
+     (fill/evict events on the machine track). *)
   Sfi_trace.Trace.set_clock sink (fun () ->
-      int_of_float (Cost.ns_of_cycles t.cost t.counters.cycles));
-  Tlb.set_trace t.tlb sink;
-  (* Promoted trappable blocks batch the cycle charges the sink's
-     timestamps derive from: a live sink sends them back to tier 1, a
-     disabled one re-arms them. *)
-  Tier.arm t
+      int_of_float (Cost.ns_of_cycles t.cost (t.counters.cycles - (Tier.lead t).l_cycles)));
+  Tlb.set_trace t.tlb sink
 
 (* --- Execution --- *)
 
@@ -127,15 +123,16 @@ let execute t ~entry ?(fuel = 1 lsl 30) () =
 
 (* An immutable snapshot: callers get a private copy, so further execution
    (or the runtime's transition cost charges) cannot mutate a value a test
-   or report already captured. *)
+   or report already captured. Read from inside a guarded range (a
+   sanitizer callback), it is [step]'s view at that instruction. *)
 let counters t =
-  let c = t.counters in
+  let c = t.counters and a = Tier.lead t in
   {
-    instructions = c.instructions;
-    cycles = c.cycles;
+    instructions = c.instructions - a.l_instrs;
+    cycles = c.cycles - a.l_cycles;
     loads = c.loads;
     stores = c.stores;
-    code_bytes = c.code_bytes;
+    code_bytes = c.code_bytes - a.l_bytes;
     seg_base_writes = c.seg_base_writes;
     pkru_writes = c.pkru_writes;
   }
@@ -235,6 +232,7 @@ type snapshot = {
   s_dtlb_hits : int;
   s_dtlb_misses : int;
   s_dcache_misses : int;
+  s_fetch_accum : int;
 }
 
 let snapshot t =
@@ -258,4 +256,5 @@ let snapshot t =
     s_dtlb_hits = Tlb.hits t.tlb;
     s_dtlb_misses = Tlb.misses t.tlb;
     s_dcache_misses = Tlb.misses t.dcache;
+    s_fetch_accum = t.fetch_accum;
   }

@@ -60,9 +60,9 @@ val load_program : t -> Sfi_x86.Ast.program -> unit
     duplicate labels. Profiler samples collected against the replaced
     program are dropped and accounted in {!profile_dropped} (the
     histogram is resized for the new program). Loading resolves labels,
-    byte offsets and basic blocks but compiles no instruction: the
-    [Compiled] engine translates each instruction on its first dispatch
-    and fuses each eligible block on its first entry. *)
+    byte offsets and basic blocks but compiles nothing: the [Compiled]
+    engine compiles each block on the first entry to any of its
+    instructions. *)
 
 val label_address : t -> string -> int
 (** Code byte address of a label (code_base + offset). Raises [Not_found]
@@ -96,40 +96,46 @@ val start : t -> entry:string -> unit
 type engine_kind =
   | Reference  (** the AST-matching interpreter, kept as the differential oracle *)
   | Compiled
-      (** closure-threaded code compiled lazily (the default): each
-          instruction is translated on its first dispatch, and each
-          eligible basic block is fused into a superblock on its first
-          entry, with per-instruction counter updates batched into one
-          charge per block *)
+      (** blocks compiled lazily (the default): each basic block is
+          compiled on its first entry, and every dispatch runs a range of
+          one block's instructions — from the current one to the block's
+          end or the fuel budget, whichever comes first; one instruction
+          for blocks holding a hostcall, an explicit trap or an unresolved
+          branch — with the range's per-instruction counter updates
+          batched into one charge *)
 
 val engine : t -> engine_kind
 val set_engine : t -> engine_kind -> unit
 (** Select the execution engine used by {!run}. Both engines are
     observationally identical — same registers, flags, counters and traps
     — which {!Lockstep} validates instruction by instruction; [Reference]
-    costs several times more host time per simulated instruction.
-    Superblocks charge their fixed costs at block entry and roll back to
-    the faulting instruction on a trap, and a block is entered only when
-    the remaining fuel covers all of it, so at every dispatch boundary
-    (any [run ~fuel] slice edge) the {!snapshot} of a [Compiled] machine is
-    bit-identical to a [Reference] one. *)
+    costs several times more host time per simulated instruction. A
+    range charges its fixed costs up front and rolls back to the faulting
+    instruction on a trap, and a range never runs past the fuel budget,
+    so at every dispatch boundary (any [run ~fuel] slice edge) the
+    {!snapshot} of a [Compiled] machine is bit-identical to a [Reference]
+    one. *)
 
 type tier_stats = {
   blocks_total : int;  (** basic blocks in the loaded program *)
   blocks_promoted : int;
-      (** currently running as superblocks: entered at least once, and
-          eligible under the current trace sink *)
-  promotions : int;  (** lifetime promotions, across [load_program]s *)
+      (** blocks of the loaded program compiled so far that can run more
+          than one instruction per dispatch: entered at least once, two or
+          more slots long, and holding no hostcall, explicit trap or
+          unresolved branch *)
+  promotions : int;  (** lifetime count of such compilations, across [load_program]s *)
   superblock_instructions : int;
-      (** instructions retired inside superblocks (lifetime) — a host-side
-          statistic, deliberately not part of {!snapshot} *)
+      (** instructions retired by ranges of two or more slots, i.e. under
+          one batched charge (lifetime) — a host-side statistic,
+          deliberately not part of {!snapshot} *)
 }
 
 val tier_stats : t -> tier_stats
 
 val superblock_retired : t -> int
-(** [superblock_instructions] without the record allocation, for per-request
-    sampling on hot paths. *)
+(** Instructions retired by batched ranges — [superblock_instructions]
+    without the record allocation, for per-request sampling on hot
+    paths. *)
 
 val run : t -> fuel:int -> status
 (** Execute at most [fuel] instructions; returns [Yielded] if the budget
@@ -188,21 +194,21 @@ val set_trace : t -> Sfi_trace.Trace.t -> unit
 (** Attach a trace sink. Its clock is pointed at this machine's cycle
     counter (simulated nanoseconds), and the dTLB is wired to emit
     fill/evict events into it. The machine itself emits [pkru.write]
-    on every [wrpkru] (both engines, identically) and a
-    [fuel.checkpoint] each time {!run} yields. Trace emission never
-    touches the performance counters, so traced and untraced runs stay
-    bit-identical under {!Lockstep}. An enabled sink sends promoted
-    blocks that can trap mid-way back to per-instruction dispatch (their
-    batched charges would shift the events' timestamps); pure blocks keep
-    running as superblocks. *)
+    on every [wrpkru] (both engines, identically), a [fuel.checkpoint]
+    each time {!run} yields, and (the [Compiled] engine only) a
+    [tier.promote.*] instant per promotion. Trace emission never touches
+    the performance counters, so traced and untraced runs stay
+    bit-identical under {!Lockstep}. A sink changes no dispatch: the
+    clock reads the cycle counter less what a range in flight has
+    charged ahead of its current instruction, so both engines stamp
+    every event alike. *)
 
 val arm_profiler : ?interval:int -> t -> unit
 (** Start sampling the program counter every [interval] (default 64)
     executed instructions into a per-instruction histogram. Arming
-    clears previous samples. Sampling runs in a dedicated dispatch loop
-    so the disarmed hot path is unchanged, and it perturbs no
-    architectural state or counters. A superblock's samples are
-    attributed to its exit instruction. *)
+    clears previous samples. Sampling perturbs no architectural state or
+    counters. A range's samples are attributed to its exit
+    instruction. *)
 
 val disarm_profiler : t -> unit
 (** Stop sampling. Collected samples remain readable. *)
@@ -227,7 +233,9 @@ val hot_regions : t -> (string * int) list
 
 val counters : t -> counters
 (** A snapshot: the returned record is a private copy, immutable with
-    respect to further execution. *)
+    respect to further execution. Exact from inside a callback too: read
+    by a sanitizer or hostcall handler, it holds what [Reference] would
+    have counted by the current instruction, whichever engine runs. *)
 
 val charge_extra_cycles : t -> int -> unit
 (** Add cycles to the live counter — how the runtime charges modeled
@@ -293,6 +301,7 @@ type snapshot = {
   s_dtlb_hits : int;
   s_dtlb_misses : int;
   s_dcache_misses : int;
+  s_fetch_accum : int;  (** front-end bytes fetched but not yet charged a cycle *)
 }
 
 val snapshot : t -> snapshot

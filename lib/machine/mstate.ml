@@ -1,8 +1,9 @@
 (* Machine state: the [t] record, its satellite types, construction, and the
    small accessors that touch only state. The execution pipeline is layered
    on top — [Decode] (operand/memory primitives + the reference
-   interpreter), [Translate] (lazy threaded-code compiler + basic-block
-   analysis), [Tier] (superblock promotion) — and re-exported through the
+   interpreter), [Translate] (basic-block analysis and program
+   installation), [Tier] (block compilation on first entry and the compiled
+   engine's dispatch loop) — and re-exported through the
    [Machine] facade, which is the only module with a public interface. *)
 
 open Sfi_x86.Ast
@@ -43,21 +44,23 @@ type engine_kind = Reference | Compiled
    generic out-of-bounds trap. *)
 type sanitizer_access = San_read | San_write | San_branch
 
+(* How far a guarded range in flight has charged ahead of [step]: filled
+   in place by [Tier.lead], so observing it allocates nothing. *)
+type lead = {
+  mutable l_instrs : int;
+  mutable l_bytes : int;
+  mutable l_cycles : int; (* fixed plus front-end *)
+  mutable l_fetch : int; (* fetch accumulator *)
+}
+
 (* Basic-block classes, after the adaptive flow director's tier taxonomy:
    [Bpure] is compute-only code that cannot trap or touch memory, [Bload]
    is no-store-no-branch code (loads, pops, division — trappable but
    side-effect-free until retirement), [Bhazard] is everything with stores
-   or indirect control flow (promotable, but needs the guarded superblock
-   with trap rollback and pc attribution), and [Bbypass] serializes on the
-   tier-1 dispatcher forever (hostcalls, explicit traps, unresolved branch
-   targets). *)
+   or indirect control flow (batched under a guard with trap rollback and
+   pc attribution), and [Bbypass] runs one slot per dispatch (hostcalls,
+   explicit traps, unresolved branch targets). *)
 type block_class = Bpure | Bload | Bhazard | Bbypass
-
-type block = {
-  b_start : int; (* instruction index of the block head *)
-  b_len : int; (* dispatch slots, including a leading Label *)
-  b_class : block_class;
-}
 
 type loaded = {
   program : program;
@@ -67,20 +70,25 @@ type loaded = {
   lengths : int array; (* encoded length of each instruction *)
   targets : int array; (* direct-branch target index, -1 = unresolved label *)
   index_of_off : int array; (* code byte offset -> instruction index, -1 = none *)
-  (* Closure-threaded code, compiled lazily: a slot holds [Translate]'s
-     shared stub until its first dispatch compiles it in place. exec.(n)
-     is the off-end sentinel. *)
-  exec : (t -> unit) array;
-  blocks : block array; (* partition of [0, n) into basic blocks *)
-  block_of : int array; (* instruction index -> block index *)
-  (* Superblock dispatch tables, indexed by instruction like [exec].
-     [sb_len.(i) = 0] means instruction [i] heads no eligible block;
-     [k > 0] means [sb_exec.(i)] executes the whole [k]-slot block with
-     batched counter charges — or, until its first entry, is [Tier]'s
-     stub that promotes the block and then runs it. *)
-  sb_len : int array;
-  sb_exec : (t -> unit) array;
-  mutable promoted : int; (* blocks currently promoted (stubs excluded) *)
+  (* The basic blocks partitioning [0, n), then the off-end sentinel. A
+     block's first entry replaces its descriptor with the compiled block. *)
+  blocks : block array;
+  block_of : int array; (* instruction index (or n: the sentinel) -> block *)
+  mutable promoted : int; (* blocks promoted so far ([Tier.compile_block]) *)
+}
+
+(* A basic block. [bodies] and the prefix sums — over the block's first
+   [j] slots, of the instructions, code bytes and fixed cycles [step]
+   charges before each body — are empty until compiled. *)
+and block = {
+  b_start : int; (* instruction index of the block head *)
+  b_len : int; (* dispatch slots, including a leading Label *)
+  b_class : block_class;
+  b_jumps : bool; (* the last slot's body sets the successor pc itself *)
+  bodies : (t -> unit) array;
+  pre_instrs : int array;
+  pre_bytes : int array;
+  pre_fixed : int array;
 }
 
 and t = {
@@ -138,20 +146,22 @@ and t = {
      clock at this machine's cycle counter. *)
   mutable trace : Sfi_trace.Trace.t;
   (* Sampling hot-PC profiler: every [prof_interval] executed instructions
-     (0 = disarmed) the current pc is bucketed into [prof_counts]. The
-     sampling run loop is separate from the unsampled one, so the default
-     path keeps its tight dispatch. [prof_dropped] counts samples
-     discarded when [load_program] replaces the program the histogram
-     described. *)
+     (0 = disarmed) the current pc is bucketed into [prof_counts].
+     [prof_dropped] counts samples discarded when [load_program] replaces
+     the program the histogram described. *)
   mutable prof_interval : int;
   mutable prof_credit : int;
   mutable prof_counts : int array;
   mutable prof_dropped : int;
-  (* Lifetime tier stats. [sb_retired] counts instructions retired inside
-     superblocks (a host-side statistic, not part of the observable
-     snapshot — the engines differ on it by design). *)
+  (* Lifetime tier stats. [sb_retired] counts instructions retired by
+     ranges of two or more slots (a host-side statistic, not part of the
+     observable snapshot — the engines differ on it by design). *)
   mutable tier_promotions : int;
   mutable sb_retired : int;
+  (* The guarded range in flight: one past its last slot (an instruction
+     index), or -1 outside one. Read by [Tier.lead]. *)
+  mutable batch_end : int;
+  lead : lead;
 }
 
 (* Cache geometries: big enough that kernels alternating between a few hot
@@ -223,6 +233,8 @@ let create ?(cost = Cost.default) ?(tlb = Tlb.default_config) ?(code_base = defa
     prof_dropped = 0;
     tier_promotions = 0;
     sb_retired = 0;
+    batch_end = -1;
+    lead = { l_instrs = 0; l_bytes = 0; l_cycles = 0; l_fetch = 0 };
   }
 
 let space t = t.space
@@ -278,8 +290,8 @@ let instr_at t idx =
   | _ -> None
 
 (* Bucket the pc a sampling loop stopped at after retiring [slots]
-   dispatch slots (1, or a whole superblock's worth: the credit is spent
-   in one subtraction and the block is attributed to its exit pc — the
+   dispatch slots (1, or a whole range's worth: the credit is spent in
+   one subtraction and the range is attributed to its exit pc — the
    histogram is a statistical view). Counter effects: none — the profiler
    observes execution without perturbing it, so armed and disarmed runs
    stay bit-identical under lockstep comparison. *)

@@ -1,23 +1,18 @@
-(* Tier-1 translation: [compile_instr] compiles one instruction into an
-   [exec : t -> unit] closure — the per-instruction prologue, the fixed
-   cycle charge, then the op's [Decode.compile_body], with operands,
-   widths, branch targets, encoded lengths and return addresses
-   pre-resolved. [install] compiles nothing: it fills [exec] with a stub
-   that compiles its slot on first dispatch, and partitions the program
-   into classified basic blocks for the superblock tier. The closures must
-   reproduce [Decode.step]'s observable behavior exactly — same counters,
-   same charge order, same traps — which {!Lockstep} checks instruction by
-   instruction. *)
+(* Program installation: [install] resolves labels, byte offsets and
+   direct-branch targets and partitions the program into classified basic
+   blocks, compiling nothing — the compiled engine ([Tier]) compiles a
+   block on its first entry. Also the per-instruction facts block
+   compilation needs: the fixed cycle charge and whether an op sets the
+   successor pc itself. *)
 
 open Sfi_x86.Ast
 open Mstate
-open Decode
 module Encode = Sfi_x86.Encode
 
 (* The cycle charge [step] issues unconditionally, before any trap point —
    everything except dynamic charges (TLB walk, dcache miss, load/store
-   latency, the taken-branch adder). Tier 1 charges it per instruction,
-   superblocks once at block entry. *)
+   latency, the taken-branch adder). The compiled engine charges it once
+   per dispatched range. *)
 let fixed_cycles t (i : instr) =
   let c = t.cost in
   match i with
@@ -48,25 +43,6 @@ let is_control = function
   | Jmp _ | Jcc _ | Jmp_reg _ | Call _ | Call_reg _ | Ret | Wrpkru | Trap _ -> true
   | _ -> false
 
-let compile_instr t (l : loaded) idx =
-  let next = idx + 1 in
-  match l.program.(idx) with
-  | Label _ -> fun t -> t.pc <- next
-  | instr ->
-      let body = compile_body t l idx in
-      let len = l.lengths.(idx) and fixed = fixed_cycles t instr in
-      if is_control instr then fun t ->
-        t.counters.instructions <- t.counters.instructions + 1;
-        charge_frontend t len;
-        t.counters.cycles <- t.counters.cycles + fixed;
-        body t
-      else fun t ->
-        t.counters.instructions <- t.counters.instructions + 1;
-        charge_frontend t len;
-        t.counters.cycles <- t.counters.cycles + fixed;
-        body t;
-        t.pc <- next
-
 (* --- Basic-block discovery and classification --- *)
 
 (* Instructions that end a basic block. Hostcall/Wrpkru fall through but
@@ -96,16 +72,37 @@ let instr_class ~targets idx (i : instr) =
       match dst with Mem _ -> Bhazard | _ -> Bpure)
   | Cmp (_, a, b) | Test (_, a, b) -> (
       match (a, b) with Mem _, _ | _, Mem _ -> Bload | _ -> Bpure)
-  (* Division can trap even register-to-register; the rollback side table
-     handles it, so it rides in the no-store class. *)
+  (* Division can trap even register-to-register; the guarded range's
+     rollback handles it, so it rides in the no-store class. *)
   | Div _ | Pop _ | Ret | Vload _ -> Bload
   | Push _ | Vstore _ | Call_reg _ | Jmp_reg _ | Wrpkru -> Bhazard
-  (* Direct branches with an unresolved label raise [Not_found] from the
-     middle of a block; keep those on the tier-1 dispatcher. *)
+  (* Direct branches with an unresolved label raise [Not_found], even
+     from an otherwise pure (unguarded) block; those blocks run one slot
+     per dispatch, where a raise leaves no batched charge to roll back. *)
   | Jmp _ | Jcc _ -> if targets.(idx) >= 0 then Bpure else Bbypass
   | Call _ -> if targets.(idx) >= 0 then Bhazard else Bbypass
   | Hostcall _ | Trap _ -> Bbypass
 
+(* Running past the last instruction is an out-of-bounds fetch, exactly
+   as [step] treats pc >= n: the off-end sentinel block's only body. *)
+let off_end _ = raise (Trap_exn Trap_out_of_bounds)
+
+(* A block as [install] leaves it: no bodies, no prefix sums. A constant,
+   so statically allocated (see DESIGN.md, load path). *)
+let descriptor =
+  {
+    b_start = 0;
+    b_len = 0;
+    b_class = Bpure;
+    b_jumps = false;
+    bodies = [||];
+    pre_instrs = [||];
+    pre_bytes = [||];
+    pre_fixed = [||];
+  }
+
+(* The block descriptors (the off-end sentinel, already compiled, last)
+   and the instruction -> block index table. *)
 let analyze_blocks program targets =
   let n = Array.length program in
   let leader idx =
@@ -113,11 +110,12 @@ let analyze_blocks program targets =
     || (match program.(idx) with Label _ -> true | _ -> false)
     || is_terminator program.(idx - 1)
   in
-  (* Filled in place, not by [Array.of_list]: see DESIGN.md, load path. *)
+  (* Filled in place from a constant, not by [Array.of_list]: see
+     DESIGN.md, load path. *)
   let nblocks = ref 0 in
   for idx = 0 to n - 1 do if leader idx then incr nblocks done;
-  let blocks = Array.make !nblocks { b_start = 0; b_len = 0; b_class = Bpure } in
-  let block_of = Array.make n (-1) in
+  let blocks = Array.make (!nblocks + 1) descriptor in
+  let block_of = Array.make (n + 1) !nblocks in
   let bi = ref 0 in
   let i = ref 0 in
   while !i < n do
@@ -131,25 +129,30 @@ let analyze_blocks program targets =
       cls := class_max !cls (instr_class ~targets k program.(k));
       block_of.(k) <- !bi
     done;
-    blocks.(!bi) <- { b_start = s; b_len = !j - s; b_class = !cls };
+    blocks.(!bi) <-
+      { descriptor with
+        b_start = s;
+        b_len = !j - s;
+        b_class = !cls;
+        b_jumps = is_control program.(!j - 1);
+      };
     incr bi;
     i := !j
   done;
+  blocks.(!nblocks) <-
+    {
+      b_start = n;
+      b_len = 1;
+      b_class = Bbypass;
+      b_jumps = true;
+      bodies = [| off_end |];
+      pre_instrs = [| 0; 0 |];
+      pre_bytes = [| 0; 0 |];
+      pre_fixed = [| 0; 0 |];
+    };
   (blocks, block_of)
 
 (* --- Program installation (the body of [Machine.load_program]) --- *)
-
-(* The initial content of every [exec] slot: compile the instruction at
-   [t.pc], overwrite the slot with it, run it. A closed top-level function,
-   so it is statically allocated and filling a large array with it does
-   not force a minor collection (see DESIGN.md, load path). *)
-let compile_on_dispatch t =
-  let l = get_loaded t in
-  let f = compile_instr t l t.pc in
-  l.exec.(t.pc) <- f;
-  f t
-
-let off_end _ = raise (Trap_exn Trap_out_of_bounds)
 
 let install t program =
   let n = Array.length program in
@@ -180,10 +183,6 @@ let install t program =
       program
   in
   let blocks, block_of = analyze_blocks program targets in
-  (* exec.(n) is the off-end sentinel: running past the last instruction is
-     an out-of-bounds fetch, exactly as [step] treats pc >= n. *)
-  let exec = Array.make (n + 1) compile_on_dispatch in
-  exec.(n) <- off_end;
   let l =
     {
       program;
@@ -193,11 +192,8 @@ let install t program =
       lengths;
       targets;
       index_of_off;
-      exec;
       blocks;
       block_of;
-      sb_len = Array.make (n + 1) 0;
-      sb_exec = Array.make (n + 1) off_end;
       promoted = 0;
     }
   in

@@ -80,8 +80,8 @@ val create_engine :
     springboards of the corresponding {!hostcall_class}es, per Kolosick et
     al.'s zero-cost transitions. [engine] selects the machine's execution
     engine (default {!Sfi_machine.Machine.Compiled}, which compiles each
-    instruction on first dispatch and fuses each eligible basic block on
-    first entry; [Reference] is the bit-identical oracle). *)
+    basic block on first entry and runs it in ranges with batched counter
+    charges; [Reference] is the bit-identical oracle). *)
 
 val machine : engine -> Sfi_machine.Machine.t
 val space : engine -> Sfi_vmem.Space.t

@@ -254,8 +254,8 @@ let breaker_close t ~tenant = emit t (pack 19 ph_instant) tenant 0 0
 let degrade_step t ~level = emit t (pack 20 ph_instant) (-1) level 0
 
 (* [cls] is the promoted block's class rank (0 = pure, 1 = load,
-   2 = hazard); each class gets its own event name so occupancy per class
-   falls out of a name histogram. *)
+   2 = hazard; bypass blocks are never promoted); each class gets its own
+   event name so occupancy per class falls out of a name histogram. *)
 let tier_promote t ~cls ~block ~len =
   let name = match cls with 0 -> 21 | 1 -> 22 | _ -> 23 in
   emit t (pack name ph_instant) (-1) block len

@@ -152,11 +152,15 @@ val degrade_step : t -> level:int -> unit
     service). Machine track. *)
 
 val tier_promote : t -> cls:int -> block:int -> len:int -> unit
-(** The execution engine promoted the basic block headed at instruction
-    index [block] ([len] dispatch slots) to a superblock. [cls] is the
-    block's class rank — [0] pure-compute ([tier.promote.pure]), [1]
+(** The compiled engine compiled the basic block headed at instruction
+    index [block] ([len] dispatch slots) on its first entry, to run
+    ranges of it under one batched charge. [cls] is the block's class
+    rank — [0] pure-compute ([tier.promote.pure]), [1]
     no-store-no-branch ([tier.promote.load]), [2] hazardous
-    ([tier.promote.hazard]). Machine track. *)
+    ([tier.promote.hazard]). Every class is promoted whether or not a
+    sink is live; blocks that run one instruction per dispatch (one slot
+    long, or holding a hostcall, explicit trap or unresolved branch) are
+    not promotions and emit nothing. Machine track. *)
 
 val slo_burn_start : t -> tenant:int -> burn_milli:int -> window:int -> unit
 (** SLO: tenant [tenant]'s error-budget burn rate crossed its alerting

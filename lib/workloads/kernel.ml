@@ -119,11 +119,11 @@ let prometheus_gauges m (dm : Runtime.metrics) =
       "basic blocks discovered at translation",
       f m.tier.Machine.blocks_total );
     ( "sfi_tier_blocks_promoted",
-      "blocks currently installed as superblocks",
+      "blocks compiled to run batched ranges",
       f m.tier.Machine.blocks_promoted );
     ("sfi_tier_promotions_total", "lifetime superblock promotions", f m.tier.Machine.promotions);
     ( "sfi_tier_superblock_instructions_total",
-      "instructions retired inside superblocks",
+      "instructions retired by batched ranges",
       f m.tier.Machine.superblock_instructions );
   ]
   @ List.map

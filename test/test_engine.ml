@@ -283,7 +283,8 @@ let gen_shape_instr rng =
       X.Lea (w, dreg, X.mem ~base ?index ~disp ~addr32:(Prng.bool rng) ())
 
 (* Labels every few instructions split the program into several blocks,
-   so the tiered engine runs a mix of superblocks and tier-1 slots. *)
+   so the compiled engine runs ranges that end at block ends and ranges
+   split at fuel edges. *)
 let gen_shape_program rng =
   List.concat
     (List.init (Prng.int_in rng 20 40) (fun i ->
@@ -505,8 +506,8 @@ let load_path_programs =
 
 (* [install]'s single-pass offsets, lengths and code length equal the
    encoder's own three passes, and every call pushes [code_base] plus the
-   next instruction's offset, through the tier-1 closure and the
-   reference [step] alike. A call may leave through a trap or an
+   next instruction's offset, through a one-slot range of the compiled
+   engine and the reference [step] alike. A call may leave through a trap or an
    unresolved label after its push; only the pushed word is checked. *)
 let test_load_layout_and_return_addresses () =
   let calls = ref 0 and call_regs = ref 0 in
@@ -543,7 +544,7 @@ let test_load_layout_and_return_addresses () =
                     (Int64.of_int expected)
                     (Space.read64 space (top - 8)))
                 [
-                  ("tier 1", fun t -> l.Mstate.exec.(idx) t);
+                  ("compiled", fun t -> ignore (Sfi_machine.Tier.run t ~fuel:1));
                   ("reference", Sfi_machine.Decode.step);
                 ]
           | _ -> ())

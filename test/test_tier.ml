@@ -3,9 +3,10 @@
    promotion of a block on its first entry, mid-run (and of no block that never
    runs), bit-identity of that promotion with the reference interpreter
    at fuel edges before and after it (handcrafted, qcheck-random, and
-   fuzzer corpus programs), trace-driven demotion of trappable
-   superblocks, the page-access-cache invalidation edge across a
-   superblock boundary, and the allocation-free execution core. *)
+   fuzzer corpus programs), traced runs that keep batching and stamp and
+   observe exactly what the reference does, the page-access-cache
+   invalidation edge across a superblock boundary, and the
+   allocation-free execution core. *)
 
 module X = Sfi_x86.Ast
 module Machine = Sfi_machine.Machine
@@ -74,7 +75,7 @@ let test_profile_dropped_on_swap () =
     (Machine.profile_dropped m)
 
 (* ------------------------------------------------------------------ *)
-(* Promotion on first entry, trace demotion.                           *)
+(* Promotion on first entry; tracing changes no dispatch.             *)
 (* ------------------------------------------------------------------ *)
 
 (* A pure block (entry, ends in jmp) followed by a hazardous block (the
@@ -183,9 +184,18 @@ let alternating_program =
     X.Nop;
   ]
 
-(* Run the first two blocks, install a live sink, run the rest; the
-   reference machine runs the same slices under the same sink. *)
-let test_trace_demotes_trappable_blocks () =
+(* A machine's events minus the compiled engine's own [tier.promote.*]
+   instants, which the reference interpreter never emits. *)
+let machine_events ring =
+  List.filter (fun e -> e.Trace.ev_cat <> "tier") (Trace.events ring)
+
+(* Run the first two blocks, then flush the dTLB, install a live sink and
+   a sanitizer that records the counters it sees, and run the rest; the
+   reference machine runs the same slices. The flush makes the second
+   store block's first store miss, so its fill event is stamped from
+   inside a guarded range with two slots still ahead of [step], and the
+   sanitizer reads [Machine.counters] at both of that block's accesses. *)
+let test_trace_keeps_batching () =
   let run engine =
     let m = make_machine alternating_program () in
     Machine.set_engine m engine;
@@ -194,26 +204,41 @@ let test_trace_demotes_trappable_blocks () =
     | Machine.Yielded -> ()
     | _ -> Alcotest.fail "first slice should yield");
     let promoted_before = (Machine.tier_stats m).Machine.blocks_promoted in
-    (* An enabled sink derives timestamps from the cycle counter, and a
-       trappable superblock batches its cycle charges: those blocks fall
-       back to per-instruction dispatch. Pure blocks cannot trap mid-block,
-       so they stay. *)
-    Machine.set_trace m (Trace.create_ring ~capacity:64 ());
-    let promoted_traced = (Machine.tier_stats m).Machine.blocks_promoted in
+    let ring = Trace.create_ring ~capacity:64 () in
+    Machine.flush_tlb m;
+    Machine.set_trace m ring;
+    let seen = ref [] in
+    Machine.set_sanitizer m
+      (Some
+         (fun m ~kind:_ ~addr ~len:_ ->
+           let c = Machine.counters m in
+           seen :=
+             (addr, c.Machine.instructions, c.Machine.cycles, c.Machine.code_bytes) :: !seen));
     (match Machine.run m ~fuel:1000 with
     | Machine.Halted -> ()
     | _ -> Alcotest.fail "should halt");
-    (m, promoted_before, promoted_traced)
+    (m, promoted_before, ring, List.rev !seen)
   in
-  let m, before, traced = run Machine.Compiled in
+  let m, before, ring, seen = run Machine.Compiled in
   Alcotest.(check int) "both entered blocks promoted" 2 before;
-  Alcotest.(check int) "the store block demoted, the pure one kept" 1 traced;
   let st = Machine.tier_stats m in
-  (* Under the sink, the second pure block still promotes on first entry;
-     the second store block and the load-class exit block do not. *)
-  Alcotest.(check int) "only the pure block promoted under the sink" 3 st.Machine.promotions;
-  Alcotest.(check int) "pure blocks running as superblocks" 2 st.Machine.blocks_promoted;
-  let r, _, _ = run Machine.Reference in
+  Alcotest.(check int) "every entered block promoted once" 5 st.Machine.promotions;
+  Alcotest.(check int) "every entered block running batched" 5 st.Machine.blocks_promoted;
+  Alcotest.(check int) "every instruction retired in a batched range"
+    (Machine.counters m).Machine.instructions st.Machine.superblock_instructions;
+  Alcotest.(check (list string)) "the blocks entered under the sink announce their promotion"
+    [ "tier.promote.pure"; "tier.promote.hazard"; "tier.promote.load" ]
+    (List.filter_map
+       (fun e -> if e.Trace.ev_cat = "tier" then Some e.Trace.ev_name else None)
+       (Trace.events ring));
+  let r, _, r_ring, r_seen = run Machine.Reference in
+  let events = machine_events ring and r_events = machine_events r_ring in
+  Alcotest.(check bool) "a dTLB fill was traced" true
+    (List.exists (fun e -> e.Trace.ev_name = "tlb.fill") r_events);
+  Alcotest.(check bool) "events identical to the reference's, timestamps included" true
+    (events = r_events);
+  Alcotest.(check int) "the sanitizer fired at every access" 3 (List.length r_seen);
+  Alcotest.(check bool) "the sanitizer saw the reference's counters" true (seen = r_seen);
   Alcotest.(check bool) "snapshot bit-identical to reference" true
     (Machine.snapshot m = Machine.snapshot r)
 
@@ -249,8 +274,8 @@ let test_midrun_promotion_snapshot_identical () =
     (Machine.superblock_retired b > 0)
 
 (* The same property via Lockstep, at strides that land fuel edges
-   mid-block both before a block's first entry (so the entry runs per
-   instruction) and after its promotion. *)
+   mid-block, so ranges start and end at any slot, on a block's first
+   entry and after it. *)
 let lockstep_strides ?setup instrs =
   List.iter
     (fun stride ->
@@ -267,16 +292,18 @@ let test_lockstep_strides () =
   lockstep_strides (loop_program 300);
   lockstep_strides ~setup:(fun m -> Machine.set_hostcall_handler m (fun _ _ -> ())) mixed_program
 
-(* Randomized: the compiled engine under a live trace sink against the
-   reference interpreter through the full Wasm pipeline. Trappable blocks
-   stay per-instruction, pure ones promote mid-invoke, so agreement here
-   pins "promotion under tracing is unobservable" on generated
-   programs. *)
-let run_wasm ?(traced = false) engine m args =
+(* Randomized: the compiled engine and the reference interpreter, each
+   under a live trace sink, through the full Wasm pipeline. Every block
+   batches under the sink exactly as without it, so agreement here —
+   results, counters, memory, and every event one by one, timestamps
+   included — pins "tracing is unobservable and stamps what [step]
+   would" on generated programs. *)
+let run_wasm engine m args =
   let cfg = Codegen.default_config ~strategy:Strategy.segue () in
   let compiled = Codegen.compile cfg m in
   let eng = Runtime.create_engine ~engine compiled in
-  if traced then Runtime.set_trace eng (Trace.create_ring ~capacity:256 ());
+  let ring = Trace.create_ring ~capacity:4096 () in
+  Runtime.set_trace eng ring;
   let inst = Runtime.instantiate eng in
   let result = Runtime.invoke inst "run" args in
   let mach = Runtime.machine eng in
@@ -284,15 +311,16 @@ let run_wasm ?(traced = false) engine m args =
     Machine.counters mach,
     Machine.dtlb_misses mach,
     Machine.dcache_misses mach,
-    Runtime.read_memory inst ~addr:0 ~len:4096 )
+    Runtime.read_memory inst ~addr:0 ~len:4096,
+    ring )
 
 let check_traced_agrees seed =
   let rng = Prng.create ~seed:(Int64.of_int seed) in
   let m = Test_random_programs.gen_module rng in
   let a = Int64.logand (Prng.next_int64 rng) 0xFFFFFFFFL in
   let b = Prng.next_int64 rng in
-  let r_res, r_c, r_tlb, r_dc, r_mem = run_wasm Machine.Reference m [ a; b ] in
-  let t_res, t_c, t_tlb, t_dc, t_mem = run_wasm ~traced:true Machine.Compiled m [ a; b ] in
+  let r_res, r_c, r_tlb, r_dc, r_mem, r_ring = run_wasm Machine.Reference m [ a; b ] in
+  let t_res, t_c, t_tlb, t_dc, t_mem, t_ring = run_wasm Machine.Compiled m [ a; b ] in
   (match (r_res, t_res) with
   | Ok rv, Ok tv ->
       if rv <> tv then QCheck.Test.fail_reportf "seed %d: result %Ld vs %Ld" seed rv tv
@@ -311,6 +339,24 @@ let check_traced_agrees seed =
   if r_dc <> t_dc then QCheck.Test.fail_reportf "seed %d: dcache %d vs %d" seed r_dc t_dc;
   if not (String.equal r_mem t_mem) then
     QCheck.Test.fail_reportf "seed %d: final memory images differ" seed;
+  if Trace.dropped r_ring > 0 || Trace.dropped t_ring > 0 then
+    QCheck.Test.fail_reportf "seed %d: the ring dropped events" seed;
+  let rec same i = function
+    | [], [] -> ()
+    | (r : Trace.event) :: rs, (c : Trace.event) :: cs ->
+        if r <> c then
+          QCheck.Test.fail_reportf
+            "seed %d: event %d: reference %s/%s track %d (%d, %d) at %d ns, compiled %s/%s \
+             track %d (%d, %d) at %d ns"
+            seed i r.Trace.ev_cat r.Trace.ev_name r.Trace.ev_track r.Trace.ev_a0 r.Trace.ev_a1
+            r.Trace.ev_ts c.Trace.ev_cat c.Trace.ev_name c.Trace.ev_track c.Trace.ev_a0
+            c.Trace.ev_a1 c.Trace.ev_ts;
+        same (i + 1) (rs, cs)
+    | rs, cs ->
+        QCheck.Test.fail_reportf "seed %d: %d reference vs %d compiled events" seed
+          (i + List.length rs) (i + List.length cs)
+  in
+  same 0 (machine_events r_ring, machine_events t_ring);
   true
 
 let qcheck_traced =
@@ -411,10 +457,8 @@ let alloc_loop n =
   ]
 
 (* Minor-heap words spent running the loop for [n] trips, and the
-   instructions that took. Compiling instructions and promoting blocks
-   on first use costs the same for every [n], so it cancels out of the
-   difference the test takes. Under a live sink the loop's store block
-   runs per instruction. *)
+   instructions that took. Compiling blocks on first use costs the same
+   for every [n], so it cancels out of the difference the test takes. *)
 let loop_minor_words ~traced n =
   let m = make_machine (alloc_loop n) () in
   if traced then Machine.set_trace m (Trace.create_ring ~capacity:64 ());
@@ -478,7 +522,7 @@ let tests =
     case "profiler: load_program surfaces dropped samples" test_profile_dropped_on_swap;
     case "promotion: only entered blocks, once each" test_only_entered_blocks_promoted;
     case "hot loop: promoted mid-run, once" test_hot_loop_promoted_mid_run;
-    case "trace: trappable superblocks demoted" test_trace_demotes_trappable_blocks;
+    case "trace: a live sink keeps every block batching" test_trace_keeps_batching;
     case "mid-run promotion: snapshots bit-identical" test_midrun_promotion_snapshot_identical;
     case "lockstep: tiered engine pairs" test_lockstep_strides;
     QCheck_alcotest.to_alcotest qcheck_traced;
