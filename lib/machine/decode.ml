@@ -15,8 +15,14 @@
    resolved once, at translate time, into plain descriptors ([opnd]).
    Bodies let-bind an [int64] before passing it to a helper: an inlined
    argument stays unboxed only when it is a let-bound variable or a fresh
-   arithmetic result. Calls that leave the unit on the hot path take and
-   return only [int], [bool], [unit] or [Bytes.t]. *)
+   arithmetic result.
+
+   A memory access's hit path leaves no unit: the pinned dTLB and dcache
+   slots are checked and touched on [Tlb.t]'s fields, the space's
+   counters are read from its epoch cell, and no handler is installed
+   (see "Memory access" below). Only a miss calls into [Tlb] or [Space],
+   with arguments and results of type [int], [bool], [unit] or
+   [Bytes.t]. *)
 
 open Sfi_x86.Ast
 open Mstate
@@ -82,7 +88,15 @@ let lea_value t (m : mem) =
   let sum = Int64.add (Int64.add base index) (Int64.of_int m.disp) in
   if m.addr32 then Int64.logand sum 0xFFFFFFFFL else sum
 
-(* --- Memory access with TLB and MPK --- *)
+(* --- Memory access with TLB and MPK ---
+
+   The hit path — an access whose page is pinned in the page cache and
+   whose lines are pinned in the line cache — is straight-line code in
+   this unit: the space's counters are field reads of its epoch cell, and
+   the pinned dTLB and dcache slots are checked and touched on [Tlb.t]'s
+   fields ([tlb_holds], [tlb_touch]). Only a miss calls into [Tlb] or
+   [Space], and no exception handler is installed: a refused access
+   records its fault at the raise site ([fault]). *)
 
 (* TLB payload: bits 0-1 = read/write permission, bits 3+ = pkey. *)
 let payload_of prot key =
@@ -95,87 +109,108 @@ let payload_of prot key =
 let allows t payload ~write =
   payload land (if write then 2 else 1) <> 0 && Mpk.allows t.pkru ~key:(payload lsr 3) ~write
 
-let check_tlb_generation t =
-  let g = Space.generation t.space in
-  if g <> t.space_generation then begin
-    Tlb.flush t.tlb;
-    t.space_generation <- g;
-    invalidate_pcache t
-  end
+(* [Tlb.holds] and [Tlb.touch] on the record, so the hit path inlines.
+   They must stay exactly what those functions do. *)
+let[@inline] tlb_holds (c : Tlb.t) slot page = Array.unsafe_get c.tags slot = page
 
-(* Full TLB walk for [page], trapping unless the access is allowed;
-   counter effects identical to the pre-cache interpreter. Returns the TLB
-   slot, so the fast path can pin it and read its payload. *)
-let check_page_slow t ~page ~write =
+let[@inline] tlb_touch (c : Tlb.t) slot =
+  let clock = c.clock + 1 in
+  c.clock <- clock;
+  c.hits <- c.hits + 1;
+  Array.unsafe_set c.stamps slot clock
+
+(* Refuse the access starting at [addr]: record it for
+   [last_fault_info] and trap. Every architectural refusal raises here —
+   a pinned verdict, an unmapped page, a refused TLB payload — so the
+   fault names the access start even when the second page of a
+   straddling access refused. *)
+let fault t ~addr ~write =
+  t.last_fault <- Some { fault_addr = addr; fault_write = write };
+  raise (Trap_exn Trap_out_of_bounds)
+
+(* The layout changed since the last access: shoot down the dTLB and
+   every pin into it. *)
+let resync_generation t g =
+  Tlb.flush t.tlb;
+  t.space_generation <- g;
+  invalidate_pcache t
+
+let[@inline] check_tlb_generation t =
+  let g = t.epochs.Space.generation in
+  if g <> t.space_generation then resync_generation t g
+
+(* Full TLB walk for [page], trapping unless the access at [addr] is
+   allowed; counter effects identical to the pre-cache interpreter.
+   Returns the TLB slot, so the page cache can pin it and read its
+   payload. *)
+let check_page_slow t ~page ~addr ~write =
   let slot = Tlb.lookup_slot t.tlb ~page in
   let slot =
     if slot >= 0 then slot
     else begin
       t.counters.cycles <- t.counters.cycles + Tlb.walk_cost t.tlb;
       match Space.page_info t.space ~addr:(page * Space.page_size) with
-      | None -> raise (Trap_exn Trap_out_of_bounds)
+      | None -> fault t ~addr ~write
       | Some (prot, key) -> Tlb.fill_slot t.tlb ~page ~payload:(payload_of prot key)
     end
   in
-  if not (allows t (Tlb.payload t.tlb ~slot) ~write) then raise (Trap_exn Trap_out_of_bounds);
+  if not (allows t (Tlb.payload t.tlb ~slot) ~write) then fault t ~addr ~write;
   slot
 
-let touch_dcache t addr =
+(* Page-cache miss on [page]: walk, then pin the slot in entry [idx] with
+   both verdicts baked in. *)
+let pcache_fill t idx ~page ~addr ~write =
+  let slot = check_page_slow t ~page ~addr ~write in
+  let payload = Tlb.payload t.tlb ~slot in
+  Array.unsafe_set t.pc_tag idx page;
+  Array.unsafe_set t.pc_slot idx slot;
+  Array.unsafe_set t.pc_read_ok idx (allows t payload ~write:false);
+  Array.unsafe_set t.pc_write_ok idx (allows t payload ~write:true);
+  Array.unsafe_set t.pc_bepoch idx (-1)
+
+(* Line-cache miss on [line]: the full dcache lookup (and fill), then pin
+   the slot in entry [idx]. *)
+let dcache_miss t idx line =
+  let slot = Tlb.lookup_slot t.dcache ~page:line in
+  Array.unsafe_set t.lc_slot idx
+    (if slot >= 0 then slot
+     else begin
+       t.counters.cycles <- t.counters.cycles + t.cost.Cost.dcache_miss_cycles;
+       Tlb.fill_slot t.dcache ~page:line ~payload:0
+     end);
+  Array.unsafe_set t.lc_tag idx line
+
+let[@inline] touch_dcache t addr =
   let line = addr lsr 6 in
   let idx = line land lc_mask in
-  if Array.unsafe_get t.lc_tag idx = line
-     && Tlb.holds t.dcache ~slot:(Array.unsafe_get t.lc_slot idx) ~page:line
-  then Tlb.touch t.dcache ~slot:(Array.unsafe_get t.lc_slot idx)
-  else begin
-    let slot = Tlb.lookup_slot t.dcache ~page:line in
-    Array.unsafe_set t.lc_slot idx
-      (if slot >= 0 then slot
-       else begin
-         t.counters.cycles <- t.counters.cycles + t.cost.Cost.dcache_miss_cycles;
-         Tlb.fill_slot t.dcache ~page:line ~payload:0
-       end);
-    Array.unsafe_set t.lc_tag idx line
-  end
+  let slot = Array.unsafe_get t.lc_slot idx in
+  if Array.unsafe_get t.lc_tag idx = line && tlb_holds t.dcache slot line then
+    tlb_touch t.dcache slot
+  else dcache_miss t idx line
 
 let check_access t ~addr ~len ~write =
-  try
-    check_tlb_generation t;
-    let first = addr lsr 12 and last = (addr + len - 1) lsr 12 in
-    let idx = first land pc_mask in
-    (if Array.unsafe_get t.pc_tag idx = first
-        && Tlb.holds t.tlb ~slot:(Array.unsafe_get t.pc_slot idx) ~page:first
-     then begin
-       (* Repeat access to a cached page: model the TLB hit without the
-          set scan, then apply the pre-baked verdict. *)
-       Tlb.touch t.tlb ~slot:(Array.unsafe_get t.pc_slot idx);
-       if
-         not
-           (if write then Array.unsafe_get t.pc_write_ok idx
-            else Array.unsafe_get t.pc_read_ok idx)
-       then raise (Trap_exn Trap_out_of_bounds)
-     end
-     else begin
-       let slot = check_page_slow t ~page:first ~write in
-       let payload = Tlb.payload t.tlb ~slot in
-       Array.unsafe_set t.pc_tag idx first;
-       Array.unsafe_set t.pc_slot idx slot;
-       Array.unsafe_set t.pc_read_ok idx (allows t payload ~write:false);
-       Array.unsafe_set t.pc_write_ok idx (allows t payload ~write:true);
-       Array.unsafe_set t.pc_bepoch idx (-1)
-     end);
-    if last <> first then ignore (check_page_slow t ~page:last ~write);
-    touch_dcache t addr;
-    if (addr + len - 1) lsr 6 <> addr lsr 6 then touch_dcache t (addr + len - 1);
-    (* Every architectural check passed: give the sanitizer (if armed) a
-       chance to flag an access that is legal for the hardware but illegal
-       for the owning sandbox. An access that trapped above never reaches
-       this point — it is already contained and attributed precisely. *)
-    match t.sanitizer with
-    | None -> ()
-    | Some f -> f t ~kind:(if write then San_write else San_read) ~addr ~len
-  with Trap_exn _ as e ->
-    t.last_fault <- Some { fault_addr = addr; fault_write = write };
-    raise e
+  check_tlb_generation t;
+  let first = addr lsr 12 and last = (addr + len - 1) lsr 12 in
+  let idx = first land pc_mask in
+  let slot = Array.unsafe_get t.pc_slot idx in
+  if Array.unsafe_get t.pc_tag idx = first && tlb_holds t.tlb slot first then begin
+    (* Repeat access to a cached page: model the TLB hit without the set
+       scan, then apply the pre-baked verdict. *)
+    tlb_touch t.tlb slot;
+    if not (if write then Array.unsafe_get t.pc_write_ok idx else Array.unsafe_get t.pc_read_ok idx)
+    then fault t ~addr ~write
+  end
+  else pcache_fill t idx ~page:first ~addr ~write;
+  if last <> first then ignore (check_page_slow t ~page:last ~addr ~write);
+  touch_dcache t addr;
+  if (addr + len - 1) lsr 6 <> addr lsr 6 then touch_dcache t (addr + len - 1);
+  (* Every architectural check passed: give the sanitizer (if armed) a
+     chance to flag an access that is legal for the hardware but illegal
+     for the owning sandbox. An access that trapped above never reaches
+     this point — it is already contained and attributed precisely. *)
+  match t.sanitizer with
+  | None -> ()
+  | Some f -> f t ~kind:(if write then San_write else San_read) ~addr ~len
 
 (* Backing bytes of a cached page for reading/writing. Only call when
    [check_access] just succeeded for an access contained in [page] — that
@@ -185,7 +220,7 @@ let check_access t ~addr ~len ~write =
    madvise, unmap). *)
 let ro_bytes t page =
   let idx = page land pc_mask in
-  let epoch = Space.data_epoch t.space in
+  let epoch = t.epochs.Space.data_epoch in
   if Array.unsafe_get t.pc_bepoch idx = epoch then Array.unsafe_get t.pc_bytes idx
   else begin
     let b = Space.page_for_read t.space ~page in
@@ -197,19 +232,23 @@ let ro_bytes t page =
 
 let rw_bytes t page =
   let idx = page land pc_mask in
-  let epoch = Space.data_epoch t.space in
-  if Array.unsafe_get t.pc_bepoch idx = epoch && Array.unsafe_get t.pc_bwritable idx then
-    Array.unsafe_get t.pc_bytes idx
+  if Array.unsafe_get t.pc_bepoch idx = t.epochs.Space.data_epoch
+     && Array.unsafe_get t.pc_bwritable idx
+  then Array.unsafe_get t.pc_bytes idx
   else begin
     let b = Space.page_for_write t.space ~page in
     Array.unsafe_set t.pc_bytes idx b;
     Array.unsafe_set t.pc_bwritable idx true;
     (* Read the epoch after materializing: allocation bumps it. *)
-    Array.unsafe_set t.pc_bepoch idx (Space.data_epoch t.space);
+    Array.unsafe_set t.pc_bepoch idx t.epochs.Space.data_epoch;
     b
   end
 
 let page_mask = Space.page_size - 1
+
+(* [Sfi_x86.Ast.width_bytes], restated so it inlines: every load and
+   store asks it. *)
+let[@inline] width_bytes = function W8 -> 1 | W16 -> 2 | W32 -> 4 | W64 -> 8
 
 let[@inline] load_mem t w addr =
   let len = width_bytes w in

@@ -111,7 +111,11 @@ and t = {
   mutable of_ : bool;
   mutable pc : int;
   mutable loaded : loaded option;
-  mutable space_generation : int;
+  (* [Space.epochs space]: the space's layout generation and data epoch,
+     read here as fields on every access. [space] is immutable, so this
+     is always the current space's cell. *)
+  epochs : Space.epochs;
+  mutable space_generation : int; (* the generation the TLB was last synced to *)
   mutable fetch_accum : int;
   counters : counters;
   mutable last_fault : fault_info option;
@@ -210,6 +214,7 @@ let create ?(cost = Cost.default) ?(tlb = Tlb.default_config) ?(code_base = defa
     of_ = false;
     pc = 0;
     loaded = None;
+    epochs = Space.epochs space;
     space_generation = Space.generation space;
     fetch_accum = 0;
     counters = fresh_counters ();

@@ -24,6 +24,9 @@ type region = {
   r_private : (int, unit) Hashtbl.t; (* absolute page numbers dirtied *)
 }
 
+(* See [epochs] in the interface. *)
+type epochs = { mutable generation : int; mutable data_epoch : int }
+
 type t = {
   mutable vmas : vma Imap.t; (* keyed by start address *)
   mutable vma_count : int; (* [Imap.cardinal vmas], without the tree walk *)
@@ -33,8 +36,7 @@ type t = {
          fault: no more frames than the peak resident count *)
   mutable regions : region Imap.t; (* keyed by start address *)
   max_map_count : int;
-  mutable generation : int; (* bumped whenever the VMA layout changes *)
-  mutable data_epoch : int; (* bumped whenever a page's backing store changes *)
+  epochs : epochs;
 }
 
 let create ?(max_map_count = 65530) () =
@@ -45,12 +47,14 @@ let create ?(max_map_count = 65530) () =
     frames = [];
     regions = Imap.empty;
     max_map_count;
-    generation = 0;
-    data_epoch = 0;
+    epochs = { generation = 0; data_epoch = 0 };
   }
 
-let generation t = t.generation
-let data_epoch t = t.data_epoch
+let epochs t = t.epochs
+let generation t = t.epochs.generation
+let data_epoch t = t.epochs.data_epoch
+let bump_generation t = t.epochs.generation <- t.epochs.generation + 1
+let bump_data_epoch t = t.epochs.data_epoch <- t.epochs.data_epoch + 1
 
 let vma_count t = t.vma_count
 let max_map_count t = t.max_map_count
@@ -113,7 +117,7 @@ let map t ~addr ~len ~prot =
   else begin
     t.vmas <- Imap.add addr { start = addr; len; prot; pkey = Mpk.default_key } t.vmas;
     t.vma_count <- t.vma_count + 1;
-    t.generation <- t.generation + 1;
+    bump_generation t;
     Ok ()
   end
 
@@ -188,7 +192,7 @@ let update_range t addr len f =
       end
       else begin
         merge_range t addr len;
-        t.generation <- t.generation + 1;
+        bump_generation t;
         Ok ()
       end
     end
@@ -215,8 +219,8 @@ let unmap t ~addr ~len =
     (* Backing registrations fully inside the range die with the mapping. *)
     t.regions <-
       Imap.filter (fun s r -> not (s >= addr && s + r.r_len <= finish)) t.regions;
-    t.generation <- t.generation + 1;
-    t.data_epoch <- t.data_epoch + 1;
+    bump_generation t;
+    bump_data_epoch t;
     Ok ()
   end
 
@@ -226,7 +230,7 @@ let madvise_dontneed t ~addr ~len =
     for p = page_of_addr addr to page_of_addr (addr + len - 1) do
       drop_page t p
     done;
-    t.data_epoch <- t.data_epoch + 1;
+    bump_data_epoch t;
     Ok ()
   end
 
@@ -290,7 +294,7 @@ let get_page_rw t p =
       Hashtbl.replace t.pages p b;
       (* A fresh backing page replaces the shared zero/image page for reads
          too, so any cached read-only view of this page is now stale. *)
-      t.data_epoch <- t.data_epoch + 1;
+      bump_data_epoch t;
       b
 
 let page_for_read t ~page = get_page_ro t page
@@ -440,7 +444,7 @@ let set_backing t ~addr ~len image =
         { r_start = addr; r_len = len; r_image = image; r_private = Hashtbl.create 16 }
         t.regions;
     (* Reads in the range change from zeros to the image contents. *)
-    t.data_epoch <- t.data_epoch + 1;
+    bump_data_epoch t;
     Ok ()
   end
 
@@ -457,6 +461,6 @@ let recycle t ~addr ~len =
       if n > 0 then begin
         Hashtbl.iter (fun p () -> release_frame t p) r.r_private;
         Hashtbl.reset r.r_private;
-        t.data_epoch <- t.data_epoch + 1
+        bump_data_epoch t
       end;
       Ok n

@@ -53,20 +53,37 @@ val find_vma : t -> int -> vma option
 val vma_count : t -> int
 val max_map_count : t -> int
 
+type epochs = private {
+  mutable generation : int;
+      (** Incremented on every successful layout change ([map], [unmap],
+          [protect], [pkey_protect]). The machine's TLB model uses this to
+          invalidate cached translations, exactly as a kernel shoots down
+          TLBs after mapping changes. *)
+  mutable data_epoch : int;
+      (** Incremented whenever a page's backing store changes identity — a
+          fresh page is materialized, pages are discarded by
+          [madvise_dontneed], [recycle] or [unmap], or a backing image is
+          registered. Callers caching a [Bytes.t] from {!page_for_read} /
+          {!page_for_write} must revalidate when this moves, and this is
+          load-bearing: a discarded page's frame goes back to the space and
+          the next materialization reuses it, so a [Bytes.t] held past an
+          epoch change may by then hold another page's contents. *)
+}
+(** The space's two cache-invalidation counters, published in one cell.
+    The space owns it and is the only writer ([private]: callers can read
+    the fields but neither assign nor build one). The cell lives as long
+    as the space, so a caller may keep a reference and read the current
+    counters as plain field loads — the machine does this on every memory
+    access, where a call into this module would not inline. *)
+
+val epochs : t -> epochs
+(** The space's counter cell. Always the same physical record. *)
+
 val generation : t -> int
-(** Incremented on every successful layout change ([map], [unmap],
-    [protect], [pkey_protect]). The machine's TLB model uses this to
-    invalidate cached translations, exactly as a kernel shoots down TLBs
-    after mapping changes. *)
+(** [(epochs t).generation]. *)
 
 val data_epoch : t -> int
-(** Incremented whenever a page's backing store changes identity — a fresh
-    page is materialized, pages are discarded by [madvise_dontneed],
-    [recycle] or [unmap]. Callers caching a [Bytes.t] from {!page_for_read}
-    / {!page_for_write} must revalidate when this moves, and this is
-    load-bearing: a discarded page's frame goes back to the space and the
-    next materialization reuses it, so a [Bytes.t] held past an epoch
-    change may by then hold another page's contents. *)
+(** [(epochs t).data_epoch]. *)
 
 val page_info : t -> addr:int -> (Prot.t * int) option
 (** Protection and pkey covering this address, if mapped. *)

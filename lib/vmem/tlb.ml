@@ -10,7 +10,7 @@ let default_config = { entries = 64; ways = 4; page_walk_levels = 4; walk_cycles
 type t = {
   config : config;
   sets : int;
-  tags : int array; (* tags.(set * ways + way) = page number, -1 = invalid *)
+  tags : int array; (* tags.(set * ways + way) = page number, -1 = never filled *)
   payloads : int array;
   stamps : int array; (* LRU stamps; larger = more recent *)
   mutable clock : int;

@@ -12,14 +12,33 @@
     the key are cached in the TLB entry, while the PKRU check happens on
     every access against the cached key. *)
 
-type t
-
 type config = {
   entries : int;  (** total entries, e.g. 64 *)
   ways : int;  (** associativity, e.g. 4 *)
   page_walk_levels : int;  (** 4 (48-bit VA) or 5 (57-bit VA) *)
   walk_cycles_per_level : int;  (** cycles per level, e.g. 5 *)
 }
+
+type t = {
+  config : config;
+  sets : int;  (** [entries / ways]; a page's set is [page mod sets] *)
+  tags : int array;
+      (** [tags.(set * ways + way)]: the page cached in that slot, -1 if
+          never filled. A {!flush} leaves tags in place. *)
+  payloads : int array;
+  stamps : int array;  (** LRU stamps; larger is more recent *)
+  mutable clock : int;  (** the last stamp given out *)
+  mutable floor : int;  (** a slot is valid iff its stamp is above this *)
+  mutable hits : int;
+  mutable misses : int;
+  mutable trace : Sfi_trace.Trace.t;
+}
+(** Concrete so that a caller can run the pinned-slot hit path (see
+    {!holds} and {!touch}) as straight-line code in its own unit: the
+    machine does, on every memory access. Everything else — lookups,
+    fills, flushes, counter resets — goes through the functions below,
+    and only {!touch}'s three writes may be copied: [clock], [hits] and
+    the slot's stamp. *)
 
 val default_config : config
 (** 64-entry, 4-way, 4-level walk. *)
@@ -50,16 +69,24 @@ val fill_slot : t -> page:int -> payload:int -> int
 
 val holds : t -> slot:int -> page:int -> bool
 (** Is [slot] still caching the translation for [page]? False once the
-    entry is evicted. A single tag compare: it does {e not} see a
-    {!flush}, which leaves tags in place. Callers that pin slots in a
-    front cache (the machine's page and line caches) must drop every pin
-    when they flush, so [holds] is only ever asked about a slot returned
-    by {!lookup_slot} or {!fill_slot} since the last flush. *)
+    entry is evicted. A single tag compare: [t.tags.(slot) = page].
+
+    Pinning invariant: [holds] does {e not} see a {!flush}, which leaves
+    tags in place. A caller that pins slots in a front cache (the
+    machine's page and line caches) must drop every pin when it flushes,
+    so [holds] is only ever asked about a slot returned by {!lookup_slot}
+    or {!fill_slot} since the last flush. *)
 
 val touch : t -> slot:int -> unit
-(** Record a repeat hit on a pinned slot: advances the clock, counts a hit
-    and refreshes the entry's LRU stamp — exactly what {!lookup} would do
-    on a hit, minus the set scan. Only call when {!holds} is true. *)
+(** Record a repeat hit on a pinned slot: [clock <- clock + 1],
+    [hits <- hits + 1], [stamps.(slot) <- clock] — exactly what {!lookup}
+    would do on a hit, minus the set scan. Only call when {!holds} is
+    true.
+
+    [holds] and [touch] define the pinned hit path. A caller that inlines
+    it on the record's fields must match them exactly, in that order of
+    effects; a differential test against {!lookup_slot} on every access
+    (the machine's page-cache differential) holds it to this. *)
 
 val walk_cost : t -> int
 (** Cycles for one page walk under this configuration. *)

@@ -4,7 +4,9 @@
    qcheck property reusing the test_random_programs generator through the
    full Wasm pipeline, and targeted tests for the page-access cache's
    invalidation edges (mprotect, pkru writes, unmap/generation bumps,
-   madvise, host stores). *)
+   madvise, host stores), a differential of the memory hit path against
+   a per-access TLB walk, and where each refused access records its
+   fault. *)
 
 module X = Sfi_x86.Ast
 module Machine = Sfi_machine.Machine
@@ -480,6 +482,107 @@ let test_pcache_host_write_visible () =
       Alcotest.(check int64) "host store visible" 7L (Machine.get_reg m X.RAX))
 
 (* ------------------------------------------------------------------ *)
+(* Fault attribution: recorded where each refusal raises.              *)
+(* ------------------------------------------------------------------ *)
+
+let check_fault what m expected =
+  let show = function
+    | None -> "none"
+    | Some { Machine.fault_addr; fault_write } ->
+        Printf.sprintf "0x%x (%s)" fault_addr (if fault_write then "write" else "read")
+  in
+  let got = Machine.last_fault_info m in
+  if got <> expected then Alcotest.failf "%s: fault %s, expected %s" what (show got) (show expected)
+
+let expect_oob what = function
+  | Machine.Trapped X.Trap_out_of_bounds -> ()
+  | _ -> Alcotest.failf "%s: expected an out-of-bounds trap" what
+
+let test_fault_straddle_second_page () =
+  (* The first page is warm in the page cache; the store's second page is
+     read-only, so the walk of that page refuses it. *)
+  both_engines (fun engine ->
+      let page4 = mb + (4 * Space.page_size) in
+      let setup m =
+        match Space.protect (Machine.space m) ~addr:page4 ~len:Space.page_size ~prot:Prot.r with
+        | Ok () -> ()
+        | Error e -> failwith e
+      in
+      let m, st =
+        run_with engine ~setup
+          [
+            X.Mov (X.W64, X.Reg X.RAX, X.Mem (X.mem ~disp:(page4 - 64) ()));
+            X.Mov (X.W64, X.Mem (X.mem ~disp:(page4 - 4) ()), X.Imm 1L);
+          ]
+      in
+      expect_oob "straddling store" st;
+      check_fault "straddling store" m
+        (Some { Machine.fault_addr = page4 - 4; fault_write = true }))
+
+let test_fault_pinned_verdict () =
+  (* With key 2 write-disabled, a load pins the page with reads allowed
+     and writes refused; a store elsewhere on the page is refused by that
+     pinned verdict, and the fault names the store. *)
+  both_engines (fun engine ->
+      let page = 2 * mb in
+      let setup m =
+        let space = Machine.space m in
+        (match Space.map space ~addr:page ~len:Space.page_size ~prot:Prot.rw with
+        | Ok () -> ()
+        | Error e -> failwith e);
+        (match Space.pkey_protect space ~addr:page ~len:Space.page_size ~prot:Prot.rw ~key:2 with
+        | Ok () -> ()
+        | Error e -> failwith e);
+        Machine.set_pkru m (1 lsl 5)
+      in
+      let m, st =
+        run_with engine ~setup
+          [
+            X.Mov (X.W64, X.Reg X.RAX, X.Mem (X.mem ~disp:(page + 8) ()));
+            X.Mov (X.W32, X.Mem (X.mem ~disp:(page + 100) ()), X.Imm 1L);
+          ]
+      in
+      expect_oob "store under a write-disabled key" st;
+      Alcotest.(check int) "the store hit the pinned translation" 1 (Machine.dtlb_hits m);
+      check_fault "store under a write-disabled key" m
+        (Some { Machine.fault_addr = page + 100; fault_write = true }))
+
+let test_fault_sanitizer_leaves_none () =
+  (* A sanitizer violation is not an architectural fault. *)
+  both_engines (fun engine ->
+      let m =
+        make_machine
+          [
+            X.Mov (X.W64, X.Reg X.RAX, X.Mem (X.mem ~disp:mb ()));
+            X.Mov (X.W64, X.Mem (X.mem ~disp:(mb + 8) ()), X.Imm 1L);
+          ]
+          ()
+      in
+      Machine.set_engine m engine;
+      Machine.start m ~entry:"entry";
+      Machine.set_sanitizer m
+        (Some
+           (fun _ ~kind ~addr ~len ->
+             if kind = Machine.San_write then
+               raise
+                 (Runtime.Sanitizer_violation
+                    {
+                      Runtime.v_kind = `Write;
+                      v_addr = addr;
+                      v_len = len;
+                      v_pc = 0;
+                      v_instr = "";
+                      v_instr_count = 0;
+                      v_attribution = `Host;
+                      v_detail = "flagged";
+                    })));
+      match Machine.run m ~fuel:100 with
+      | exception Runtime.Sanitizer_violation v ->
+          Alcotest.(check int) "the flagged store" (mb + 8) v.Runtime.v_addr;
+          check_fault "sanitizer violation" m None
+      | _ -> Alcotest.fail "the store should be flagged")
+
+(* ------------------------------------------------------------------ *)
 (* Load-path layout: one length pass, return addresses derived.        *)
 (* ------------------------------------------------------------------ *)
 
@@ -555,6 +658,358 @@ let test_load_layout_and_return_addresses () =
     true
     (!calls > 0 && !call_regs > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Page-cache differential against a per-access walk.                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Lockstep and the engine differentials cannot see a bug in the memory
+   hit path, because both engines share it. This compares the machine
+   with a model that has no front cache: on every access it does the full
+   [Tlb.lookup_slot]/[fill_slot] walk and asks [Space] for the verdict.
+   A random sequence of loads and stores (1-16 bytes, many straddling a
+   64-byte line or a page) runs in fuel slices over an 8-page data region
+   plus the unmapped page after it; between slices the host changes the
+   layout, the contents, the PKRU or flushes the TLB. After every slice
+   the dTLB hits and misses, dcache misses, cycles, trap outcome,
+   [last_fault_info] and a checksum of the loaded values must agree. *)
+
+module Tlb = Sfi_vmem.Tlb
+module Cost = Sfi_machine.Cost
+
+let pd_data = 2 * mb
+let pd_pages = 8
+let pd_stack_top = mb + (2 * Space.page_size)
+
+(* Only the memory system costs cycles, so the model can count them. *)
+let pd_cost =
+  {
+    Cost.default with
+    frontend_bytes_per_cycle = 0;
+    alu_cycles = 0;
+    lea_cycles = 0;
+    load_cycles = 0;
+    store_cycles = 0;
+    mul_cycles = 0;
+    div_cycles = 0;
+    branch_cycles = 0;
+    taken_branch_cycles = 0;
+    indirect_branch_cycles = 0;
+    call_ret_cycles = 0;
+    vector_cycles = 0;
+    wrsegbase_cycles = 0;
+    wrsegbase_syscall_cycles = 0;
+    wrpkru_cycles = 0;
+    hostcall_cycles = 0;
+  }
+
+type pd_access = { p_addr : int; p_len : int; p_write : bool; p_value : int }
+
+type pd_host =
+  | Protect of int * int * Prot.t
+  | Pkey_protect of int * int * Prot.t * int
+  | Madvise of int * int
+  | Unmap of int * int
+  | Map of int * int
+  | Set_pkru of Mpk.pkru
+  | Flush_tlb
+  | Pause (* a slice boundary and nothing else *)
+
+type pd_event = Access of pd_access | Host of pd_host
+
+(* Half the accesses return to the previous access's page, so pinned
+   slots get reused. *)
+let gen_pd_access rng ~near =
+  let page = if Prng.bool rng then near else Prng.int rng (pd_pages + 1) in
+  let p_len = pick rng [| 1; 2; 4; 8; 16 |] in
+  let off =
+    match Prng.int rng 3 with
+    | 0 -> Prng.int rng Space.page_size
+    | 1 -> Space.page_size - Prng.int_in rng 1 15 (* straddles the next page *)
+    | _ -> (64 * Prng.int rng 64) + 64 - Prng.int_in rng 1 15 (* straddles a line *)
+  in
+  let limit = pd_data + ((pd_pages + 1) * Space.page_size) - p_len in
+  let p_addr = min (pd_data + (page * Space.page_size) + off) limit in
+  { p_addr; p_len; p_write = Prng.bool rng; p_value = Prng.int rng 0x40000000 }
+
+(* Key 0 (the stack's) stays allowed; keys 1-3 get random AD/WD bits. *)
+let gen_pd_host rng =
+  let range () =
+    let first = Prng.int rng pd_pages in
+    (pd_data + (first * Space.page_size), Prng.int_in rng 1 (pd_pages - first) * Space.page_size)
+  in
+  let prot () = pick rng [| Prot.rw; Prot.rw; Prot.rw; Prot.r; Prot.none |] in
+  match Prng.int rng 9 with
+  | 0 ->
+      let a, l = range () in
+      Protect (a, l, prot ())
+  | 1 ->
+      let a, l = range () in
+      Pkey_protect (a, l, prot (), Prng.int rng 4)
+  | 2 ->
+      let a, l = range () in
+      Madvise (a, l)
+  | 3 ->
+      let a, l = range () in
+      Unmap (a, l)
+  | 4 | 5 ->
+      let a, l = range () in
+      Map (a, l)
+  | 6 -> Set_pkru (if Prng.bool rng then Mpk.allow_all else Prng.int rng 64 lsl 2)
+  | 7 -> Flush_tlb
+  | _ -> Pause
+
+let gen_pd_events rng =
+  let near = ref 0 in
+  List.init (Prng.int_in rng 40 120) (fun _ ->
+      if Prng.int rng 5 = 0 then Host (gen_pd_host rng)
+      else begin
+        let a = gen_pd_access rng ~near:!near in
+        near := (a.p_addr - pd_data) / Space.page_size;
+        Access a
+      end)
+
+(* The code for one access, behind its label. A scalar load folds the
+   zero-extended value into RDX; a 16-byte store first fills XMM2 with
+   the value's low byte. *)
+let pd_code i a =
+  let m = X.mem ~disp:a.p_addr () in
+  let label = X.Label (Printf.sprintf "a%d" i) in
+  let fold = X.Alu (X.Xor, X.W64, X.Reg X.RDX, X.Reg X.RAX) in
+  let v = Int64.of_int (a.p_value land ((1 lsl (8 * min a.p_len 4)) - 1)) in
+  label
+  ::
+  (match (a.p_len, a.p_write) with
+  | 1, false -> [ X.Movzx (X.W64, X.W8, X.RAX, X.Mem m); fold ]
+  | 2, false -> [ X.Movzx (X.W64, X.W16, X.RAX, X.Mem m); fold ]
+  | 4, false -> [ X.Mov (X.W32, X.Reg X.RAX, X.Mem m); fold ]
+  | 8, false -> [ X.Mov (X.W64, X.Reg X.RAX, X.Mem m); fold ]
+  | 16, false -> [ X.Vload (X.XMM 1, m) ]
+  | 1, true -> [ X.Mov (X.W8, X.Mem m, X.Imm v) ]
+  | 2, true -> [ X.Mov (X.W16, X.Mem m, X.Imm v) ]
+  | 4, true -> [ X.Mov (X.W32, X.Mem m, X.Imm v) ]
+  | 8, true -> [ X.Mov (X.W64, X.Mem m, X.Imm v) ]
+  | _ -> [ X.Vdup8 (X.XMM 2, a.p_value land 0xFF); X.Vstore (m, X.XMM 2) ])
+
+(* The model: its own TLB and dcache, driven by a full walk per access,
+   and a shadow of the bytes stored (absent = zero). *)
+type pd_model = {
+  md_space : Space.t;
+  md_tlb : Tlb.t;
+  md_dcache : Tlb.t;
+  mutable md_gen : int;
+  mutable md_cycles : int;
+  mutable md_fault : Machine.fault_info option;
+  mutable md_pkru : Mpk.pkru;
+  mutable md_rsp : int;
+  mutable md_sum : int;
+  md_bytes : (int, int) Hashtbl.t;
+}
+
+(* Walk [page]: true if the access may proceed. *)
+let md_walk md ~page ~write =
+  let mapped =
+    Tlb.lookup_slot md.md_tlb ~page >= 0
+    || begin
+      md.md_cycles <- md.md_cycles + Tlb.walk_cost md.md_tlb;
+      match Space.page_info md.md_space ~addr:(page * Space.page_size) with
+      | None -> false
+      | Some _ ->
+          ignore (Tlb.fill_slot md.md_tlb ~page ~payload:0);
+          true
+    end
+  in
+  mapped
+  && Space.check_access md.md_space ~pkru:md.md_pkru ~addr:(page * Space.page_size) ~len:1 ~write
+     = Ok ()
+
+let md_line md line =
+  if Tlb.lookup_slot md.md_dcache ~page:line < 0 then begin
+    md.md_cycles <- md.md_cycles + pd_cost.Cost.dcache_miss_cycles;
+    ignore (Tlb.fill_slot md.md_dcache ~page:line ~payload:0)
+  end
+
+(* One access's checks; false (with the fault recorded) if it traps. *)
+let md_check md ~addr ~len ~write =
+  let g = Space.generation md.md_space in
+  if g <> md.md_gen then begin
+    Tlb.flush md.md_tlb;
+    md.md_gen <- g
+  end;
+  let first = addr lsr 12 and last = (addr + len - 1) lsr 12 in
+  if md_walk md ~page:first ~write && (last = first || md_walk md ~page:last ~write) then begin
+    md_line md (addr lsr 6);
+    if (addr + len - 1) lsr 6 <> addr lsr 6 then md_line md ((addr + len - 1) lsr 6);
+    true
+  end
+  else begin
+    md.md_fault <- Some { Machine.fault_addr = addr; fault_write = write };
+    false
+  end
+
+let md_access md a =
+  md_check md ~addr:a.p_addr ~len:a.p_len ~write:a.p_write
+  && begin
+    (if a.p_write then
+       for k = 0 to a.p_len - 1 do
+         let byte = if a.p_len = 16 then a.p_value else a.p_value lsr (8 * k) in
+         Hashtbl.replace md.md_bytes (a.p_addr + k) (byte land 0xFF)
+       done
+     else if a.p_len <= 8 then
+       let v = ref 0 in
+       for k = a.p_len - 1 downto 0 do
+         v := (!v lsl 8) lor Option.value ~default:0 (Hashtbl.find_opt md.md_bytes (a.p_addr + k))
+       done;
+       md.md_sum <- md.md_sum lxor !v);
+    true
+  end
+
+let md_forget md addr len =
+  for b = addr to addr + len - 1 do
+    Hashtbl.remove md.md_bytes b
+  done
+
+(* [Machine.start]: clears the fault and pushes the halt sentinel. *)
+let md_start md =
+  md.md_fault <- None;
+  md.md_rsp <- md.md_rsp - 8;
+  if not (md_check md ~addr:md.md_rsp ~len:8 ~write:true) then failwith "stack push refused"
+
+let pd_apply m md op =
+  let space = Machine.space m in
+  let forget addr len = function Ok () -> md_forget md addr len | Error _ -> () in
+  match op with
+  | Protect (addr, len, prot) -> ignore (Space.protect space ~addr ~len ~prot)
+  | Pkey_protect (addr, len, prot, key) -> ignore (Space.pkey_protect space ~addr ~len ~prot ~key)
+  | Madvise (addr, len) -> forget addr len (Space.madvise_dontneed space ~addr ~len)
+  | Unmap (addr, len) -> forget addr len (Space.unmap space ~addr ~len)
+  | Map (addr, len) ->
+      (* Page by page, so the holes in a partly mapped range fill. *)
+      for p = 0 to (len / Space.page_size) - 1 do
+        let addr = addr + (p * Space.page_size) in
+        ignore (Space.map space ~addr ~len:Space.page_size ~prot:Prot.rw)
+      done
+  | Set_pkru k ->
+      Machine.set_pkru m k;
+      md.md_pkru <- k
+  | Flush_tlb ->
+      Machine.flush_tlb m;
+      Tlb.flush md.md_tlb;
+      Tlb.flush md.md_dcache
+  | Pause -> ()
+
+let check_pcache_walk seed =
+  let rng = Prng.create ~seed:(Int64.of_int seed) in
+  let tlb =
+    pick rng
+      [|
+        Tlb.default_config;
+        { Tlb.default_config with entries = 4; ways = 2 };
+        { Tlb.default_config with entries = 8; ways = 1 };
+      |]
+  in
+  let events = gen_pd_events rng in
+  let accesses =
+    Array.of_list (List.filter_map (function Access a -> Some a | Host _ -> None) events)
+  in
+  let n = Array.length accesses in
+  let code = Array.mapi pd_code accesses in
+  let program =
+    Array.of_list (List.concat (Array.to_list code) @ [ X.Label (Printf.sprintf "a%d" n); X.Ret ])
+  in
+  List.iter
+    (fun engine ->
+      let space = Space.create () in
+      let map addr len =
+        match Space.map space ~addr ~len ~prot:Prot.rw with Ok () -> () | Error e -> failwith e
+      in
+      map mb (2 * Space.page_size);
+      map pd_data (pd_pages * Space.page_size);
+      let m = Machine.create ~cost:pd_cost ~tlb space in
+      Machine.set_engine m engine;
+      Machine.load_program m program;
+      Machine.set_reg m X.RSP (Int64.of_int pd_stack_top);
+      let md =
+        {
+          md_space = space;
+          md_tlb = Tlb.create tlb;
+          md_dcache = Tlb.create Mstate.default_dcache_config;
+          md_gen = Space.generation space;
+          md_cycles = 0;
+          md_fault = None;
+          md_pkru = Mpk.allow_all;
+          md_rsp = pd_stack_top;
+          md_sum = 0;
+          md_bytes = Hashtbl.create 64;
+        }
+      in
+      let fail fmt =
+        Printf.ksprintf
+          (fun s ->
+            QCheck.Test.fail_reportf "seed %d, %s engine: %s" seed
+              (match engine with Machine.Reference -> "reference" | Machine.Compiled -> "compiled")
+              s)
+          fmt
+      in
+      let agree what ~status ~expect =
+        if status <> expect then fail "%s: unexpected status" what;
+        let c = Machine.counters m in
+        let check name mine model =
+          if mine <> model then fail "%s: %s %d, model %d" what name mine model
+        in
+        check "dTLB hits" (Machine.dtlb_hits m) (Tlb.hits md.md_tlb);
+        check "dTLB misses" (Machine.dtlb_misses m) (Tlb.misses md.md_tlb);
+        check "dcache misses" (Machine.dcache_misses m) (Tlb.misses md.md_dcache);
+        check "cycles" c.Machine.cycles md.md_cycles;
+        check "load checksum" (Int64.to_int (Machine.get_reg m X.RDX)) md.md_sum;
+        if Machine.last_fault_info m <> md.md_fault then fail "%s: last_fault_info differs" what
+      in
+      (* Run accesses [pos, stop) in one fuel slice, resuming after each
+         trap at the next access's label. *)
+      let rec run_slice pos stop =
+        if pos < stop then begin
+          let fuel = ref 0 in
+          for i = pos to stop - 1 do
+            fuel := !fuel + List.length code.(i)
+          done;
+          let status = Machine.run m ~fuel:!fuel in
+          let rec model i =
+            if i = stop then None else if md_access md accesses.(i) then model (i + 1) else Some i
+          in
+          match model pos with
+          | None -> agree (Printf.sprintf "slice [%d, %d)" pos stop) ~status ~expect:Machine.Yielded
+          | Some k ->
+              agree (Printf.sprintf "access %d" k) ~status
+                ~expect:(Machine.Trapped X.Trap_out_of_bounds);
+              Machine.start m ~entry:(Printf.sprintf "a%d" (k + 1));
+              md_start md;
+              run_slice (k + 1) stop
+        end
+      in
+      Machine.start m ~entry:"a0";
+      md_start md;
+      let last, pos =
+        List.fold_left
+          (fun (last, pos) -> function
+            | Access _ -> (last, pos + 1)
+            | Host op ->
+                run_slice last pos;
+                pd_apply m md op;
+                (pos, pos))
+          (0, 0) events
+      in
+      run_slice last pos;
+      (* The final label and [Ret], which pops the halt sentinel. *)
+      let status = Machine.run m ~fuel:2 in
+      let popped = md_check md ~addr:md.md_rsp ~len:8 ~write:false in
+      agree "return" ~status ~expect:(if popped then Machine.Halted else Machine.Yielded))
+    [ Machine.Reference; Machine.Compiled ];
+  true
+
+let qcheck_pcache_walk =
+  QCheck.Test.make ~count:150 ~name:"page cache = per-access TLB walk"
+    QCheck.(int_range 0 99999)
+    check_pcache_walk
+
 let case name f = Alcotest.test_case name `Quick f
 
 let tests =
@@ -571,5 +1026,9 @@ let tests =
     case "page cache: unmap invalidates" test_pcache_unmap;
     case "page cache: madvise drops cached bytes" test_pcache_madvise;
     case "page cache: host writes visible" test_pcache_host_write_visible;
+    QCheck_alcotest.to_alcotest qcheck_pcache_walk;
+    case "fault: straddling store names the access start" test_fault_straddle_second_page;
+    case "fault: pinned verdict names its own access" test_fault_pinned_verdict;
+    case "fault: sanitizer violation records none" test_fault_sanitizer_leaves_none;
     case "load path: layout and return addresses" test_load_layout_and_return_addresses;
   ]

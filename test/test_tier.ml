@@ -456,11 +456,31 @@ let alloc_loop n =
     X.Jcc (X.NE, "loop");
   ]
 
-(* Minor-heap words spent running the loop for [n] trips, and the
+(* Accesses that straddle a 64-byte line inside a page, at two addresses
+   16 KiB apart: their lines share line-cache entries, so every access
+   touches the dcache twice and both touches go through the line cache's
+   miss path. Page-straddling accesses are left out: they go through
+   [Space.read64]/[write64], which return a boxed [int64]. 6 instructions
+   per trip. *)
+let alloc_straddle_loop n =
+  let at disp = X.Mem (X.mem ~base:X.RBX ~disp ()) in
+  [
+    X.Mov (X.W64, X.Reg X.RBX, X.Imm (Int64.of_int (mb + 60)));
+    X.Mov (X.W64, X.Reg X.RCX, X.Imm (Int64.of_int n));
+    X.Label "loop";
+    X.Mov (X.W64, at 0, X.Reg X.RCX);
+    X.Alu (X.Add, X.W64, X.Reg X.RAX, at 16384);
+    X.Mov (X.W32, at 16386, X.Reg X.RAX);
+    X.Alu (X.Sub, X.W64, X.Reg X.RCX, X.Imm 1L);
+    X.Cmp (X.W64, X.Reg X.RCX, X.Imm 0L);
+    X.Jcc (X.NE, "loop");
+  ]
+
+(* Minor-heap words spent running [loop n] for [n] trips, and the
    instructions that took. Compiling blocks on first use costs the same
    for every [n], so it cancels out of the difference the test takes. *)
-let loop_minor_words ~traced n =
-  let m = make_machine (alloc_loop n) () in
+let loop_minor_words ?(loop = alloc_loop) ~traced n =
+  let m = make_machine (loop n) () in
   if traced then Machine.set_trace m (Trace.create_ring ~capacity:64 ());
   Machine.start m ~entry:"entry";
   let before = Gc.minor_words () in
@@ -470,16 +490,28 @@ let loop_minor_words ~traced n =
   let words = Gc.minor_words () -. before in
   (words, (Machine.counters m).Machine.instructions)
 
-let test_hot_path_allocation_free () =
+let check_allocation_free ?loop () =
   List.iter
     (fun (name, traced) ->
-      let w1, i1 = loop_minor_words ~traced 1_000 in
-      let w2, i2 = loop_minor_words ~traced 10_000 in
+      let w1, i1 = loop_minor_words ?loop ~traced 1_000 in
+      let w2, i2 = loop_minor_words ?loop ~traced 10_000 in
       let per_instr = (w2 -. w1) /. float_of_int (i2 - i1) in
       if per_instr > 0.01 then
         Alcotest.failf "%s: %.3f minor words per extra instruction (%.0f -> %.0f words)" name
           per_instr w1 w2)
     [ ("compiled", false); ("compiled-traced", true) ]
+
+let test_hot_path_allocation_free () = check_allocation_free ()
+
+let test_line_straddle_allocation_free () =
+  (* The loop really straddles: two lines at each address, plus the
+     stack's one line for the return address. *)
+  let m = make_machine (alloc_straddle_loop 100) () in
+  (match Machine.execute m ~entry:"entry" () with
+  | Machine.Halted -> ()
+  | _ -> Alcotest.fail "loop should halt");
+  Alcotest.(check int) "cold dcache lines" 5 (Machine.dcache_misses m);
+  check_allocation_free ~loop:alloc_straddle_loop ()
 
 (* ------------------------------------------------------------------ *)
 (* Load-path regression: no forced minor collections.                  *)
@@ -529,5 +561,6 @@ let tests =
     case "fuzz corpus through the tiered engine arm" test_fuzz_corpus_tiered;
     case "page cache: invalidation across a superblock" test_pcache_superblock_boundary;
     case "hot path: no allocation per instruction" test_hot_path_allocation_free;
+    case "hot path: no allocation per line-straddling access" test_line_straddle_allocation_free;
     case "load path: no forced minor collections" test_load_no_forced_minor_gc;
   ]
