@@ -6,6 +6,12 @@ module Sim = Sfi_faas.Sim
 module Wk = Sfi_faas.Workloads
 module W = Sfi_wasm.Ast
 module Interp = Sfi_wasm.Interp
+module Shard = Sfi_faas.Shard
+module Breaker = Sfi_faas.Breaker
+module Slo = Sfi_faas.Slo
+module Runtime = Sfi_runtime.Runtime
+module Trace = Sfi_trace.Trace
+module Flight = Sfi_trace.Flight
 
 let quick_cfg ?(mode = Sim.Colorguard) ?(workload = Wk.Hash_balance) () =
   let cfg = Sim.default_config ~mode ~workload () in
@@ -114,6 +120,264 @@ let test_fault_free_unchanged () =
   Alcotest.(check bool) "goodput = throughput" true
     (Float.abs (r.Sim.goodput_rps -. r.Sim.throughput_rps) < 1e-9)
 
+(* --- golden digests ------------------------------------------------- *)
+
+(* Every simulated statistic, trace event and runtime counter of a
+   matrix of small configs, pinned as three FNV digests each: the
+   result ([Shard.result_fingerprint]), the armed trace ring
+   ([Trace.fingerprint]) and the domain's runtime counters
+   ([Shard.metrics_fingerprint]). A refactor of the sim must leave all
+   of them unchanged. A deliberate behaviour change re-records the
+   digests and names itself in CHANGES.md. *)
+
+let golden_base ?(workload = Wk.Hash_balance) ?(concurrency = 24) ?(duration_ns = 3.0e6)
+    ?(io_mean_ns = 100_000.0) ?(epoch_ns = 5_000.0) cfg =
+  { cfg with Sim.workload; concurrency; duration_ns; io_mean_ns; epoch_ns; seed = 0x60D1L }
+
+let golden_overload ~fair =
+  let ov =
+    {
+      Sim.no_overload with
+      Sim.pool_slots = Some 8;
+      admission = Some Runtime.default_admission;
+      breaker = Some { Breaker.default_config with Breaker.failure_threshold = 3 };
+      degradation = true;
+      hedged_retries = true;
+      request_deadline_ns = Some 60_000.0;
+      crash_tenants = [ 5 ];
+      low_priority = (fun id -> id mod 4 = 3);
+      slo = Some (Slo.default_config ~latency_ns:40_000.0 ~fast_window_ns:100_000.0 ());
+    }
+  in
+  golden_base (Sim.default_config ~churn:true ~overload:ov ~fair_scheduling:fair ())
+
+let golden_chaos flight =
+  let ov =
+    {
+      Sim.no_overload with
+      Sim.pool_slots = Some 12;
+      admission = Some Runtime.default_admission;
+      breaker = Some { Breaker.default_config with Breaker.failure_threshold = 1 };
+    }
+  in
+  let chaos =
+    List.init 18 (fun i ->
+        let at_ns = 100_000.0 +. (float_of_int i *. 140_000.0) in
+        let action =
+          match i mod 3 with
+          | 0 -> Sim.Chaos_kill
+          | 1 -> Sim.Chaos_latency { factor = 3.0; window_ns = 200_000.0 }
+          | _ -> Sim.Chaos_instantiate_fail 2
+        in
+        { Sim.at_ns; action })
+  in
+  golden_base
+    (Sim.default_config ~churn:true ~overload:ov ~chaos ~fair_scheduling:true ~flight ())
+
+let golden_open_loop () =
+  let ov =
+    {
+      Sim.no_overload with
+      Sim.pool_slots = Some 8;
+      admission =
+        Some { Runtime.default_admission with Runtime.tenant_rate = 5_000.0; tenant_burst = 1.0 };
+    }
+  in
+  let cfg = golden_base (Sim.default_config ~churn:true ~overload:ov ~fair_scheduling:true ()) in
+  {
+    cfg with
+    Sim.arrivals =
+      Some
+        (Wk.synthesize ~seed:0x60D1L ~tenants:cfg.Sim.concurrency
+           ~duration_ns:(0.8 *. cfg.Sim.duration_ns) ~rps:150_000.0
+           ~shape:(Wk.Diurnal { trough = 0.3 })
+           ~popularity:(Wk.Zipf { skew = 1.1 })
+           ());
+  }
+
+(* (result, trace, metrics) digests of one unsharded run on this domain. *)
+let sim_digests cfg =
+  let ring = Trace.create_ring ~capacity:16384 () in
+  Runtime.reset_domain_metrics ();
+  let r = Sim.run { cfg with Sim.trace = ring } in
+  (Shard.result_fingerprint r, Trace.fingerprint ring, Shard.metrics_fingerprint (Runtime.domain_metrics ()))
+
+let shard_digests cfg ~shards =
+  let rep =
+    Shard.run
+      (Shard.default_config ~trace_capacity:16384 ~shards
+         { cfg with Sim.trace = Trace.create_ring ~capacity:1 () })
+  in
+  ( Shard.result_fingerprint rep.Shard.r_result,
+    (match rep.Shard.r_trace with Some t -> Trace.fingerprint t | None -> 0L),
+    Shard.metrics_fingerprint rep.Shard.r_metrics )
+
+(* Freeze reasons, times and counter snapshots of a flight recorder. *)
+let flight_digest fr =
+  let h = ref 0xCBF29CE484222325L in
+  let mix v = h := Int64.mul (Int64.logxor !h v) 0x100000001B3L in
+  List.iter
+    (fun b ->
+      String.iter (fun c -> mix (Int64.of_int (Char.code c))) b.Flight.b_reason;
+      mix (Int64.of_int b.Flight.b_at_ns);
+      mix (Int64.of_int (List.length b.Flight.b_events));
+      List.iter (fun (_, v) -> mix (Int64.bits_of_float v)) b.Flight.b_counters)
+    (Flight.bundles fr);
+  !h
+
+let golden_cases () =
+  let fr = Flight.create ~capacity:64 () in
+  [
+    ( "closed-loop colorguard",
+      (fun () -> sim_digests (golden_base (Sim.default_config ()))),
+      (0x853b4665a371c234L, 0xb55125c2e246f82fL, 0x982983b344bc240aL) );
+    ( "multiprocess 4, trap/runaway/watchdog faults",
+      (fun () ->
+        let faults =
+          { Sim.no_faults with Sim.trap_rate = 0.08; runaway_rate = 0.04; deadline_epochs = 2 }
+        in
+        sim_digests
+          (golden_base
+             (Sim.default_config ~mode:(Sim.Multiprocess 4) ~faults ~fair_scheduling:true ()))),
+      (0x3d9230602b8c9053L, 0x68cb52a97a207030L, 0x89c2ac027bfd572aL) );
+    ( "overload, legacy scheduler",
+      (fun () -> sim_digests (golden_overload ~fair:false)),
+      (0xc9ff62e3c7542434L, 0x1aeecafb69772b3L, 0x512e1ab8d27c438eL) );
+    ( "overload, fair scheduler",
+      (fun () -> sim_digests (golden_overload ~fair:true)),
+      (0x65039fcac4185c83L, 0xa75b97e71055309cL, 0x13875dbe447316aaL) );
+    ( "churn, CoW lifecycle billing",
+      (fun () -> sim_digests (golden_base (Sim.default_config ~churn:true ~page_zero_ns:4937.5 ()))),
+      (0xa478432ea87888eeL, 0x22ba5f99aa2ff15bL, 0x9f620bd64cbfde1eL) );
+    ( "churn, legacy lifecycle billing",
+      (fun () ->
+        sim_digests
+          (golden_base
+             (Sim.default_config ~churn:true ~page_zero_ns:4937.5 ~legacy_lifecycle:true ()))),
+      (0x40fab024e558d885L, 0x3594d967aee365cL, 0xb58ac3c0e41e62f6L) );
+    ( "chaos with a flight recorder",
+      (fun () ->
+        let r, t, m = sim_digests (golden_chaos fr) in
+        (r, Int64.logxor t (flight_digest fr), m)),
+      (0xb8e1d2b6d844325bL, 0xbfffaae706201b28L, 0xd25a0eb3a3b4f737L) );
+    ( "open loop with admission",
+      (fun () -> sim_digests (golden_open_loop ())),
+      (0x4b1ffb4440b67b39L, 0x656fc1d18db143b7L, 0xe54a491594106d77L) );
+    ( "4 shards over 3 tenants",
+      (fun () ->
+        shard_digests ~shards:4
+          { (golden_open_loop ()) with Sim.concurrency = 3; arrivals = None }),
+      (0x29d834db0dce0021L, 0x69fe4767e5f6a030L, 0xb6bb437ecf5a7f5fL) );
+  ]
+
+let test_golden_digests () =
+  (* Run every case before checking any, so a re-recording sees them all
+     in the test's output. *)
+  let got = List.map (fun (name, run, expect) -> (name, run (), expect)) (golden_cases ()) in
+  List.iter
+    (fun (name, (r, t, m), _) -> Printf.printf "%s: (0x%LxL, 0x%LxL, 0x%LxL)\n" name r t m)
+    got;
+  List.iter
+    (fun (name, (r, t, m), (er, et, em)) ->
+      Alcotest.(check int64) (name ^ ": result") er r;
+      Alcotest.(check int64) (name ^ ": trace") et t;
+      Alcotest.(check int64) (name ^ ": runtime counters") em m)
+    got
+
+(* --- accounting identities ------------------------------------------ *)
+
+(* Every request outcome is booked once: the per-tenant tallies add up to
+   the run's counters, the latency histograms hold one sample per
+   completion, and a sharded run's per-shard stats add up to its merged
+   result. Checked over a small random config space. *)
+
+let sheds r =
+  r.Sim.shed_sojourn + r.Sim.shed_rate_limited + r.Sim.shed_queue_full + r.Sim.shed_priority
+
+let identity_cfg (multiprocess, open_loop, faulty, overloaded, churn, chaos, seed) =
+  let ov =
+    if overloaded then
+      {
+        Sim.no_overload with
+        Sim.pool_slots = Some 6;
+        admission = Some Runtime.default_admission;
+        breaker = Some { Breaker.default_config with Breaker.failure_threshold = 2 };
+        degradation = true;
+        hedged_retries = true;
+        crash_tenants = [ 1 ];
+        low_priority = (fun id -> id mod 3 = 2);
+      }
+    else Sim.no_overload
+  in
+  let faults =
+    if faulty then
+      { Sim.no_faults with Sim.trap_rate = 0.1; runaway_rate = 0.05; deadline_epochs = 2 }
+    else Sim.no_faults
+  in
+  let chaos =
+    if chaos then
+      List.init 6 (fun i ->
+          {
+            Sim.at_ns = 100_000.0 +. (float_of_int i *. 150_000.0);
+            action =
+              (match i mod 3 with
+              | 0 -> Sim.Chaos_kill
+              | 1 -> Sim.Chaos_latency { factor = 2.0; window_ns = 100_000.0 }
+              | _ -> Sim.Chaos_instantiate_fail 1);
+          })
+    else []
+  in
+  let mode = if multiprocess then Sim.Multiprocess 2 else Sim.Colorguard in
+  let cfg =
+    golden_base ~concurrency:12 ~duration_ns:1.5e6
+      (Sim.default_config ~mode ~faults ~churn ~overload:ov ~chaos
+         ~fair_scheduling:(seed mod 2 = 0) ())
+  in
+  let cfg = { cfg with Sim.seed = Int64.of_int (seed + 1) } in
+  if open_loop then
+    {
+      cfg with
+      Sim.arrivals =
+        Some
+          (Wk.synthesize ~seed:cfg.Sim.seed ~tenants:12 ~duration_ns:1.2e6 ~rps:100_000.0
+             ~shape:Wk.Steady ~popularity:(Wk.Zipf { skew = 1.0 }) ());
+    }
+  else cfg
+
+let prop_accounting_identities =
+  let gen =
+    QCheck.(
+      pair
+        (tup6 bool bool bool bool bool bool)
+        (pair (int_range 1 3) small_nat))
+  in
+  QCheck.Test.make ~count:30 ~name:"request outcomes are booked once" gen
+    (fun ((mp, ol, fa, ov, ch, cs), (shards, seed)) ->
+      let cfg = identity_cfg (mp, ol, fa, ov, ch, cs, seed) in
+      let rep = Shard.run (Shard.default_config ~shards cfg) in
+      let r = rep.Shard.r_result in
+      let sum f = Array.fold_left (fun acc x -> acc + f x) 0 in
+      let check name a b =
+        if a <> b then QCheck.Test.fail_reportf "%s: %d <> %d" name a b
+      in
+      check "sum t_completed = completed" (sum (fun t -> t.Sim.t_completed) r.Sim.tenants)
+        r.Sim.completed;
+      check "latency samples = completed"
+        (sum (fun t -> Sfi_util.Hist.count t.Sim.t_lat_hist) r.Sim.tenants)
+        r.Sim.completed;
+      check "sum t_failed = failed + collateral"
+        (sum (fun t -> t.Sim.t_failed) r.Sim.tenants)
+        (r.Sim.failed + r.Sim.collateral_aborts);
+      check "sum t_shed = sheds" (sum (fun t -> t.Sim.t_shed) r.Sim.tenants) (sheds r);
+      check "sum sh_completed = completed"
+        (sum (fun s -> s.Shard.sh_completed) rep.Shard.r_shards)
+        r.Sim.completed;
+      check "sum sh_shed = sheds" (sum (fun s -> s.Shard.sh_shed) rep.Shard.r_shards) (sheds r);
+      check "sum sh_tenants = tenants"
+        (sum (fun s -> s.Shard.sh_tenants) rep.Shard.r_shards)
+        (Array.length r.Sim.tenants);
+      true)
+
 let tests =
   [
     Harness.case "workload modules run" test_workload_modules_run;
@@ -126,4 +390,6 @@ let tests =
     Harness.case "config validation" test_config_validation;
     Alcotest.test_case "faulty sim contained" `Slow test_faulty_sim_contained;
     Alcotest.test_case "fault-free behavior unchanged" `Slow test_fault_free_unchanged;
+    Harness.case "golden sim digests" test_golden_digests;
+    QCheck_alcotest.to_alcotest prop_accounting_identities;
   ]
