@@ -571,7 +571,12 @@ let faults () =
   in
   List.iter
     (fun trap_rate ->
-      let cg, mp = Sim.degraded_mode ~workload:Fworkloads.Hash_balance ~processes:8 ~trap_rate cfg in
+      (* Same load, same fault rate, two isolation strategies: ColorGuard
+         pays one instance per crash, multiprocess loses every co-resident
+         in-flight request. *)
+      let faults = { cfg.Sim.faults with Sim.trap_rate } in
+      let cg = Sim.run { cfg with Sim.faults } in
+      let mp = Sim.run { cfg with Sim.mode = Sim.Multiprocess 8; faults } in
       Table.add_row t
         [
           Printf.sprintf "%.2f" trap_rate;
@@ -665,9 +670,7 @@ let overload () =
         Table.cell_float r.Sim.goodput_rps;
         Printf.sprintf "%.2f" (r.Sim.goodput_rps /. base.Sim.goodput_rps);
         string_of_int r.Sim.deadline_misses;
-        string_of_int
-          (r.Sim.shed_sojourn + r.Sim.shed_rate_limited + r.Sim.shed_queue_full
-         + r.Sim.shed_priority);
+        string_of_int (Sim.sheds r);
         Printf.sprintf "%.2f" (max_healthy_p99 r /. 1e6);
       ]
   in

@@ -432,9 +432,7 @@ let top_cmd =
       Printf.printf
         "admitted %d, shed %d (sojourn %d, rate %d, queue %d), breaker opens %d, \
          fast-fails %d\n"
-        r.Sim.admitted
-        (r.Sim.shed_sojourn + r.Sim.shed_rate_limited + r.Sim.shed_queue_full
-       + r.Sim.shed_priority)
+        r.Sim.admitted (Sim.sheds r)
         r.Sim.shed_sojourn r.Sim.shed_rate_limited r.Sim.shed_queue_full r.Sim.breaker_opens
         r.Sim.breaker_fast_fails;
     print_newline ();
@@ -902,10 +900,7 @@ let scale_cmd =
         let moved =
           Array.fold_left (fun acc s -> acc + s.Shard.sh_stolen) 0 rep.Shard.r_shards
         in
-        let shed =
-          r.Sim.shed_sojourn + r.Sim.shed_rate_limited + r.Sim.shed_queue_full
-          + r.Sim.shed_priority
-        in
+        let shed = Sim.sheds r in
         let p50, p95, p99 = Shard.latency_summary r in
         Printf.printf "%6d %7d %6d %9d %8d %12.0f %9.3f %9.3f %9.3f\n" k
           rep.Shard.r_steals moved r.Sim.completed shed r.Sim.goodput_rps (p50 /. 1e6)

@@ -189,55 +189,17 @@ let run cfg =
       chaos;
     }
   in
-  (* A shard the hash left without tenants (possible when shards is close
-     to the tenant count) serves nothing: synthesize its empty result
-     rather than spinning up an engine over a zero-slot pool. *)
-  let empty_result =
-    {
-      Sim.completed = 0;
-      failed = 0;
-      watchdog_kills = 0;
-      collateral_aborts = 0;
-      recycles = 0;
-      pages_zeroed = 0;
-      admitted = 0;
-      shed_sojourn = 0;
-      shed_rate_limited = 0;
-      shed_queue_full = 0;
-      shed_priority = 0;
-      deadline_misses = 0;
-      breaker_opens = 0;
-      breaker_fast_fails = 0;
-      breakers_open_at_end = 0;
-      degrade_steps = 0;
-      max_degrade_level = 0;
-      chaos_applied = 0;
-      chaos_kills = 0;
-      slo_burn_starts = 0;
-      slo_burn_stops = 0;
-      slo_burning_at_end = 0;
-      throughput_rps = 0.0;
-      goodput_rps = 0.0;
-      availability = 1.0;
-      capacity_rps = 0.0;
-      context_switches = 0;
-      user_transitions = 0;
-      dtlb_misses = 0;
-      checksum = 0L;
-      simulated_ns = 0.0;
-      cpu_busy_ns = 0.0;
-      tenants = [||];
-    }
-  in
   (* One domain per shard. The DLS-backed [Runtime.domain_metrics]
      counters die with the worker domain, so each worker snapshots them
      *before* returning — reading them after [Domain.join] would observe
-     nothing (the per-domain-metrics-lifetime bug this layer exposed). *)
+     nothing (the per-domain-metrics-lifetime bug this layer exposed). A
+     shard the hash left without tenants (possible when shards is close to
+     the tenant count) serves nothing and produces no result. *)
   let worker s () =
-    if Array.length locals.(s) = 0 then (empty_result, Runtime.zero_metrics)
+    if Array.length locals.(s) = 0 then (None, Runtime.zero_metrics)
     else
       let r = Sim.run (shard_cfg s) in
-      (r, Runtime.domain_metrics ())
+      (Some r, Runtime.domain_metrics ())
   in
   let handles = Array.init shards (fun s -> Domain.spawn (worker s)) in
   let joined = Array.map Domain.join handles in
@@ -246,66 +208,11 @@ let run cfg =
   let merged_trace =
     if tracing then Some (Trace.merge_shards (Array.to_list rings)) else None
   in
-  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
-  let sumf f = Array.fold_left (fun acc r -> acc +. f r) 0.0 results in
-  let maxi f = Array.fold_left (fun acc r -> max acc (f r)) 0 results in
-  let completed = sum (fun r -> r.Sim.completed) in
-  let failed = sum (fun r -> r.Sim.failed) in
-  let collateral = sum (fun r -> r.Sim.collateral_aborts) in
-  let deadline_misses = sum (fun r -> r.Sim.deadline_misses) in
-  (* Each shard serves on its own simulated core over the same simulated
-     interval, so merged wall time is the max, busy time the sum. *)
-  let simulated_ns =
-    Array.fold_left (fun acc r -> Float.max acc r.Sim.simulated_ns) 0.0 results
-  in
-  let cpu_busy_ns = sumf (fun r -> r.Sim.cpu_busy_ns) in
-  let attempts = completed + failed + collateral in
   let tenants =
     Array.init n (fun g ->
-        let st = results.(assign.(g)).Sim.tenants.(local_of.(g)) in
-        { st with Sim.t_id = g })
+        { (Option.get results.(assign.(g))).Sim.tenants.(local_of.(g)) with Sim.t_id = g })
   in
-  let merged =
-    {
-      Sim.completed;
-      failed;
-      watchdog_kills = sum (fun r -> r.Sim.watchdog_kills);
-      collateral_aborts = collateral;
-      recycles = sum (fun r -> r.Sim.recycles);
-      pages_zeroed = sum (fun r -> r.Sim.pages_zeroed);
-      admitted = sum (fun r -> r.Sim.admitted);
-      shed_sojourn = sum (fun r -> r.Sim.shed_sojourn);
-      shed_rate_limited = sum (fun r -> r.Sim.shed_rate_limited);
-      shed_queue_full = sum (fun r -> r.Sim.shed_queue_full);
-      shed_priority = sum (fun r -> r.Sim.shed_priority);
-      deadline_misses;
-      breaker_opens = sum (fun r -> r.Sim.breaker_opens);
-      breaker_fast_fails = sum (fun r -> r.Sim.breaker_fast_fails);
-      breakers_open_at_end = sum (fun r -> r.Sim.breakers_open_at_end);
-      degrade_steps = sum (fun r -> r.Sim.degrade_steps);
-      max_degrade_level = maxi (fun r -> r.Sim.max_degrade_level);
-      chaos_applied = sum (fun r -> r.Sim.chaos_applied);
-      chaos_kills = sum (fun r -> r.Sim.chaos_kills);
-      slo_burn_starts = sum (fun r -> r.Sim.slo_burn_starts);
-      slo_burn_stops = sum (fun r -> r.Sim.slo_burn_stops);
-      slo_burning_at_end = sum (fun r -> r.Sim.slo_burning_at_end);
-      throughput_rps = float_of_int attempts /. (simulated_ns /. 1.0e9);
-      goodput_rps =
-        float_of_int (completed - deadline_misses) /. (simulated_ns /. 1.0e9);
-      availability =
-        (if attempts = 0 then 1.0
-         else float_of_int completed /. float_of_int attempts);
-      capacity_rps = float_of_int completed /. (cpu_busy_ns /. 1.0e9);
-      context_switches = sum (fun r -> r.Sim.context_switches);
-      user_transitions = sum (fun r -> r.Sim.user_transitions);
-      dtlb_misses = sum (fun r -> r.Sim.dtlb_misses);
-      checksum =
-        Array.fold_left (fun acc r -> Int64.add acc r.Sim.checksum) 0L results;
-      simulated_ns;
-      cpu_busy_ns;
-      tenants;
-    }
-  in
+  let merged = Sim.merge ~tenants (List.filter_map Fun.id (Array.to_list results)) in
   let stolen_into = Array.make shards 0 in
   for g = 0 to n - 1 do
     if assign.(g) <> home_shard ~shards g then
@@ -313,7 +220,11 @@ let run cfg =
   done;
   let shard_stats =
     Array.init shards (fun s ->
-        let r = results.(s) in
+        let completed, shed, busy_ns =
+          match results.(s) with
+          | Some r -> (r.Sim.completed, Sim.sheds r, r.Sim.cpu_busy_ns)
+          | None -> (0, 0, 0.0)
+        in
         {
           sh_id = s;
           sh_tenants = Array.length locals.(s);
@@ -322,12 +233,10 @@ let run cfg =
             Array.fold_left
               (fun acc g -> acc +. weights.(g))
               0.0 locals.(s);
-          sh_completed = r.Sim.completed;
-          sh_shed =
-            r.Sim.shed_sojourn + r.Sim.shed_rate_limited + r.Sim.shed_queue_full
-            + r.Sim.shed_priority;
-          sh_busy_ns = r.Sim.cpu_busy_ns;
-          sh_metrics = (snd joined.(s));
+          sh_completed = completed;
+          sh_shed = shed;
+          sh_busy_ns = busy_ns;
+          sh_metrics = snd joined.(s);
         })
   in
   {

@@ -65,10 +65,9 @@ type shard_stat = {
 
 type report = {
   r_result : Sim.result;
-      (** merged result; [tenants] re-indexed by global tenant id, counters
-          summed, [simulated_ns] the max over shards (each shard serves on
-          its own simulated core), rates recomputed from the merged
-          counters *)
+      (** the shard results merged by {!Sim.merge}, with [tenants]
+          re-indexed by global tenant id; a shard without tenants
+          contributes nothing *)
   r_shards : shard_stat array;
   r_steals : int;
   r_metrics : Sfi_runtime.Runtime.metrics;

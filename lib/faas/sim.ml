@@ -79,7 +79,6 @@ type config = {
   duration_ns : float;
   io_mean_ns : float;
   epoch_ns : float;
-  os_switch_ns : float;
   faults : fault_model;
   seed : int64;
   churn : bool;
@@ -97,15 +96,6 @@ type config = {
   on_perturbation : (chaos_report -> unit) option;
   fair_scheduling : bool;
   arrivals : Workloads.arrival array option;
-      (* [None] = the historical closed loop: [concurrency] clients that
-         re-issue after an exponential think time. [Some schedule] = open
-         loop: one slot per tenant ([concurrency] = tenant count) serving
-         that tenant's scheduled arrival times — the trace-shaped load
-         the sharded serving layer generates. A tenant whose previous
-         request is still in service when the next arrival fires serves
-         it late (e2e latency then includes the queueing delay); shed or
-         failed requests are dropped and the tenant moves on to its next
-         scheduled arrival. *)
 }
 
 let default_config ?(mode = Colorguard) ?(workload = Workloads.Hash_balance)
@@ -119,7 +109,6 @@ let default_config ?(mode = Colorguard) ?(workload = Workloads.Hash_balance)
     duration_ns = 20.0e6;
     io_mean_ns = 5.0e6;
     epoch_ns = 1.0e6;
-    os_switch_ns = 5000.0;
     faults;
     seed = 0x5EEDL;
     churn;
@@ -208,6 +197,9 @@ type request = {
 let server_tlb =
   { Sfi_vmem.Tlb.entries = 1536; ways = 8; page_walk_levels = 4; walk_cycles_per_level = 5 }
 
+(* Direct plus indirect cost of one Linux process switch. *)
+let os_switch_ns = 5000.0
+
 let fresh_engines cfg m =
   match cfg.mode with
   | Multiprocess n ->
@@ -247,7 +239,67 @@ let fresh_engines cfg m =
           ?engine:cfg.engine compiled;
       ]
 
+(* The four rates of a result, from its counters: the one definition
+   [run] and [merge] share. A rate over an empty interval is 0. *)
+let with_rates r =
+  let per_s n ns = if ns > 0.0 then float_of_int n /. (ns /. 1.0e9) else 0.0 in
+  let attempts = r.completed + r.failed + r.collateral_aborts in
+  {
+    r with
+    throughput_rps = per_s attempts r.simulated_ns;
+    goodput_rps = per_s (r.completed - r.deadline_misses) r.simulated_ns;
+    availability =
+      (if attempts = 0 then 1.0 else float_of_int r.completed /. float_of_int attempts);
+    capacity_rps = per_s r.completed r.cpu_busy_ns;
+  }
+
+let sheds r = r.shed_sojourn + r.shed_rate_limited + r.shed_queue_full + r.shed_priority
+
+let merge ~tenants results =
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
+  with_rates
+    {
+      completed = sum (fun r -> r.completed);
+      failed = sum (fun r -> r.failed);
+      watchdog_kills = sum (fun r -> r.watchdog_kills);
+      collateral_aborts = sum (fun r -> r.collateral_aborts);
+      recycles = sum (fun r -> r.recycles);
+      pages_zeroed = sum (fun r -> r.pages_zeroed);
+      admitted = sum (fun r -> r.admitted);
+      shed_sojourn = sum (fun r -> r.shed_sojourn);
+      shed_rate_limited = sum (fun r -> r.shed_rate_limited);
+      shed_queue_full = sum (fun r -> r.shed_queue_full);
+      shed_priority = sum (fun r -> r.shed_priority);
+      deadline_misses = sum (fun r -> r.deadline_misses);
+      breaker_opens = sum (fun r -> r.breaker_opens);
+      breaker_fast_fails = sum (fun r -> r.breaker_fast_fails);
+      breakers_open_at_end = sum (fun r -> r.breakers_open_at_end);
+      degrade_steps = sum (fun r -> r.degrade_steps);
+      max_degrade_level = List.fold_left (fun acc r -> max acc r.max_degrade_level) 0 results;
+      chaos_applied = sum (fun r -> r.chaos_applied);
+      chaos_kills = sum (fun r -> r.chaos_kills);
+      slo_burn_starts = sum (fun r -> r.slo_burn_starts);
+      slo_burn_stops = sum (fun r -> r.slo_burn_stops);
+      slo_burning_at_end = sum (fun r -> r.slo_burning_at_end);
+      (* The four rates are [with_rates]'s. *)
+      throughput_rps = 0.0;
+      goodput_rps = 0.0;
+      availability = 1.0;
+      capacity_rps = 0.0;
+      context_switches = sum (fun r -> r.context_switches);
+      user_transitions = sum (fun r -> r.user_transitions);
+      dtlb_misses = sum (fun r -> r.dtlb_misses);
+      checksum = List.fold_left (fun acc r -> Int64.add acc r.checksum) 0L results;
+      (* Each part serves on its own simulated core over the same interval:
+         wall time is the max, busy time the sum. *)
+      simulated_ns = List.fold_left (fun acc r -> Float.max acc r.simulated_ns) 0.0 results;
+      cpu_busy_ns = List.fold_left (fun acc r -> acc +. r.cpu_busy_ns) 0.0 results;
+      tenants;
+    }
+
 let run cfg =
+  if cfg.concurrency < 1 then invalid_arg "Sim: concurrency must be >= 1";
+  if not (cfg.duration_ns > 0.0) then invalid_arg "Sim: duration_ns must be > 0";
   let m = Workloads.module_of cfg.workload in
   let engines = Array.of_list (fresh_engines cfg m) in
   let nprocs = Array.length engines in
@@ -302,12 +354,14 @@ let run cfg =
   let prewarm =
     match ov.pool_slots with None -> true | Some n -> n >= cfg.concurrency
   in
-  (* Open-loop arrival schedules, one sorted queue per tenant. *)
-  let open_loop = cfg.arrivals <> None in
-  let arr_times =
-    match cfg.arrivals with
-    | None -> [||]
-    | Some arr ->
+  let clock = ref 0.0 in
+  (* The arrival source. [None]: the closed loop, where a slot issues its
+     next request [delay ()] after the last one ended. [Some q]: the open
+     loop, where [q.(id)] holds tenant [id]'s sorted arrival times and
+     [arr_next.(id)] indexes the next one due. *)
+  let schedule =
+    Option.map
+      (fun arr ->
         let per = Array.make cfg.concurrency [] in
         Array.iter
           (fun a ->
@@ -315,34 +369,49 @@ let run cfg =
             then invalid_arg "Sim: arrival tenant out of range";
             per.(a.Workloads.tenant) <- a.Workloads.at_ns :: per.(a.Workloads.tenant))
           arr;
-        Array.map (fun l -> Array.of_list (List.sort compare l)) per
+        Array.map (fun l -> Array.of_list (List.sort compare l)) per)
+      cfg.arrivals
   in
-  let arr_next = Array.make (max 1 cfg.concurrency) 0 in
-  let initial_arrival id =
-    let q = arr_times.(id) in
-    if Array.length q = 0 then infinity
-    else begin
-      arr_next.(id) <- 1;
-      q.(0)
-    end
+  let arr_next = Array.make cfg.concurrency 0 in
+  (* Move a slot on to its tenant's next logical request. In the open loop
+     that is the next scheduled arrival, possibly already past: it has
+     then been queueing and is ready at once, its e2e latency including
+     the wait. A spent schedule parks the slot at infinity. *)
+  let rearm r delay =
+    let at =
+      match schedule with
+      | None -> !clock +. delay ()
+      | Some q ->
+          let i = arr_next.(r.id) in
+          if i >= Array.length q.(r.id) then infinity
+          else begin
+            arr_next.(r.id) <- i + 1;
+            q.(r.id).(i)
+          end
+    in
+    r.ready_at <- at;
+    r.arrived_at <- at
   in
   let requests =
     Array.init cfg.concurrency (fun id ->
-        let proc = id mod nprocs in
-        let ready_at = if open_loop then initial_arrival id else io_delay () in
-        {
-          id;
-          proc;
-          inst = (if prewarm then Some (Runtime.instantiate engines.(proc)) else None);
-          had_inst = prewarm;
-          ready_at;
-          arrived_at = ready_at;
-          parked = false;
-          bk_admitted = false;
-          act = None;
-          seq = 0;
-          started_at = 0.0;
-        })
+        let r =
+          {
+            id;
+            proc = id mod nprocs;
+            inst = None;
+            had_inst = prewarm;
+            ready_at = 0.0;
+            arrived_at = 0.0;
+            parked = false;
+            bk_admitted = false;
+            act = None;
+            seq = 0;
+            started_at = 0.0;
+          }
+        in
+        rearm r io_delay;
+        if prewarm then r.inst <- Some (Runtime.instantiate engines.(r.proc));
+        r)
   in
   (* Lifecycle cost model: instantiation / recycle work in OS pages, priced
      at [page_zero_ns] each (0.0 = free, the historical behavior). The CoW
@@ -368,44 +437,16 @@ let run cfg =
      request array is built so only churn-driven lifecycle work is billed. *)
   let lifecycle_prev = Array.init nprocs lifecycle_pages in
   let cost = Machine.cost_model (Runtime.machine engines.(0)) in
-  let cycles_of_ns ns = Cost.cycles_of_ns cost ns in
-  let ns_of_cycles c = Cost.ns_of_cycles cost c in
-  let epoch_fuel = cycles_of_ns cfg.epoch_ns in
+  let epoch_fuel = Cost.cycles_of_ns cost cfg.epoch_ns in
   (* The watchdog deadline bounds every request, not only fault-injected
      runs: a runaway guest must be stopped even when the fault model is
      off (e.g. a chaos run or a deliberately misbehaving tenant). *)
   let deadline_fuel = Some (f.deadline_epochs * epoch_fuel) in
-  let clock = ref 0.0 in
   let busy = ref 0.0 in
   (* Request spans run on the simulated clock, one trace track per request
      slot (= tenant), so a Perfetto load shows each tenant's activations as
      nested bars over sim time. *)
   Trace.set_clock trace (fun () -> int_of_float !clock);
-  (* Move a slot on to its tenant's next logical request: the next
-     scheduled arrival in open-loop mode (possibly already in the past —
-     then it has been queueing and is immediately ready, with its e2e
-     latency including the wait), or a fresh think-time arrival in the
-     closed loop. *)
-  let next_arrival r =
-    let q = arr_times.(r.id) in
-    let i = arr_next.(r.id) in
-    if i >= Array.length q then begin
-      r.ready_at <- infinity;
-      r.arrived_at <- infinity
-    end
-    else begin
-      arr_next.(r.id) <- i + 1;
-      r.ready_at <- q.(i);
-      r.arrived_at <- q.(i)
-    end
-  in
-  let rearm r =
-    if open_loop then next_arrival r
-    else begin
-      r.ready_at <- !clock +. io_delay ();
-      r.arrived_at <- r.ready_at
-    end
-  in
   let t_completed = Array.make cfg.concurrency 0 in
   let t_failed = Array.make cfg.concurrency 0 in
   let t_shed = Array.make cfg.concurrency 0 in
@@ -440,7 +481,7 @@ let run cfg =
   (* Advance the global clock by the cycles an engine just spent. *)
   let charge proc =
     let c = (Machine.counters (Runtime.machine engines.(proc))).Machine.cycles in
-    let delta = ns_of_cycles (c - engine_cycles.(proc)) in
+    let delta = Cost.ns_of_cycles cost (c - engine_cycles.(proc)) in
     clock := !clock +. delta;
     busy := !busy +. delta;
     engine_cycles.(proc) <- c;
@@ -454,6 +495,14 @@ let run cfg =
       end;
       lifecycle_prev.(proc) <- w
     end
+  in
+  let breakers_open () =
+    match breakers with
+    | None -> 0
+    | Some arr ->
+        Array.fold_left
+          (fun acc b -> if Breaker.state b <> Breaker.Closed then acc + 1 else acc)
+          0 arr
   in
   (* --- flight recorder: post-mortem freezes --- *)
   let flight_counters () =
@@ -472,14 +521,7 @@ let run cfg =
       ("shed_priority", float_of_int !shed_priority);
       ("breaker_opens", float_of_int !breaker_opens);
       ("breaker_fast_fails", float_of_int !breaker_fast_fails);
-      ( "breakers_open",
-        match breakers with
-        | None -> 0.0
-        | Some arr ->
-            float_of_int
-              (Array.fold_left
-                 (fun acc b -> if Breaker.state b <> Breaker.Closed then acc + 1 else acc)
-                 0 arr) );
+      ("breakers_open", float_of_int (breakers_open ()));
       ("admission_waiting", float_of_int (fold Runtime.waiting));
       ("ladder_level", float_of_int !ladder_level);
       ("chaos_applied", float_of_int !chaos_applied);
@@ -660,26 +702,51 @@ let run cfg =
       end
     end
   in
-  (* The client behind a shed ticket gives up and issues a fresh request
-     later; a half-open breaker whose probe was shed re-opens. *)
-  let note_shed r reason =
-    t_shed.(r.id) <- t_shed.(r.id) + 1;
+  (* --- retirement: the ways a request ends without a result --- *)
+  let kill_live r =
+    match r.inst with Some i when Runtime.live i -> Runtime.kill i | _ -> ()
+  in
+  (* An abort: the activation ends without a result. *)
+  let abort r =
+    t_failed.(r.id) <- t_failed.(r.id) + 1;
     slo_record r.id ~good:false;
+    Trace.request_end trace ~tenant:r.id ~ok:false;
+    r.act <- None
+  in
+  (* A failure: an abort that also feeds the tenant's breaker and ends the
+     logical request, so the slot's next request runs on a fresh seed. The
+     caller re-arms the slot. *)
+  let fail r =
+    incr failed;
+    abort r;
+    with_breaker r.id (Breaker.on_failure ~now:!clock);
+    r.seq <- r.seq + 1;
+    r.parked <- false;
+    r.bk_admitted <- false
+  in
+  (* A shed: the client behind the refused request gives up and issues a
+     fresh one later. An admission shed ([Some reason]) also re-opens a
+     half-open breaker whose probe it refused; the ladder's priority shed
+     ([None]) leaves the probe outstanding. *)
+  let shed r reason =
     (match reason with
-    | Runtime.Shed_sojourn ->
+    | None -> incr shed_priority
+    | Some Runtime.Shed_sojourn ->
         incr shed_sojourn;
         incr window_sheds
-    | Runtime.Shed_rate_limited -> incr shed_rate_limited
-    | Runtime.Shed_queue_full ->
+    | Some Runtime.Shed_rate_limited -> incr shed_rate_limited
+    | Some Runtime.Shed_queue_full ->
         incr shed_queue_full;
         incr window_sheds);
+    t_shed.(r.id) <- t_shed.(r.id) + 1;
+    slo_record r.id ~good:false;
     (match breakers with
-    | Some arr when Breaker.state arr.(r.id) = Breaker.Half_open ->
+    | Some arr when reason <> None && Breaker.state arr.(r.id) = Breaker.Half_open ->
         with_breaker r.id (Breaker.on_failure ~now:!clock)
     | _ -> ());
     r.parked <- false;
     r.bk_admitted <- false;
-    rearm r
+    rearm r io_delay
   in
   (* Crash recovery / slot acquisition: get a slot through admission (the
      CoDel path when armed, the bounded FIFO retry queue otherwise).
@@ -715,7 +782,7 @@ let run cfg =
                 false
               end
               else begin
-                note_shed r reason;
+                shed r (Some reason);
                 false
               end
         end
@@ -729,42 +796,26 @@ let run cfg =
         if r2.proc = proc && r2.id <> except then begin
           if r2.act <> None then begin
             incr collateral;
-            t_failed.(r2.id) <- t_failed.(r2.id) + 1;
-            slo_record r2.id ~good:false;
-            Trace.request_end trace ~tenant:r2.id ~ok:false;
-            r2.act <- None
+            abort r2
           end;
-          (match r2.inst with
-          | Some i when Runtime.live i -> Runtime.kill i
-          | _ -> ());
+          kill_live r2;
           r2.ready_at <- !clock +. f.respawn_ns
         end)
       requests;
     clock := !clock +. f.respawn_ns;
     busy := !busy +. f.respawn_ns
   in
+  (* A step that trapped or hit the watchdog. Hedged retries (until the
+     ladder downgrades them at L2) resubmit the failed request next epoch
+     instead of after a full IO round-trip. *)
+  let retry_delay () = if !hedged then cfg.epoch_ns else io_delay () in
   let fail_request r ~is_crash =
-    incr failed;
-    t_failed.(r.id) <- t_failed.(r.id) + 1;
-    slo_record r.id ~good:false;
-    Trace.request_end trace ~tenant:r.id ~ok:false;
-    with_breaker r.id (Breaker.on_failure ~now:!clock);
+    fail r;
     freeze_flight "fault";
-    r.act <- None;
-    r.seq <- r.seq + 1;
-    r.bk_admitted <- false;
     (match cfg.mode with
     | Multiprocess _ when is_crash -> crash_process r.proc ~except:r.id
     | _ -> ());
-    (* Hedged retry (until the ladder downgrades it at L2): resubmit the
-       failed request next epoch instead of after a full IO round-trip.
-       Open loop: the failed request is dropped and the tenant moves on
-       to its next scheduled arrival. *)
-    if open_loop then next_arrival r
-    else begin
-      r.ready_at <- (if !hedged then !clock +. cfg.epoch_ns else !clock +. io_delay ());
-      r.arrived_at <- r.ready_at
-    end
+    rearm r retry_delay
   in
   let run_request r =
     if
@@ -772,12 +823,8 @@ let run cfg =
     then begin
       (* L3: shed low-priority arrivals outright. Reason code 3 in the
          trace = priority shed (the runtime codes cover 0-2). *)
-      incr shed_priority;
-      t_shed.(r.id) <- t_shed.(r.id) + 1;
-      slo_record r.id ~good:false;
-      Trace.admission_shed trace ~tenant:r.id ~sojourn:0 ~reason:3;
-      r.bk_admitted <- false;
-      rearm r
+      shed r None;
+      Trace.admission_shed trace ~tenant:r.id ~sojourn:0 ~reason:3
     end
     else if r.act <> None || r.parked || r.bk_admitted || breaker_allow r then begin
       if ensure_instance r then begin
@@ -813,7 +860,7 @@ let run cfg =
                revert to the image); the next request re-instantiates. *)
             if cfg.churn then Runtime.release inst;
             r.bk_admitted <- false;
-            rearm r
+            rearm r io_delay
         | `Trapped _ ->
             (* The sandbox crashed; Runtime.step already killed the instance
                and recycled its slot. The request failed — count it, never
@@ -863,6 +910,7 @@ let run cfg =
     match !chaos_pending with ev :: _ -> ev.at_ns | [] -> infinity
   in
   let chaos_index = ref 0 in
+  let chaos_think () = Prng.exponential chaos_rng ~mean:cfg.io_mean_ns in
   let apply_chaos ev =
     let victim = ref (-1) in
     (match ev.action with
@@ -882,23 +930,9 @@ let run cfg =
             let r = List.nth l (Prng.int chaos_rng (List.length l)) in
             victim := r.id;
             incr chaos_kills;
-            incr failed;
-            t_failed.(r.id) <- t_failed.(r.id) + 1;
-            slo_record r.id ~good:false;
-            Trace.request_end trace ~tenant:r.id ~ok:false;
-            with_breaker r.id (Breaker.on_failure ~now:!clock);
-            (match r.inst with
-            | Some i when Runtime.live i -> Runtime.kill i
-            | _ -> ());
-            r.act <- None;
-            r.seq <- r.seq + 1;
-            r.parked <- false;
-            r.bk_admitted <- false;
-            if open_loop then next_arrival r
-            else begin
-              r.ready_at <- !clock +. Prng.exponential chaos_rng ~mean:cfg.io_mean_ns;
-              r.arrived_at <- r.ready_at
-            end)
+            fail r;
+            kill_live r;
+            rearm r chaos_think)
     | Chaos_latency { factor; window_ns } ->
         latency_factor := factor;
         latency_until := !clock +. window_ns
@@ -966,8 +1000,8 @@ let run cfg =
   in
   let switch_to proc =
     incr context_switches;
-    clock := !clock +. cfg.os_switch_ns;
-    busy := !busy +. cfg.os_switch_ns;
+    clock := !clock +. os_switch_ns;
+    busy := !busy +. os_switch_ns;
     (* The incoming process finds the shared TLB polluted by whoever ran in
        between: model as a flush of its TLB state. *)
     Machine.flush_tlb (Runtime.machine engines.(proc));
@@ -1050,67 +1084,45 @@ let run cfg =
           t_e2e_hist = e2e;
         })
   in
-  let breakers_open_at_end =
-    match breakers with
-    | None -> 0
-    | Some arr ->
-        Array.fold_left
-          (fun acc b -> if Breaker.state b <> Breaker.Closed then acc + 1 else acc)
-          0 arr
-  in
-  let admitted =
-    Array.fold_left
-      (fun acc e -> acc + (Runtime.metrics e).Runtime.m_admitted)
-      0 engines
-  in
-  let user_transitions =
-    Array.fold_left (fun acc e -> acc + Runtime.transitions e) 0 engines
-  in
-  let dtlb_misses =
-    Array.fold_left (fun acc e -> acc + Machine.dtlb_misses (Runtime.machine e)) 0 engines
-  in
-  let attempts = !completed + !failed + !collateral in
-  let pages_zeroed =
-    Array.fold_left
-      (fun acc e -> acc + (Runtime.metrics e).Runtime.m_pages_zeroed_on_recycle)
-      0 engines
-  in
-  {
-    completed = !completed;
-    failed = !failed;
-    watchdog_kills = !watchdog_kills;
-    collateral_aborts = !collateral;
-    recycles = !recycles;
-    pages_zeroed;
-    admitted;
-    shed_sojourn = !shed_sojourn;
-    shed_rate_limited = !shed_rate_limited;
-    shed_queue_full = !shed_queue_full;
-    shed_priority = !shed_priority;
-    deadline_misses = !deadline_misses;
-    breaker_opens = !breaker_opens;
-    breaker_fast_fails = !breaker_fast_fails;
-    breakers_open_at_end;
-    degrade_steps = !degrade_steps;
-    max_degrade_level = !max_degrade_level;
-    chaos_applied = !chaos_applied;
-    chaos_kills = !chaos_kills;
-    slo_burn_starts = !slo_burn_starts;
-    slo_burn_stops = !slo_burn_stops;
-    slo_burning_at_end = !burning;
-    throughput_rps = float_of_int attempts /. (!clock /. 1.0e9);
-    goodput_rps = float_of_int (!completed - !deadline_misses) /. (!clock /. 1.0e9);
-    availability =
-      (if attempts = 0 then 1.0 else float_of_int !completed /. float_of_int attempts);
-    capacity_rps = float_of_int !completed /. (!busy /. 1.0e9);
-    context_switches = !context_switches;
-    user_transitions;
-    dtlb_misses;
-    checksum = !checksum;
-    simulated_ns = !clock;
-    cpu_busy_ns = !busy;
-    tenants;
-  }
+  let rt = Runtime.merged_metrics (Array.to_list (Array.map Runtime.metrics engines)) in
+  with_rates
+    {
+      completed = !completed;
+      failed = !failed;
+      watchdog_kills = !watchdog_kills;
+      collateral_aborts = !collateral;
+      recycles = !recycles;
+      pages_zeroed = rt.Runtime.m_pages_zeroed_on_recycle;
+      admitted = rt.Runtime.m_admitted;
+      shed_sojourn = !shed_sojourn;
+      shed_rate_limited = !shed_rate_limited;
+      shed_queue_full = !shed_queue_full;
+      shed_priority = !shed_priority;
+      deadline_misses = !deadline_misses;
+      breaker_opens = !breaker_opens;
+      breaker_fast_fails = !breaker_fast_fails;
+      breakers_open_at_end = breakers_open ();
+      degrade_steps = !degrade_steps;
+      max_degrade_level = !max_degrade_level;
+      chaos_applied = !chaos_applied;
+      chaos_kills = !chaos_kills;
+      slo_burn_starts = !slo_burn_starts;
+      slo_burn_stops = !slo_burn_stops;
+      slo_burning_at_end = !burning;
+      (* The four rates are [with_rates]'s. *)
+      throughput_rps = 0.0;
+      goodput_rps = 0.0;
+      availability = 1.0;
+      capacity_rps = 0.0;
+      context_switches = !context_switches;
+      user_transitions = rt.Runtime.m_transitions;
+      dtlb_misses =
+        Array.fold_left (fun acc e -> acc + Machine.dtlb_misses (Runtime.machine e)) 0 engines;
+      checksum = !checksum;
+      simulated_ns = !clock;
+      cpu_busy_ns = !busy;
+      tenants;
+    }
 
 let throughput_gain ~workload ~processes cfg =
   (* Capacity per core-second: below CPU saturation both strategies finish
@@ -1120,15 +1132,6 @@ let throughput_gain ~workload ~processes cfg =
   let cg = run { cfg with mode = Colorguard; workload } in
   let mp = run { cfg with mode = Multiprocess processes; workload } in
   (cg.capacity_rps -. mp.capacity_rps) /. mp.capacity_rps *. 100.0
-
-let degraded_mode ~workload ~processes ~trap_rate cfg =
-  (* The Fig. 6 comparison re-run with misbehaving tenants: same load, same
-     fault rate, two isolation strategies. ColorGuard pays one instance per
-     crash; multiprocess loses every co-resident in-flight request. *)
-  let faults = { cfg.faults with trap_rate } in
-  let cg = run { cfg with mode = Colorguard; workload; faults } in
-  let mp = run { cfg with mode = Multiprocess processes; workload; faults } in
-  (cg, mp)
 
 (* The `sfi top` table formats live here so the golden-output test can pin
    the column alignment without shelling out to the binary. *)

@@ -1,10 +1,34 @@
 (** The simulated FaaS edge platform of §6.4.3 (Figures 6, 7a, 7b).
 
-    A single core serves a fixed population of in-flight requests. Each
-    request waits on IO (delay drawn from a Poisson-parameterized
-    distribution with a 5 ms mean, like the paper's simulation), then runs
-    its workload inside a Wasm instance under epoch-based preemption
-    (1 ms epochs).
+    A single core serves one request slot per tenant. A slot's requests
+    come from one of two arrival sources:
+
+    - the {b closed loop} ([arrivals = None], the paper's simulation):
+      each of [concurrency] clients issues its next request an IO delay
+      after the last one ended (exponential, 5 ms mean, like the paper);
+    - the {b open loop} ([arrivals = Some schedule]): each tenant's
+      scheduled arrival times, served in order with at most one in flight.
+
+    A request acquires an instance (up front, or through admission when
+    the pool is smaller than the population), then runs its workload in a
+    Wasm instance under epoch-based preemption (1 ms epochs). It ends in
+    one of these outcomes:
+
+    - {b completed}: the handler returned; one past the request deadline
+      also counts as a [deadline_miss];
+    - {b failed}: a trap, a watchdog stop or a chaos kill. The failure
+      feeds the tenant's breaker and the slot moves on to its next
+      request;
+    - {b aborted}: a co-resident tenant crashed the shared process
+      ([collateral_aborts], multiprocess only). The slot retries the same
+      request once the process respawns;
+    - {b shed}: refused at admission or by the degradation ladder before
+      service. The slot moves on to its next request;
+    - still waiting or in flight when the run ends.
+
+    An open breaker refuses a request without serving it
+    ([breaker_fast_fails]); the request waits for the breaker's next
+    probe time.
 
     Two scaling strategies are compared:
 
@@ -12,7 +36,8 @@
       transitions are user-level (a pkru write — no TLB flush);
     - {b Multiprocess}: [processes] separate engines (own address space,
       own TLB state); the OS round-robins between them on 1 ms timeslices,
-      paying a context-switch cost and a TLB flush per switch.
+      paying a 5 us context switch (direct plus indirect cost) and a TLB
+      flush per switch.
 
     Compute is real: the workload modules execute on the machine, so dTLB
     misses (Figure 7b) come out of the TLB model rather than a formula.
@@ -116,11 +141,11 @@ type chaos_report = {
 type config = {
   mode : mode;
   workload : Workloads.t;
-  concurrency : int;  (** in-flight requests (closed loop) *)
+  concurrency : int;
+      (** request slots: closed-loop clients, or open-loop tenants *)
   duration_ns : float;  (** simulated wall-clock to run for *)
   io_mean_ns : float;  (** mean IO delay (paper: 5 ms) *)
   epoch_ns : float;  (** preemption epoch (paper: 1 ms) *)
-  os_switch_ns : float;  (** OS context-switch direct cost *)
   faults : fault_model;
   seed : int64;
   churn : bool;
@@ -171,17 +196,13 @@ type config = {
           preemption, and excess demand queues (and is shed) at admission.
           The overload/chaos experiments run with this on. *)
   arrivals : Workloads.arrival array option;
-      (** [None] (default): the historical closed loop. [Some schedule]:
-          open loop — [concurrency] is the tenant count, one slot per
-          tenant, and each slot serves its tenant's scheduled arrival
-          times (see {!Workloads.synthesize}). A tenant's requests are
-          served in order with at most one in flight: an arrival that
-          fires while the previous request is still being served waits
-          (its e2e latency includes the queueing delay), and a shed or
-          failed request is dropped — the tenant moves on to its next
-          scheduled arrival. The run still ends at [duration_ns]. This is
-          the trace-shaped load the sharded serving layer
-          ({!Sfi_faas.Shard}) drives each shard with. *)
+      (** [None] (default): the closed loop. [Some schedule]: the open
+          loop over [concurrency] tenants (see {!Workloads.synthesize}).
+          An arrival that fires while the tenant's previous request is
+          still in service waits, and its e2e latency includes the wait.
+          The run still ends at [duration_ns]. This is the trace-shaped
+          load the sharded serving layer ({!Sfi_faas.Shard}) drives each
+          shard with. *)
 }
 
 val default_config :
@@ -199,8 +220,7 @@ val default_config :
   ?flight:Sfi_trace.Flight.t ->
   unit ->
   config
-(** concurrency 128, duration 20 ms, IO mean 5 ms, epoch 1 ms, OS switch
-    5 us (direct + indirect cost of a Linux process switch), ColorGuard,
+(** concurrency 128, duration 20 ms, IO mean 5 ms, epoch 1 ms, ColorGuard,
     hash workload, no faults, no churn, free lifecycle work, no tracing,
     legacy (run-to-completion) scheduling. *)
 
@@ -269,16 +289,19 @@ type result = {
   slo_burning_at_end : int;
       (** tenants whose fast-window alert was still raised at end of run *)
   throughput_rps : float;
-      (** requests retired (successfully or not) per simulated second *)
+      (** requests retired (successfully or not) per simulated second. A
+          rate over an empty interval is 0. *)
   goodput_rps : float;
       (** successful in-deadline completions per simulated second
           ([completed - deadline_misses]; identical to completions/s when
           no deadline is set) *)
   availability : float;
-      (** completed / (completed + failed + collateral_aborts) *)
+      (** completed / (completed + failed + collateral_aborts); 1 when no
+          request was attempted *)
   capacity_rps : float;
       (** completions per CPU-busy second — the per-core efficiency that
-          Figure 6's throughput-gain percentages compare *)
+          Figure 6's throughput-gain percentages compare; 0 when no CPU work
+          ran *)
   context_switches : int;
       (** OS-level process switches (multiprocess) — Figure 7a's metric;
           always 0 for ColorGuard, whose switches are user-level *)
@@ -295,24 +318,26 @@ type result = {
 val run : config -> result
 (** Always runs to completion: sandbox misbehavior (traps, runaway loops,
     crashed processes) is contained and reported in the counters, never
-    re-raised to the caller. *)
+    re-raised to the caller. Raises [Invalid_argument] for
+    [concurrency < 1], [duration_ns <= 0], a process count below 1, a
+    [pool_slots] below 1 or an arrival for a tenant out of range. *)
+
+val sheds : result -> int
+(** Requests shed at admission, all four reasons. *)
+
+val merge : tenants:tenant_stat array -> result list -> result
+(** Merge the results of parts that served side by side, each on its own
+    simulated core: counters summed ([max_degrade_level] the max),
+    [simulated_ns] the max, [cpu_busy_ns] the sum, and the rates
+    recomputed from the merged counters by the same definition {!run}
+    uses. [tenants] is the caller's re-indexed breakdown. The merge of
+    no parts is the empty result: zero counters and rates, availability
+    1. *)
 
 val throughput_gain : workload:Workloads.t -> processes:int -> config -> float
 (** Percent throughput advantage of ColorGuard over [processes]-process
     scaling for the same load — one point of Figure 6. The [config] supplies
     everything except mode/workload. *)
-
-val degraded_mode :
-  workload:Workloads.t ->
-  processes:int ->
-  trap_rate:float ->
-  config ->
-  result * result
-(** Run the Figure 6 comparison with misbehaving tenants at [trap_rate]:
-    [(colorguard, multiprocess)] results under identical load and faults.
-    The interesting deltas are [availability] and [collateral_aborts] — the
-    per-process blast radius multiprocess pays that per-instance recovery
-    avoids. *)
 
 val top_header : breakers:bool -> string
 (** Column header of the [sfi top] per-tenant table. With [breakers] the

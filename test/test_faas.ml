@@ -85,7 +85,33 @@ let test_dtlb_direction () =
 let test_config_validation () =
   Alcotest.check_raises "zero processes rejected"
     (Invalid_argument "Sim: process count must be >= 1") (fun () ->
-      ignore (Sim.run (quick_cfg ~mode:(Sim.Multiprocess 0) ())))
+      ignore (Sim.run (quick_cfg ~mode:(Sim.Multiprocess 0) ())));
+  List.iter
+    (fun mode ->
+      Alcotest.check_raises "zero tenants rejected"
+        (Invalid_argument "Sim: concurrency must be >= 1") (fun () ->
+          ignore (Sim.run { (quick_cfg ~mode ()) with Sim.concurrency = 0 })))
+    [ Sim.Colorguard; Sim.Multiprocess 2 ];
+  Alcotest.check_raises "empty run rejected"
+    (Invalid_argument "Sim: duration_ns must be > 0") (fun () ->
+      ignore (Sim.run { (quick_cfg ()) with Sim.duration_ns = 0.0 }));
+  (* Runs that do no CPU work report zero rates and full availability,
+     never NaN: an empty open-loop schedule, one that starts after the
+     run ends, and a sharded run with no tenants at all. *)
+  let idle name (r : Sim.result) =
+    Alcotest.(check int) (name ^ ": nothing completed") 0 r.Sim.completed;
+    Alcotest.(check (float 0.0)) (name ^ ": throughput") 0.0 r.Sim.throughput_rps;
+    Alcotest.(check (float 0.0)) (name ^ ": goodput") 0.0 r.Sim.goodput_rps;
+    Alcotest.(check (float 0.0)) (name ^ ": capacity") 0.0 r.Sim.capacity_rps;
+    Alcotest.(check (float 0.0)) (name ^ ": availability") 1.0 r.Sim.availability
+  in
+  idle "empty schedule" (Sim.run { (quick_cfg ()) with Sim.arrivals = Some [||] });
+  idle "late schedule"
+    (Sim.run
+       { (quick_cfg ()) with Sim.arrivals = Some [| { Wk.at_ns = 9.0e6; tenant = 0 } |] });
+  idle "no tenants"
+    (Shard.run (Shard.default_config ~shards:2 { (quick_cfg ()) with Sim.concurrency = 0 }))
+      .Shard.r_result
 
 let test_faulty_sim_contained () =
   (* Misbehaving tenants: the simulation must run to completion (nothing
