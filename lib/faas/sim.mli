@@ -323,7 +323,8 @@ val run : config -> result
     [pool_slots] below 1 or an arrival for a tenant out of range. *)
 
 val sheds : result -> int
-(** Requests shed at admission, all four reasons. *)
+(** Requests shed before service, all four reasons: sojourn, rate limit,
+    full queue and the ladder's priority shed. *)
 
 val merge : tenants:tenant_stat array -> result list -> result
 (** Merge the results of parts that served side by side, each on its own

@@ -317,9 +317,6 @@ let test_golden_digests () =
    completion, and a sharded run's per-shard stats add up to its merged
    result. Checked over a small random config space. *)
 
-let sheds r =
-  r.Sim.shed_sojourn + r.Sim.shed_rate_limited + r.Sim.shed_queue_full + r.Sim.shed_priority
-
 let identity_cfg (multiprocess, open_loop, faulty, overloaded, churn, chaos, seed) =
   let ov =
     if overloaded then
@@ -394,11 +391,11 @@ let prop_accounting_identities =
       check "sum t_failed = failed + collateral"
         (sum (fun t -> t.Sim.t_failed) r.Sim.tenants)
         (r.Sim.failed + r.Sim.collateral_aborts);
-      check "sum t_shed = sheds" (sum (fun t -> t.Sim.t_shed) r.Sim.tenants) (sheds r);
+      check "sum t_shed = sheds" (sum (fun t -> t.Sim.t_shed) r.Sim.tenants) (Sim.sheds r);
       check "sum sh_completed = completed"
         (sum (fun s -> s.Shard.sh_completed) rep.Shard.r_shards)
         r.Sim.completed;
-      check "sum sh_shed = sheds" (sum (fun s -> s.Shard.sh_shed) rep.Shard.r_shards) (sheds r);
+      check "sum sh_shed = sheds" (sum (fun s -> s.Shard.sh_shed) rep.Shard.r_shards) (Sim.sheds r);
       check "sum sh_tenants = tenants"
         (sum (fun s -> s.Shard.sh_tenants) rep.Shard.r_shards)
         (Array.length r.Sim.tenants);
