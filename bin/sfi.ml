@@ -308,6 +308,23 @@ let workload_arg =
   Arg.(value & opt workload_conv Sfi_faas.Workloads.Hash_balance
        & info [ "workload"; "w" ] ~docv:"W" ~doc:"hash, regex, template or micro.")
 
+(* A simulation the sim refuses ends the command with one line on stderr
+   and this exit status, before anything runs. *)
+let invalid_config_status = 2
+
+let sim_exits =
+  Cmd.Exit.info invalid_config_status
+    ~doc:
+      "on a simulation configuration the simulator refuses, such as a $(b,--duration) \
+       that is not a positive, finite number."
+  :: Cmd.Exit.defaults
+
+let or_invalid_config = function
+  | Ok () -> ()
+  | Error reason ->
+      Printf.eprintf "sfi: invalid configuration: %s\n" reason;
+      exit invalid_config_status
+
 let simulate_cmd =
   let workload = workload_arg in
   let processes =
@@ -417,6 +434,7 @@ let top_cmd =
            ~fair_scheduling:churn ()) with
         Sim.duration_ns = duration *. 1e6 }
     in
+    or_invalid_config (Sim.validate cfg);
     let r = Sim.run cfg in
     Printf.printf "%s, %s, %d tenants, %.0f ms simulated\n"
       (Sfi_faas.Workloads.name workload)
@@ -451,7 +469,7 @@ let top_cmd =
       tenants
   in
   Cmd.v
-    (Cmd.info "top"
+    (Cmd.info "top" ~exits:sim_exits
        ~doc:
          "Run the FaaS simulation and print a per-tenant breakdown (completions, failures, \
           shed/breaker state and fast-window SLO burn rate with --resilient, \
@@ -639,6 +657,7 @@ let chaos_cmd =
         availability_floor = floor;
       }
     in
+    or_invalid_config (Chaos.validate cfg);
     let flight = Sfi_trace.Flight.create () in
     let r = Chaos.run ~flight cfg in
     let s = r.Chaos.sim in
@@ -724,7 +743,7 @@ let chaos_cmd =
     if not !ok then exit 1
   in
   Cmd.v
-    (Cmd.info "chaos"
+    (Cmd.info "chaos" ~exits:sim_exits
        ~doc:
          "Perturb a live FaaS sim on a seeded schedule (kill in-flight instances, spike IO \
           latency, fail instantiations) with admission control and circuit breakers armed, \
@@ -773,6 +792,7 @@ let postmortem_cmd =
         duration_ns = duration *. 1e6;
       }
     in
+    or_invalid_config (Chaos.validate cfg);
     let flight = Flight.create ~capacity () in
     let r = Chaos.run ~flight cfg in
     Printf.printf
@@ -802,7 +822,7 @@ let postmortem_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "postmortem"
+    (Cmd.info "postmortem" ~exits:sim_exits
        ~doc:
          "Replay a seeded chaos run with the fault flight recorder armed and dump the \
           frozen post-mortem bundles: for each fault class the last events before the \
@@ -859,6 +879,9 @@ let scale_cmd =
   let run workload shard_counts tenants duration rps skew seed no_steal repeat =
     let duration_ns = duration *. 1e6 in
     let seed = Int64.of_int seed in
+    or_invalid_config
+      (Sim.validate
+         { (Sim.default_config ~workload ()) with Sim.concurrency = tenants; duration_ns });
     let arrivals =
       Wk.synthesize ~seed ~tenants ~duration_ns ~rps
         ~shape:(Wk.Diurnal { trough = 0.25 })
@@ -922,7 +945,7 @@ let scale_cmd =
     if not !ok then exit 1
   in
   Cmd.v
-    (Cmd.info "scale"
+    (Cmd.info "scale" ~exits:sim_exits
        ~doc:
          "Shard the FaaS sim across OCaml domains and sweep the shard count under a \
           trace-shaped open-loop load (Zipf popularity, diurnal rate). Each shard owns an \

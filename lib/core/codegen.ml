@@ -42,8 +42,6 @@ type compiled = {
   code_bytes : int;
 }
 
-let entry_label c name = List.assoc name c.entry_labels
-
 (* ------------------------------------------------------------------ *)
 (* Register conventions.                                               *)
 (* ------------------------------------------------------------------ *)

@@ -87,6 +87,3 @@ val compile : config -> Sfi_wasm.Ast.module_ -> compiled
 (** Validates, optionally vectorizes, and lowers the module. Raises
     [Invalid_argument] on invalid modules or unsupported shapes (e.g. an
     import with more than three parameters). *)
-
-val entry_label : compiled -> string -> string
-(** Entry label for an export. Raises [Not_found]. *)

@@ -163,13 +163,21 @@ let run cfg =
       match base.Sim.arrivals with
       | None -> None
       | Some arr ->
-          Some
-            (Array.to_list arr
-            |> List.filter_map (fun a ->
-                   if assign.(a.Workloads.tenant) = s then
-                     Some { a with Workloads.tenant = local_of.(a.Workloads.tenant) }
-                   else None)
-            |> Array.of_list)
+          let mine a = assign.(a.Workloads.tenant) = s in
+          let out =
+            Array.make
+              (Array.fold_left (fun n a -> if mine a then n + 1 else n) 0 arr)
+              { Workloads.at_ns = 0.0; tenant = 0 }
+          in
+          let k = ref 0 in
+          Array.iter
+            (fun a ->
+              if mine a then begin
+                out.(!k) <- { a with Workloads.tenant = local_of.(a.Workloads.tenant) };
+                incr k
+              end)
+            arr;
+          Some out
     in
     (* Chaos events are dealt round-robin across shards so the schedule's
        total perturbation count is preserved. *)

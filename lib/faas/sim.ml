@@ -182,13 +182,21 @@ type request = {
   proc : int;
   mutable inst : Runtime.instance option;
   mutable had_inst : bool; (* ever held a slot (recycle accounting) *)
-  mutable ready_at : float;
-  mutable arrived_at : float; (* when the current logical request arrived *)
   mutable parked : bool; (* ticket parked in the admission queue *)
   mutable bk_admitted : bool; (* breaker already admitted this request *)
   mutable act : Runtime.activation option;
   mutable seq : int; (* per-slot completion count, seeds the next request *)
-  mutable started_at : float; (* sim time the current activation started *)
+}
+
+(* A run's float state in one all-float record, whose fields are stored
+   unboxed: a write does not allocate. *)
+type clocks = {
+  mutable now : float; (* the simulated clock *)
+  mutable busy : float; (* simulated CPU time spent serving *)
+  mutable slice_start : float; (* when the current process's timeslice began *)
+  mutable latency_until : float; (* end of a chaos latency window, 0 = none *)
+  mutable latency_factor : float; (* IO-delay multiplier inside that window *)
+  mutable window_end : float; (* end of the degradation ladder's window *)
 }
 
 (* A server-class second-level dTLB (1536 entries, as on the paper's
@@ -200,10 +208,37 @@ let server_tlb =
 (* Direct plus indirect cost of one Linux process switch. *)
 let os_switch_ns = 5000.0
 
+(* The configurations [run] refuses, each with the reason. A closed loop
+   never ends without a finite duration; an epoch shorter than one cycle
+   gives every step no fuel, so the watchdog kills every request; and a
+   negative delay, page price or respawn time would move the clock
+   backwards. *)
+let validate cfg =
+  let finite_nonneg x = x >= 0.0 && Float.is_finite x in
+  let f = cfg.faults in
+  if cfg.concurrency < 1 then Error "concurrency must be >= 1"
+  else if not (cfg.duration_ns > 0.0) then Error "duration_ns must be > 0"
+  else if not (Float.is_finite cfg.duration_ns) then Error "duration_ns must be finite"
+  else if (match cfg.mode with Multiprocess n -> n < 1 | Colorguard -> false) then
+    Error "process count must be >= 1"
+  else if (match cfg.overload.pool_slots with Some n -> n < 1 | None -> false) then
+    Error "pool_slots must be >= 1"
+  else if
+    not
+      (Float.is_finite cfg.epoch_ns
+      && Cost.cycles_of_ns Cost.default cfg.epoch_ns >= 1)
+  then Error "epoch_ns must be finite and at least one machine cycle"
+  else if not (finite_nonneg cfg.io_mean_ns) then Error "io_mean_ns must be finite and >= 0"
+  else if not (finite_nonneg cfg.page_zero_ns) then
+    Error "page_zero_ns must be finite and >= 0"
+  else if not (finite_nonneg f.respawn_ns) then
+    Error "faults.respawn_ns must be finite and >= 0"
+  else if f.deadline_epochs < 1 then Error "faults.deadline_epochs must be >= 1"
+  else Ok ()
+
 let fresh_engines cfg m =
   match cfg.mode with
   | Multiprocess n ->
-      if n < 1 then invalid_arg "Sim: process count must be >= 1";
       List.init n (fun _ ->
           let compiled = Codegen.compile (Codegen.default_config ()) m in
           Runtime.create_engine ~tlb:server_tlb ?engine:cfg.engine compiled)
@@ -212,9 +247,7 @@ let fresh_engines cfg m =
         {
           Pool.num_slots =
             (match cfg.overload.pool_slots with
-            | Some n ->
-                if n < 1 then invalid_arg "Sim: pool_slots must be >= 1";
-                n
+            | Some n -> n
             | None -> cfg.concurrency);
           max_memory_bytes = 4 * Units.mib;
           expected_slot_bytes = 4 * Units.mib;
@@ -298,8 +331,7 @@ let merge ~tenants results =
     }
 
 let run cfg =
-  if cfg.concurrency < 1 then invalid_arg "Sim: concurrency must be >= 1";
-  if not (cfg.duration_ns > 0.0) then invalid_arg "Sim: duration_ns must be > 0";
+  (match validate cfg with Ok () -> () | Error msg -> invalid_arg ("Sim: " ^ msg));
   let m = Workloads.module_of cfg.workload in
   let engines = Array.of_list (fresh_engines cfg m) in
   let nprocs = Array.length engines in
@@ -321,14 +353,23 @@ let run cfg =
      breaks chaos determinism fingerprints once sharding multiplies the
      number of parallel consumers of one root seed. *)
   let chaos_rng = Prng.split rng 0 in
-  let latency_until = ref 0.0 in
-  let latency_factor = ref 1.0 in
+  let window_len = 4.0 *. cfg.epoch_ns in
+  let tm =
+    {
+      now = 0.0;
+      busy = 0.0;
+      slice_start = 0.0;
+      latency_until = 0.0;
+      latency_factor = 1.0;
+      window_end = window_len;
+    }
+  in
   let io_delay () =
     (* "The value of the delay is drawn from a Poisson distribution at
        5ms": delays of a Poisson arrival process, i.e. exponential with a
        5 ms mean — "to model typical network request patterns". *)
     let d = Prng.exponential rng ~mean:cfg.io_mean_ns in
-    if !latency_factor > 1.0 then d *. !latency_factor else d
+    if tm.latency_factor > 1.0 then d *. tm.latency_factor else d
   in
   Array.iter (fun e -> Runtime.set_admission e ov.admission) engines;
   if ov.admission <> None then
@@ -354,7 +395,6 @@ let run cfg =
   let prewarm =
     match ov.pool_slots with None -> true | Some n -> n >= cfg.concurrency
   in
-  let clock = ref 0.0 in
   (* The arrival source. [None]: the closed loop, where a slot issues its
      next request [delay ()] after the last one ended. [Some q]: the open
      loop, where [q.(id)] holds tenant [id]'s sorted arrival times and
@@ -362,17 +402,35 @@ let run cfg =
   let schedule =
     Option.map
       (fun arr ->
-        let per = Array.make cfg.concurrency [] in
+        let counts = Array.make cfg.concurrency 0 in
         Array.iter
           (fun a ->
-            if a.Workloads.tenant < 0 || a.Workloads.tenant >= cfg.concurrency
-            then invalid_arg "Sim: arrival tenant out of range";
-            per.(a.Workloads.tenant) <- a.Workloads.at_ns :: per.(a.Workloads.tenant))
+            let t = a.Workloads.tenant in
+            if t < 0 || t >= cfg.concurrency then
+              invalid_arg "Sim: arrival tenant out of range";
+            counts.(t) <- counts.(t) + 1)
           arr;
-        Array.map (fun l -> Array.of_list (List.sort compare l)) per)
+        let per = Array.map (fun n -> Float.Array.make n 0.0) counts in
+        (* Each tenant's times, latest arrival first, then stably sorted:
+           equal times keep that order. *)
+        for i = Array.length arr - 1 downto 0 do
+          let a = arr.(i) in
+          let t = a.Workloads.tenant in
+          let q = per.(t) in
+          counts.(t) <- counts.(t) - 1;
+          Float.Array.set q (Float.Array.length q - 1 - counts.(t)) a.Workloads.at_ns
+        done;
+        Array.iter (Float.Array.stable_sort Float.compare) per;
+        per)
       cfg.arrivals
   in
   let arr_next = Array.make cfg.concurrency 0 in
+  (* Per-slot times, unboxed: [ready] holds when each slot is next due,
+     [arrived] when its current logical request arrived, and [started]
+     when its current activation started. *)
+  let ready = Ready.create ~slots:cfg.concurrency ~procs:nprocs in
+  let arrived = Float.Array.make cfg.concurrency 0.0 in
+  let started = Float.Array.make cfg.concurrency 0.0 in
   (* Move a slot on to its tenant's next logical request. In the open loop
      that is the next scheduled arrival, possibly already past: it has
      then been queueing and is ready at once, its e2e latency including
@@ -380,17 +438,17 @@ let run cfg =
   let rearm r delay =
     let at =
       match schedule with
-      | None -> !clock +. delay ()
+      | None -> tm.now +. delay ()
       | Some q ->
           let i = arr_next.(r.id) in
-          if i >= Array.length q.(r.id) then infinity
+          if i >= Float.Array.length q.(r.id) then infinity
           else begin
             arr_next.(r.id) <- i + 1;
-            q.(r.id).(i)
+            Float.Array.get q.(r.id) i
           end
     in
-    r.ready_at <- at;
-    r.arrived_at <- at
+    Ready.set_due ready r.id at ~now:tm.now;
+    Float.Array.set arrived r.id at
   in
   let requests =
     Array.init cfg.concurrency (fun id ->
@@ -400,13 +458,10 @@ let run cfg =
             proc = id mod nprocs;
             inst = None;
             had_inst = prewarm;
-            ready_at = 0.0;
-            arrived_at = 0.0;
             parked = false;
             bk_admitted = false;
             act = None;
             seq = 0;
-            started_at = 0.0;
           }
         in
         rearm r io_delay;
@@ -442,11 +497,10 @@ let run cfg =
      runs: a runaway guest must be stopped even when the fault model is
      off (e.g. a chaos run or a deliberately misbehaving tenant). *)
   let deadline_fuel = Some (f.deadline_epochs * epoch_fuel) in
-  let busy = ref 0.0 in
   (* Request spans run on the simulated clock, one trace track per request
      slot (= tenant), so a Perfetto load shows each tenant's activations as
      nested bars over sim time. *)
-  Trace.set_clock trace (fun () -> int_of_float !clock);
+  Trace.set_clock trace (fun () -> int_of_float tm.now);
   let t_completed = Array.make cfg.concurrency 0 in
   let t_failed = Array.make cfg.concurrency 0 in
   let t_shed = Array.make cfg.concurrency 0 in
@@ -470,28 +524,29 @@ let run cfg =
   let chaos_applied = ref 0 in
   let chaos_kills = ref 0 in
   let inst_fail_budget = ref 0 in
-  let checksum = ref 0L in
+  (* The low 32 bits of every result, summed: an int holds the sum exactly
+     up to 2^30 completions, so it equals the int64 sum. *)
+  let checksum = ref 0 in
   let context_switches = ref 0 in
   let current_proc = ref 0 in
-  let slice_start = ref 0.0 in
   (* Hoisted out of the degradation section: the flight recorder's
      counter snapshot wants the current ladder level too. *)
   let ladder_level = ref 0 in
   let engine_cycles = Array.make nprocs 0 in
   (* Advance the global clock by the cycles an engine just spent. *)
   let charge proc =
-    let c = (Machine.counters (Runtime.machine engines.(proc))).Machine.cycles in
+    let c = Machine.cycles (Runtime.machine engines.(proc)) in
     let delta = Cost.ns_of_cycles cost (c - engine_cycles.(proc)) in
-    clock := !clock +. delta;
-    busy := !busy +. delta;
+    tm.now <- tm.now +. delta;
+    tm.busy <- tm.busy +. delta;
     engine_cycles.(proc) <- c;
     if cfg.page_zero_ns > 0.0 then begin
       let w = lifecycle_pages proc in
       let dw = w - lifecycle_prev.(proc) in
       if dw > 0 then begin
         let ns = float_of_int dw *. cfg.page_zero_ns in
-        clock := !clock +. ns;
-        busy := !busy +. ns
+        tm.now <- tm.now +. ns;
+        tm.busy <- tm.busy +. ns
       end;
       lifecycle_prev.(proc) <- w
     end
@@ -509,7 +564,7 @@ let run cfg =
     let fold f = Array.fold_left (fun acc e -> acc + f e) 0 engines in
     let mach f = fold (fun e -> f (Runtime.machine e)) in
     [
-      ("clock_ns", !clock);
+      ("clock_ns", tm.now);
       ("completed", float_of_int !completed);
       ("failed", float_of_int !failed);
       ("watchdog_kills", float_of_int !watchdog_kills);
@@ -525,9 +580,9 @@ let run cfg =
       ("admission_waiting", float_of_int (fold Runtime.waiting));
       ("ladder_level", float_of_int !ladder_level);
       ("chaos_applied", float_of_int !chaos_applied);
-      ("machine_cycles", float_of_int (mach (fun m -> (Machine.counters m).Machine.cycles)));
+      ("machine_cycles", float_of_int (mach Machine.cycles));
       ( "machine_instructions",
-        float_of_int (mach (fun m -> (Machine.counters m).Machine.instructions)) );
+        float_of_int (mach Machine.instructions) );
       ("dtlb_misses", float_of_int (mach Machine.dtlb_misses));
       ("superblocks_retired", float_of_int (mach Machine.superblock_retired));
       ("transitions", float_of_int (fold Runtime.transitions));
@@ -537,7 +592,7 @@ let run cfg =
     match cfg.flight with
     | None -> ()
     | Some fr ->
-        Flight.freeze fr ~reason ~at_ns:(int_of_float !clock)
+        Flight.freeze fr ~reason ~at_ns:(int_of_float tm.now)
           ~counters:(flight_counters ())
   in
   (* --- SLO burn-rate tracking --- *)
@@ -567,14 +622,14 @@ let run cfg =
           if tr.Slo.tr_window = Slo.Fast then decr burning;
           Trace.slo_burn_stop trace ~tenant:id ~burn_milli ~window
         end)
-      (Slo.evaluate s ~now:!clock)
+      (Slo.evaluate s ~now:tm.now)
   in
   let slo_record id ~good =
     match slos with
     | None -> ()
     | Some (_, arr) ->
         let s = arr.(id) in
-        Slo.record s ~now:!clock ~good;
+        Slo.record s ~now:tm.now ~good;
         slo_transitions id s
   in
   let slo_good lat =
@@ -603,18 +658,29 @@ let run cfg =
           incr breaker_opens;
           t_breaker_opens.(id) <- t_breaker_opens.(id) + 1;
           Trace.breaker_open trace ~tenant:id
-            ~backoff:(int_of_float (Breaker.retry_at b -. !clock));
+            ~backoff:(int_of_float (Breaker.retry_at b -. tm.now));
           freeze_flight "breaker.open"
       | Breaker.Half_open -> Trace.breaker_half_open trace ~tenant:id
       | Breaker.Closed -> Trace.breaker_close trace ~tenant:id
   in
-  let with_breaker id fn =
+  (* Feed tenant [id]'s breaker a failure, or a completion that took
+     [lat]. *)
+  let breaker_failure id =
     match breakers with
     | None -> ()
     | Some arr ->
         let b = arr.(id) in
         let prev = Breaker.state b in
-        fn b;
+        Breaker.on_failure b ~now:tm.now;
+        note_breaker_transition id b prev
+  in
+  let breaker_slow id lat =
+    match breakers with
+    | None -> ()
+    | Some arr ->
+        let b = arr.(id) in
+        let prev = Breaker.state b in
+        Breaker.on_slow b ~now:tm.now ~elapsed_ns:lat;
         note_breaker_transition id b prev
   in
   (* May tenant [id]'s next request proceed? An open breaker fast-fails it
@@ -631,15 +697,16 @@ let run cfg =
     | Some arr ->
         let b = arr.(r.id) in
         let prev = Breaker.state b in
-        let ok = Breaker.allow b ~now:!clock in
+        let ok = Breaker.allow b ~now:tm.now in
         note_breaker_transition r.id b prev;
         if ok then r.bk_admitted <- true
         else begin
           incr breaker_fast_fails;
-          r.ready_at <-
+          Ready.set_due ready r.id
             (match Breaker.state b with
-            | Breaker.Open -> Float.max (Breaker.retry_at b) (!clock +. cfg.epoch_ns)
-            | _ -> !clock +. cfg.epoch_ns)
+            | Breaker.Open -> Float.max (Breaker.retry_at b) (tm.now +. cfg.epoch_ns)
+            | _ -> tm.now +. cfg.epoch_ns)
+            ~now:tm.now
         end;
         ok
   in
@@ -647,8 +714,6 @@ let run cfg =
   let degrade_steps = ref 0 in
   let max_degrade_level = ref 0 in
   let hedged = ref ov.hedged_retries in
-  let window_len = 4.0 *. cfg.epoch_ns in
-  let window_end = ref window_len in
   let window_sheds = ref 0 in
   let over_windows = ref 0 in
   let calm_windows = ref 0 in
@@ -671,7 +736,7 @@ let run cfg =
     Trace.degrade_step trace ~level:lvl
   in
   let ladder_tick () =
-    if ov.degradation && !clock >= !window_end then begin
+    if ov.degradation && tm.now >= tm.window_end then begin
       (* Re-evaluate burn-rate alerts at every window boundary so alerts
          also clear while a tenant is idle (its windows slide empty). *)
       (match slos with
@@ -681,8 +746,8 @@ let run cfg =
          its fast error-budget window, not only on queue sojourn. *)
       let overloaded = !window_sheds > 0 || !burning > 0 in
       window_sheds := 0;
-      while !window_end <= !clock do
-        window_end := !window_end +. window_len
+      while tm.window_end <= tm.now do
+        tm.window_end <- tm.window_end +. window_len
       done;
       if overloaded then begin
         incr over_windows;
@@ -719,7 +784,7 @@ let run cfg =
   let fail r =
     incr failed;
     abort r;
-    with_breaker r.id (Breaker.on_failure ~now:!clock);
+    breaker_failure r.id;
     r.seq <- r.seq + 1;
     r.parked <- false;
     r.bk_admitted <- false
@@ -742,7 +807,7 @@ let run cfg =
     slo_record r.id ~good:false;
     (match breakers with
     | Some arr when reason <> None && Breaker.state arr.(r.id) = Breaker.Half_open ->
-        with_breaker r.id (Breaker.on_failure ~now:!clock)
+        breaker_failure r.id
     | _ -> ());
     r.parked <- false;
     r.bk_admitted <- false;
@@ -759,11 +824,11 @@ let run cfg =
           (* Chaos: transient instantiate failure — behaves like a full
              pool; the request retries next epoch. *)
           decr inst_fail_budget;
-          r.ready_at <- !clock +. cfg.epoch_ns;
+          Ready.set_due ready r.id (tm.now +. cfg.epoch_ns) ~now:tm.now;
           false
         end
         else begin
-          match Runtime.admit engines.(r.proc) ~ticket:r.id ~tenant:r.id ~now:!clock with
+          match Runtime.admit engines.(r.proc) ~ticket:r.id ~tenant:r.id ~now:tm.now with
           | `Ready inst ->
               if r.had_inst then incr recycles;
               r.had_inst <- true;
@@ -772,13 +837,13 @@ let run cfg =
               true
           | `Wait ->
               if ov.admission <> None then r.parked <- true;
-              r.ready_at <- !clock +. cfg.epoch_ns;
+              Ready.set_due ready r.id (tm.now +. cfg.epoch_ns) ~now:tm.now;
               false
           | `Shed reason ->
               if ov.admission = None then begin
                 (* Legacy FIFO reject: keep the historical epoch retry (and
                    its PRNG stream) byte-for-byte. *)
-                r.ready_at <- !clock +. cfg.epoch_ns;
+                Ready.set_due ready r.id (tm.now +. cfg.epoch_ns) ~now:tm.now;
                 false
               end
               else begin
@@ -799,11 +864,11 @@ let run cfg =
             abort r2
           end;
           kill_live r2;
-          r2.ready_at <- !clock +. f.respawn_ns
+          Ready.set_due ready r2.id (tm.now +. f.respawn_ns) ~now:tm.now
         end)
       requests;
-    clock := !clock +. f.respawn_ns;
-    busy := !busy +. f.respawn_ns
+    tm.now <- tm.now +. f.respawn_ns;
+    tm.busy <- tm.busy +. f.respawn_ns
   in
   (* A step that trapped or hit the watchdog. Hedged retries (until the
      ladder downgrades them at L2) resubmit the failed request next epoch
@@ -829,7 +894,7 @@ let run cfg =
     else if r.act <> None || r.parked || r.bk_admitted || breaker_allow r then begin
       if ensure_instance r then begin
         let inst = match r.inst with Some i -> i | None -> assert false in
-        let arrival = r.arrived_at in
+        let arrival = Float.Array.get arrived r.id in
         let completed_now = ref false in
         let act =
           match r.act with
@@ -838,7 +903,7 @@ let run cfg =
               let seed = Int64.of_int (1 + r.id + (r.seq * 8191)) in
               let a = Runtime.start_call ?deadline_fuel inst (draw_entry r.id) [ seed ] in
               r.act <- Some a;
-              r.started_at <- !clock;
+              Float.Array.set started r.id tm.now;
               Trace.request_begin trace ~tenant:r.id;
               a
         in
@@ -847,11 +912,11 @@ let run cfg =
            when the instance is killed or recycled mid-request. *)
         let mach = Runtime.machine engines.(r.proc) in
         let sb0 = Machine.superblock_retired mach in
-        let in0 = (Machine.counters mach).Machine.instructions in
+        let in0 = Machine.instructions mach in
         (match Runtime.step act ~fuel:epoch_fuel with
         | `Done v ->
             incr completed;
-            checksum := Int64.add !checksum (Int64.logand v 0xFFFFFFFFL);
+            checksum := !checksum + Int64.to_int (Int64.logand v 0xFFFFFFFFL);
             completed_now := true;
             r.act <- None;
             r.seq <- r.seq + 1;
@@ -877,20 +942,19 @@ let run cfg =
         | `More -> () (* preempted; stays ready *));
         t_sb.(r.id) <- t_sb.(r.id) + (Machine.superblock_retired mach - sb0);
         t_instr.(r.id) <-
-          t_instr.(r.id) + ((Machine.counters mach).Machine.instructions - in0);
+          t_instr.(r.id) + (Machine.instructions mach - in0);
         charge r.proc;
         (* Latency is measured after [charge] so it includes the execution
            time the engine just billed; the failure paths above keep their
-           pre-charge timestamps (ready_at, respawn) unchanged. *)
+           pre-charge due times (retry, respawn) unchanged. *)
         if !completed_now then begin
           t_completed.(r.id) <- t_completed.(r.id) + 1;
-          let lat = !clock -. r.started_at in
-          let e2e = !clock -. arrival in
+          let lat = tm.now -. Float.Array.get started r.id in
+          let e2e = tm.now -. arrival in
           (match ov.request_deadline_ns with
           | Some d when e2e > d -> incr deadline_misses
           | _ -> ());
-          with_breaker r.id (fun b ->
-              Breaker.on_slow b ~now:!clock ~elapsed_ns:lat);
+          breaker_slow r.id lat;
           Trace.request_end trace ~tenant:r.id ~ok:true;
           (* The exemplar points at the request-end event just stored, so
              a percentile spike links to the exact span in the export. *)
@@ -934,8 +998,8 @@ let run cfg =
             kill_live r;
             rearm r chaos_think)
     | Chaos_latency { factor; window_ns } ->
-        latency_factor := factor;
-        latency_until := !clock +. window_ns
+        tm.latency_factor <- factor;
+        tm.latency_until <- tm.now +. window_ns
     | Chaos_instantiate_fail n -> inst_fail_budget := !inst_fail_budget + n);
     incr chaos_applied;
     freeze_flight
@@ -957,19 +1021,18 @@ let run cfg =
     incr chaos_index
   in
   let chaos_tick () =
-    if !latency_until > 0.0 && !clock >= !latency_until then begin
-      latency_factor := 1.0;
-      latency_until := 0.0
+    if tm.latency_until > 0.0 && tm.now >= tm.latency_until then begin
+      tm.latency_factor <- 1.0;
+      tm.latency_until <- 0.0
     end;
-    let rec drain () =
+    let draining = ref true in
+    while !draining do
       match !chaos_pending with
-      | ev :: rest when ev.at_ns <= !clock ->
+      | ev :: rest when ev.at_ns <= tm.now ->
           chaos_pending := rest;
-          apply_chaos ev;
-          drain ()
-      | _ -> ()
-    in
-    drain ()
+          apply_chaos ev
+      | _ -> draining := false
+    done
   in
   (* Scheduler. The legacy scan picks the lowest-index ready request, so a
      started request runs to completion before anything behind it starts:
@@ -981,64 +1044,61 @@ let run cfg =
      built for. Off by default to keep earlier figures reproducible. *)
   let rr_cursor = ref 0 in
   let n_requests = Array.length requests in
-  (* The legacy scan is the same scan with the cursor parked at 0. *)
+  (* The first ready slot of process [proc] ([-1]: any) at or after the
+     cursor, cyclically; [-1] if none. The legacy scan is the same scan
+     with the cursor parked at 0. *)
   let ready_in proc =
-    let found = ref None and i = ref 0 in
-    while !found = None && !i < n_requests do
-      let j = !rr_cursor + !i in
-      let r = requests.(if j < n_requests then j else j - n_requests) in
-      if (proc < 0 || r.proc = proc) && r.ready_at <= !clock then begin
-        found := Some r;
-        if cfg.fair_scheduling then rr_cursor := (j + 1) mod n_requests
-      end;
-      incr i
-    done;
-    !found
-  in
-  let next_ready_time () =
-    Array.fold_left (fun acc r -> min acc r.ready_at) infinity requests
+    Ready.advance ready ~now:tm.now;
+    let i = Ready.pick ready ~cursor:!rr_cursor ~proc in
+    if i >= 0 && cfg.fair_scheduling then rr_cursor := (i + 1) mod n_requests;
+    i
   in
   let switch_to proc =
     incr context_switches;
-    clock := !clock +. os_switch_ns;
-    busy := !busy +. os_switch_ns;
+    tm.now <- tm.now +. os_switch_ns;
+    tm.busy <- tm.busy +. os_switch_ns;
     (* The incoming process finds the shared TLB polluted by whoever ran in
        between: model as a flush of its TLB state. *)
     Machine.flush_tlb (Runtime.machine engines.(proc));
     current_proc := proc;
-    slice_start := !clock
+    tm.slice_start <- tm.now
   in
+  (* Nothing is ready: jump to the next due slot or chaos event. Only
+     called with no slot ready, so the ready set's earliest future due
+     time is the earliest of all. *)
   let idle_jump () =
-    clock :=
-      max !clock (min (min (next_ready_time ()) (next_chaos_time ())) cfg.duration_ns)
+    let fmin (a : float) b = if a <= b then a else b in
+    let next = fmin (fmin (Ready.next_ready_time ready) (next_chaos_time ())) cfg.duration_ns in
+    if not (tm.now >= next) then tm.now <- next
   in
-  while !clock < cfg.duration_ns do
+  (* The next process after the current one with a ready slot, or -1. *)
+  let other_with_work () =
+    let found = ref (-1) in
+    for k = 1 to nprocs - 1 do
+      let p = (!current_proc + k) mod nprocs in
+      if !found < 0 && ready_in p >= 0 then found := p
+    done;
+    !found
+  in
+  while tm.now < cfg.duration_ns do
     chaos_tick ();
     ladder_tick ();
     match cfg.mode with
-    | Colorguard -> (
-        match ready_in (-1) with Some r -> run_request r | None -> idle_jump ())
-    | Multiprocess _ -> (
+    | Colorguard ->
+        let i = ready_in (-1) in
+        if i >= 0 then run_request requests.(i) else idle_jump ()
+    | Multiprocess _ ->
         (* A timeslice expires: move on if someone else has work. *)
-        let other_with_work () =
-          let found = ref None in
-          for k = 1 to nprocs - 1 do
-            let p = (!current_proc + k) mod nprocs in
-            if !found = None && ready_in p <> None then found := Some p
-          done;
-          !found
-        in
-        if !clock -. !slice_start >= cfg.epoch_ns then begin
-          match other_with_work () with
-          | Some p -> switch_to p
-          | None -> slice_start := !clock
+        if tm.now -. tm.slice_start >= cfg.epoch_ns then begin
+          let p = other_with_work () in
+          if p >= 0 then switch_to p else tm.slice_start <- tm.now
         end;
-        match ready_in !current_proc with
-        | Some r -> run_request r
-        | None -> (
-            match other_with_work () with
-            | Some p -> switch_to p
-            | None -> idle_jump ()))
+        let i = ready_in !current_proc in
+        if i >= 0 then run_request requests.(i)
+        else begin
+          let p = other_with_work () in
+          if p >= 0 then switch_to p else idle_jump ()
+        end
   done;
   (* Balance the trace: activations still in flight when the simulated
      duration expires get their span closed (not counted as failures). *)
@@ -1078,7 +1138,7 @@ let run cfg =
              else float_of_int t_sb.(id) /. float_of_int t_instr.(id));
           t_burn =
             (match slos with
-            | Some (_, arr) -> Slo.burn arr.(id) ~now:!clock Slo.Fast
+            | Some (_, arr) -> Slo.burn arr.(id) ~now:tm.now Slo.Fast
             | None -> 0.0);
           t_lat_hist = lat;
           t_e2e_hist = e2e;
@@ -1118,9 +1178,9 @@ let run cfg =
       user_transitions = rt.Runtime.m_transitions;
       dtlb_misses =
         Array.fold_left (fun acc e -> acc + Machine.dtlb_misses (Runtime.machine e)) 0 engines;
-      checksum = !checksum;
-      simulated_ns = !clock;
-      cpu_busy_ns = !busy;
+      checksum = Int64.of_int !checksum;
+      simulated_ns = tm.now;
+      cpu_busy_ns = tm.busy;
       tenants;
     }
 

@@ -315,12 +315,21 @@ type result = {
           table *)
 }
 
+val validate : config -> (unit, string) Stdlib.result
+(** [Error reason] for a configuration {!run} refuses: [concurrency < 1];
+    a [duration_ns] that is not finite and positive (a closed loop would
+    never end); a process count or [pool_slots] below 1; an [epoch_ns]
+    that is not finite or is shorter than one machine cycle (every step
+    would get no fuel and the watchdog would kill every request); an
+    [io_mean_ns], [page_zero_ns] or [faults.respawn_ns] that is negative
+    or not finite; [faults.deadline_epochs < 1]. *)
+
 val run : config -> result
 (** Always runs to completion: sandbox misbehavior (traps, runaway loops,
     crashed processes) is contained and reported in the counters, never
-    re-raised to the caller. Raises [Invalid_argument] for
-    [concurrency < 1], [duration_ns <= 0], a process count below 1, a
-    [pool_slots] below 1 or an arrival for a tenant out of range. *)
+    re-raised to the caller. Raises [Invalid_argument ("Sim: " ^ reason)]
+    when {!validate} gives [Error reason], and for an arrival for a tenant
+    out of range. *)
 
 val sheds : result -> int
 (** Requests shed before service, all four reasons: sojourn, rate limit,

@@ -80,29 +80,8 @@ let action_class = function
   | Sim.Chaos_latency _ -> "chaos.latency"
   | Sim.Chaos_instantiate_fail _ -> "chaos.instantiate_fail"
 
-let run ?(trace = Sfi_trace.Trace.null) ?flight cfg =
-  let events = plan cfg in
-  let digest = plan_digest events in
-  let violations = ref [] in
-  let violate ~index ~kind detail =
-    violations := { v_index = index; v_kind = kind; v_detail = detail } :: !violations
-  in
-  (* Blast radius: between two perturbations of a fault-free run the only
-     failure source is a chaos kill, so the per-tenant failure delta must
-     be exactly +1 at the victim and 0 everywhere else. *)
-  let prev_failed = ref (Array.make cfg.concurrency 0) in
-  let on_perturbation (r : Sim.chaos_report) =
-    Array.iteri
-      (fun id now ->
-        let d = now - !prev_failed.(id) in
-        let expected = if id = r.Sim.cr_victim then 1 else 0 in
-        if d <> expected then
-          violate ~index:r.Sim.cr_index ~kind:"blast-radius"
-            (Printf.sprintf "tenant %d failures moved %+d (expected %+d, victim %d)"
-               id d expected r.Sim.cr_victim))
-      r.Sim.cr_failed;
-    prev_failed := Array.copy r.Sim.cr_failed
-  in
+(* The sim configuration a chaos run serves under. *)
+let sim_config cfg ~events ~on_perturbation ~trace ~flight =
   let overload =
     {
       Sim.no_overload with
@@ -128,24 +107,52 @@ let run ?(trace = Sfi_trace.Trace.null) ?flight cfg =
       slo = Some (Sfi_faas.Slo.default_config ());
     }
   in
-  let sim_cfg =
-    {
-      (Sim.default_config ~workload:cfg.workload ~churn:true ~overload
-         ?engine:cfg.engine ~chaos:events ~on_perturbation ~fair_scheduling:true ())
-      with
-      Sim.concurrency = cfg.concurrency;
-      duration_ns = cfg.duration_ns;
-      io_mean_ns = cfg.io_mean_ns;
-      (* 5 us epochs: the ~16 us handlers span several epochs, so kills
-         find in-flight victims; 16-epoch deadline keeps the watchdog off
-         well-behaved requests. *)
-      epoch_ns = 5000.0;
-      faults = { Sim.no_faults with Sim.deadline_epochs = 16 };
-      seed = cfg.seed;
-      trace;
-      flight;
-    }
+  {
+    (Sim.default_config ~workload:cfg.workload ~churn:true ~overload
+       ?engine:cfg.engine ~chaos:events ~on_perturbation ~fair_scheduling:true ())
+    with
+    Sim.concurrency = cfg.concurrency;
+    duration_ns = cfg.duration_ns;
+    io_mean_ns = cfg.io_mean_ns;
+    (* 5 us epochs: the ~16 us handlers span several epochs, so kills
+       find in-flight victims; 16-epoch deadline keeps the watchdog off
+       well-behaved requests. *)
+    epoch_ns = 5000.0;
+    faults = { Sim.no_faults with Sim.deadline_epochs = 16 };
+    seed = cfg.seed;
+    trace;
+    flight;
+  }
+
+let validate cfg =
+  Sim.validate
+    (sim_config cfg ~events:[] ~on_perturbation:ignore ~trace:Sfi_trace.Trace.null
+       ~flight:None)
+
+let run ?(trace = Sfi_trace.Trace.null) ?flight cfg =
+  let events = plan cfg in
+  let digest = plan_digest events in
+  let violations = ref [] in
+  let violate ~index ~kind detail =
+    violations := { v_index = index; v_kind = kind; v_detail = detail } :: !violations
   in
+  (* Blast radius: between two perturbations of a fault-free run the only
+     failure source is a chaos kill, so the per-tenant failure delta must
+     be exactly +1 at the victim and 0 everywhere else. *)
+  let prev_failed = ref (Array.make cfg.concurrency 0) in
+  let on_perturbation (r : Sim.chaos_report) =
+    Array.iteri
+      (fun id now ->
+        let d = now - !prev_failed.(id) in
+        let expected = if id = r.Sim.cr_victim then 1 else 0 in
+        if d <> expected then
+          violate ~index:r.Sim.cr_index ~kind:"blast-radius"
+            (Printf.sprintf "tenant %d failures moved %+d (expected %+d, victim %d)"
+               id d expected r.Sim.cr_victim))
+      r.Sim.cr_failed;
+    prev_failed := Array.copy r.Sim.cr_failed
+  in
+  let sim_cfg = sim_config cfg ~events ~on_perturbation ~trace ~flight in
   let sim = Sim.run sim_cfg in
   if sim.Sim.chaos_applied <> cfg.perturbations then
     violate ~index:(-1) ~kind:"applied"

@@ -62,6 +62,10 @@ type run_result = {
   violations : violation list;  (** empty = all invariants held *)
 }
 
+val validate : config -> (unit, string) result
+(** {!Sfi_faas.Sim.validate} of the sim configuration {!run} would serve
+    under: [Error reason] when the sim would refuse it. *)
+
 val run :
   ?trace:Sfi_trace.Trace.t -> ?flight:Sfi_trace.Flight.t -> config -> run_result
 (** Run the sim fault-free with admission control and per-tenant

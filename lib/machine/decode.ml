@@ -149,9 +149,9 @@ let check_page_slow t ~page ~addr ~write =
     if slot >= 0 then slot
     else begin
       t.counters.cycles <- t.counters.cycles + Tlb.walk_cost t.tlb;
-      match Space.page_info t.space ~addr:(page * Space.page_size) with
-      | None -> fault t ~addr ~write
-      | Some (prot, key) -> Tlb.fill_slot t.tlb ~page ~payload:(payload_of prot key)
+      let v = Space.vma_at t.space (page * Space.page_size) in
+      if v == Space.unmapped then fault t ~addr ~write
+      else Tlb.fill_slot t.tlb ~page ~payload:(payload_of v.Space.prot v.Space.pkey)
     end
   in
   if not (allows t (Tlb.payload t.tlb ~slot) ~write) then fault t ~addr ~write;
@@ -746,8 +746,7 @@ let compile_body t (l : loaded) idx =
   | Wrpkru ->
       fun t ->
         t.counters.pkru_writes <- t.counters.pkru_writes + 1;
-        t.pkru <- Int64.to_int (reg_get t rax) land 0xFFFFFFFF;
-        invalidate_pcache t;
+        set_pkru t (Int64.to_int (reg_get t rax) land 0xFFFFFFFF);
         if Sfi_trace.Trace.enabled t.trace then Sfi_trace.Trace.pkru_write t.trace ~value:t.pkru;
         t.pc <- next
   | Rdpkru ->
@@ -922,8 +921,7 @@ let step t =
   | Wrpkru ->
       charge t cost.Cost.wrpkru_cycles;
       t.counters.pkru_writes <- t.counters.pkru_writes + 1;
-      t.pkru <- Int64.to_int (Int64.logand (get_reg t RAX) 0xFFFFFFFFL);
-      invalidate_pcache t;
+      set_pkru t (Int64.to_int (Int64.logand (get_reg t RAX) 0xFFFFFFFFL));
       if Sfi_trace.Trace.enabled t.trace then
         Sfi_trace.Trace.pkru_write t.trace ~value:t.pkru
   | Rdpkru ->
@@ -948,10 +946,12 @@ let step t =
   | Trap k -> raise (Trap_exn k));
   t.pc <- !next_pc
 
-let start t ~entry =
+let start_at t idx =
   t.last_fault <- None;
-  t.pc <- label_index t entry;
+  t.pc <- idx;
   push64 t halt_sentinel
+
+let start t ~entry = start_at t (label_index t entry)
 
 let run_reference t ~fuel =
   let budget = ref fuel in

@@ -26,6 +26,7 @@
 include Mstate
 
 let start = Decode.start
+let start_at = Decode.start_at
 
 (* --- Sampling hot-PC profiler --- *)
 
@@ -136,6 +137,10 @@ let counters t =
     seg_base_writes = c.seg_base_writes;
     pkru_writes = c.pkru_writes;
   }
+
+(* One field of [counters] each, without the record. *)
+let cycles t = t.counters.cycles - (Tier.lead t).l_cycles
+let instructions t = t.counters.instructions - (Tier.lead t).l_instrs
 
 let charge_extra_cycles t n = t.counters.cycles <- t.counters.cycles + n
 

@@ -64,6 +64,10 @@ val load_program : t -> Sfi_x86.Ast.program -> unit
     engine compiles each block on the first entry to any of its
     instructions. *)
 
+val label_index : t -> string -> int
+(** Instruction index of a label, for {!start_at}. Raises [Not_found] for
+    unknown labels. *)
+
 val label_address : t -> string -> int
 (** Code byte address of a label (code_base + offset). Raises [Not_found]
     for unknown labels. Used to seed indirect-call tables. *)
@@ -92,6 +96,10 @@ val set_hostcall_handler : t -> (t -> int -> unit) -> unit
 val start : t -> entry:string -> unit
 (** Position the program counter at [entry] and push the halt sentinel
     return address. The caller must have set up RSP to a mapped stack. *)
+
+val start_at : t -> int -> unit
+(** {!start} at an instruction index from {!label_index}: a caller that
+    enters the same label many times resolves it once. *)
 
 type engine_kind =
   | Reference  (** the AST-matching interpreter, kept as the differential oracle *)
@@ -236,6 +244,11 @@ val counters : t -> counters
     respect to further execution. Exact from inside a callback too: read
     by a sanitizer or hostcall handler, it holds what [Reference] would
     have counted by the current instruction, whichever engine runs. *)
+
+val cycles : t -> int
+val instructions : t -> int
+(** [(counters t).cycles] and [(counters t).instructions], without
+    allocating the record: for per-request sampling on hot paths. *)
 
 val charge_extra_cycles : t -> int -> unit
 (** Add cycles to the live counter — how the runtime charges modeled

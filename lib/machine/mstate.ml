@@ -278,9 +278,14 @@ let get_seg_base t = function FS -> t.fs_base | GS -> t.gs_base
 let set_seg_base t seg v = match seg with FS -> t.fs_base <- v | GS -> t.gs_base <- v
 let get_pkru t = t.pkru
 
-let set_pkru t v =
-  t.pkru <- v;
-  invalidate_pcache t
+(* The page cache's verdicts depend on the PKRU value alone, so a write
+   of the value already in force (a sandbox's entry [wrpkru] after the
+   runtime installed the same image) keeps them. *)
+let[@inline] set_pkru t v =
+  if v <> t.pkru then begin
+    t.pkru <- v;
+    invalidate_pcache t
+  end
 
 let set_hostcall_handler t f = t.hostcall <- f
 let engine t = t.engine

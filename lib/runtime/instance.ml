@@ -63,7 +63,7 @@ let set_memory_bound e inst =
 
 let sandbox_pkru_image inst =
   if inst.inst_color = 0 then Mpk.allow_all
-  else Mpk.allow_only [ Mpk.default_key; inst.inst_color ]
+  else Mpk.allow_default_and inst.inst_color
 
 (* --- the baked module image --- *)
 

@@ -155,6 +155,12 @@ type engine = {
   slot_mapped_pages : (int, int) Hashtbl.t; (* slot -> pages ever mapped *)
   imports : (string, import) Hashtbl.t;
   mutable current : instance option;
+  (* Export name -> entry instruction index, resolved once at creation. *)
+  entries : (string * int) array;
+  (* The unfinished activation whose state the machine holds, if any: its
+     context is saved only when another call or activation takes the
+     machine (see {!Runtime.step}). *)
+  mutable resident : activation option;
   transition_overhead_cycles : int;
   pure_springboard_cycles : int;
   readonly_springboard_cycles : int;
@@ -188,6 +194,16 @@ and instance = {
   mutable pages : int;
   max_pages : int;
   mutable live : bool;
+}
+
+(* An epoch-style preemptible call. [ctx] holds its machine state while it
+   is not resident; a resident activation's state is the machine's own. *)
+and activation = {
+  act_inst : instance;
+  mutable ctx : Machine.context option;
+  mutable done_ : bool;
+  deadline : int option; (* fuel budget across the whole activation *)
+  mutable spent : int; (* fuel consumed so far *)
 }
 
 and import = { im_fn : instance -> int64 array -> int64; im_class : hostcall_class }

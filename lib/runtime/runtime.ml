@@ -105,6 +105,12 @@ let create_engine ?cost ?tlb ?(fsgsbase_available = true) ?max_map_count
       slot_mapped_pages = Hashtbl.create 64;
       imports = Hashtbl.create 8;
       current = None;
+      entries =
+        Array.of_list
+          (List.map
+             (fun (name, label) -> (name, Machine.label_index machine label))
+             compiled.Codegen.entry_labels);
+      resident = None;
       transition_overhead_cycles;
       pure_springboard_cycles;
       readonly_springboard_cycles;
@@ -391,9 +397,36 @@ let write_memory inst ~addr s =
 
 (* --- transitions and calls --- *)
 
+let rec find_entry entries name i =
+  if i = Array.length entries then raise Not_found
+  else
+    let n, idx = entries.(i) in
+    if String.equal n name then idx else find_entry entries name (i + 1)
+
+(* Caller-side argument pushes: the first argument lands just below
+   [rsp]. Returns the final stack pointer. *)
+let rec push_args space rsp = function
+  | [] -> rsp
+  | a :: rest ->
+      let rsp = rsp - 8 in
+      Space.write64 space rsp a;
+      push_args space rsp rest
+
+(* Save the resident activation's context before the machine is taken
+   over. A killed or released instance never runs again (its next step
+   reports [Instance_dead]), so its context is dropped, not saved. *)
+let evict_resident e =
+  match e.resident with
+  | None -> ()
+  | Some a ->
+      if a.act_inst.live then a.ctx <- Some (Machine.save_context e.machine);
+      e.resident <- None
+
 let prepare_call inst name args =
   let e = inst.engine in
   let m = e.machine in
+  let entry = find_entry e.entries name 0 in
+  evict_resident e;
   e.current <- Some inst;
   Machine.set_seg_base m X.FS inst.vmctx;
   (* The native baseline's "absolute pointers": the base is implicit. *)
@@ -407,20 +440,13 @@ let prepare_call inst name args =
      host stack and vmctx stay reachable (key 0). *)
   let entry_pkru =
     if e.compiled.Codegen.config.Codegen.colorguard && inst.inst_color <> 0 then
-      Mpk.allow_only [ Mpk.default_key; inst.inst_color ]
+      Mpk.allow_default_and inst.inst_color
     else Mpk.allow_all
   in
   Machine.set_pkru m entry_pkru;
-  (* Caller-side argument pushes. *)
-  let rsp = ref inst.stack_top in
-  List.iter
-    (fun a ->
-      rsp := !rsp - 8;
-      Space.write64 e.space !rsp a)
-    args;
-  Machine.set_reg m X.RSP (Int64.of_int !rsp);
+  Machine.set_reg m X.RSP (Int64.of_int (push_args e.space inst.stack_top args));
   Transition.charge_entry e inst;
-  Machine.start m ~entry:(Codegen.entry_label e.compiled name)
+  Machine.start_at m entry
 
 (* Emit a [fault] event carrying the machine's trap attribution (the
    faulting address and direction for access traps, [-1] otherwise). *)
@@ -475,47 +501,63 @@ let invoke_protected ?(fuel = 1 lsl 30) inst name args =
         Error Fuel_exhausted
   end
 
-type activation = {
-  act_inst : instance;
-  mutable ctx : Machine.context option;
-  mutable done_ : bool;
-  deadline : int option; (* fuel budget across the whole activation *)
-  mutable spent : int; (* fuel consumed so far *)
-}
-
+(* The user-level context switch, done lazily: [e.resident] is the
+   activation the machine currently holds. Starting it leaves it resident
+   with no copy taken; stepping it again while resident neither restores
+   nor saves. Its context is saved only when the machine is taken over —
+   by [prepare_call] or by a step of another activation — and restored by
+   its own next step. It stops being resident when it finishes, traps or
+   is killed. *)
 let start_call ?deadline_fuel inst name args =
   if not inst.live then raise (Fault Instance_dead);
   prepare_call inst name args;
-  let ctx = Machine.save_context inst.engine.machine in
-  { act_inst = inst; ctx = Some ctx; done_ = false; deadline = deadline_fuel; spent = 0 }
+  let act =
+    { act_inst = inst; ctx = None; done_ = false; deadline = deadline_fuel; spent = 0 }
+  in
+  inst.engine.resident <- Some act;
+  act
+
+let is_resident e act = match e.resident with Some a -> a == act | None -> false
+
+(* The activation has finished, trapped or been killed. *)
+let retire e act =
+  act.done_ <- true;
+  if is_resident e act then e.resident <- None
 
 let step act ~fuel =
   if act.done_ then invalid_arg "Runtime.step: activation already finished";
+  let e = act.act_inst.engine in
   if not act.act_inst.live then begin
-    act.done_ <- true;
+    retire e act;
     `Fault Instance_dead
   end
   else begin
-    let e = act.act_inst.engine in
     let m = e.machine in
-    (match act.ctx with Some c -> Machine.restore_context m c | None -> ());
-    e.current <- Some act.act_inst;
+    if not (is_resident e act) then begin
+      evict_resident e;
+      (match act.ctx with
+      | Some c ->
+          Machine.restore_context m c;
+          act.ctx <- None
+      | None -> ());
+      e.resident <- Some act;
+      e.current <- Some act.act_inst
+    end;
     match finish act.act_inst (Machine.run m ~fuel) with
     | `Done v ->
-        act.done_ <- true;
+        retire e act;
         `Done v
     | `Trapped k ->
-        act.done_ <- true;
+        retire e act;
         Instance.kill act.act_inst;
         `Trapped k
     | `More -> (
-        act.ctx <- Some (Machine.save_context m);
         act.spent <- act.spent + fuel;
         (* Watchdog: a runaway activation that overruns its epoch deadline
            is killed rather than rescheduled forever. *)
         match act.deadline with
         | Some limit when act.spent >= limit ->
-            act.done_ <- true;
+            retire e act;
             Sfi_trace.Trace.fault e.trace ~sandbox:act.act_inst.id ~addr:(-1)
               ~write:false;
             Sfi_trace.Trace.call_end e.trace ~sandbox:act.act_inst.id;
@@ -643,7 +685,7 @@ let arm_sanitizer e =
                              "outside the sandbox's slot bounds (heap 0x%x + %d pages)"
                              inst.heap inst.pages));
                  if cfg.Codegen.colorguard && inst.inst_color <> 0 then begin
-                   let expected = Mpk.allow_only [ Mpk.default_key; inst.inst_color ] in
+                   let expected = Mpk.allow_default_and inst.inst_color in
                    if Machine.get_pkru m <> expected then
                      raise
                        (violation e m ~kind:kind' ~addr ~len

@@ -280,20 +280,31 @@ val invoke_protected : ?fuel:int -> instance -> string -> int64 list -> (int64, 
 type activation
 
 val start_call : ?deadline_fuel:int -> instance -> string -> int64 list -> activation
-(** [deadline_fuel] arms the watchdog: once the activation has consumed
-    that much fuel across its epochs without finishing, the next {!step}
-    kills the instance and reports [`Fault Fuel_exhausted]. *)
+(** Enter the export and leave the activation {e resident}: its state is
+    the machine's own, and no copy is taken. [deadline_fuel] arms the
+    watchdog: once the activation has consumed that much fuel across its
+    epochs without finishing, the next {!step} kills the instance and
+    reports [`Fault Fuel_exhausted]. *)
 
 val step :
   activation ->
   fuel:int ->
   [ `Done of int64 | `Trapped of trap | `More | `Fault of fault ]
-(** Run up to [fuel] instructions of the activation, saving/restoring the
-    machine context around it — the user-level context switch. [`More]
-    means the epoch expired; call {!step} again later. [`Trapped] kills
-    the instance (slot recycled) before returning; [`Fault] reports a
-    watchdog kill ([Fuel_exhausted]) or a stepped-after-death activation
-    ([Instance_dead]). *)
+(** Run up to [fuel] instructions of the activation — the user-level
+    context switch, done lazily. The engine's machine holds at most one
+    unfinished activation, the resident one. A context is saved only
+    when the machine is taken from the resident activation: by
+    {!start_call}, {!invoke} or {!invoke_protected} on the engine, or by
+    a step of another activation, which then restores its own saved
+    context. Stepping the resident activation neither saves nor
+    restores, so an activation that finishes in its first epoch is never
+    copied. [`More] means the epoch expired and leaves the activation
+    resident; call {!step} again later. [`Done], [`Trapped] and a
+    watchdog kill end its residency. [`Trapped] kills the instance (slot
+    recycled) before returning; [`Fault] reports a watchdog kill
+    ([Fuel_exhausted]) or a stepped-after-death activation
+    ([Instance_dead]): an activation whose instance was killed or
+    released is never saved or restored. *)
 
 (** {1 Fault attribution} *)
 

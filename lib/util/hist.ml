@@ -41,15 +41,22 @@ let count t = t.n
 let total t = t.sum
 let max_recorded t = t.vmax
 
+(* The bucket of [v], read off its IEEE fields. [Float.frexp v] is
+   [(m, e)] with [m] in [0.5, 1); for a normal [v], [e] is the biased
+   exponent less 1022 and [m - 0.5] is the 52-bit mantissa field over
+   2^53, so the linear sub-bucket [(m - 0.5) * 2 * sub] is the field over
+   [2^52 / sub] — the same integer, without frexp's allocation.
+   Subnormals fall below [e_min]; infinity joins the top bucket. *)
 let index t v =
   if not (v > 0.0) then 0
   else
-    let m, e = Float.frexp v in
-    if e < e_min then 0
+    let bits = Int64.bits_of_float v in
+    let biased = Int64.to_int (Int64.shift_right_logical bits 52) in
+    let e = biased - 1022 in
+    if biased = 0 || e < e_min then 0
     else if e > e_max then Array.length t.counts - 1
     else
-      let s = int_of_float ((m -. 0.5) *. 2.0 *. float_of_int t.sub) in
-      let s = if s >= t.sub then t.sub - 1 else s in
+      let s = (Int64.to_int bits land ((1 lsl 52) - 1)) / ((1 lsl 52) / t.sub) in
       1 + (((e - e_min) * t.sub) + s)
 
 (* Midpoint representative of a bucket: for slot 0 that is 0.0, else the
@@ -71,12 +78,13 @@ let width_of_slot t i =
 
 let bucket_width_at t v = width_of_slot t (index t v)
 
-let record t v =
-  let i = index t v in
+let record_at t i v =
   t.counts.(i) <- t.counts.(i) + 1;
   t.n <- t.n + 1;
   t.sum <- t.sum +. v;
   if v > t.vmax then t.vmax <- v
+
+let record t v = record_at t (index t v) v
 
 (* Total order on exemplars so merge is commutative and associative:
    larger value wins, then larger event index, then larger ref. *)
@@ -94,9 +102,15 @@ let offer_exemplar t i ex =
   | None -> t.exemplars.(i) <- Some ex
   | Some cur -> if better_exemplar ex cur then t.exemplars.(i) <- Some ex
 
+(* [offer_exemplar] for a fresh, unsealed exemplar, which cannot win on
+   its ref: compared before it is built, so a loser allocates nothing. *)
 let record_exemplar t v ~index:ev_index =
-  record t v;
-  offer_exemplar t (index t v) { ex_value = v; ex_ref = 0L; ex_index = ev_index }
+  let i = index t v in
+  record_at t i v;
+  ensure_exemplars t;
+  match t.exemplars.(i) with
+  | Some cur when not (v > cur.ex_value || (v = cur.ex_value && ev_index > cur.ex_index)) -> ()
+  | _ -> t.exemplars.(i) <- Some { ex_value = v; ex_ref = 0L; ex_index = ev_index }
 
 let seal_exemplars t fp =
   Array.iteri

@@ -8,15 +8,24 @@ let allow_all = 0
 let check_key k =
   if k < 0 || k >= num_keys then invalid_arg (Printf.sprintf "Mpk: key %d out of range" k)
 
+(* Access disabled on every key. *)
+let deny_all =
+  let r = ref 0 in
+  for k = 0 to num_keys - 1 do
+    r := !r lor (0b11 lsl (2 * k))
+  done;
+  !r
+
+let clear_key pkru k = pkru land lnot (0b11 lsl (2 * k))
+
 let allow_only keys =
   List.iter check_key keys;
-  (* Start fully restricted (AD set on every key), then clear the bits for
-     the permitted keys. *)
-  let restrict_all = ref 0 in
-  for k = 0 to num_keys - 1 do
-    restrict_all := !restrict_all lor (0b11 lsl (2 * k))
-  done;
-  List.fold_left (fun pkru k -> pkru land lnot (0b11 lsl (2 * k))) !restrict_all keys
+  (* Start fully restricted, then clear the bits for the permitted keys. *)
+  List.fold_left clear_key deny_all keys
+
+let allow_default_and key =
+  check_key key;
+  clear_key (clear_key deny_all default_key) key
 
 let allows pkru ~key ~write =
   check_key key;

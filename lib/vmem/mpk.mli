@@ -26,6 +26,10 @@ val allow_only : int list -> pkru
     access to every other key. Raises [Invalid_argument] on keys outside
     [0, 15]. *)
 
+val allow_default_and : int -> pkru
+(** [allow_default_and k] is [allow_only [default_key; k]] without the
+    list: a sandbox's image, built on every call entry. *)
+
 val allows : pkru -> key:int -> write:bool -> bool
 (** Permission check the hardware performs on every data access to a page
     with color [key]. MPK also blocks speculative accesses, so this is the

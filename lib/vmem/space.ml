@@ -37,18 +37,28 @@ type t = {
   mutable regions : region Imap.t; (* keyed by start address *)
   max_map_count : int;
   epochs : epochs;
+  (* [at_or_below s] is [s <= probe]: the predicate every VMA and region
+     lookup passes to [Imap.find_last], allocated once with the space so
+     the TLB-miss and page-cache-fill paths build no closure. *)
+  mutable probe : int;
+  at_or_below : int -> bool;
 }
 
 let create ?(max_map_count = 65530) () =
-  {
-    vmas = Imap.empty;
-    vma_count = 0;
-    pages = Hashtbl.create 16;
-    frames = [];
-    regions = Imap.empty;
-    max_map_count;
-    epochs = { generation = 0; data_epoch = 0 };
-  }
+  let rec t =
+    {
+      vmas = Imap.empty;
+      vma_count = 0;
+      pages = Hashtbl.create 16;
+      frames = [];
+      regions = Imap.empty;
+      max_map_count;
+      epochs = { generation = 0; data_epoch = 0 };
+      probe = 0;
+      at_or_below = (fun s -> s <= t.probe);
+    }
+  in
+  t
 
 let epochs t = t.epochs
 let generation t = t.epochs.generation
@@ -61,10 +71,18 @@ let max_map_count t = t.max_map_count
 
 let vma_end v = v.start + v.len
 
+let unmapped = { start = 0; len = 0; prot = Prot.none; pkey = 0 }
+
+let vma_at t addr =
+  t.probe <- addr;
+  match Imap.find_last t.at_or_below t.vmas with
+  | _, v when addr < vma_end v -> v
+  | _ -> unmapped
+  | exception Not_found -> unmapped
+
 let find_vma t addr =
-  match Imap.find_last_opt (fun s -> s <= addr) t.vmas with
-  | Some (_, v) when addr < vma_end v -> Some v
-  | Some _ | None -> None
+  let v = vma_at t addr in
+  if v == unmapped then None else Some v
 
 let page_info t ~addr =
   match find_vma t addr with Some v -> Some (v.prot, v.pkey) | None -> None
@@ -72,13 +90,18 @@ let page_info t ~addr =
 let aligned addr len =
   addr >= 0 && len > 0 && addr mod page_size = 0 && len mod page_size = 0
 
+(* What [region_of_page] returns for a page no region covers; never
+   written. *)
+let no_region =
+  { r_start = 0; r_len = 0; r_image = { img_pages = Hashtbl.create 1 }; r_private = Hashtbl.create 1 }
+
 let region_of_page t p =
-  if Imap.is_empty t.regions then None
-  else
-    let addr = p lsl page_shift in
-    match Imap.find_last_opt (fun s -> s <= addr) t.regions with
-    | Some (_, r) when addr < r.r_start + r.r_len -> Some r
-    | Some _ | None -> None
+  let addr = p lsl page_shift in
+  t.probe <- addr;
+  match Imap.find_last t.at_or_below t.regions with
+  | _, r when addr < r.r_start + r.r_len -> r
+  | _ -> no_region
+  | exception Not_found -> no_region
 
 let image_page r p = Hashtbl.find_opt r.r_image.img_pages (p - (r.r_start lsr page_shift))
 
@@ -96,7 +119,8 @@ let release_frame t p =
    must forget it too (the next write re-privatizes from the image). *)
 let drop_page t p =
   release_frame t p;
-  match region_of_page t p with Some r -> Hashtbl.remove r.r_private p | None -> ()
+  let r = region_of_page t p in
+  if r != no_region then Hashtbl.remove r.r_private p
 
 (* Does an existing VMA overlap [addr, addr+len)? Either the last one
    starting before [addr] extends into the range, or the first one
@@ -256,13 +280,15 @@ let check_access t ~pkru ~addr ~len ~write =
 
 let zero_page = Bytes.make page_size '\000'
 
+(* The page-cache fill's read path: no option on a hit or a miss. *)
 let get_page_ro t p =
-  match Hashtbl.find_opt t.pages p with
-  | Some b -> b
-  | None -> (
-      match region_of_page t p with
-      | Some r -> ( match image_page r p with Some b -> b | None -> zero_page)
-      | None -> zero_page)
+  match Hashtbl.find t.pages p with
+  | b -> b
+  | exception Not_found -> (
+      let r = region_of_page t p in
+      match Hashtbl.find r.r_image.img_pages (p - (r.r_start lsr page_shift)) with
+      | b -> b
+      | exception Not_found -> zero_page)
 
 (* A page frame for a fault: a reused one when any was dropped, else a
    fresh one. Its old contents are overwritten, by [src] or by zeros. *)
@@ -280,16 +306,17 @@ let new_frame t src =
   | [], None -> Bytes.make page_size '\000'
 
 let get_page_rw t p =
-  match Hashtbl.find_opt t.pages p with
-  | Some b -> b
-  | None ->
+  match Hashtbl.find t.pages p with
+  | b -> b
+  | exception Not_found ->
+      let r = region_of_page t p in
       let b =
-        match region_of_page t p with
-        | Some r ->
-            (* Copy-on-write fault: privatize the image page. *)
-            Hashtbl.replace r.r_private p ();
-            new_frame t (image_page r p)
-        | None -> new_frame t None
+        if r != no_region then begin
+          (* Copy-on-write fault: privatize the image page. *)
+          Hashtbl.replace r.r_private p ();
+          new_frame t (image_page r p)
+        end
+        else new_frame t None
       in
       Hashtbl.replace t.pages p b;
       (* A fresh backing page replaces the shared zero/image page for reads

@@ -50,6 +50,15 @@ val madvise_dontneed : t -> addr:int -> len:int -> (unit, string) result
 (** {1 Inspection} *)
 
 val find_vma : t -> int -> vma option
+
+val unmapped : vma
+(** What {!vma_at} returns for an address no VMA covers. *)
+
+val vma_at : t -> int -> vma
+(** {!find_vma} without the option: [unmapped] (compare with [==]) when
+    nothing covers the address. For the TLB-miss walk, which runs on
+    every request. *)
+
 val vma_count : t -> int
 val max_map_count : t -> int
 

@@ -95,6 +95,50 @@ let test_config_validation () =
   Alcotest.check_raises "empty run rejected"
     (Invalid_argument "Sim: duration_ns must be > 0") (fun () ->
       ignore (Sim.run { (quick_cfg ()) with Sim.duration_ns = 0.0 }));
+  (* Configurations the sim cannot run: an endless closed loop, an epoch
+     with no fuel (every request a watchdog kill), and prices or delays
+     that would move the clock backwards. Each is refused before anything
+     runs, with the reason [Sim.validate] gives. *)
+  Alcotest.(check (result unit string)) "default config valid" (Ok ())
+    (Sim.validate (quick_cfg ()));
+  let epoch_msg = "Sim: epoch_ns must be finite and at least one machine cycle" in
+  let nonneg field = Printf.sprintf "Sim: %s must be finite and >= 0" field in
+  List.iter
+    (fun (name, msg, cfg) ->
+      Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (Sim.run cfg));
+      Alcotest.(check (result unit string))
+        (name ^ ": validate agrees")
+        (Error (String.sub msg 5 (String.length msg - 5)))
+        (Sim.validate cfg))
+    (let c = quick_cfg () in
+     [
+       ("endless closed loop", "Sim: duration_ns must be finite",
+        { c with Sim.duration_ns = infinity });
+       ("endless open loop", "Sim: duration_ns must be finite",
+        { c with Sim.duration_ns = infinity; arrivals = Some [||] });
+       ("nan duration", "Sim: duration_ns must be > 0", { c with Sim.duration_ns = nan });
+       ("negative duration", "Sim: duration_ns must be > 0",
+        { c with Sim.duration_ns = -1.0 });
+       ("zero epoch", epoch_msg, { c with Sim.epoch_ns = 0.0 });
+       ("epoch under a cycle", epoch_msg, { c with Sim.epoch_ns = 0.1 });
+       ("nan epoch", epoch_msg, { c with Sim.epoch_ns = nan });
+       ("infinite epoch", epoch_msg, { c with Sim.epoch_ns = infinity });
+       ("zero epoch, zero io", epoch_msg, { c with Sim.epoch_ns = 0.0; io_mean_ns = 0.0 });
+       ("negative io", nonneg "io_mean_ns", { c with Sim.io_mean_ns = -1.0 });
+       ("nan io", nonneg "io_mean_ns", { c with Sim.io_mean_ns = nan });
+       ("negative page price", nonneg "page_zero_ns", { c with Sim.page_zero_ns = -5.0 });
+       ("negative respawn", nonneg "faults.respawn_ns",
+        { c with Sim.faults = { Sim.no_faults with Sim.respawn_ns = -1.0 } });
+       ("zero deadline", "Sim: faults.deadline_epochs must be >= 1",
+        { c with Sim.faults = { Sim.no_faults with Sim.deadline_epochs = 0 } });
+       ("zero pool", "Sim: pool_slots must be >= 1",
+        { c with Sim.overload = { Sim.no_overload with Sim.pool_slots = Some 0 } });
+     ]);
+  (* The boundary values stay runnable: no IO wait and free pages. *)
+  let r =
+    Sim.run { (quick_cfg ()) with Sim.io_mean_ns = 0.0; page_zero_ns = 0.0; duration_ns = 1.0e6 }
+  in
+  Alcotest.(check bool) "zero io runs" true (r.Sim.completed > 0);
   (* Runs that do no CPU work report zero rates and full availability,
      never NaN: an empty open-loop schedule, one that starts after the
      run ends, and a sharded run with no tenants at all. *)
@@ -401,6 +445,144 @@ let prop_accounting_identities =
         (Array.length r.Sim.tenants);
       true)
 
+(* --- the ready set against the linear scans it replaced --- *)
+
+module Ready = Sfi_faas.Ready
+
+type ready_op =
+  | Set_due of int * float (* slot, due time relative to the clock *)
+  | Advance of float
+  | Pick of int (* process, -1 = any *)
+
+(* The reference pick: the first slot due at or before [now], scanning
+   every slot from the cursor, wrapping round. *)
+let scan_pick due ~now ~cursor ~proc ~procs =
+  let n = Array.length due in
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < n do
+    let j = cursor + !i in
+    let j = if j < n then j else j - n in
+    if (proc < 0 || j mod procs = proc) && due.(j) <= now then found := j;
+    incr i
+  done;
+  !found
+
+let prop_ready_set_matches_scan =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 70 >>= fun slots ->
+      int_range 1 4 >>= fun procs ->
+      let delta =
+        frequency
+          [
+            (3, float_range (-50.0) 100.0);
+            (3, map float_of_int (int_range (-5) 5));
+            (1, return infinity);
+          ]
+      in
+      list_size (int_range 1 300)
+        (frequency
+           [
+             (5, map2 (fun i d -> Set_due (i, d)) (int_bound (slots - 1)) delta);
+             (2, map (fun d -> Advance d) (oneof [ float_range 0.0 30.0; return 0.0 ]));
+             (3, map (fun p -> Pick p) (int_range (-1) (procs - 1)));
+           ])
+      >>= fun ops -> return (slots, procs, ops))
+  in
+  let print (slots, procs, ops) =
+    Printf.sprintf "%d slots, %d procs, %d ops" slots procs (List.length ops)
+  in
+  QCheck.Test.make ~count:300 ~name:"ready set picks what the linear scan picked"
+    (QCheck.make ~print gen)
+    (fun (slots, procs, ops) ->
+      List.for_all
+        (fun fair ->
+          let rs = Ready.create ~slots ~procs in
+          let due = Array.make slots infinity in
+          let now = ref 0.0 and cursor = ref 0 in
+          let check_next () =
+            (* The earliest due time still in the future; with no slot
+               ready, the old fold over every slot. *)
+            let future = Array.fold_left (fun acc d -> if d > !now then min acc d else acc) infinity due in
+            if Ready.next_ready_time rs <> future then
+              QCheck.Test.fail_reportf "next_ready_time %g, scan %g" (Ready.next_ready_time rs) future;
+            if scan_pick due ~now:!now ~cursor:0 ~proc:(-1) ~procs < 0 then begin
+              let all = Array.fold_left min infinity due in
+              if Ready.next_ready_time rs <> all then
+                QCheck.Test.fail_reportf "idle next_ready_time %g, fold %g"
+                  (Ready.next_ready_time rs) all
+            end
+          in
+          List.iter
+            (fun op ->
+              (match op with
+              | Set_due (i, d) ->
+                  due.(i) <- !now +. d;
+                  Ready.set_due rs i due.(i) ~now:!now
+              | Advance d -> now := !now +. d
+              | Pick proc ->
+                  Ready.advance rs ~now:!now;
+                  let want = scan_pick due ~now:!now ~cursor:!cursor ~proc ~procs in
+                  let got = Ready.pick rs ~cursor:!cursor ~proc in
+                  if got <> want then
+                    QCheck.Test.fail_reportf "%s cursor %d proc %d: picked %d, scan %d"
+                      (if fair then "fair" else "legacy") !cursor proc got want;
+                  if fair && got >= 0 then cursor := (got + 1) mod slots);
+              Ready.advance rs ~now:!now;
+              check_next ())
+            ops;
+          true)
+        [ true; false ])
+
+(* --- host cost of a request --- *)
+
+(* Minor words a single-domain open-loop Micro-KV run allocates per
+   completed request, net of set-up: two runs differing only in length,
+   so compilation, engine creation and the arrival schedule cancel out. *)
+let minor_words_per_request () =
+  let tenants = 64 in
+  let run ms =
+    let arrivals =
+      Wk.synthesize ~seed:1L ~tenants ~duration_ns:(ms *. 1e6) ~rps:1_000_000.0
+        ~shape:(Wk.Diurnal { trough = 0.25 })
+        ~popularity:(Wk.Zipf { skew = 0.6 })
+        ()
+    in
+    let cfg =
+      {
+        (Sim.default_config ~workload:Wk.Micro_kv
+           ~overload:
+             {
+               Sim.no_overload with
+               Sim.admission =
+                 Some { Runtime.default_admission with Runtime.tenant_rate = 200_000.0 };
+             }
+           ~fair_scheduling:true ())
+        with
+        Sim.concurrency = tenants;
+        duration_ns = (ms +. 2.0) *. 1e6;
+        seed = 1L;
+        arrivals = Some arrivals;
+      }
+    in
+    let w0 = Gc.minor_words () in
+    let r = Sim.run cfg in
+    (Gc.minor_words () -. w0, r.Sim.completed)
+  in
+  let w1, c1 = run 2.0 and w2, c2 = run 12.0 in
+  if c2 - c1 < 5000 then Alcotest.failf "too few requests to measure: %d" (c2 - c1);
+  (w2 -. w1) /. float_of_int (c2 - c1)
+
+(* A request's host allocation is bounded: the context switch copies no
+   registers when nothing else ran, the scheduler's ready set and the
+   per-slot times allocate nothing, and the histograms allocate only a
+   winning exemplar. *)
+let test_request_allocation_bound () =
+  let words = minor_words_per_request () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per request <= 100" words)
+    true (words <= 100.0)
+
 let tests =
   [
     Harness.case "workload modules run" test_workload_modules_run;
@@ -415,4 +597,6 @@ let tests =
     Alcotest.test_case "fault-free behavior unchanged" `Slow test_fault_free_unchanged;
     Harness.case "golden sim digests" test_golden_digests;
     QCheck_alcotest.to_alcotest prop_accounting_identities;
+    QCheck_alcotest.to_alcotest prop_ready_set_matches_scan;
+    Harness.case "request allocation bound" test_request_allocation_bound;
   ]

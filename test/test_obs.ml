@@ -42,6 +42,41 @@ let prop_hist_percentile_close =
       in
       Float.abs (approx -. exact) <= tol)
 
+(* A histogram buckets a sample by reading its IEEE exponent and mantissa
+   fields. The reference is the frexp formula those fields stand for: a
+   single sample's percentile is its bucket's midpoint, so the two must
+   agree on every positive double, at bucket edges, in the zero bucket
+   and in the clamped top bucket. *)
+let frexp_midpoint ~sub v =
+  let e_min = -20 and e_max = 63 in
+  if not (v > 0.0) then 0.0
+  else
+    let m, e = Float.frexp v in
+    let s = int_of_float ((m -. 0.5) *. 2.0 *. float_of_int sub) in
+    let s = if s >= sub then sub - 1 else s in
+    let e, s = if e < e_min then (e_min - 1, -1) else if e > e_max then (e_max, sub - 1) else (e, s) in
+    if s < 0 then 0.0
+    else Float.ldexp (0.5 +. ((float_of_int s +. 0.5) /. (2.0 *. float_of_int sub))) e
+
+let prop_hist_bucket_matches_frexp =
+  let gen =
+    QCheck.Gen.(
+      pair (oneofl [ 1; 2; 16; 64 ])
+        (oneof
+           [
+             map Int64.float_of_bits (map Int64.abs ui64);
+             float_range 1e-9 1e6;
+             map (fun (k, e) -> Float.ldexp (float_of_int k) e) (pair (int_range 1 64) (int_range (-40) 70));
+           ]))
+  in
+  QCheck.Test.make ~name:"hist bucket from IEEE fields matches frexp" ~count:2000
+    (QCheck.make ~print:(fun (sub, v) -> Printf.sprintf "sub %d, %h" sub v) gen)
+    (fun (sub, v) ->
+      QCheck.assume (Float.is_finite v && v >= 0.0);
+      let h = Hist.create ~sub () in
+      Hist.record h v;
+      Hist.percentile h 50.0 = frexp_midpoint ~sub v)
+
 let hist_digest h =
   ( Hist.count h,
     Hist.total h,
@@ -519,6 +554,7 @@ let test_prometheus_labeled_escaping () =
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_hist_percentile_close;
+    QCheck_alcotest.to_alcotest prop_hist_bucket_matches_frexp;
     QCheck_alcotest.to_alcotest prop_hist_merge_assoc_commut;
     Harness.case "hist zero bucket and single sample" test_hist_zero_and_edge;
     Harness.case "hist exemplar seal, merge mismatch"

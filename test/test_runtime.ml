@@ -179,6 +179,128 @@ let test_interleaved_activations () =
     (Some (low32 (Int64.of_int (60000 * 59999 / 2))))
     (Option.map low32 !r2)
 
+(* --- lazy activation contexts ---
+
+   The machine holds one unfinished activation's state at a time and
+   saves it only when another call or activation takes the machine. Each
+   sequence below mixes activations and calls on one engine; every result
+   and every retired-instruction count must equal the same work run
+   alone on a fresh engine. *)
+
+(* [f ()] and the instructions the engine's machine retired during it. *)
+let retiring e f =
+  let m = Runtime.machine e in
+  let i0 = Machine.instructions m in
+  let r = f () in
+  (r, Machine.instructions m - i0)
+
+(* Step [act] to its end in [fuel]-sized epochs: its result and the
+   instructions its steps retired, [spent] included. *)
+let rec finish_act ?(spent = 0) e act ~fuel =
+  match retiring e (fun () -> Runtime.step act ~fuel) with
+  | `More, n -> finish_act ~spent:(spent + n) e act ~fuel
+  | `Done v, n -> (v, spent + n)
+  | `Trapped k, _ -> Alcotest.failf "trapped: %s" (X.trap_name k)
+  | `Fault f, _ -> Alcotest.failf "fault: %s" (Runtime.fault_name f)
+
+(* [spin n] started and stepped alone on a fresh engine. *)
+let spin_alone n =
+  let e = engine () in
+  let act = Runtime.start_call (Runtime.instantiate e) "spin" [ Int64.of_int n ] in
+  finish_act e act ~fuel:5000
+
+let invoke_alone n =
+  let e = engine () in
+  let i = Runtime.instantiate e in
+  retiring e (fun () -> expect_ok (Runtime.invoke i "spin" [ Int64.of_int n ]))
+
+let same_as_alone what (v, n) (v', n') =
+  Alcotest.(check int64) (what ^ ": result") v' v;
+  Alcotest.(check int) (what ^ ": instructions") n' n
+
+let test_lazy_context_invoke_between_steps () =
+  (* start A, step A -> More, invoke B on the same engine, then finish A. *)
+  let e = engine () in
+  let ia = Runtime.instantiate e and ib = Runtime.instantiate e in
+  let a = Runtime.start_call ia "spin" [ 40_000L ] in
+  let first, n1 = retiring e (fun () -> Runtime.step a ~fuel:5000) in
+  Alcotest.(check bool) "A preempted" true (first = `More);
+  same_as_alone "invoke B"
+    (retiring e (fun () -> expect_ok (Runtime.invoke ib "spin" [ 3_000L ])))
+    (invoke_alone 3_000);
+  same_as_alone "A" (finish_act ~spent:n1 e a ~fuel:5000) (spin_alone 40_000);
+  (* The same on A's own instance. *)
+  let a = Runtime.start_call ia "spin" [ 40_000L ] in
+  let _, n1 = retiring e (fun () -> Runtime.step a ~fuel:5000) in
+  same_as_alone "invoke on A's instance"
+    (retiring e (fun () -> expect_ok (Runtime.invoke ia "spin" [ 3_000L ])))
+    (invoke_alone 3_000);
+  same_as_alone "A after" (finish_act ~spent:n1 e a ~fuel:5000) (spin_alone 40_000)
+
+let test_lazy_context_start_while_resident () =
+  (* start B while A is resident (never stepped, and stepped once), then
+     run both to the end in either order and interleaved. *)
+  let e = engine () in
+  let ia = Runtime.instantiate e and ib = Runtime.instantiate e in
+  let a = Runtime.start_call ia "spin" [ 30_000L ] in
+  let b = Runtime.start_call ib "spin" [ 20_000L ] in
+  same_as_alone "B" (finish_act e b ~fuel:5000) (spin_alone 20_000);
+  same_as_alone "A, never stepped before B" (finish_act e a ~fuel:5000) (spin_alone 30_000);
+  let a = Runtime.start_call ia "spin" [ 30_000L ] in
+  let _, na = retiring e (fun () -> Runtime.step a ~fuel:5000) in
+  let b = Runtime.start_call ib "spin" [ 20_000L ] in
+  let _, nb = retiring e (fun () -> Runtime.step b ~fuel:5000) in
+  same_as_alone "A, interleaved" (finish_act ~spent:na e a ~fuel:7000) (spin_alone 30_000);
+  same_as_alone "B, interleaved" (finish_act ~spent:nb e b ~fuel:3000) (spin_alone 20_000)
+
+let test_lazy_context_after_watchdog () =
+  (* A watchdog kill of the resident activation, then a new start_call. *)
+  let e = engine () in
+  let ia = Runtime.instantiate e in
+  let a = Runtime.start_call ~deadline_fuel:20_000 ia "spin" [ 1_000_000_000L ] in
+  let rec drive n =
+    if n > 100 then Alcotest.fail "watchdog never fired"
+    else
+      match Runtime.step a ~fuel:5000 with
+      | `More -> drive (n + 1)
+      | `Fault Runtime.Fuel_exhausted -> ()
+      | _ -> Alcotest.fail "runaway loop ended another way"
+  in
+  drive 0;
+  Alcotest.check_raises "a killed activation is finished"
+    (Invalid_argument "Runtime.step: activation already finished") (fun () ->
+      ignore (Runtime.step a ~fuel:5000));
+  let c = Runtime.start_call (Runtime.instantiate e) "spin" [ 25_000L ] in
+  same_as_alone "C after the kill" (finish_act e c ~fuel:5000) (spin_alone 25_000)
+
+let test_lazy_context_step_after_teardown () =
+  (* A step after the resident instance was killed or released reports
+     the dead instance; the engine keeps serving, whether the next call
+     starts before or after that step. *)
+  List.iter
+    (fun (what, teardown, step_first) ->
+      let e = engine () in
+      let ia = Runtime.instantiate e in
+      let a = Runtime.start_call ia "spin" [ 30_000L ] in
+      ignore (Runtime.step a ~fuel:5000);
+      teardown ia;
+      let dead () =
+        match Runtime.step a ~fuel:5000 with
+        | `Fault Runtime.Instance_dead -> ()
+        | _ -> Alcotest.failf "%s: stepping a torn-down activation" what
+      in
+      if step_first then dead ();
+      let b = Runtime.start_call (Runtime.instantiate e) "spin" [ 25_000L ] in
+      if not step_first then dead ();
+      same_as_alone (what ^ ": next activation") (finish_act e b ~fuel:5000)
+        (spin_alone 25_000))
+    [
+      ("killed", Runtime.kill, true);
+      ("killed, next started first", Runtime.kill, false);
+      ("released", Runtime.release, true);
+      ("released, next started first", Runtime.release, false);
+    ]
+
 let test_transition_accounting () =
   let e = engine () in
   let i = Runtime.instantiate e in
@@ -458,6 +580,10 @@ let tests =
     Harness.case "same-color distance" test_colorguard_same_color_distance;
     Harness.case "epoch preemption" test_epochs;
     Harness.case "interleaved activations" test_interleaved_activations;
+    Harness.case "lazy context: invoke between steps" test_lazy_context_invoke_between_steps;
+    Harness.case "lazy context: start while resident" test_lazy_context_start_while_resident;
+    Harness.case "lazy context: start after a watchdog kill" test_lazy_context_after_watchdog;
+    Harness.case "lazy context: step after teardown" test_lazy_context_step_after_teardown;
     Harness.case "transition accounting" test_transition_accounting;
     Harness.case "colorguard transition cost" test_colorguard_transition_cost;
     Harness.case "pool exhaustion" test_pool_exhaustion;
