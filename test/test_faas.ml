@@ -333,6 +333,13 @@ let golden_cases () =
     ( "open loop with admission",
       (fun () -> sim_digests (golden_open_loop ())),
       (0x4b1ffb4440b67b39L, 0x656fc1d18db143b7L, 0xe54a491594106d77L) );
+    ( "FIFO admission, 4 slots for 96 tenants",
+      (fun () ->
+        let ov = { Sim.no_overload with Sim.pool_slots = Some 4 } in
+        sim_digests
+          (golden_base ~concurrency:96
+             (Sim.default_config ~churn:true ~overload:ov ~fair_scheduling:true ()))),
+      (0xed393360d9da72c9L, 0x3286d1c65bfff43cL, 0x84188b664b30b656L) );
     ( "4 shards over 3 tenants",
       (fun () ->
         shard_digests ~shards:4
