@@ -741,6 +741,8 @@ let metrics_of_counters c =
 
 let metrics e = metrics_of_counters e.counters
 let transitions e = e.counters.transitions
+let instantiations e = e.counters.instantiations_cold + e.counters.instantiations_warm
+let pages_zeroed e = e.counters.pages_zeroed_on_recycle
 let elapsed_ns e = Machine.elapsed_ns e.machine
 
 let reset_metrics e =

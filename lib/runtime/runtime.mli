@@ -361,6 +361,13 @@ val vmctx_addr : instance -> int
 val transitions : engine -> int
 (** One-way transitions performed (in + out). *)
 
+val instantiations : engine -> int
+(** Instantiations performed, cold and warm: [m_instantiations_cold +
+    m_instantiations_warm] without building the {!metrics} record. *)
+
+val pages_zeroed : engine -> int
+(** [m_pages_zeroed_on_recycle] without building the {!metrics} record. *)
+
 (** Immutable snapshot of the engine's lifecycle and transition counters,
     all monotonic until {!reset_metrics}. *)
 type metrics = {

@@ -543,19 +543,31 @@ let prop_ready_set_matches_scan =
 
 (* --- host cost of a request --- *)
 
-(* Minor words a single-domain open-loop Micro-KV run allocates per
-   completed request, net of set-up: two runs differing only in length,
-   so compilation, engine creation and the arrival schedule cancel out. *)
+(* Minor words a single-domain run allocates per completed request, net of
+   set-up: [cfg ms] at two lengths [ms], so compilation, engine creation
+   and any arrival schedule cancel out. *)
+let marginal_minor_words ~min_requests cfg (short, long) =
+  let run ms =
+    let cfg = cfg ms in
+    let w0 = Gc.minor_words () in
+    let r = Sim.run cfg in
+    (Gc.minor_words () -. w0, r.Sim.completed)
+  in
+  let w1, c1 = run short and w2, c2 = run long in
+  if c2 - c1 < min_requests then Alcotest.failf "too few requests to measure: %d" (c2 - c1);
+  (w2 -. w1) /. float_of_int (c2 - c1)
+
+(* An open-loop Micro-KV request under admission and the fair scheduler. *)
 let minor_words_per_request () =
   let tenants = 64 in
-  let run ms =
-    let arrivals =
-      Wk.synthesize ~seed:1L ~tenants ~duration_ns:(ms *. 1e6) ~rps:1_000_000.0
-        ~shape:(Wk.Diurnal { trough = 0.25 })
-        ~popularity:(Wk.Zipf { skew = 0.6 })
-        ()
-    in
-    let cfg =
+  marginal_minor_words ~min_requests:5000
+    (fun ms ->
+      let arrivals =
+        Wk.synthesize ~seed:1L ~tenants ~duration_ns:(ms *. 1e6) ~rps:1_000_000.0
+          ~shape:(Wk.Diurnal { trough = 0.25 })
+          ~popularity:(Wk.Zipf { skew = 0.6 })
+          ()
+      in
       {
         (Sim.default_config ~workload:Wk.Micro_kv
            ~overload:
@@ -570,15 +582,23 @@ let minor_words_per_request () =
         duration_ns = (ms +. 2.0) *. 1e6;
         seed = 1L;
         arrivals = Some arrivals;
-      }
-    in
-    let w0 = Gc.minor_words () in
-    let r = Sim.run cfg in
-    (Gc.minor_words () -. w0, r.Sim.completed)
-  in
-  let w1, c1 = run 2.0 and w2, c2 = run 12.0 in
-  if c2 - c1 < 5000 then Alcotest.failf "too few requests to measure: %d" (c2 - c1);
-  (w2 -. w1) /. float_of_int (c2 - c1)
+      })
+    (2.0, 12.0)
+
+(* A request of the closed-loop churn path: 128 tenants, Micro-KV, every
+   request on a recycled instance with its lifecycle pages priced, so
+   every epoch's [charge] reads the engine's lifecycle counters. *)
+let minor_words_per_churn_request () =
+  marginal_minor_words ~min_requests:1000
+    (fun ms ->
+      {
+        (Sim.default_config ~workload:Wk.Micro_kv ~churn:true ~page_zero_ns:4937.5 ()) with
+        Sim.duration_ns = ms *. 1e6;
+        io_mean_ns = 200_000.0;
+        epoch_ns = 50_000.0;
+        seed = 1L;
+      })
+    (5.0, 25.0)
 
 (* A request's host allocation is bounded: the context switch copies no
    registers when nothing else ran, the scheduler's ready set and the
@@ -589,6 +609,15 @@ let test_request_allocation_bound () =
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per request <= 100" words)
     true (words <= 100.0)
+
+(* The churn path's bound: 302 words when set, plus 3%. [charge] reads
+   the lifecycle counters without building a [Runtime.metrics] record, and
+   the run's floats stay unboxed. *)
+let test_churn_allocation_bound () =
+  let words = minor_words_per_churn_request () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per churn request <= 310" words)
+    true (words <= 310.0)
 
 let tests =
   [
@@ -606,4 +635,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_accounting_identities;
     QCheck_alcotest.to_alcotest prop_ready_set_matches_scan;
     Harness.case "request allocation bound" test_request_allocation_bound;
+    Harness.case "churn request allocation bound" test_churn_allocation_bound;
   ]
