@@ -67,6 +67,62 @@ let metric name v =
   let r = Domain.DLS.get metrics_key in
   r := (name, v) :: !r
 
+(* [f ()] and the host seconds it took. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let v = f () in
+  (v, Unix.gettimeofday () -. t0)
+
+(* Each kernel of [suite] measured by [run] natively, under a baseline and
+   under an optimisation: rows of (kernel, native run, base/native,
+   opt/native) in suite order, and the geomeans of the two cycle ratios
+   (folded last kernel first). *)
+let vs_native ~cycles suite run =
+  let rows =
+    List.map
+      (fun (k : Kernel.t) ->
+        let native, base, opt = run k in
+        let norm m = float_of_int (cycles m) /. float_of_int (cycles native) in
+        (k, native, norm base, norm opt))
+      suite
+  in
+  let geomean f = Stats.geomean (List.rev_map f rows) in
+  (rows, geomean (fun (_, _, b, _) -> b), geomean (fun (_, _, _, o) -> o))
+
+(* [vs_native] of [Kernel.run] under [base] and [opt]. *)
+let strategies_vs_native suite ~base ~opt =
+  vs_native ~cycles:(fun (m : Kernel.measurement) -> m.Kernel.cycles) suite (fun k ->
+      let run s = Kernel.run ~strategy:s k in
+      let native = run Strategy.native in
+      let b = run base in
+      (native, b, run opt))
+
+(* Instantiate [engine], call [fn] once to warm it, then reset the
+   engine's counters and call [fn] [reps] times. *)
+let warm_invokes engine fn ~reps =
+  let inst = Runtime.instantiate engine in
+  ignore (Runtime.invoke inst fn []);
+  Runtime.reset_metrics engine;
+  for _ = 1 to reps do
+    ignore (Runtime.invoke inst fn [])
+  done
+
+(* The 16-slot striped pool of 4 MiB slots behind 32 MiB guards that the
+   transition measurements run on. *)
+let striped_pool () =
+  let params =
+    {
+      Pool.default_params with
+      num_slots = 16;
+      max_memory_bytes = 4 * Units.mib;
+      expected_slot_bytes = 4 * Units.mib;
+      guard_bytes = 32 * Units.mib;
+      num_pkeys_available = 15;
+      stripe_enabled = true;
+    }
+  in
+  match Pool.compute params with Ok l -> Runtime.Pool l | Error m -> failwith m
+
 (* ------------------------------------------------------------------ *)
 (* Figure 3: SPEC CPU 2006 on Wasm2c, normalized runtime.              *)
 (* ------------------------------------------------------------------ *)
@@ -76,21 +132,16 @@ let fig3 () =
     "Figure 3 - Segue on Wasm: SPEC CPU 2006 normalized to native (paper: Segue removes 44.7% \
      of Wasm's geomean overhead)";
   let t = Table.create ~headers:[ "benchmark"; "wasm2c"; "wasm2c+segue"; "native cycles" ] in
-  let base_norms = ref [] and segue_norms = ref [] in
+  let rows, gb, gs =
+    strategies_vs_native Sfi_workloads.Spec2006.all ~base:Strategy.wasm_default
+      ~opt:Strategy.segue
+  in
   List.iter
-    (fun (k : Kernel.t) ->
-      let native = Kernel.run ~strategy:Strategy.native k in
-      let base = Kernel.run ~strategy:Strategy.wasm_default k in
-      let segue = Kernel.run ~strategy:Strategy.segue k in
-      let nb = float_of_int base.Kernel.cycles /. float_of_int native.Kernel.cycles in
-      let ns = float_of_int segue.Kernel.cycles /. float_of_int native.Kernel.cycles in
-      base_norms := nb :: !base_norms;
-      segue_norms := ns :: !segue_norms;
+    (fun ((k : Kernel.t), native, nb, ns) ->
       Table.add_row t
         [ k.Kernel.name; Table.cell_float nb; Table.cell_float ns;
           string_of_int native.Kernel.cycles ])
-    Sfi_workloads.Spec2006.all;
-  let gb = Stats.geomean !base_norms and gs = Stats.geomean !segue_norms in
+    rows;
   Table.add_row t [ "geomean"; Table.cell_float gb; Table.cell_float gs; "" ];
   print_table t;
   note
@@ -135,19 +186,14 @@ let bounds () =
   section
     "Sec 6.1 - Segue on engines with explicit bounds checks (paper: removes 25.2% of overhead)";
   let t = Table.create ~headers:[ "benchmark"; "bounds"; "bounds+segue" ] in
-  let b_norms = ref [] and s_norms = ref [] in
+  let rows, gb, gs =
+    strategies_vs_native Sfi_workloads.Spec2006.all ~base:Strategy.wasm_bounds_checked
+      ~opt:Strategy.segue_bounds_checked
+  in
   List.iter
-    (fun (k : Kernel.t) ->
-      let native = Kernel.run ~strategy:Strategy.native k in
-      let base = Kernel.run ~strategy:Strategy.wasm_bounds_checked k in
-      let segue = Kernel.run ~strategy:Strategy.segue_bounds_checked k in
-      let nb = float_of_int base.Kernel.cycles /. float_of_int native.Kernel.cycles in
-      let ns = float_of_int segue.Kernel.cycles /. float_of_int native.Kernel.cycles in
-      b_norms := nb :: !b_norms;
-      s_norms := ns :: !s_norms;
+    (fun ((k : Kernel.t), _, nb, ns) ->
       Table.add_row t [ k.Kernel.name; Table.cell_float nb; Table.cell_float ns ])
-    Sfi_workloads.Spec2006.all;
-  let gb = Stats.geomean !b_norms and gs = Stats.geomean !s_norms in
+    rows;
   Table.add_row t [ "geomean"; Table.cell_float gb; Table.cell_float gs ];
   print_table t;
   note "Segue eliminates %.1f%% of bounds-checked overhead (paper: 25.2%%)."
@@ -248,23 +294,16 @@ let polybench () =
     "Sec 6.2 - PolybenchC and Dhrystone on WAMR (paper: Wasm 6% faster than native, Segue \
      10%; Dhrystone 9.7% -> 28.2% faster)";
   let t = Table.create ~headers:[ "benchmark"; "wamr"; "wamr+segue"; "native dTLB/dcache" ] in
-  let b_norms = ref [] and s_norms = ref [] in
+  let wamr suite = strategies_vs_native suite ~base:Strategy.wasm_default ~opt:Strategy.segue in
+  let rows, gb, gs = wamr Sfi_workloads.Polybench.all in
   List.iter
-    (fun (k : Kernel.t) ->
-      let native = Kernel.run ~strategy:Strategy.native k in
-      let base = Kernel.run ~strategy:Strategy.wasm_default k in
-      let segue = Kernel.run ~strategy:Strategy.segue k in
-      let nb = float_of_int base.Kernel.cycles /. float_of_int native.Kernel.cycles in
-      let ns = float_of_int segue.Kernel.cycles /. float_of_int native.Kernel.cycles in
-      b_norms := nb :: !b_norms;
-      s_norms := ns :: !s_norms;
+    (fun ((k : Kernel.t), (native : Kernel.measurement), nb, ns) ->
       Table.add_row t
         [
           k.Kernel.name; Table.cell_float nb; Table.cell_float ns;
           Printf.sprintf "%d/%d" native.Kernel.dtlb_misses native.Kernel.dcache_misses;
         ])
-    Sfi_workloads.Polybench.all;
-  let gb = Stats.geomean !b_norms and gs = Stats.geomean !s_norms in
+    rows;
   Table.add_row t [ "geomean"; Table.cell_float gb; Table.cell_float gs; "" ];
   print_table t;
   note
@@ -274,15 +313,13 @@ let polybench () =
     (if gb < 1.0 then "faster than" else "slower than")
     (Float.abs ((1.0 -. gs) *. 100.0))
     (if gs < 1.0 then "faster" else "slower");
-  let k = Sfi_workloads.Polybench.dhrystone in
-  let native = Kernel.run ~strategy:Strategy.native k in
-  let base = Kernel.run ~strategy:Strategy.wasm_default k in
-  let segue = Kernel.run ~strategy:Strategy.segue k in
-  note
-    "Dhrystone: wasm %.3f, wasm+segue %.3f of native runtime (paper: 0.91 and 0.78 - Wasm \
-     faster than native, Segue widening the gap)."
-    (float_of_int base.Kernel.cycles /. float_of_int native.Kernel.cycles)
-    (float_of_int segue.Kernel.cycles /. float_of_int native.Kernel.cycles)
+  match wamr [ Sfi_workloads.Polybench.dhrystone ] with
+  | [ (_, _, db, ds) ], _, _ ->
+      note
+        "Dhrystone: wasm %.3f, wasm+segue %.3f of native runtime (paper: 0.91 and 0.78 - Wasm \
+         faster than native, Segue widening the gap)."
+        db ds
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: SPEC CPU 2017 on LFI.                                     *)
@@ -293,21 +330,17 @@ let fig5 () =
     "Figure 5 - Segue on LFI: SPEC CPU 2017 normalized to native (paper: 17.4% -> 9.4% \
      geomean overhead; Segue eliminates 46%)";
   let t = Table.create ~headers:[ "benchmark"; "lfi"; "lfi+segue" ] in
-  let l_norms = ref [] and s_norms = ref [] in
+  let rows, gl, gs =
+    vs_native ~cycles:(fun r -> r.Lfi.cycles) Sfi_workloads.Spec2017.all (fun k ->
+        let m = Lazy.force k.Kernel.wasm and entry = k.Kernel.entry and args = k.Kernel.args in
+        let native = Lfi.run_native m ~entry ~args in
+        let lfi = Lfi.run_lfi ~segue:false m ~entry ~args in
+        (native, lfi, Lfi.run_lfi ~segue:true m ~entry ~args))
+  in
   List.iter
-    (fun (k : Kernel.t) ->
-      let m = Lazy.force k.Kernel.wasm in
-      let args = k.Kernel.args in
-      let native = Lfi.run_native m ~entry:k.Kernel.entry ~args in
-      let lfi = Lfi.run_lfi ~segue:false m ~entry:k.Kernel.entry ~args in
-      let seg = Lfi.run_lfi ~segue:true m ~entry:k.Kernel.entry ~args in
-      let nl = float_of_int lfi.Lfi.cycles /. float_of_int native.Lfi.cycles in
-      let ns = float_of_int seg.Lfi.cycles /. float_of_int native.Lfi.cycles in
-      l_norms := nl :: !l_norms;
-      s_norms := ns :: !s_norms;
+    (fun ((k : Kernel.t), _, nl, ns) ->
       Table.add_row t [ k.Kernel.name; Table.cell_float nl; Table.cell_float ns ])
-    Sfi_workloads.Spec2017.all;
-  let gl = Stats.geomean !l_norms and gs = Stats.geomean !s_norms in
+    rows;
   Table.add_row t [ "geomean"; Table.cell_float gl; Table.cell_float gs ];
   print_table t;
   note
@@ -347,13 +380,10 @@ let table1 () =
   (* The saturating-addition bug found by verification (sec 5.2). *)
   let adversarial =
     {
-      Pool.num_slots = 4096;
-      max_memory_bytes = 4 * Units.gib;
+      Pool.default_params with
+      num_slots = 4096;
       expected_slot_bytes = Units.align_up (max_int / 4096) Units.wasm_page_size;
-      guard_bytes = 4 * Units.gib;
-      pre_guard_enabled = false;
       num_pkeys_available = 15;
-      stripe_enabled = false;
     }
   in
   (match Pool.compute ~arith:Checked.Checked ~defensive:false adversarial with
@@ -402,32 +432,10 @@ let transitions () =
     let cfg = { (Codegen.default_config ()) with Codegen.colorguard } in
     let compiled = Codegen.compile cfg m in
     let allocator =
-      if colorguard then begin
-        let params =
-          {
-            Pool.num_slots = 16;
-            max_memory_bytes = 4 * Units.mib;
-            expected_slot_bytes = 4 * Units.mib;
-            guard_bytes = 32 * Units.mib;
-            pre_guard_enabled = false;
-            num_pkeys_available = 15;
-            stripe_enabled = true;
-          }
-        in
-        match Pool.compute params with
-        | Ok layout -> Runtime.Pool layout
-        | Error msg -> failwith msg
-      end
-      else Runtime.Simple { reservation = 4 * Units.gib }
+      if colorguard then striped_pool () else Runtime.Simple { reservation = 4 * Units.gib }
     in
     let engine = Runtime.create_engine ~allocator compiled in
-    let inst = Runtime.instantiate engine in
-    ignore (Runtime.invoke inst "noop" []);
-    Runtime.reset_metrics engine;
-    let reps = 10_000 in
-    for _ = 1 to reps do
-      ignore (Runtime.invoke inst "noop" [])
-    done;
+    warm_invokes engine "noop" ~reps:10_000;
     Runtime.elapsed_ns engine /. float_of_int (Runtime.transitions engine)
   in
   let plain = measure ~colorguard:false in
@@ -443,18 +451,17 @@ let transitions () =
 
 let scaling () =
   section "Sec 6.4.2 - Pool scaling with 408 MiB slots (paper: 14,582 -> 218,716 slots, ~15x)";
-  let params =
-    {
-      Pool.num_slots = 16;
-      max_memory_bytes = 408 * Units.mib;
-      expected_slot_bytes = 408 * Units.mib;
-      guard_bytes = 8 * Units.gib;
-      pre_guard_enabled = false;
-      num_pkeys_available = 15;
-      stripe_enabled = false;
-    }
+  let report =
+    Colorguard.scaling
+      {
+        Pool.default_params with
+        num_slots = 16;
+        max_memory_bytes = 408 * Units.mib;
+        expected_slot_bytes = 408 * Units.mib;
+        guard_bytes = 8 * Units.gib;
+        num_pkeys_available = 15;
+      }
   in
-  let report = Colorguard.scaling params in
   let t = Table.create ~headers:[ "configuration"; "slots"; "per-slot stride" ] in
   Table.add_row t
     [ "guard regions only"; string_of_int report.Colorguard.unstriped_slots;
@@ -592,19 +599,18 @@ let faults () =
   (* Key exhaustion: striping degrades to guard regions, never refuses. *)
   let p =
     {
-      Sfi_core.Pool.num_slots = 16;
+      Pool.default_params with
+      num_slots = 16;
       max_memory_bytes = 4 * Units.mib;
       expected_slot_bytes = 4 * Units.mib;
       guard_bytes = 16 * Units.mib;
-      pre_guard_enabled = false;
       num_pkeys_available = 1;
       stripe_enabled = true;
     }
   in
-  (match Sfi_core.Pool.compute_with_fallback p with
+  (match Pool.compute_with_fallback p with
   | Ok (_, status) ->
-      note "striping with 1 key: %s"
-        (Format.asprintf "%a" Sfi_core.Pool.pp_stripe_status status)
+      note "striping with 1 key: %s" (Format.asprintf "%a" Pool.pp_stripe_status status)
   | Error msg -> note "striping with 1 key: rejected (%s)" msg);
   note "(paper: a trap kills one instance under ColorGuard; under multiprocess it takes the \
         process and every co-resident request with it)"
@@ -748,10 +754,12 @@ let lifecycle () =
         for p = 0 to dirty - 1 do
           Runtime.write_memory !inst ~addr:(p * os_page) "\001"
         done;
-        let t0 = Unix.gettimeofday () in
-        Runtime.release !inst;
-        inst := Runtime.instantiate engine;
-        batch := !batch +. (Unix.gettimeofday () -. t0)
+        let (), s =
+          timed (fun () ->
+              Runtime.release !inst;
+              inst := Runtime.instantiate engine)
+        in
+        batch := !batch +. s
       done;
       if !batch < !best then best := !batch
     done;
@@ -787,15 +795,14 @@ let lifecycle () =
   (* (c) Cold vs warm instantiation rate. *)
   let rate_engine = fresh_engine 2 in
   let n = 512 in
-  let t0 = Unix.gettimeofday () in
-  let insts = Array.init n (fun _ -> Runtime.instantiate rate_engine) in
-  let cold_s = Unix.gettimeofday () -. t0 in
+  let insts, cold_s = timed (fun () -> Array.init n (fun _ -> Runtime.instantiate rate_engine)) in
   Array.iter Runtime.release insts;
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to n do
-    Runtime.release (Runtime.instantiate rate_engine)
-  done;
-  let warm_s = Unix.gettimeofday () -. t0 in
+  let (), warm_s =
+    timed (fun () ->
+        for _ = 1 to n do
+          Runtime.release (Runtime.instantiate rate_engine)
+        done)
+  in
   let cold_rate = float_of_int n /. cold_s and warm_rate = float_of_int n /. warm_s in
   metric "cold_instantiations_per_s" cold_rate;
   metric "warm_instantiations_per_s" warm_rate;
@@ -816,30 +823,13 @@ let lifecycle () =
     build b
   in
   let class_cost clazz =
-    let params =
-      {
-        Pool.num_slots = 16;
-        max_memory_bytes = 4 * Units.mib;
-        expected_slot_bytes = 4 * Units.mib;
-        guard_bytes = 32 * Units.mib;
-        pre_guard_enabled = false;
-        num_pkeys_available = 15;
-        stripe_enabled = true;
-      }
-    in
-    let layout = match Pool.compute params with Ok l -> l | Error m -> failwith m in
     let compiled =
       Codegen.compile { (Codegen.default_config ()) with Codegen.colorguard = true } tmod
     in
-    let eng = Runtime.create_engine ~allocator:(Runtime.Pool layout) compiled in
+    let eng = Runtime.create_engine ~allocator:(striped_pool ()) compiled in
     Runtime.register_import ~clazz eng "observe" (fun _ args -> args.(0));
-    let inst = Runtime.instantiate eng in
-    ignore (Runtime.invoke inst "run" []);
-    Runtime.reset_metrics eng;
     let reps = 5_000 in
-    for _ = 1 to reps do
-      ignore (Runtime.invoke inst "run" [])
-    done;
+    warm_invokes eng "run" ~reps;
     (Runtime.elapsed_ns eng /. float_of_int reps, Runtime.metrics eng)
   in
   let full_ns, full_m = class_cost Runtime.Full in
@@ -974,11 +964,9 @@ let ablations () =
   let with_keys keys =
     let params =
       {
-        Pool.num_slots = 64;
+        Pool.default_params with
         max_memory_bytes = 512 * Units.mib;
         expected_slot_bytes = 512 * Units.mib;
-        guard_bytes = 4 * Units.gib;
-        pre_guard_enabled = false;
         num_pkeys_available = keys;
         stripe_enabled = true;
       }
@@ -1029,13 +1017,9 @@ let engine_compare () =
         [ "kernel"; "engine"; "host ms"; "sim instrs"; "host Minstr/s"; "sb%"; "counters" ]
   in
   let check (k : Kernel.t) =
-    let timed engine =
-      let t0 = Unix.gettimeofday () in
-      let m = Kernel.run ~engine ~strategy:Strategy.segue k in
-      (m, Unix.gettimeofday () -. t0)
-    in
-    let rm, rs = timed Machine.Reference in
-    let cm, cs = timed Machine.Compiled in
+    let on engine = timed (fun () -> Kernel.run ~engine ~strategy:Strategy.segue k) in
+    let rm, rs = on Machine.Reference in
+    let cm, cs = on Machine.Compiled in
     let agree =
       rm.Kernel.result = cm.Kernel.result
       && rm.Kernel.cycles = cm.Kernel.cycles
@@ -1080,9 +1064,7 @@ let engine_compare () =
   let ablate = Sfi_workloads.Polybench.atax in
   let one ?trace () =
     (match trace with Some sink -> Trace.clear sink | None -> ());
-    let t0 = Unix.gettimeofday () in
-    ignore (Kernel.run ?trace ~strategy:Strategy.segue ablate);
-    Unix.gettimeofday () -. t0
+    snd (timed (fun () -> Kernel.run ?trace ~strategy:Strategy.segue ablate))
   in
   ignore (one ()) (* warm the code and the kernel's lazy module *);
   let ring = Trace.create_ring () in
@@ -1120,9 +1102,7 @@ let fuzz () =
   section
     "Fuzz - seeded differential corpus: reference interpreter vs all six SFI strategies on \
      both engines (sanitizer armed), plus the LFI triple on tame programs";
-  let t0 = Unix.gettimeofday () in
-  let report = Sfi_fuzz.Fuzz.run_corpus ~seed:0xC0FFEEL ~count:150 () in
-  let wall = Unix.gettimeofday () -. t0 in
+  let report, wall = timed (fun () -> Sfi_fuzz.Fuzz.run_corpus ~seed:0xC0FFEEL ~count:150 ()) in
   let t = Table.create ~headers:[ "programs"; "executions"; "lfi"; "interp traps"; "wall s" ] in
   Table.add_row t
     [
@@ -1302,16 +1282,16 @@ let run_one (name, f) =
   Domain.DLS.get metrics_key := [];
   Machine.reset_retired_instructions ();
   Runtime.reset_domain_metrics ();
-  let t0 = Unix.gettimeofday () in
-  let failed =
-    try
-      f ();
-      false
-    with e ->
-      Buffer.add_string buf (Printf.sprintf "\nexperiment %s FAILED: %s\n" name (Printexc.to_string e));
-      true
+  let failed, wall =
+    timed (fun () ->
+        try
+          f ();
+          false
+        with e ->
+          Buffer.add_string buf
+            (Printf.sprintf "\nexperiment %s FAILED: %s\n" name (Printexc.to_string e));
+          true)
   in
-  let wall = Unix.gettimeofday () -. t0 in
   let instructions = Machine.retired_instructions () in
   (* Every experiment that exercised a runtime engine gets the domain-local
      aggregate of the runtime counters attached to its "metrics" object —
@@ -1384,9 +1364,17 @@ let json_escape s =
     s;
   Buffer.contents b
 
-(* Full serial run of the pre-threaded-code harness (step interpreter) on
-   the same container, measured before this engine landed. *)
-let baseline_step_serial_total_wall_s = 309.9
+(* Simulated instructions per host second over the experiments that
+   execute any; the layout-only ones (table1, table2, scaling, mte) would
+   otherwise drag the average toward zero. *)
+let aggregate_ips outcomes =
+  let instr, wall =
+    List.fold_left
+      (fun (i, w) o ->
+        if o.o_instructions > 0 then (i + o.o_instructions, w +. o.o_wall_s) else (i, w))
+      (0, 0.0) outcomes
+  in
+  if instr > 0 && wall > 0.0 then Some (float_of_int instr /. wall) else None
 
 let write_json file outcomes ~jobs ~total_wall_s =
   let oc = open_out file in
@@ -1396,21 +1384,8 @@ let write_json file outcomes ~jobs ~total_wall_s =
   p "  \"engine\": \"compiled\",\n";
   p "  \"jobs\": %d,\n" jobs;
   p "  \"total_wall_s\": %.3f,\n" total_wall_s;
-  p "  \"baseline_step_serial_total_wall_s\": %.1f,\n" baseline_step_serial_total_wall_s;
-  p "  \"speedup_vs_baseline\": %.2f,\n" (baseline_step_serial_total_wall_s /. total_wall_s);
-  (* Aggregate simulated throughput over the experiments that actually
-     execute instructions; the layout-only ones (table1, table2, scaling,
-     mte) would otherwise drag the average toward zero. *)
-  let agg_instr, agg_wall =
-    List.fold_left
-      (fun (i, w) o ->
-        if o.o_instructions > 0 then (i + o.o_instructions, w +. o.o_wall_s) else (i, w))
-      (0, 0.0) outcomes
-  in
   p "  \"aggregate_instructions_per_sec\": %s,\n"
-    (if agg_instr > 0 && agg_wall > 0.0 then
-       Printf.sprintf "%.0f" (float_of_int agg_instr /. agg_wall)
-     else "null");
+    (match aggregate_ips outcomes with Some v -> Printf.sprintf "%.0f" v | None -> "null");
   p "  \"experiments\": [\n";
   List.iteri
     (fun i o ->
@@ -1494,13 +1469,7 @@ let check_baseline file outcomes =
      aggregate is only comparable to a generous floor, not a band. *)
   (match List.assoc_opt "aggregate_instructions_per_sec" top with
   | Some (T.J_num base_ips) ->
-      let agg_instr, agg_wall =
-        List.fold_left
-          (fun (i, w) o ->
-            if o.o_instructions > 0 then (i + o.o_instructions, w +. o.o_wall_s) else (i, w))
-          (0, 0.0) outcomes
-      in
-      let cur = if agg_wall > 0.0 then float_of_int agg_instr /. agg_wall else 0.0 in
+      let cur = Option.value (aggregate_ips outcomes) ~default:0.0 in
       if cur < 0.5 *. base_ips then
         complain
           (Printf.sprintf
@@ -1650,9 +1619,7 @@ let () =
   let jobs = if !serial then 1 else !jobs in
   Printf.printf "Running %d experiment(s) on %d domain(s)...\n%!" (List.length selected) jobs;
   preforce_kernels ();
-  let t0 = Unix.gettimeofday () in
-  let outcomes = run_parallel selected ~jobs in
-  let total_wall_s = Unix.gettimeofday () -. t0 in
+  let outcomes, total_wall_s = timed (fun () -> run_parallel selected ~jobs) in
   List.iter (fun o -> print_string o.o_output) outcomes;
   flush stdout;
   summarize outcomes ~total_wall_s;

@@ -177,28 +177,6 @@ type result = {
   tenants : tenant_stat array;
 }
 
-type request = {
-  id : int;
-  proc : int;
-  mutable inst : Runtime.instance option;
-  mutable had_inst : bool; (* ever held a slot (recycle accounting) *)
-  mutable parked : bool; (* ticket parked in the admission queue *)
-  mutable bk_admitted : bool; (* breaker already admitted this request *)
-  mutable act : Runtime.activation option;
-  mutable seq : int; (* per-slot completion count, seeds the next request *)
-}
-
-(* A run's float state in one all-float record, whose fields are stored
-   unboxed: a write does not allocate. *)
-type clocks = {
-  mutable now : float; (* the simulated clock *)
-  mutable busy : float; (* simulated CPU time spent serving *)
-  mutable slice_start : float; (* when the current process's timeslice began *)
-  mutable latency_until : float; (* end of a chaos latency window, 0 = none *)
-  mutable latency_factor : float; (* IO-delay multiplier inside that window *)
-  mutable window_end : float; (* end of the degradation ladder's window *)
-}
-
 (* A server-class second-level dTLB (1536 entries, as on the paper's
    RaptorLake testbed) — large enough that ColorGuard's instances stay
    resident, which is exactly what process switching destroys. *)
@@ -237,22 +215,20 @@ let validate cfg =
   else Ok ()
 
 let fresh_engines cfg m =
+  let create ?allocator colorguard =
+    let compiled = Codegen.compile { (Codegen.default_config ()) with Codegen.colorguard } m in
+    Runtime.create_engine ~tlb:server_tlb ?allocator ?engine:cfg.engine compiled
+  in
   match cfg.mode with
-  | Multiprocess n ->
-      List.init n (fun _ ->
-          let compiled = Codegen.compile (Codegen.default_config ()) m in
-          Runtime.create_engine ~tlb:server_tlb ?engine:cfg.engine compiled)
+  | Multiprocess n -> List.init n (fun _ -> create false)
   | Colorguard ->
       let params =
         {
-          Pool.num_slots =
-            (match cfg.overload.pool_slots with
-            | Some n -> n
-            | None -> cfg.concurrency);
+          Pool.default_params with
+          num_slots = Option.value cfg.overload.pool_slots ~default:cfg.concurrency;
           max_memory_bytes = 4 * Units.mib;
           expected_slot_bytes = 4 * Units.mib;
           guard_bytes = 32 * Units.mib;
-          pre_guard_enabled = false;
           num_pkeys_available = Sfi_vmem.Mpk.max_usable_keys;
           stripe_enabled = true;
         }
@@ -264,13 +240,7 @@ let fresh_engines cfg m =
         | Ok (l, _status) -> l
         | Error msg -> failwith ("Sim: pool layout: " ^ msg)
       in
-      let compiled =
-        Codegen.compile { (Codegen.default_config ()) with Codegen.colorguard = true } m
-      in
-      [
-        Runtime.create_engine ~tlb:server_tlb ~allocator:(Runtime.Pool layout)
-          ?engine:cfg.engine compiled;
-      ]
+      [ create ~allocator:(Runtime.Pool layout) true ]
 
 (* The four rates of a result, from its counters: the one definition
    [run] and [merge] share. A rate over an empty interval is 0. *)
@@ -330,21 +300,744 @@ let merge ~tenants results =
       tenants;
     }
 
-let run cfg =
+(* --- the run state --------------------------------------------------- *)
+
+(* [run] is set-up, one event loop and the result. The loop's stages
+   (DESIGN.md, "The sim's request lifecycle") are top-level functions over
+   one run state: [rearm], [acquire], [next_slot], [epoch] and the
+   bookings [complete], [abort], [fail] and [shed]. *)
+
+(* A request slot: one tenant's current request, and the tenant's
+   outcomes. Each outcome is booked here once; the run-wide counts are
+   sums over the slots ([totals]). *)
+type request = {
+  id : int;
+  proc : int;
+  mutable inst : Runtime.instance option;
+  mutable had_inst : bool; (* ever held a slot (recycle accounting) *)
+  mutable parked : bool; (* ticket parked in the admission queue *)
+  mutable bk_admitted : bool; (* breaker already admitted this request *)
+  mutable act : Runtime.activation option;
+  mutable seq : int; (* per-slot completion count, seeds the next request *)
+  mutable n_completed : int;
+  mutable n_failed : int; (* failures and collateral aborts *)
+  n_shed : int array; (* by trace reason code: the runtime's 0-2, [priority_shed] *)
+  mutable n_breaker_opens : int;
+  mutable n_sb : int; (* instructions retired in superblocks *)
+  mutable n_instr : int;
+  lat : Hist.t;
+  e2e : Hist.t;
+}
+
+(* A run's float state in one all-float record, whose fields are stored
+   unboxed: a write does not allocate. *)
+type clocks = {
+  mutable now : float; (* the simulated clock *)
+  mutable busy : float; (* simulated CPU time spent serving *)
+  mutable slice_start : float; (* when the current process's timeslice began *)
+  mutable latency_until : float; (* end of a chaos latency window, 0 = none *)
+  mutable latency_factor : float; (* IO-delay multiplier inside that window *)
+  mutable window_end : float; (* end of the degradation ladder's window *)
+}
+
+(* The delay before a slot's next request: [Think], the exponential IO
+   think time, at set-up, completion and sheds; [Retry], for a failed
+   step: the next epoch while hedging is on, else [Think]; [Chaos_think],
+   for a chaos kill, drawn from the chaos stream so that chaos never
+   moves the workload's stream. *)
+type delay = Think | Retry | Chaos_think
+
+type state = {
+  cfg : config;
+  engines : Runtime.engine array; (* one per process *)
+  rng : Prng.t;
+  chaos_rng : Prng.t;
+  trace : Trace.t; (* the effective sink: [cfg.trace], tapped by the flight recorder *)
+  tm : clocks;
+  ready : Ready.t;
+  (* Per-slot times, unboxed: when the current logical request arrived,
+     and when its current activation started. *)
+  arrived : Float.Array.t;
+  started : Float.Array.t;
+  (* The open loop's arrivals: tenant [id]'s sorted times, and the index
+     of the next one due. [None]: the closed loop. *)
+  schedule : Float.Array.t array option;
+  arr_next : int array;
+  requests : request array;
+  breakers : Breaker.t array option;
+  slos : Slo.t array option;
+  cost : Cost.t;
+  epoch_fuel : int;
+  deadline_fuel : int option;
+  heap_os_pages : int;
+  lifecycle_prev : int array; (* per process, at the last [charge] *)
+  engine_cycles : int array; (* per process, at the last [charge] *)
+  mutable watchdog_kills : int;
+  mutable collateral : int;
+  mutable recycles : int;
+  mutable deadline_misses : int;
+  mutable breaker_fast_fails : int;
+  (* The low 32 bits of every result, summed: an int holds the sum exactly
+     up to 2^30 completions, so it equals the int64 sum. *)
+  mutable checksum : int;
+  mutable context_switches : int;
+  (* Chaos: the events still to apply, in time order. *)
+  mutable chaos_pending : chaos_event list;
+  mutable chaos_applied : int;
+  mutable chaos_kills : int;
+  mutable inst_fail_budget : int; (* slot acquisitions left to fail *)
+  mutable current_proc : int;
+  mutable rr_cursor : int;
+  (* The degradation ladder: its level, and the sheds of the current
+     window and the run of overloaded (> 0) or calm (< 0) windows that
+     move it. *)
+  mutable level : int;
+  mutable max_level : int;
+  mutable degrade_steps : int;
+  mutable window_sheds : int;
+  mutable streak : int;
+  mutable burn_starts : int;
+  mutable burn_stops : int;
+}
+
+(* The trace's reason code for the ladder's priority shed; the runtime's
+   admission codes cover 0-2. *)
+let priority_shed = 3
+
+let[@inline] bill st ns =
+  st.tm.now <- st.tm.now +. ns;
+  st.tm.busy <- st.tm.busy +. ns
+
+(* --- arrival ---------------------------------------------------------- *)
+
+let rec draw_delay st = function
+  | Think ->
+      (* "The value of the delay is drawn from a Poisson distribution at
+         5ms": delays of a Poisson arrival process, i.e. exponential with a
+         5 ms mean — "to model typical network request patterns". *)
+      let d = Prng.exponential st.rng ~mean:st.cfg.io_mean_ns in
+      if st.tm.latency_factor > 1.0 then d *. st.tm.latency_factor else d
+  | Retry ->
+      (* Hedged retries, until the ladder's L2, come back next epoch. *)
+      if st.cfg.overload.hedged_retries && st.level < 2 then st.cfg.epoch_ns
+      else draw_delay st Think
+  | Chaos_think -> Prng.exponential st.chaos_rng ~mean:st.cfg.io_mean_ns
+
+(* Move a slot on to its tenant's next logical request. In the open loop
+   that is the next scheduled arrival, possibly already past: it has then
+   been queueing and is ready at once, its e2e latency including the
+   wait. A spent schedule parks the slot at infinity. *)
+let rearm st r delay =
+  let at =
+    match st.schedule with
+    | None -> st.tm.now +. draw_delay st delay
+    | Some q ->
+        let i = st.arr_next.(r.id) in
+        if i >= Float.Array.length q.(r.id) then infinity
+        else begin
+          st.arr_next.(r.id) <- i + 1;
+          Float.Array.get q.(r.id) i
+        end
+  in
+  Ready.set_due st.ready r.id at ~now:st.tm.now;
+  Float.Array.set st.arrived r.id at
+
+let retry_next_epoch st r =
+  Ready.set_due st.ready r.id (st.tm.now +. st.cfg.epoch_ns) ~now:st.tm.now
+
+(* --- billing and the run's counters --------------------------------- *)
+
+(* Lifecycle work in OS pages: the CoW runtime pays the dirty pages its
+   recycles actually dropped plus one privatized vmctx page per
+   instantiate; [legacy_lifecycle] re-prices every instantiate as the
+   pre-refactor runtime's O(min_pages) work, a whole-heap madvise plus a
+   full data-segment rewrite. *)
+let lifecycle_pages st proc =
+  let e = st.engines.(proc) in
+  let instantiates = Runtime.instantiations e in
+  if st.cfg.legacy_lifecycle then instantiates * 2 * st.heap_os_pages
+  else Runtime.pages_zeroed e + instantiates
+
+(* Advance the clock by the cycles an engine just spent, plus its new
+   lifecycle pages at [page_zero_ns] each. *)
+let charge st proc =
+  let c = Machine.cycles (Runtime.machine st.engines.(proc)) in
+  bill st (Cost.ns_of_cycles st.cost (c - st.engine_cycles.(proc)));
+  st.engine_cycles.(proc) <- c;
+  if st.cfg.page_zero_ns > 0.0 then begin
+    let w = lifecycle_pages st proc in
+    let dw = w - st.lifecycle_prev.(proc) in
+    if dw > 0 then bill st (float_of_int dw *. st.cfg.page_zero_ns);
+    st.lifecycle_prev.(proc) <- w
+  end
+
+let count p = function
+  | None -> 0
+  | Some arr -> Array.fold_left (fun n x -> if p x then n + 1 else n) 0 arr
+
+let breakers_open st = count (fun b -> Breaker.state b <> Breaker.Closed) st.breakers
+
+(* Tenants whose fast-window SLO alert is raised. *)
+let burning st = count (fun s -> Slo.alerting s Slo.Fast) st.slos
+
+(* The run's counters so far, the tenants' tallies summed: the one
+   definition the result and the flight recorder's snapshot read. The
+   rates and the per-tenant breakdown are left to [run]. *)
+let totals st =
+  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 st.requests in
+  let shed code = sum (fun t -> t.n_shed.(code)) in
+  let rt = Runtime.merged_metrics (Array.to_list (Array.map Runtime.metrics st.engines)) in
+  {
+    completed = sum (fun t -> t.n_completed);
+    failed = sum (fun t -> t.n_failed) - st.collateral;
+    watchdog_kills = st.watchdog_kills;
+    collateral_aborts = st.collateral;
+    recycles = st.recycles;
+    pages_zeroed = rt.Runtime.m_pages_zeroed_on_recycle;
+    admitted = rt.Runtime.m_admitted;
+    shed_sojourn = shed (Runtime.shed_reason_code Runtime.Shed_sojourn);
+    shed_rate_limited = shed (Runtime.shed_reason_code Runtime.Shed_rate_limited);
+    shed_queue_full = shed (Runtime.shed_reason_code Runtime.Shed_queue_full);
+    shed_priority = shed priority_shed;
+    deadline_misses = st.deadline_misses;
+    breaker_opens = sum (fun t -> t.n_breaker_opens);
+    breaker_fast_fails = st.breaker_fast_fails;
+    breakers_open_at_end = breakers_open st;
+    degrade_steps = st.degrade_steps;
+    max_degrade_level = st.max_level;
+    chaos_applied = st.chaos_applied;
+    chaos_kills = st.chaos_kills;
+    slo_burn_starts = st.burn_starts;
+    slo_burn_stops = st.burn_stops;
+    slo_burning_at_end = burning st;
+    throughput_rps = 0.0;
+    goodput_rps = 0.0;
+    availability = 1.0;
+    capacity_rps = 0.0;
+    context_switches = st.context_switches;
+    user_transitions = rt.Runtime.m_transitions;
+    dtlb_misses =
+      Array.fold_left (fun acc e -> acc + Machine.dtlb_misses (Runtime.machine e)) 0 st.engines;
+    checksum = Int64.of_int st.checksum;
+    simulated_ns = st.tm.now;
+    cpu_busy_ns = st.tm.busy;
+    tenants = [||];
+  }
+
+(* --- flight recorder: post-mortem freezes ---------------------------- *)
+
+let flight_counters st =
+  let c = totals st in
+  let fold f = Array.fold_left (fun acc e -> acc + f e) 0 st.engines in
+  let mach f = fold (fun e -> f (Runtime.machine e)) in
+  let n = float_of_int in
+  [
+    ("clock_ns", st.tm.now);
+    ("completed", n c.completed);
+    ("failed", n c.failed);
+    ("watchdog_kills", n c.watchdog_kills);
+    ("collateral_aborts", n c.collateral_aborts);
+    ("recycles", n c.recycles);
+    ("shed_sojourn", n c.shed_sojourn);
+    ("shed_rate_limited", n c.shed_rate_limited);
+    ("shed_queue_full", n c.shed_queue_full);
+    ("shed_priority", n c.shed_priority);
+    ("breaker_opens", n c.breaker_opens);
+    ("breaker_fast_fails", n c.breaker_fast_fails);
+    ("breakers_open", n c.breakers_open_at_end);
+    ("admission_waiting", n (fold Runtime.waiting));
+    ("ladder_level", n st.level);
+    ("chaos_applied", n c.chaos_applied);
+    ("machine_cycles", n (mach Machine.cycles));
+    ("machine_instructions", n (mach Machine.instructions));
+    ("dtlb_misses", n c.dtlb_misses);
+    ("superblocks_retired", n (mach Machine.superblock_retired));
+    ("transitions", n c.user_transitions);
+  ]
+
+let freeze st reason =
+  match st.cfg.flight with
+  | None -> ()
+  | Some fr ->
+      Flight.freeze fr ~reason ~at_ns:(int_of_float st.tm.now) ~counters:(flight_counters st)
+
+(* --- SLO burn-rate tracking ------------------------------------------ *)
+
+(* Edge-trigger a tenant's alerts: count transitions and emit the
+   slo.burn_start/stop markers. *)
+let slo_transitions st id s =
+  List.iter
+    (fun tr ->
+      let burn_milli = int_of_float (tr.Slo.tr_burn *. 1000.0) in
+      let window = match tr.Slo.tr_window with Slo.Fast -> 0 | Slo.Slow -> 1 in
+      if tr.Slo.tr_started then begin
+        st.burn_starts <- st.burn_starts + 1;
+        Trace.slo_burn_start st.trace ~tenant:id ~burn_milli ~window
+      end
+      else begin
+        st.burn_stops <- st.burn_stops + 1;
+        Trace.slo_burn_stop st.trace ~tenant:id ~burn_milli ~window
+      end)
+    (Slo.evaluate s ~now:st.tm.now)
+
+let slo_record st id ~good =
+  match st.slos with
+  | None -> ()
+  | Some arr ->
+      let s = arr.(id) in
+      Slo.record s ~now:st.tm.now ~good;
+      slo_transitions st id s
+
+(* --- circuit breakers ------------------------------------------------- *)
+
+let note_breaker st id b prev =
+  let now_in = Breaker.state b in
+  if now_in <> prev then
+    match now_in with
+    | Breaker.Open ->
+        let r = st.requests.(id) in
+        r.n_breaker_opens <- r.n_breaker_opens + 1;
+        Trace.breaker_open st.trace ~tenant:id
+          ~backoff:(int_of_float (Breaker.retry_at b -. st.tm.now));
+        freeze st "breaker.open"
+    | Breaker.Half_open -> Trace.breaker_half_open st.trace ~tenant:id
+    | Breaker.Closed -> Trace.breaker_close st.trace ~tenant:id
+
+(* Feed tenant [id]'s breaker a completion that took [lat], or a failure
+   when [lat] is nan. *)
+let[@inline] feed_breaker st id lat =
+  match st.breakers with
+  | None -> ()
+  | Some arr ->
+      let b = arr.(id) in
+      let prev = Breaker.state b in
+      if Float.is_nan lat then Breaker.on_failure b ~now:st.tm.now
+      else Breaker.on_slow b ~now:st.tm.now ~elapsed_ns:lat;
+      note_breaker st id b prev
+
+(* May tenant [r.id]'s next request proceed? An open breaker fast-fails it
+   without touching the pool; the refusal parks the request until the
+   breaker's next probe time. Fast-fails are not serving failures — the
+   request never entered service — so they are counted separately. The
+   breaker is consulted once per logical request ([bk_admitted]): a
+   request it admitted that then waits on admission or a transient
+   instantiate failure is not re-asked — in particular a half-open probe
+   delayed that way must not fast-fail its own tenant forever. *)
+let breaker_allow st r =
+  match st.breakers with
+  | None -> true
+  | Some arr ->
+      let b = arr.(r.id) in
+      let prev = Breaker.state b in
+      let ok = Breaker.allow b ~now:st.tm.now in
+      note_breaker st r.id b prev;
+      if ok then r.bk_admitted <- true
+      else begin
+        st.breaker_fast_fails <- st.breaker_fast_fails + 1;
+        Ready.set_due st.ready r.id
+          (match Breaker.state b with
+          | Breaker.Open -> Float.max (Breaker.retry_at b) (st.tm.now +. st.cfg.epoch_ns)
+          | _ -> st.tm.now +. st.cfg.epoch_ns)
+          ~now:st.tm.now
+      end;
+      ok
+
+(* --- the graceful-degradation ladder --------------------------------- *)
+
+let apply_level st lvl =
+  st.level <- lvl;
+  st.max_level <- max st.max_level lvl;
+  st.degrade_steps <- st.degrade_steps + 1;
+  (* L1: tighten admission and keep recycle headroom. L2: + stop hedging
+     failed requests. L3 additionally sheds low-priority arrivals (in
+     [acquire]). Stepping down unwinds in the same order. *)
+  let pressure = if lvl >= 1 then 0.5 else 1.0 in
+  Array.iter
+    (fun e ->
+      Runtime.set_admission_pressure e pressure;
+      let slots = Runtime.num_slots e in
+      let reserve = if lvl >= 1 then min (slots - 1) (max 1 (slots / 8)) else 0 in
+      Runtime.set_slot_reserve e reserve)
+    st.engines;
+  Trace.degrade_step st.trace ~level:lvl
+
+let ladder_tick st =
+  if st.cfg.overload.degradation && st.tm.now >= st.tm.window_end then begin
+    (* Re-evaluate burn-rate alerts at every window boundary so alerts
+       also clear while a tenant is idle (its windows slide empty). *)
+    Option.iter (Array.iteri (slo_transitions st)) st.slos;
+    (* SLO-aware trigger: shedding starts when any tenant is burning
+       its fast error-budget window, not only on queue sojourn. *)
+    let overloaded = st.window_sheds > 0 || burning st > 0 in
+    st.window_sheds <- 0;
+    while st.tm.window_end <= st.tm.now do
+      st.tm.window_end <- st.tm.window_end +. (4.0 *. st.cfg.epoch_ns)
+    done;
+    st.streak <- (if overloaded then max st.streak 0 + 1 else min st.streak 0 - 1);
+    if st.streak >= 2 && st.level < 3 then begin
+      st.streak <- 0;
+      apply_level st (st.level + 1)
+    end
+    else if st.streak <= -2 && st.level > 0 then begin
+      st.streak <- 0;
+      apply_level st (st.level - 1)
+    end
+  end
+
+(* --- booking: the ways a request ends -------------------------------- *)
+
+let kill_live r = match r.inst with Some i when Runtime.live i -> Runtime.kill i | _ -> ()
+
+(* An abort: the activation ends without a result. *)
+let abort st r =
+  r.n_failed <- r.n_failed + 1;
+  slo_record st r.id ~good:false;
+  Trace.request_end st.trace ~tenant:r.id ~ok:false;
+  r.act <- None
+
+(* A failure: an abort that also feeds the tenant's breaker and ends the
+   logical request, so the slot's next request runs on a fresh seed. The
+   caller re-arms the slot. *)
+let fail st r =
+  abort st r;
+  feed_breaker st r.id Float.nan;
+  r.seq <- r.seq + 1;
+  r.parked <- false;
+  r.bk_admitted <- false
+
+(* A shed: the client behind the refused request gives up and issues a
+   fresh one later. An admission shed ([Some reason]) also re-opens a
+   half-open breaker whose probe it refused; the ladder's priority shed
+   ([None]) leaves the probe outstanding. *)
+let shed st r reason =
+  let code = match reason with None -> priority_shed | Some why -> Runtime.shed_reason_code why in
+  r.n_shed.(code) <- r.n_shed.(code) + 1;
+  (match reason with
+  | Some (Runtime.Shed_sojourn | Runtime.Shed_queue_full) ->
+      st.window_sheds <- st.window_sheds + 1
+  | Some Runtime.Shed_rate_limited | None -> ());
+  slo_record st r.id ~good:false;
+  (match st.breakers with
+  | Some arr when reason <> None && Breaker.state arr.(r.id) = Breaker.Half_open ->
+      feed_breaker st r.id Float.nan
+  | _ -> ());
+  r.parked <- false;
+  r.bk_admitted <- false;
+  rearm st r Think
+
+(* A completion, booked after the epoch's [charge] so its latency
+   includes the execution time just billed. *)
+let[@inline] complete st r arrival =
+  r.n_completed <- r.n_completed + 1;
+  let lat = st.tm.now -. Float.Array.get st.started r.id in
+  let e2e = st.tm.now -. arrival in
+  (match st.cfg.overload.request_deadline_ns with
+  | Some d when e2e > d -> st.deadline_misses <- st.deadline_misses + 1
+  | _ -> ());
+  feed_breaker st r.id lat;
+  Trace.request_end st.trace ~tenant:r.id ~ok:true;
+  (* The exemplar points at the request-end event just stored, so a
+     percentile spike links to the exact span in the export. *)
+  Hist.record_exemplar r.lat lat ~index:(max 0 (Trace.length st.trace - 1));
+  Hist.record r.e2e e2e;
+  slo_record st r.id
+    ~good:(match st.cfg.overload.slo with Some sc -> lat <= sc.Slo.latency_ns | None -> true)
+
+(* --- slot acquisition ------------------------------------------------- *)
+
+(* Crash recovery / slot acquisition: get a slot through admission (the
+   CoDel path when armed, the bounded FIFO retry queue otherwise).
+   Returns false while the request must wait or was shed. *)
+let take_slot st r =
+  match r.inst with
+  | Some i when Runtime.live i -> true
+  | _ when st.inst_fail_budget > 0 ->
+      (* Chaos: transient instantiate failure — behaves like a full pool;
+         the request retries next epoch. *)
+      st.inst_fail_budget <- st.inst_fail_budget - 1;
+      retry_next_epoch st r;
+      false
+  | _ -> (
+      match Runtime.admit st.engines.(r.proc) ~ticket:r.id ~tenant:r.id ~now:st.tm.now with
+      | `Ready inst ->
+          if r.had_inst then st.recycles <- st.recycles + 1;
+          r.had_inst <- true;
+          r.parked <- false;
+          r.inst <- Some inst;
+          true
+      | `Shed reason when st.cfg.overload.admission <> None ->
+          shed st r (Some reason);
+          false
+      | `Wait | `Shed _ ->
+          (* A wait, or the legacy FIFO queue's reject, retries next epoch:
+             the FIFO path keeps its historical PRNG stream byte-for-byte.
+             Under admission the waiting ticket parks. *)
+          if st.cfg.overload.admission <> None then r.parked <- true;
+          retry_next_epoch st r;
+          false)
+
+(* May the picked slot step now? The ladder's L3 sheds a low-priority
+   arrival outright; a new request then asks its breaker, then takes a
+   slot. *)
+let acquire st r =
+  if st.level >= 3 && r.act = None && (not r.parked) && st.cfg.overload.low_priority r.id
+  then begin
+    shed st r None;
+    Trace.admission_shed st.trace ~tenant:r.id ~sojourn:0 ~reason:priority_shed;
+    false
+  end
+  else (r.act <> None || r.parked || r.bk_admitted || breaker_allow st r) && take_slot st r
+
+(* --- the epoch -------------------------------------------------------- *)
+
+(* Which handler serves this request: deliberately misbehaving tenants
+   (overload policy) crash-loop or spin on every request; otherwise the
+   per-request fault model draws one with the configured probabilities. *)
+let draw_entry st id =
+  let ov = st.cfg.overload and f = st.cfg.faults in
+  if List.mem id ov.crash_tenants then "misbehave_trap"
+  else if List.mem id ov.runaway_tenants then "misbehave_spin"
+  else if not (f.trap_rate > 0.0 || f.runaway_rate > 0.0) then "handle"
+  else begin
+    let x = Prng.float st.rng 1.0 in
+    if x < f.trap_rate then "misbehave_trap"
+    else if x < f.trap_rate +. f.runaway_rate then "misbehave_spin"
+    else "handle"
+  end
+
+(* Blast radius of a crash. Under multiprocess scaling a trap is a process
+   death: every co-resident instance dies and its in-flight request is
+   aborted. Under ColorGuard only the faulting instance is torn down. *)
+let crash_process st proc ~except =
+  let respawn = st.cfg.faults.respawn_ns in
+  Array.iter
+    (fun r2 ->
+      if r2.proc = proc && r2.id <> except then begin
+        if r2.act <> None then begin
+          st.collateral <- st.collateral + 1;
+          abort st r2
+        end;
+        kill_live r2;
+        Ready.set_due st.ready r2.id (st.tm.now +. respawn) ~now:st.tm.now
+      end)
+    st.requests;
+  bill st respawn
+
+(* A step that trapped or hit the watchdog. *)
+let fail_step st r ~crash =
+  fail st r;
+  freeze st "fault";
+  (match st.cfg.mode with
+  | Multiprocess _ when crash -> crash_process st r.proc ~except:r.id
+  | _ -> ());
+  rearm st r Retry
+
+let start st r inst =
+  let seed = Int64.of_int (1 + r.id + (r.seq * 8191)) in
+  let a = Runtime.start_call ?deadline_fuel:st.deadline_fuel inst (draw_entry st r.id) [ seed ] in
+  r.act <- Some a;
+  Float.Array.set st.started r.id st.tm.now;
+  Trace.request_begin st.trace ~tenant:r.id;
+  a
+
+(* One epoch of fuel for the slot's activation, started if need be; then
+   the outcome's booking and [charge]. The failure paths keep their
+   pre-charge due times (retry, respawn). *)
+let epoch st r =
+  let inst = match r.inst with Some i -> i | None -> assert false in
+  let arrival = Float.Array.get st.arrived r.id in
+  let act = match r.act with Some a -> a | None -> start st r inst in
+  (* Tenant-attributed superblock occupancy: the engine's counters are
+     monotonic across requests, so per-slice deltas sum cleanly even when
+     the instance is killed or recycled mid-request. *)
+  let mach = Runtime.machine st.engines.(r.proc) in
+  let sb0 = Machine.superblock_retired mach in
+  let in0 = Machine.instructions mach in
+  let finished =
+    match Runtime.step act ~fuel:st.epoch_fuel with
+    | `Done v ->
+        st.checksum <- st.checksum + Int64.to_int (Int64.logand v 0xFFFFFFFFL);
+        r.act <- None;
+        r.seq <- r.seq + 1;
+        (* High-churn mode: every request runs on a fresh instance, the
+           §6.4.3 FaaS pattern. Release recycles the slot (dirty pages
+           revert to the image); the next request re-instantiates. *)
+        if st.cfg.churn then Runtime.release inst;
+        r.bk_admitted <- false;
+        rearm st r Think;
+        true
+    | `Trapped _ ->
+        (* The sandbox crashed; Runtime.step already killed the instance
+           and recycled its slot. The request failed — count it, never
+           abort the simulation. *)
+        fail_step st r ~crash:true;
+        false
+    | `Fault fault ->
+        (* A watchdog kill (a runaway loop exceeded its deadline), or the
+           instance died under us (e.g. collateral of a neighbour's crash):
+           retry on a fresh instance. *)
+        if fault = Runtime.Fuel_exhausted then st.watchdog_kills <- st.watchdog_kills + 1;
+        fail_step st r ~crash:false;
+        false
+    | `More -> false (* preempted; stays ready *)
+  in
+  r.n_sb <- r.n_sb + (Machine.superblock_retired mach - sb0);
+  r.n_instr <- r.n_instr + (Machine.instructions mach - in0);
+  charge st r.proc;
+  if finished then complete st r arrival
+
+(* --- chaos: seeded perturbations applied to the live run ------------- *)
+
+(* Kill a random in-flight instance: the victim's request fails
+   (attributed to the victim alone — that's the blast-radius invariant
+   the harness checks) and the slot recycles. The victim, or -1. *)
+let chaos_kill st =
+  let candidates =
+    Array.to_list st.requests
+    |> List.filter (fun r ->
+           r.act <> None && match r.inst with Some i -> Runtime.live i | None -> false)
+  in
+  match candidates with
+  | [] -> -1
+  | l ->
+      let r = List.nth l (Prng.int st.chaos_rng (List.length l)) in
+      st.chaos_kills <- st.chaos_kills + 1;
+      fail st r;
+      kill_live r;
+      rearm st r Chaos_think;
+      r.id
+
+let apply_chaos st ev =
+  let victim, reason =
+    match ev.action with
+    | Chaos_kill -> (chaos_kill st, "chaos.kill")
+    | Chaos_latency { factor; window_ns } ->
+        st.tm.latency_factor <- factor;
+        st.tm.latency_until <- st.tm.now +. window_ns;
+        (-1, "chaos.latency")
+    | Chaos_instantiate_fail n ->
+        st.inst_fail_budget <- st.inst_fail_budget + n;
+        (-1, "chaos.instantiate_fail")
+  in
+  st.chaos_applied <- st.chaos_applied + 1;
+  freeze st reason;
+  Option.iter
+    (fun fn ->
+      fn
+        {
+          cr_index = st.chaos_applied - 1;
+          cr_at_ns = ev.at_ns;
+          cr_action = ev.action;
+          cr_victim = victim;
+          cr_failed = Array.map (fun r -> r.n_failed) st.requests;
+        })
+    st.cfg.on_perturbation
+
+let rec drain_chaos st =
+  match st.chaos_pending with
+  | ev :: rest when ev.at_ns <= st.tm.now ->
+      st.chaos_pending <- rest;
+      apply_chaos st ev;
+      drain_chaos st
+  | _ -> ()
+
+let chaos_tick st =
+  if st.tm.latency_until > 0.0 && st.tm.now >= st.tm.latency_until then begin
+    st.tm.latency_factor <- 1.0;
+    st.tm.latency_until <- 0.0
+  end;
+  drain_chaos st
+
+(* --- scheduling ------------------------------------------------------- *)
+
+(* The first ready slot of process [proc] at or after the cursor,
+   cyclically; [-1] if none. The legacy scheduler picks the lowest-index
+   ready request, so a started request runs to completion before anything
+   behind it starts: slots are barely contended and overload shows up as
+   silent starvation of high-index tenants. [fair_scheduling] moves the
+   cursor past each pick (processor sharing): every ready request gets an
+   epoch in turn, in-flight requests hold their slots across preemption,
+   and excess demand queues at admission — the regime the overload stack
+   is built for. The legacy scan is the same scan with the cursor parked
+   at 0, kept to keep earlier figures reproducible. *)
+let ready_in st proc =
+  Ready.advance st.ready ~now:st.tm.now;
+  let i = Ready.pick st.ready ~cursor:st.rr_cursor ~proc in
+  if i >= 0 && st.cfg.fair_scheduling then
+    st.rr_cursor <- (i + 1) mod Array.length st.requests;
+  i
+
+let switch_to st proc =
+  st.context_switches <- st.context_switches + 1;
+  bill st os_switch_ns;
+  (* The incoming process finds the shared TLB polluted by whoever ran in
+     between: model as a flush of its TLB state. *)
+  Machine.flush_tlb (Runtime.machine st.engines.(proc));
+  st.current_proc <- proc;
+  st.tm.slice_start <- st.tm.now
+
+(* The next process after the current one with a ready slot, or -1. *)
+let other_with_work st =
+  let nprocs = Array.length st.engines in
+  let rec from k =
+    let p = (st.current_proc + k) mod nprocs in
+    if k >= nprocs then -1 else if ready_in st p >= 0 then p else from (k + 1)
+  in
+  from 1
+
+(* Nothing is ready: jump to the next due slot or chaos event. Only
+   called with no slot ready, so the ready set's earliest future due time
+   is the earliest of all. *)
+let idle_jump st =
+  let fmin (a : float) b = if a <= b then a else b in
+  let next_chaos = match st.chaos_pending with ev :: _ -> ev.at_ns | [] -> infinity in
+  let next = fmin (fmin (Ready.next_ready_time st.ready) next_chaos) st.cfg.duration_ns in
+  if not (st.tm.now >= next) then st.tm.now <- next
+
+(* The slot to step next, or -1 after a process switch or an idle jump.
+   The OS round-robins the processes on [epoch_ns] timeslices; ColorGuard
+   is one process, which never switches. *)
+let next_slot st =
+  (* A timeslice expires: move on if someone else has work. *)
+  if st.tm.now -. st.tm.slice_start >= st.cfg.epoch_ns then begin
+    let p = other_with_work st in
+    if p >= 0 then switch_to st p else st.tm.slice_start <- st.tm.now
+  end;
+  let i = ready_in st st.current_proc in
+  if i < 0 then begin
+    let p = other_with_work st in
+    if p >= 0 then switch_to st p else idle_jump st
+  end;
+  i
+
+(* --- set-up, the loop and the result --------------------------------- *)
+
+(* The open loop's per-tenant arrival times, each tenant's sorted. *)
+let arrival_schedule concurrency arr =
+  let counts = Array.make concurrency 0 in
+  Array.iter
+    (fun a ->
+      let t = a.Workloads.tenant in
+      if t < 0 || t >= concurrency then invalid_arg "Sim: arrival tenant out of range";
+      counts.(t) <- counts.(t) + 1)
+    arr;
+  let per = Array.map (fun n -> Float.Array.make n 0.0) counts in
+  Array.iter
+    (fun a ->
+      let t = a.Workloads.tenant in
+      counts.(t) <- counts.(t) - 1;
+      Float.Array.set per.(t) counts.(t) a.Workloads.at_ns)
+    arr;
+  Array.iter (Float.Array.stable_sort Float.compare) per;
+  per
+
+let setup cfg =
   (match validate cfg with Ok () -> () | Error msg -> invalid_arg ("Sim: " ^ msg));
   let m = Workloads.module_of cfg.workload in
   let engines = Array.of_list (fresh_engines cfg m) in
   let nprocs = Array.length engines in
+  let n = cfg.concurrency and ov = cfg.overload in
   let rng = Prng.create ~seed:cfg.seed in
-  let ov = cfg.overload in
-  (* Effective trace sink: the flight recorder taps the primary ring (or
-     stands in for it on untraced runs). Everything below emits into
-     [trace], never [cfg.trace] directly. *)
-  let trace =
-    match cfg.flight with
-    | Some fr -> Flight.tap fr cfg.trace
-    | None -> cfg.trace
-  in
   (* Chaos draws its own PRNG stream so perturbation policy (victim
      choice, respawn delays) never perturbs the workload's stream. The
      stream is derived with [Prng.split] — an xor of the seed (the old
@@ -353,836 +1046,174 @@ let run cfg =
      breaks chaos determinism fingerprints once sharding multiplies the
      number of parallel consumers of one root seed. *)
   let chaos_rng = Prng.split rng 0 in
-  let window_len = 4.0 *. cfg.epoch_ns in
-  let tm =
-    {
-      now = 0.0;
-      busy = 0.0;
-      slice_start = 0.0;
-      latency_until = 0.0;
-      latency_factor = 1.0;
-      window_end = window_len;
-    }
-  in
-  let io_delay () =
-    (* "The value of the delay is drawn from a Poisson distribution at
-       5ms": delays of a Poisson arrival process, i.e. exponential with a
-       5 ms mean — "to model typical network request patterns". *)
-    let d = Prng.exponential rng ~mean:cfg.io_mean_ns in
-    if tm.latency_factor > 1.0 then d *. tm.latency_factor else d
-  in
+  (* The flight recorder taps the primary ring (or stands in for it on
+     untraced runs). Everything emits into [st.trace], never [cfg.trace]. *)
+  let trace = match cfg.flight with Some fr -> Flight.tap fr cfg.trace | None -> cfg.trace in
   Array.iter (fun e -> Runtime.set_admission e ov.admission) engines;
   if ov.admission <> None then
     (* Admission/breaker decisions are trace-worthy: route the engines'
        event streams into the sim's sink so Perfetto shows shed/grant
        markers on the tenant lanes. Legacy runs keep engine tracing off. *)
     Array.iter (fun e -> Runtime.set_trace e trace) engines;
-  let breakers =
-    match ov.breaker with
-    | None -> None
-    | Some bc ->
-        Some
-          (Array.init cfg.concurrency (fun id ->
-               (* Per-tenant jitter streams, split from the root seed
-                  (index 0 is the chaos stream). *)
-               Breaker.create ~seed:(Prng.split_seed ~seed:cfg.seed (id + 1)) bc))
-  in
-  let f = cfg.faults in
-  let has_faults = f.trap_rate > 0.0 || f.runaway_rate > 0.0 in
   (* With a slot pool smaller than the closed-loop population, slots are a
      contended resource acquired through admission; otherwise every
      request gets its instance up front (the historical behavior). *)
-  let prewarm =
-    match ov.pool_slots with None -> true | Some n -> n >= cfg.concurrency
-  in
-  (* The arrival source. [None]: the closed loop, where a slot issues its
-     next request [delay ()] after the last one ended. [Some q]: the open
-     loop, where [q.(id)] holds tenant [id]'s sorted arrival times and
-     [arr_next.(id)] indexes the next one due. *)
-  let schedule =
-    Option.map
-      (fun arr ->
-        let counts = Array.make cfg.concurrency 0 in
-        Array.iter
-          (fun a ->
-            let t = a.Workloads.tenant in
-            if t < 0 || t >= cfg.concurrency then
-              invalid_arg "Sim: arrival tenant out of range";
-            counts.(t) <- counts.(t) + 1)
-          arr;
-        let per = Array.map (fun n -> Float.Array.make n 0.0) counts in
-        (* Each tenant's times, latest arrival first, then stably sorted:
-           equal times keep that order. *)
-        for i = Array.length arr - 1 downto 0 do
-          let a = arr.(i) in
-          let t = a.Workloads.tenant in
-          let q = per.(t) in
-          counts.(t) <- counts.(t) - 1;
-          Float.Array.set q (Float.Array.length q - 1 - counts.(t)) a.Workloads.at_ns
-        done;
-        Array.iter (Float.Array.stable_sort Float.compare) per;
-        per)
-      cfg.arrivals
-  in
-  let arr_next = Array.make cfg.concurrency 0 in
-  (* Per-slot times, unboxed: [ready] holds when each slot is next due,
-     [arrived] when its current logical request arrived, and [started]
-     when its current activation started. *)
-  let ready = Ready.create ~slots:cfg.concurrency ~procs:nprocs in
-  let arrived = Float.Array.make cfg.concurrency 0.0 in
-  let started = Float.Array.make cfg.concurrency 0.0 in
-  (* Move a slot on to its tenant's next logical request. In the open loop
-     that is the next scheduled arrival, possibly already past: it has
-     then been queueing and is ready at once, its e2e latency including
-     the wait. A spent schedule parks the slot at infinity. *)
-  let rearm r delay =
-    let at =
-      match schedule with
-      | None -> tm.now +. delay ()
-      | Some q ->
-          let i = arr_next.(r.id) in
-          if i >= Float.Array.length q.(r.id) then infinity
-          else begin
-            arr_next.(r.id) <- i + 1;
-            Float.Array.get q.(r.id) i
-          end
-    in
-    Ready.set_due ready r.id at ~now:tm.now;
-    Float.Array.set arrived r.id at
-  in
-  let requests =
-    Array.init cfg.concurrency (fun id ->
-        let r =
-          {
-            id;
-            proc = id mod nprocs;
-            inst = None;
-            had_inst = prewarm;
-            parked = false;
-            bk_admitted = false;
-            act = None;
-            seq = 0;
-          }
-        in
-        rearm r io_delay;
-        if prewarm then r.inst <- Some (Runtime.instantiate engines.(r.proc));
-        r)
-  in
-  (* Lifecycle cost model: instantiation / recycle work in OS pages, priced
-     at [page_zero_ns] each (0.0 = free, the historical behavior). The CoW
-     runtime pays the dirty pages its recycles actually dropped plus one
-     privatized vmctx page per instantiate; [legacy_lifecycle] re-prices
-     every instantiate as the pre-refactor runtime's O(min_pages) work — a
-     whole-heap madvise plus a full data-segment rewrite. *)
-  let heap_os_pages =
-    match m.Sfi_wasm.Ast.memory with
-    | Some mem ->
-        mem.Sfi_wasm.Ast.min_pages * (Sfi_wasm.Ast.page_size / Sfi_vmem.Space.page_size)
-    | None -> 0
-  in
-  let lifecycle_pages proc =
-    let mt = Runtime.metrics engines.(proc) in
-    let instantiates =
-      mt.Runtime.m_instantiations_cold + mt.Runtime.m_instantiations_warm
-    in
-    if cfg.legacy_lifecycle then instantiates * 2 * heap_os_pages
-    else mt.Runtime.m_pages_zeroed_on_recycle + instantiates
-  in
-  (* Startup instantiation is warm-up, not serving time: snapshot after the
-     request array is built so only churn-driven lifecycle work is billed. *)
-  let lifecycle_prev = Array.init nprocs lifecycle_pages in
+  let prewarm = match ov.pool_slots with None -> true | Some p -> p >= n in
   let cost = Machine.cost_model (Runtime.machine engines.(0)) in
   let epoch_fuel = Cost.cycles_of_ns cost cfg.epoch_ns in
-  (* The watchdog deadline bounds every request, not only fault-injected
-     runs: a runaway guest must be stopped even when the fault model is
-     off (e.g. a chaos run or a deliberately misbehaving tenant). *)
-  let deadline_fuel = Some (f.deadline_epochs * epoch_fuel) in
+  let st =
+    {
+      cfg;
+      engines;
+      rng;
+      chaos_rng;
+      trace;
+      tm =
+        {
+          now = 0.0;
+          busy = 0.0;
+          slice_start = 0.0;
+          latency_until = 0.0;
+          latency_factor = 1.0;
+          window_end = 4.0 *. cfg.epoch_ns;
+        };
+      ready = Ready.create ~slots:n ~procs:nprocs;
+      arrived = Float.Array.make n 0.0;
+      started = Float.Array.make n 0.0;
+      schedule = Option.map (arrival_schedule n) cfg.arrivals;
+      arr_next = Array.make n 0;
+      requests =
+        Array.init n (fun id ->
+            {
+              id;
+              proc = id mod nprocs;
+              inst = None;
+              had_inst = prewarm;
+              parked = false;
+              bk_admitted = false;
+              act = None;
+              seq = 0;
+              n_completed = 0;
+              n_failed = 0;
+              n_shed = Array.make (priority_shed + 1) 0;
+              n_breaker_opens = 0;
+              n_sb = 0;
+              n_instr = 0;
+              lat = Hist.create ();
+              e2e = Hist.create ();
+            });
+      breakers =
+        Option.map
+          (fun bc ->
+            Array.init n (fun id ->
+                (* Per-tenant jitter streams, split from the root seed
+                   (index 0 is the chaos stream). *)
+                Breaker.create ~seed:(Prng.split_seed ~seed:cfg.seed (id + 1)) bc))
+          ov.breaker;
+      slos = Option.map (fun sc -> Array.init n (fun _ -> Slo.create sc)) ov.slo;
+      cost;
+      epoch_fuel;
+      (* The watchdog deadline bounds every request, not only fault-injected
+         runs: a runaway guest must be stopped even when the fault model is
+         off (e.g. a chaos run or a deliberately misbehaving tenant). *)
+      deadline_fuel = Some (cfg.faults.deadline_epochs * epoch_fuel);
+      heap_os_pages =
+        (match m.Sfi_wasm.Ast.memory with
+        | Some mem ->
+            mem.Sfi_wasm.Ast.min_pages * (Sfi_wasm.Ast.page_size / Sfi_vmem.Space.page_size)
+        | None -> 0);
+      lifecycle_prev = Array.make nprocs 0;
+      engine_cycles = Array.make nprocs 0;
+      watchdog_kills = 0;
+      collateral = 0;
+      recycles = 0;
+      deadline_misses = 0;
+      breaker_fast_fails = 0;
+      checksum = 0;
+      context_switches = 0;
+      chaos_pending = List.sort (fun a b -> compare a.at_ns b.at_ns) cfg.chaos;
+      chaos_applied = 0;
+      chaos_kills = 0;
+      inst_fail_budget = 0;
+      current_proc = 0;
+      rr_cursor = 0;
+      level = 0;
+      max_level = 0;
+      degrade_steps = 0;
+      window_sheds = 0;
+      streak = 0;
+      burn_starts = 0;
+      burn_stops = 0;
+    }
+  in
+  Array.iter
+    (fun r ->
+      rearm st r Think;
+      if prewarm then r.inst <- Some (Runtime.instantiate engines.(r.proc)))
+    st.requests;
+  (* Startup instantiation is warm-up, not serving time: snapshot after the
+     requests are armed so only churn-driven lifecycle work is billed. *)
+  Array.iteri (fun p _ -> st.lifecycle_prev.(p) <- lifecycle_pages st p) engines;
   (* Request spans run on the simulated clock, one trace track per request
      slot (= tenant), so a Perfetto load shows each tenant's activations as
      nested bars over sim time. *)
+  let tm = st.tm in
   Trace.set_clock trace (fun () -> int_of_float tm.now);
-  let t_completed = Array.make cfg.concurrency 0 in
-  let t_failed = Array.make cfg.concurrency 0 in
-  let t_shed = Array.make cfg.concurrency 0 in
-  let t_breaker_opens = Array.make cfg.concurrency 0 in
-  let t_lat = Array.init cfg.concurrency (fun _ -> Hist.create ()) in
-  let t_e2e = Array.init cfg.concurrency (fun _ -> Hist.create ()) in
-  let t_sb = Array.make cfg.concurrency 0 in
-  let t_instr = Array.make cfg.concurrency 0 in
-  let completed = ref 0 in
-  let failed = ref 0 in
-  let watchdog_kills = ref 0 in
-  let collateral = ref 0 in
-  let recycles = ref 0 in
-  let shed_sojourn = ref 0 in
-  let shed_rate_limited = ref 0 in
-  let shed_queue_full = ref 0 in
-  let shed_priority = ref 0 in
-  let deadline_misses = ref 0 in
-  let breaker_opens = ref 0 in
-  let breaker_fast_fails = ref 0 in
-  let chaos_applied = ref 0 in
-  let chaos_kills = ref 0 in
-  let inst_fail_budget = ref 0 in
-  (* The low 32 bits of every result, summed: an int holds the sum exactly
-     up to 2^30 completions, so it equals the int64 sum. *)
-  let checksum = ref 0 in
-  let context_switches = ref 0 in
-  let current_proc = ref 0 in
-  (* Hoisted out of the degradation section: the flight recorder's
-     counter snapshot wants the current ladder level too. *)
-  let ladder_level = ref 0 in
-  let engine_cycles = Array.make nprocs 0 in
-  (* Advance the global clock by the cycles an engine just spent. *)
-  let charge proc =
-    let c = Machine.cycles (Runtime.machine engines.(proc)) in
-    let delta = Cost.ns_of_cycles cost (c - engine_cycles.(proc)) in
-    tm.now <- tm.now +. delta;
-    tm.busy <- tm.busy +. delta;
-    engine_cycles.(proc) <- c;
-    if cfg.page_zero_ns > 0.0 then begin
-      let w = lifecycle_pages proc in
-      let dw = w - lifecycle_prev.(proc) in
-      if dw > 0 then begin
-        let ns = float_of_int dw *. cfg.page_zero_ns in
-        tm.now <- tm.now +. ns;
-        tm.busy <- tm.busy +. ns
-      end;
-      lifecycle_prev.(proc) <- w
+  st
+
+let tenant_stats st =
+  let pct h p = if Hist.count h = 0 then 0.0 else Hist.percentile h p in
+  Array.map
+    (fun r ->
+      {
+        t_id = r.id;
+        t_completed = r.n_completed;
+        t_failed = r.n_failed;
+        t_shed = Array.fold_left ( + ) 0 r.n_shed;
+        t_breaker_opens = r.n_breaker_opens;
+        t_breaker_state =
+          (match st.breakers with
+          | None -> "-"
+          | Some arr -> Breaker.state_name (Breaker.state arr.(r.id)));
+        t_p50_ns = pct r.lat 50.0;
+        t_p95_ns = pct r.lat 95.0;
+        t_p99_ns = pct r.lat 99.0;
+        t_p99_e2e_ns = pct r.e2e 99.0;
+        t_sb_share =
+          (if r.n_instr = 0 then 0.0 else float_of_int r.n_sb /. float_of_int r.n_instr);
+        t_burn =
+          (match st.slos with
+          | Some arr -> Slo.burn arr.(r.id) ~now:st.tm.now Slo.Fast
+          | None -> 0.0);
+        t_lat_hist = r.lat;
+        t_e2e_hist = r.e2e;
+      })
+    st.requests
+
+let run cfg =
+  let st = setup cfg in
+  while st.tm.now < cfg.duration_ns do
+    chaos_tick st;
+    ladder_tick st;
+    let i = next_slot st in
+    if i >= 0 then begin
+      let r = st.requests.(i) in
+      if acquire st r then epoch st r
     end
-  in
-  let breakers_open () =
-    match breakers with
-    | None -> 0
-    | Some arr ->
-        Array.fold_left
-          (fun acc b -> if Breaker.state b <> Breaker.Closed then acc + 1 else acc)
-          0 arr
-  in
-  (* --- flight recorder: post-mortem freezes --- *)
-  let flight_counters () =
-    let fold f = Array.fold_left (fun acc e -> acc + f e) 0 engines in
-    let mach f = fold (fun e -> f (Runtime.machine e)) in
-    [
-      ("clock_ns", tm.now);
-      ("completed", float_of_int !completed);
-      ("failed", float_of_int !failed);
-      ("watchdog_kills", float_of_int !watchdog_kills);
-      ("collateral_aborts", float_of_int !collateral);
-      ("recycles", float_of_int !recycles);
-      ("shed_sojourn", float_of_int !shed_sojourn);
-      ("shed_rate_limited", float_of_int !shed_rate_limited);
-      ("shed_queue_full", float_of_int !shed_queue_full);
-      ("shed_priority", float_of_int !shed_priority);
-      ("breaker_opens", float_of_int !breaker_opens);
-      ("breaker_fast_fails", float_of_int !breaker_fast_fails);
-      ("breakers_open", float_of_int (breakers_open ()));
-      ("admission_waiting", float_of_int (fold Runtime.waiting));
-      ("ladder_level", float_of_int !ladder_level);
-      ("chaos_applied", float_of_int !chaos_applied);
-      ("machine_cycles", float_of_int (mach Machine.cycles));
-      ( "machine_instructions",
-        float_of_int (mach Machine.instructions) );
-      ("dtlb_misses", float_of_int (mach Machine.dtlb_misses));
-      ("superblocks_retired", float_of_int (mach Machine.superblock_retired));
-      ("transitions", float_of_int (fold Runtime.transitions));
-    ]
-  in
-  let freeze_flight reason =
-    match cfg.flight with
-    | None -> ()
-    | Some fr ->
-        Flight.freeze fr ~reason ~at_ns:(int_of_float tm.now)
-          ~counters:(flight_counters ())
-  in
-  (* --- SLO burn-rate tracking --- *)
-  let slo_burn_starts = ref 0 in
-  let slo_burn_stops = ref 0 in
-  let burning = ref 0 in
-  let slos =
-    match ov.slo with
-    | None -> None
-    | Some sc -> Some (sc, Array.init cfg.concurrency (fun _ -> Slo.create sc))
-  in
-  (* Edge-trigger a tenant's alerts: count transitions, track how many
-     tenants are burning their fast window (the ladder's SLO-aware
-     trigger), and emit the slo.burn_start/stop markers. *)
-  let slo_transitions id s =
-    List.iter
-      (fun tr ->
-        let burn_milli = int_of_float (tr.Slo.tr_burn *. 1000.0) in
-        let window = match tr.Slo.tr_window with Slo.Fast -> 0 | Slo.Slow -> 1 in
-        if tr.Slo.tr_started then begin
-          incr slo_burn_starts;
-          if tr.Slo.tr_window = Slo.Fast then incr burning;
-          Trace.slo_burn_start trace ~tenant:id ~burn_milli ~window
-        end
-        else begin
-          incr slo_burn_stops;
-          if tr.Slo.tr_window = Slo.Fast then decr burning;
-          Trace.slo_burn_stop trace ~tenant:id ~burn_milli ~window
-        end)
-      (Slo.evaluate s ~now:tm.now)
-  in
-  let slo_record id ~good =
-    match slos with
-    | None -> ()
-    | Some (_, arr) ->
-        let s = arr.(id) in
-        Slo.record s ~now:tm.now ~good;
-        slo_transitions id s
-  in
-  let slo_good lat =
-    match slos with Some (sc, _) -> lat <= sc.Slo.latency_ns | None -> true
-  in
-  (* Which handler serves this request: deliberately misbehaving tenants
-     (overload policy) crash-loop or spin on every request; otherwise the
-     per-request fault model draws one with the configured probabilities. *)
-  let draw_entry id =
-    if List.mem id ov.crash_tenants then "misbehave_trap"
-    else if List.mem id ov.runaway_tenants then "misbehave_spin"
-    else if not has_faults then "handle"
-    else begin
-      let x = Prng.float rng 1.0 in
-      if x < f.trap_rate then "misbehave_trap"
-      else if x < f.trap_rate +. f.runaway_rate then "misbehave_spin"
-      else "handle"
-    end
-  in
-  (* --- circuit breakers: transition tracking + trace emission --- *)
-  let note_breaker_transition id b prev =
-    let st = Breaker.state b in
-    if st <> prev then
-      match st with
-      | Breaker.Open ->
-          incr breaker_opens;
-          t_breaker_opens.(id) <- t_breaker_opens.(id) + 1;
-          Trace.breaker_open trace ~tenant:id
-            ~backoff:(int_of_float (Breaker.retry_at b -. tm.now));
-          freeze_flight "breaker.open"
-      | Breaker.Half_open -> Trace.breaker_half_open trace ~tenant:id
-      | Breaker.Closed -> Trace.breaker_close trace ~tenant:id
-  in
-  (* Feed tenant [id]'s breaker a failure, or a completion that took
-     [lat]. *)
-  let breaker_failure id =
-    match breakers with
-    | None -> ()
-    | Some arr ->
-        let b = arr.(id) in
-        let prev = Breaker.state b in
-        Breaker.on_failure b ~now:tm.now;
-        note_breaker_transition id b prev
-  in
-  let breaker_slow id lat =
-    match breakers with
-    | None -> ()
-    | Some arr ->
-        let b = arr.(id) in
-        let prev = Breaker.state b in
-        Breaker.on_slow b ~now:tm.now ~elapsed_ns:lat;
-        note_breaker_transition id b prev
-  in
-  (* May tenant [id]'s next request proceed? An open breaker fast-fails it
-     without touching the pool; the refusal parks the request until the
-     breaker's next probe time. Fast-fails are not serving failures — the
-     request never entered service — so they are counted separately. The
-     breaker is consulted once per logical request ([bk_admitted]): a
-     request it admitted that then waits on admission or a transient
-     instantiate failure is not re-asked — in particular a half-open
-     probe delayed that way must not fast-fail its own tenant forever. *)
-  let breaker_allow r =
-    match breakers with
-    | None -> true
-    | Some arr ->
-        let b = arr.(r.id) in
-        let prev = Breaker.state b in
-        let ok = Breaker.allow b ~now:tm.now in
-        note_breaker_transition r.id b prev;
-        if ok then r.bk_admitted <- true
-        else begin
-          incr breaker_fast_fails;
-          Ready.set_due ready r.id
-            (match Breaker.state b with
-            | Breaker.Open -> Float.max (Breaker.retry_at b) (tm.now +. cfg.epoch_ns)
-            | _ -> tm.now +. cfg.epoch_ns)
-            ~now:tm.now
-        end;
-        ok
-  in
-  (* --- graceful-degradation ladder ([ladder_level] hoisted above) --- *)
-  let degrade_steps = ref 0 in
-  let max_degrade_level = ref 0 in
-  let hedged = ref ov.hedged_retries in
-  let window_sheds = ref 0 in
-  let over_windows = ref 0 in
-  let calm_windows = ref 0 in
-  let apply_level lvl =
-    ladder_level := lvl;
-    max_degrade_level := max !max_degrade_level lvl;
-    incr degrade_steps;
-    (* L1: tighten admission and keep recycle headroom. L2: + stop hedging
-       failed requests. L3 additionally sheds low-priority arrivals (in
-       [run_request]). Stepping down unwinds in the same order. *)
-    let pressure = if lvl >= 1 then 0.5 else 1.0 in
-    Array.iter
-      (fun e ->
-        Runtime.set_admission_pressure e pressure;
-        let slots = Runtime.num_slots e in
-        let reserve = if lvl >= 1 then min (slots - 1) (max 1 (slots / 8)) else 0 in
-        Runtime.set_slot_reserve e reserve)
-      engines;
-    hedged := ov.hedged_retries && lvl < 2;
-    Trace.degrade_step trace ~level:lvl
-  in
-  let ladder_tick () =
-    if ov.degradation && tm.now >= tm.window_end then begin
-      (* Re-evaluate burn-rate alerts at every window boundary so alerts
-         also clear while a tenant is idle (its windows slide empty). *)
-      (match slos with
-      | Some (_, arr) -> Array.iteri slo_transitions arr
-      | None -> ());
-      (* SLO-aware trigger: shedding starts when any tenant is burning
-         its fast error-budget window, not only on queue sojourn. *)
-      let overloaded = !window_sheds > 0 || !burning > 0 in
-      window_sheds := 0;
-      while tm.window_end <= tm.now do
-        tm.window_end <- tm.window_end +. window_len
-      done;
-      if overloaded then begin
-        incr over_windows;
-        calm_windows := 0
-      end
-      else begin
-        incr calm_windows;
-        over_windows := 0
-      end;
-      if !over_windows >= 2 && !ladder_level < 3 then begin
-        over_windows := 0;
-        apply_level (!ladder_level + 1)
-      end
-      else if !calm_windows >= 2 && !ladder_level > 0 then begin
-        calm_windows := 0;
-        apply_level (!ladder_level - 1)
-      end
-    end
-  in
-  (* --- retirement: the ways a request ends without a result --- *)
-  let kill_live r =
-    match r.inst with Some i when Runtime.live i -> Runtime.kill i | _ -> ()
-  in
-  (* An abort: the activation ends without a result. *)
-  let abort r =
-    t_failed.(r.id) <- t_failed.(r.id) + 1;
-    slo_record r.id ~good:false;
-    Trace.request_end trace ~tenant:r.id ~ok:false;
-    r.act <- None
-  in
-  (* A failure: an abort that also feeds the tenant's breaker and ends the
-     logical request, so the slot's next request runs on a fresh seed. The
-     caller re-arms the slot. *)
-  let fail r =
-    incr failed;
-    abort r;
-    breaker_failure r.id;
-    r.seq <- r.seq + 1;
-    r.parked <- false;
-    r.bk_admitted <- false
-  in
-  (* A shed: the client behind the refused request gives up and issues a
-     fresh one later. An admission shed ([Some reason]) also re-opens a
-     half-open breaker whose probe it refused; the ladder's priority shed
-     ([None]) leaves the probe outstanding. *)
-  let shed r reason =
-    (match reason with
-    | None -> incr shed_priority
-    | Some Runtime.Shed_sojourn ->
-        incr shed_sojourn;
-        incr window_sheds
-    | Some Runtime.Shed_rate_limited -> incr shed_rate_limited
-    | Some Runtime.Shed_queue_full ->
-        incr shed_queue_full;
-        incr window_sheds);
-    t_shed.(r.id) <- t_shed.(r.id) + 1;
-    slo_record r.id ~good:false;
-    (match breakers with
-    | Some arr when reason <> None && Breaker.state arr.(r.id) = Breaker.Half_open ->
-        breaker_failure r.id
-    | _ -> ());
-    r.parked <- false;
-    r.bk_admitted <- false;
-    rearm r io_delay
-  in
-  (* Crash recovery / slot acquisition: get a slot through admission (the
-     CoDel path when armed, the bounded FIFO retry queue otherwise).
-     Returns false while the request must wait or was shed. *)
-  let ensure_instance r =
-    match r.inst with
-    | Some i when Runtime.live i -> true
-    | _ ->
-        if !inst_fail_budget > 0 then begin
-          (* Chaos: transient instantiate failure — behaves like a full
-             pool; the request retries next epoch. *)
-          decr inst_fail_budget;
-          Ready.set_due ready r.id (tm.now +. cfg.epoch_ns) ~now:tm.now;
-          false
-        end
-        else begin
-          match Runtime.admit engines.(r.proc) ~ticket:r.id ~tenant:r.id ~now:tm.now with
-          | `Ready inst ->
-              if r.had_inst then incr recycles;
-              r.had_inst <- true;
-              r.parked <- false;
-              r.inst <- Some inst;
-              true
-          | `Wait ->
-              if ov.admission <> None then r.parked <- true;
-              Ready.set_due ready r.id (tm.now +. cfg.epoch_ns) ~now:tm.now;
-              false
-          | `Shed reason ->
-              if ov.admission = None then begin
-                (* Legacy FIFO reject: keep the historical epoch retry (and
-                   its PRNG stream) byte-for-byte. *)
-                Ready.set_due ready r.id (tm.now +. cfg.epoch_ns) ~now:tm.now;
-                false
-              end
-              else begin
-                shed r (Some reason);
-                false
-              end
-        end
-  in
-  (* Blast radius of a crash. Under multiprocess scaling a trap is a process
-     death: every co-resident instance dies and its in-flight request is
-     aborted. Under ColorGuard only the faulting instance is torn down. *)
-  let crash_process proc ~except =
-    Array.iter
-      (fun r2 ->
-        if r2.proc = proc && r2.id <> except then begin
-          if r2.act <> None then begin
-            incr collateral;
-            abort r2
-          end;
-          kill_live r2;
-          Ready.set_due ready r2.id (tm.now +. f.respawn_ns) ~now:tm.now
-        end)
-      requests;
-    tm.now <- tm.now +. f.respawn_ns;
-    tm.busy <- tm.busy +. f.respawn_ns
-  in
-  (* A step that trapped or hit the watchdog. Hedged retries (until the
-     ladder downgrades them at L2) resubmit the failed request next epoch
-     instead of after a full IO round-trip. *)
-  let retry_delay () = if !hedged then cfg.epoch_ns else io_delay () in
-  let fail_request r ~is_crash =
-    fail r;
-    freeze_flight "fault";
-    (match cfg.mode with
-    | Multiprocess _ when is_crash -> crash_process r.proc ~except:r.id
-    | _ -> ());
-    rearm r retry_delay
-  in
-  let run_request r =
-    if
-      !ladder_level >= 3 && r.act = None && (not r.parked) && ov.low_priority r.id
-    then begin
-      (* L3: shed low-priority arrivals outright. Reason code 3 in the
-         trace = priority shed (the runtime codes cover 0-2). *)
-      shed r None;
-      Trace.admission_shed trace ~tenant:r.id ~sojourn:0 ~reason:3
-    end
-    else if r.act <> None || r.parked || r.bk_admitted || breaker_allow r then begin
-      if ensure_instance r then begin
-        let inst = match r.inst with Some i -> i | None -> assert false in
-        let arrival = Float.Array.get arrived r.id in
-        let completed_now = ref false in
-        let act =
-          match r.act with
-          | Some a -> a
-          | None ->
-              let seed = Int64.of_int (1 + r.id + (r.seq * 8191)) in
-              let a = Runtime.start_call ?deadline_fuel inst (draw_entry r.id) [ seed ] in
-              r.act <- Some a;
-              Float.Array.set started r.id tm.now;
-              Trace.request_begin trace ~tenant:r.id;
-              a
-        in
-        (* Tenant-attributed superblock occupancy: the engine's counters are
-           monotonic across requests, so per-slice deltas sum cleanly even
-           when the instance is killed or recycled mid-request. *)
-        let mach = Runtime.machine engines.(r.proc) in
-        let sb0 = Machine.superblock_retired mach in
-        let in0 = Machine.instructions mach in
-        (match Runtime.step act ~fuel:epoch_fuel with
-        | `Done v ->
-            incr completed;
-            checksum := !checksum + Int64.to_int (Int64.logand v 0xFFFFFFFFL);
-            completed_now := true;
-            r.act <- None;
-            r.seq <- r.seq + 1;
-            (* High-churn mode: every request runs on a fresh instance, the
-               §6.4.3 FaaS pattern. Release recycles the slot (dirty pages
-               revert to the image); the next request re-instantiates. *)
-            if cfg.churn then Runtime.release inst;
-            r.bk_admitted <- false;
-            rearm r io_delay
-        | `Trapped _ ->
-            (* The sandbox crashed; Runtime.step already killed the instance
-               and recycled its slot. The request failed — count it, never
-               abort the simulation. *)
-            fail_request r ~is_crash:true
-        | `Fault Runtime.Fuel_exhausted ->
-            (* Watchdog kill: runaway loop exceeded its deadline. *)
-            incr watchdog_kills;
-            fail_request r ~is_crash:false
-        | `Fault _ ->
-            (* Instance died under us (e.g. collateral of a neighbour's
-               crash); retry on a fresh instance. *)
-            fail_request r ~is_crash:false
-        | `More -> () (* preempted; stays ready *));
-        t_sb.(r.id) <- t_sb.(r.id) + (Machine.superblock_retired mach - sb0);
-        t_instr.(r.id) <-
-          t_instr.(r.id) + (Machine.instructions mach - in0);
-        charge r.proc;
-        (* Latency is measured after [charge] so it includes the execution
-           time the engine just billed; the failure paths above keep their
-           pre-charge due times (retry, respawn) unchanged. *)
-        if !completed_now then begin
-          t_completed.(r.id) <- t_completed.(r.id) + 1;
-          let lat = tm.now -. Float.Array.get started r.id in
-          let e2e = tm.now -. arrival in
-          (match ov.request_deadline_ns with
-          | Some d when e2e > d -> incr deadline_misses
-          | _ -> ());
-          breaker_slow r.id lat;
-          Trace.request_end trace ~tenant:r.id ~ok:true;
-          (* The exemplar points at the request-end event just stored, so
-             a percentile spike links to the exact span in the export. *)
-          Hist.record_exemplar t_lat.(r.id) lat
-            ~index:(max 0 (Trace.length trace - 1));
-          Hist.record t_e2e.(r.id) e2e;
-          slo_record r.id ~good:(slo_good lat)
-        end
-      end
-    end
-  in
-  (* --- chaos: seeded perturbations applied to the live run --- *)
-  let chaos_pending =
-    ref (List.sort (fun a b -> compare a.at_ns b.at_ns) cfg.chaos)
-  in
-  let next_chaos_time () =
-    match !chaos_pending with ev :: _ -> ev.at_ns | [] -> infinity
-  in
-  let chaos_index = ref 0 in
-  let chaos_think () = Prng.exponential chaos_rng ~mean:cfg.io_mean_ns in
-  let apply_chaos ev =
-    let victim = ref (-1) in
-    (match ev.action with
-    | Chaos_kill -> (
-        (* Kill a random in-flight instance: the victim's request fails
-           (attributed to the victim alone — that's the blast-radius
-           invariant the harness checks) and the slot recycles. *)
-        let candidates =
-          Array.to_list requests
-          |> List.filter (fun r ->
-                 r.act <> None
-                 && match r.inst with Some i -> Runtime.live i | None -> false)
-        in
-        match candidates with
-        | [] -> ()
-        | l ->
-            let r = List.nth l (Prng.int chaos_rng (List.length l)) in
-            victim := r.id;
-            incr chaos_kills;
-            fail r;
-            kill_live r;
-            rearm r chaos_think)
-    | Chaos_latency { factor; window_ns } ->
-        tm.latency_factor <- factor;
-        tm.latency_until <- tm.now +. window_ns
-    | Chaos_instantiate_fail n -> inst_fail_budget := !inst_fail_budget + n);
-    incr chaos_applied;
-    freeze_flight
-      (match ev.action with
-      | Chaos_kill -> "chaos.kill"
-      | Chaos_latency _ -> "chaos.latency"
-      | Chaos_instantiate_fail _ -> "chaos.instantiate_fail");
-    (match cfg.on_perturbation with
-    | Some fn ->
-        fn
-          {
-            cr_index = !chaos_index;
-            cr_at_ns = ev.at_ns;
-            cr_action = ev.action;
-            cr_victim = !victim;
-            cr_failed = Array.copy t_failed;
-          }
-    | None -> ());
-    incr chaos_index
-  in
-  let chaos_tick () =
-    if tm.latency_until > 0.0 && tm.now >= tm.latency_until then begin
-      tm.latency_factor <- 1.0;
-      tm.latency_until <- 0.0
-    end;
-    let draining = ref true in
-    while !draining do
-      match !chaos_pending with
-      | ev :: rest when ev.at_ns <= tm.now ->
-          chaos_pending := rest;
-          apply_chaos ev
-      | _ -> draining := false
-    done
-  in
-  (* Scheduler. The legacy scan picks the lowest-index ready request, so a
-     started request runs to completion before anything behind it starts:
-     slots are barely contended and overload shows up as silent starvation
-     of high-index tenants. [fair_scheduling] switches to a round-robin
-     cursor (processor sharing): every ready request gets an epoch in
-     turn, in-flight requests hold their slots across preemption, and
-     excess demand queues at admission — the regime the overload stack is
-     built for. Off by default to keep earlier figures reproducible. *)
-  let rr_cursor = ref 0 in
-  let n_requests = Array.length requests in
-  (* The first ready slot of process [proc] ([-1]: any) at or after the
-     cursor, cyclically; [-1] if none. The legacy scan is the same scan
-     with the cursor parked at 0. *)
-  let ready_in proc =
-    Ready.advance ready ~now:tm.now;
-    let i = Ready.pick ready ~cursor:!rr_cursor ~proc in
-    if i >= 0 && cfg.fair_scheduling then rr_cursor := (i + 1) mod n_requests;
-    i
-  in
-  let switch_to proc =
-    incr context_switches;
-    tm.now <- tm.now +. os_switch_ns;
-    tm.busy <- tm.busy +. os_switch_ns;
-    (* The incoming process finds the shared TLB polluted by whoever ran in
-       between: model as a flush of its TLB state. *)
-    Machine.flush_tlb (Runtime.machine engines.(proc));
-    current_proc := proc;
-    tm.slice_start <- tm.now
-  in
-  (* Nothing is ready: jump to the next due slot or chaos event. Only
-     called with no slot ready, so the ready set's earliest future due
-     time is the earliest of all. *)
-  let idle_jump () =
-    let fmin (a : float) b = if a <= b then a else b in
-    let next = fmin (fmin (Ready.next_ready_time ready) (next_chaos_time ())) cfg.duration_ns in
-    if not (tm.now >= next) then tm.now <- next
-  in
-  (* The next process after the current one with a ready slot, or -1. *)
-  let other_with_work () =
-    let found = ref (-1) in
-    for k = 1 to nprocs - 1 do
-      let p = (!current_proc + k) mod nprocs in
-      if !found < 0 && ready_in p >= 0 then found := p
-    done;
-    !found
-  in
-  while tm.now < cfg.duration_ns do
-    chaos_tick ();
-    ladder_tick ();
-    match cfg.mode with
-    | Colorguard ->
-        let i = ready_in (-1) in
-        if i >= 0 then run_request requests.(i) else idle_jump ()
-    | Multiprocess _ ->
-        (* A timeslice expires: move on if someone else has work. *)
-        if tm.now -. tm.slice_start >= cfg.epoch_ns then begin
-          let p = other_with_work () in
-          if p >= 0 then switch_to p else tm.slice_start <- tm.now
-        end;
-        let i = ready_in !current_proc in
-        if i >= 0 then run_request requests.(i)
-        else begin
-          let p = other_with_work () in
-          if p >= 0 then switch_to p else idle_jump ()
-        end
   done;
   (* Balance the trace: activations still in flight when the simulated
      duration expires get their span closed (not counted as failures). *)
   Array.iter
-    (fun r -> if r.act <> None then Trace.request_end trace ~tenant:r.id ~ok:false)
-    requests;
+    (fun r -> if r.act <> None then Trace.request_end st.trace ~tenant:r.id ~ok:false)
+    st.requests;
   (* Final burn-rate sweep so [slo_burning_at_end] reflects the stream's
      last state, then stamp the ring's fingerprint into the exemplars. *)
-  (match slos with
-  | Some (_, arr) -> Array.iteri slo_transitions arr
-  | None -> ());
-  if Trace.enabled trace then begin
-    let fp = Trace.fingerprint trace in
-    Array.iter (fun h -> Hist.seal_exemplars h fp) t_lat
+  Option.iter (Array.iteri (slo_transitions st)) st.slos;
+  if Trace.enabled st.trace then begin
+    let fp = Trace.fingerprint st.trace in
+    Array.iter (fun r -> Hist.seal_exemplars r.lat fp) st.requests
   end;
-  let tenants =
-    Array.init cfg.concurrency (fun id ->
-        let lat = t_lat.(id) in
-        let pct h p = if Hist.count h = 0 then 0.0 else Hist.percentile h p in
-        let e2e = t_e2e.(id) in
-        {
-          t_id = id;
-          t_completed = t_completed.(id);
-          t_failed = t_failed.(id);
-          t_shed = t_shed.(id);
-          t_breaker_opens = t_breaker_opens.(id);
-          t_breaker_state =
-            (match breakers with
-            | None -> "-"
-            | Some arr -> Breaker.state_name (Breaker.state arr.(id)));
-          t_p50_ns = pct lat 50.0;
-          t_p95_ns = pct lat 95.0;
-          t_p99_ns = pct lat 99.0;
-          t_p99_e2e_ns = pct e2e 99.0;
-          t_sb_share =
-            (if t_instr.(id) = 0 then 0.0
-             else float_of_int t_sb.(id) /. float_of_int t_instr.(id));
-          t_burn =
-            (match slos with
-            | Some (_, arr) -> Slo.burn arr.(id) ~now:tm.now Slo.Fast
-            | None -> 0.0);
-          t_lat_hist = lat;
-          t_e2e_hist = e2e;
-        })
-  in
-  let rt = Runtime.merged_metrics (Array.to_list (Array.map Runtime.metrics engines)) in
-  with_rates
-    {
-      completed = !completed;
-      failed = !failed;
-      watchdog_kills = !watchdog_kills;
-      collateral_aborts = !collateral;
-      recycles = !recycles;
-      pages_zeroed = rt.Runtime.m_pages_zeroed_on_recycle;
-      admitted = rt.Runtime.m_admitted;
-      shed_sojourn = !shed_sojourn;
-      shed_rate_limited = !shed_rate_limited;
-      shed_queue_full = !shed_queue_full;
-      shed_priority = !shed_priority;
-      deadline_misses = !deadline_misses;
-      breaker_opens = !breaker_opens;
-      breaker_fast_fails = !breaker_fast_fails;
-      breakers_open_at_end = breakers_open ();
-      degrade_steps = !degrade_steps;
-      max_degrade_level = !max_degrade_level;
-      chaos_applied = !chaos_applied;
-      chaos_kills = !chaos_kills;
-      slo_burn_starts = !slo_burn_starts;
-      slo_burn_stops = !slo_burn_stops;
-      slo_burning_at_end = !burning;
-      (* The four rates are [with_rates]'s. *)
-      throughput_rps = 0.0;
-      goodput_rps = 0.0;
-      availability = 1.0;
-      capacity_rps = 0.0;
-      context_switches = !context_switches;
-      user_transitions = rt.Runtime.m_transitions;
-      dtlb_misses =
-        Array.fold_left (fun acc e -> acc + Machine.dtlb_misses (Runtime.machine e)) 0 engines;
-      checksum = Int64.of_int !checksum;
-      simulated_ns = tm.now;
-      cpu_busy_ns = tm.busy;
-      tenants;
-    }
+  with_rates { (totals st) with tenants = tenant_stats st }
 
 let throughput_gain ~workload ~processes cfg =
   (* Capacity per core-second: below CPU saturation both strategies finish
