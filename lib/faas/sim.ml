@@ -485,11 +485,11 @@ let burning st = count (fun s -> Slo.alerting s Slo.Fast) st.slos
    rates and the per-tenant breakdown are left to [run]. *)
 let totals st =
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 st.requests in
-  let shed code = sum (fun t -> t.n_shed.(code)) in
+  let shed code = sum (fun r -> r.n_shed.(code)) in
   let rt = Runtime.merged_metrics (Array.to_list (Array.map Runtime.metrics st.engines)) in
   {
-    completed = sum (fun t -> t.n_completed);
-    failed = sum (fun t -> t.n_failed) - st.collateral;
+    completed = sum (fun r -> r.n_completed);
+    failed = sum (fun r -> r.n_failed) - st.collateral;
     watchdog_kills = st.watchdog_kills;
     collateral_aborts = st.collateral;
     recycles = st.recycles;
@@ -500,7 +500,7 @@ let totals st =
     shed_queue_full = shed (Runtime.shed_reason_code Runtime.Shed_queue_full);
     shed_priority = shed priority_shed;
     deadline_misses = st.deadline_misses;
-    breaker_opens = sum (fun t -> t.n_breaker_opens);
+    breaker_opens = sum (fun r -> r.n_breaker_opens);
     breaker_fast_fails = st.breaker_fast_fails;
     breakers_open_at_end = breakers_open st;
     degrade_steps = st.degrade_steps;

@@ -610,9 +610,11 @@ let test_request_allocation_bound () =
     (Printf.sprintf "%.1f minor words per request <= 100" words)
     true (words <= 100.0)
 
-(* The churn path's bound: 302 words when set, plus 3%. [charge] reads
-   the lifecycle counters without building a [Runtime.metrics] record, and
-   the run's floats stay unboxed. *)
+(* The churn path's bound: 301.7 words when the bound was set, plus 3%,
+   since the count moves by a few words with what ran earlier in the
+   process (303.3 after the whole suite). [charge] reads the lifecycle
+   counters without building a [Runtime.metrics] record (315.7 words when
+   it did), and the run's floats stay unboxed. *)
 let test_churn_allocation_bound () =
   let words = minor_words_per_churn_request () in
   Alcotest.(check bool)
