@@ -57,15 +57,22 @@ let section title = emit (Printf.sprintf "\n=== %s ===\n\n" title)
 let note fmt = Printf.ksprintf (fun s -> emit (s ^ "\n")) fmt
 let print_table t = emit (Table.render t ^ "\n")
 
+(* What the regression gate does with a published metric. An [Exact]
+   metric is a pure function of the code and its seeds (a simulated
+   counter, or a rate or ratio of simulated quantities) and must reproduce
+   the baseline. A [Host] metric times the host machine: reported, never
+   gated. *)
+type metric_class = Exact | Host
+
 (* Named numeric results an experiment wants machine-readable: collected
    per domain like [emit], attached to the experiment's JSON entry as a
    "metrics" object. *)
-let metrics_key : (string * float) list ref Domain.DLS.key =
+let metrics_key : (string * (metric_class * float)) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let metric name v =
+let metric cls name v =
   let r = Domain.DLS.get metrics_key in
-  r := (name, v) :: !r
+  r := (name, (cls, v)) :: !r
 
 (* [f ()] and the host seconds it took. *)
 let timed f =
@@ -686,11 +693,11 @@ let overload () =
   print_table t;
   let retention = ctl.Sim.goodput_rps /. base.Sim.goodput_rps in
   let collapse = un.Sim.goodput_rps /. base.Sim.goodput_rps in
-  metric "overload_baseline_goodput_rps" base.Sim.goodput_rps;
-  metric "overload_uncontrolled_goodput_rps" un.Sim.goodput_rps;
-  metric "overload_controlled_goodput_rps" ctl.Sim.goodput_rps;
-  metric "overload_goodput_retention" retention;
-  metric "overload_uncontrolled_retention" collapse;
+  metric Exact "overload_baseline_goodput_rps" base.Sim.goodput_rps;
+  metric Exact "overload_uncontrolled_goodput_rps" un.Sim.goodput_rps;
+  metric Exact "overload_controlled_goodput_rps" ctl.Sim.goodput_rps;
+  metric Exact "overload_goodput_retention" retention;
+  metric Exact "overload_uncontrolled_retention" collapse;
   note
     "At 2x load the uncontrolled queue serves everyone late (goodput x%.2f); shedding at \
      admission keeps served requests inside the SLO (goodput x%.2f)."
@@ -703,8 +710,8 @@ let overload () =
   let opens =
     Array.fold_left (fun acc t -> acc + t.Sim.t_breaker_opens) 0 crash.Sim.tenants
   in
-  metric "overload_healthy_p99_ms" (p99_crash /. 1e6);
-  metric "overload_crash_breaker_opens" (float_of_int opens);
+  metric Exact "overload_healthy_p99_ms" (p99_crash /. 1e6);
+  metric Exact "overload_crash_breaker_opens" (float_of_int opens);
   note
     "Crash-looping tenant 0: breaker opened %d times, %d fast-fails; healthy-tenant p99 \
      %.2f ms vs %.2f ms with no misbehaver."
@@ -777,7 +784,7 @@ let lifecycle () =
   List.iter
     (fun dirty ->
       let ns, zeroed = warm_cycle engine ~dirty ~reps in
-      metric (Printf.sprintf "warm_cycle_ns_dirty_%d" dirty) ns;
+      metric Host (Printf.sprintf "warm_cycle_ns_dirty_%d" dirty) ns;
       Table.add_row t
         [ string_of_int dirty; Printf.sprintf "%.0f" ns; Printf.sprintf "%.1f" zeroed ])
     [ 0; 4; 16; 64; 256 ];
@@ -787,7 +794,7 @@ let lifecycle () =
   let dirty = 16 in
   let small, _ = warm_cycle (fresh_engine 2) ~dirty ~reps in
   let large, _ = warm_cycle (fresh_engine 128) ~dirty ~reps in
-  metric "warm_cycle_heap_ratio" (large /. small);
+  metric Host "warm_cycle_heap_ratio" (large /. small);
   note
     "Heap-size independence: %d dirty pages cost %.0f ns to recycle on a 128 KiB heap, %.0f \
      ns on an 8 MiB heap (ratio %.2fx; O(min_pages) recycling would be 64x)."
@@ -804,8 +811,8 @@ let lifecycle () =
         done)
   in
   let cold_rate = float_of_int n /. cold_s and warm_rate = float_of_int n /. warm_s in
-  metric "cold_instantiations_per_s" cold_rate;
-  metric "warm_instantiations_per_s" warm_rate;
+  metric Host "cold_instantiations_per_s" cold_rate;
+  metric Host "warm_instantiations_per_s" warm_rate;
   let m = Runtime.metrics rate_engine in
   note
     "Instantiation rate: %.0f/s cold (map host block + attach CoW backing), %.0f/s warm \
@@ -835,9 +842,9 @@ let lifecycle () =
   let full_ns, full_m = class_cost Runtime.Full in
   let ro_ns, ro_m = class_cost Runtime.Readonly in
   let pure_ns, pure_m = class_cost Runtime.Pure in
-  metric "hostcall_full_ns" full_ns;
-  metric "hostcall_readonly_ns" ro_ns;
-  metric "hostcall_pure_ns" pure_ns;
+  metric Exact "hostcall_full_ns" full_ns;
+  metric Exact "hostcall_readonly_ns" ro_ns;
+  metric Exact "hostcall_pure_ns" pure_ns;
   let ct = Table.create ~headers:[ "hostcall class"; "ns/invoke"; "pkru writes elided" ] in
   Table.add_row ct
     [ "full"; Printf.sprintf "%.1f" full_ns; string_of_int full_m.Runtime.m_pkru_writes_elided ];
@@ -865,9 +872,9 @@ let lifecycle () =
   let cow = Sim.run (churn_cfg false) in
   let legacy = Sim.run (churn_cfg true) in
   let ratio = cow.Sim.goodput_rps /. legacy.Sim.goodput_rps in
-  metric "faas_churn_goodput_cow_rps" cow.Sim.goodput_rps;
-  metric "faas_churn_goodput_legacy_rps" legacy.Sim.goodput_rps;
-  metric "faas_churn_goodput_ratio" ratio;
+  metric Exact "faas_churn_goodput_cow_rps" cow.Sim.goodput_rps;
+  metric Exact "faas_churn_goodput_legacy_rps" legacy.Sim.goodput_rps;
+  metric Exact "faas_churn_goodput_ratio" ratio;
   let ft = Table.create ~headers:[ "lifecycle model"; "goodput rps"; "recycles"; "pages zeroed" ] in
   Table.add_row ft
     [ "legacy O(min_pages)"; Table.cell_float legacy.Sim.goodput_rps;
@@ -1052,7 +1059,7 @@ let engine_compare () =
   print_table t;
   let rs = List.fold_left (fun a (r, _) -> a +. r) 0.0 pairs
   and cs = List.fold_left (fun a (_, c) -> a +. c) 0.0 pairs in
-  metric "compiled_speedup_vs_reference" (rs /. cs);
+  metric Host "compiled_speedup_vs_reference" (rs /. cs);
   note
     "Engine ablation on this subset (identical simulated counters on every kernel): compiled \
      %.2fx reference (blocks compiled on first entry, run as slot ranges with batched charges)."
@@ -1081,8 +1088,8 @@ let engine_compare () =
   done;
   let base_s = !base_s and null_s = !null_s and ring_s = !ring_s in
   let pct x = (x -. base_s) /. base_s *. 100.0 in
-  metric "trace_null_overhead_pct" (pct null_s);
-  metric "trace_ring_overhead_pct" (pct ring_s);
+  metric Host "trace_null_overhead_pct" (pct null_s);
+  metric Host "trace_ring_overhead_pct" (pct ring_s);
   note
     "Tracing ablation (atax on the default compiled engine, best of 7): no sink %.1f ms, null sink \
      %.1f ms (%+.1f%%), ring sink %.1f ms (%+.1f%%, %d events). Null must be free; the ring \
@@ -1187,17 +1194,17 @@ let scale () =
           Printf.sprintf "%.2fx" (r.Sim.goodput_rps /. !g1);
           Printf.sprintf "%.2f" (p99 /. 1e3);
         ];
-      metric (Printf.sprintf "scale_goodput_%d_shards" k) r.Sim.goodput_rps;
-      metric (Printf.sprintf "scale_completed_%d_shards" k) (float_of_int r.Sim.completed);
-      metric
+      metric Exact (Printf.sprintf "scale_goodput_%d_shards" k) r.Sim.goodput_rps;
+      metric Exact (Printf.sprintf "scale_completed_%d_shards" k) (float_of_int r.Sim.completed);
+      metric Exact
         (Printf.sprintf "scale_transitions_%d_shards" k)
         (float_of_int rep.Shard.r_metrics.Runtime.m_transitions))
     [ 1; 2; 4; 8 ];
   print_table t;
-  metric "scale_offered_arrivals" (float_of_int offered);
+  metric Exact "scale_offered_arrivals" (float_of_int offered);
   let g of_k = List.assoc of_k !goodputs in
   let speedup4 = g 4 /. g 1 in
-  metric "scale_speedup_4_shards" speedup4;
+  metric Exact "scale_speedup_4_shards" speedup4;
   note
     "%d arrivals offered; goodput scales x%.2f at 2 shards, x%.2f at 4 (per simulated \
      second; shards serve on independent simulated cores)."
@@ -1273,7 +1280,7 @@ type outcome = {
   o_wall_s : float;
   o_instructions : int;  (** simulated instructions retired by this experiment *)
   o_failed : bool;
-  o_metrics : (string * float) list;  (** named scalars published via [metric] *)
+  o_metrics : (string * (metric_class * float)) list;  (** named scalars published via [metric] *)
 }
 
 let run_one (name, f) =
@@ -1308,17 +1315,9 @@ let run_one (name, f) =
       && rt.Runtime.m_instantiations_warm = 0
     then []
     else
-      let f = float_of_int in
-      [
-        ("rt_transitions", f rt.Runtime.m_transitions);
-        ("rt_calls_pure", f rt.Runtime.m_calls_pure);
-        ("rt_calls_readonly", f rt.Runtime.m_calls_readonly);
-        ("rt_calls_full", f rt.Runtime.m_calls_full);
-        ("rt_pkru_writes_elided", f rt.Runtime.m_pkru_writes_elided);
-        ("rt_pages_zeroed_on_recycle", f rt.Runtime.m_pages_zeroed_on_recycle);
-        ("rt_instantiations_cold", f rt.Runtime.m_instantiations_cold);
-        ("rt_instantiations_warm", f rt.Runtime.m_instantiations_warm);
-      ]
+      List.map
+        (fun (k, _, get) -> ("rt_" ^ k, (Exact, float_of_int (get rt))))
+        Runtime.counters
   in
   let metrics = List.rev !(Domain.DLS.get metrics_key) @ rt_metrics in
   Domain.DLS.get out_key := None;
@@ -1401,7 +1400,9 @@ let write_json file outcomes ~jobs ~total_wall_s =
         | [] -> ""
         | ms ->
             let fields =
-              List.map (fun (k, v) -> Printf.sprintf "\"%s\": %.3f" (json_escape k) v) ms
+              List.map
+                (fun (k, (_, v)) -> Printf.sprintf "\"%s\": %.3f" (json_escape k) v)
+                ms
             in
             Printf.sprintf ", \"metrics\": { %s }" (String.concat ", " fields)
       in
@@ -1415,34 +1416,9 @@ let write_json file outcomes ~jobs ~total_wall_s =
 
 (* --- perf-regression gate (--check-baseline) -------------------------- *)
 
-(* Tolerance class per baseline metric. Deterministic simulation counters
-   must reproduce exactly — the sim is a pure function of its seed, so any
-   drift is a real behavior change, not noise. Host wall-clock timings
-   (cycle/hostcall ns, instantiation rates, speedups, trace overheads) are
-   skipped: they measure the CI machine, not the code. Everything else —
-   simulated-time rates and ratios — gets a relative band. *)
-type tolerance = Exact | Rel of float | Skip
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-let tolerance_of name =
-  let prefixed p =
-    String.length name >= String.length p && String.sub name 0 (String.length p) = p
-  in
-  if
-    prefixed "rt_" || prefixed "scale_completed" || prefixed "scale_transitions"
-    || prefixed "scale_offered"
-    || name = "overload_crash_breaker_opens"
-  then Exact
-  else if
-    contains name "_ns" || contains name "_per_s" || contains name "per_sec"
-    || contains name "speedup" || contains name "overhead" || contains name "heap_ratio"
-  then Skip
-  else Rel 0.25
-
+(* Each baseline metric of an experiment this run covers is compared as
+   its [metric] call classed it: [Exact] to the baseline's 3 printed
+   decimals, [Host] not at all. *)
 let check_baseline file outcomes =
   let module T = Sfi_trace.Trace in
   let failures = ref 0 in
@@ -1505,31 +1481,21 @@ let check_baseline file outcomes =
                         (Printf.sprintf
                            "%s: metric %s present in baseline but missing from this run"
                            name k)
-                  | Some cv -> (
-                      match tolerance_of k with
-                      | Skip -> incr skipped
-                      | Exact ->
-                          incr checked;
-                          (* The baseline JSON rounds to 3 decimals. *)
-                          if Float.abs (cv -. bv) > 0.0005 then
-                            complain
-                              (Printf.sprintf
-                                 "%s: %s = %.3f, baseline %.3f (deterministic counter \
-                                  must match exactly)"
-                                 name k cv bv)
-                      | Rel tol ->
-                          incr checked;
-                          let denom = Float.max (Float.abs bv) 1e-6 in
-                          if Float.abs (cv -. bv) /. denom > tol then
-                            complain
-                              (Printf.sprintf
-                                 "%s: %s = %.3f, baseline %.3f (beyond the ±%.0f%% band)"
-                                 name k cv bv (100.0 *. tol))))
+                  | Some (Host, _) -> incr skipped
+                  | Some (Exact, cv) ->
+                      incr checked;
+                      (* The baseline JSON rounds to 3 decimals. *)
+                      if Float.abs (cv -. bv) > 0.0005 then
+                        complain
+                          (Printf.sprintf
+                             "%s: %s = %.3f, baseline %.3f (deterministic metric must \
+                              match exactly)"
+                             name k cv bv))
               | _ -> ())
             bmetrics)
     baseline_exps;
   Printf.printf
-    "regress: %d metric(s) checked against %s (%d host-timing metrics skipped), %d \
+    "regress: %d metric(s) checked against %s (%d host metrics skipped), %d \
      violation(s)\n%!"
     !checked file !skipped !failures;
   !failures = 0

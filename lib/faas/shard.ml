@@ -314,19 +314,7 @@ let result_fingerprint (r : Sim.result) =
 let metrics_fingerprint (m : Runtime.metrics) =
   let h = ref 0xCBF29CE484222325L in
   let mixi v = h := Int64.mul (Int64.logxor !h (Int64.of_int v)) 0x100000001B3L in
-  mixi m.Runtime.m_transitions;
-  mixi m.Runtime.m_calls_pure;
-  mixi m.Runtime.m_calls_readonly;
-  mixi m.Runtime.m_calls_full;
-  mixi m.Runtime.m_pkru_writes_elided;
-  mixi m.Runtime.m_pages_zeroed_on_recycle;
-  mixi m.Runtime.m_instantiations_cold;
-  mixi m.Runtime.m_instantiations_warm;
-  mixi m.Runtime.m_admitted;
-  mixi m.Runtime.m_adm_queued;
-  mixi m.Runtime.m_shed_sojourn;
-  mixi m.Runtime.m_shed_rate_limited;
-  mixi m.Runtime.m_shed_queue_full;
+  List.iter (fun (_, _, get) -> mixi (get m)) Runtime.counters;
   !h
 
 (* Global latency percentiles from the merged per-tenant histograms:

@@ -91,7 +91,8 @@ val result_fingerprint : Sim.result -> int64
     bit-identity contracts. *)
 
 val metrics_fingerprint : Sfi_runtime.Runtime.metrics -> int64
-(** FNV-1a digest of a runtime-metrics snapshot. *)
+(** FNV-1a digest of a runtime-metrics snapshot, its counters taken in
+    {!Sfi_runtime.Runtime.counters} order. *)
 
 val latency_summary : Sim.result -> float * float * float
 (** Global (p50, p95, p99) request latency in ns, computed by merging the

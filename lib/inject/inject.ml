@@ -352,8 +352,6 @@ let run_strategy name strat =
   add "neighbour-probe" "probe 2 GiB past the slab" "probe" prog [ 0x7FF0_0000L ];
   { strategy_name = name; attempts = List.rev !attempts }
 
-let run_all () = List.map (fun (name, strat) -> run_strategy name strat) strategies
-
 (* --- reporting ---------------------------------------------------------- *)
 
 let tally r =

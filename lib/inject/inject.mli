@@ -41,9 +41,6 @@ val run_strategy : string -> Sfi_core.Strategy.t -> report
 (** Compile the attack module under the strategy and run every mutation
     class against a fresh engine per mutant. *)
 
-val run_all : unit -> report list
-(** {!run_strategy} over {!strategies}. *)
-
 val tally : report -> tally
 val escapes : report -> attempt list
 

@@ -174,17 +174,13 @@ let instantiate_slot e slot =
        ok_exn "back heap"
          (Space.set_backing e.space ~addr:inst.heap ~len:(cap * wasm_page) e.heap_image);
      Hashtbl.replace e.slot_mapped_pages slot 0;
-     e.counters.instantiations_cold <- e.counters.instantiations_cold + 1;
-     (domain_counters ()).instantiations_cold <-
-       (domain_counters ()).instantiations_cold + 1;
+     bump e (fun c n -> c.m_instantiations_cold <- c.m_instantiations_cold + n) 1;
      Trace.instantiate e.trace ~sandbox:slot ~warm:false
    end
    else begin
      (* Warm slot: the recycle at release/kill time already reverted every
         page the dead tenant dirtied back to the image. *)
-     e.counters.instantiations_warm <- e.counters.instantiations_warm + 1;
-     (domain_counters ()).instantiations_warm <-
-       (domain_counters ()).instantiations_warm + 1;
+     bump e (fun c n -> c.m_instantiations_warm <- c.m_instantiations_warm + n) 1;
      Trace.instantiate e.trace ~sandbox:slot ~warm:true
    end);
   set_accessible e inst ~pages:e.min_pages;
@@ -213,9 +209,9 @@ let recycle_slot e inst =
     if cap = 0 then 0
     else dropped "heap" (Space.recycle e.space ~addr:inst.heap ~len:(cap * wasm_page))
   in
-  e.counters.pages_zeroed_on_recycle <- e.counters.pages_zeroed_on_recycle + host + heap;
-  (domain_counters ()).pages_zeroed_on_recycle <-
-    (domain_counters ()).pages_zeroed_on_recycle + host + heap;
+  bump e
+    (fun c n -> c.m_pages_zeroed_on_recycle <- c.m_pages_zeroed_on_recycle + n)
+    (host + heap);
   Trace.recycle e.trace ~sandbox:inst.id ~pages:(host + heap)
 
 let release inst =

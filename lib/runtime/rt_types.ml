@@ -58,62 +58,51 @@ let hostcall_halt = 0xFFFF
 
 let wasm_page = W.page_size
 
-(* Lifecycle and transition counters, all monotonic until [reset_metrics]. *)
-type counters = {
-  mutable transitions : int; (* one-way sandbox crossings *)
-  mutable calls_pure : int;
-  mutable calls_readonly : int;
-  mutable calls_full : int;
-  mutable pkru_writes_elided : int;
-  mutable pages_zeroed_on_recycle : int;
-  mutable instantiations_cold : int; (* first use of a slot *)
-  mutable instantiations_warm : int; (* recycled slot reuse *)
-  mutable admitted : int; (* slot grants through the admission path *)
-  mutable adm_queued : int; (* tickets parked by the admission controller *)
-  mutable adm_shed_sojourn : int; (* CoDel / ticket-deadline sheds *)
-  mutable adm_shed_rate : int; (* per-tenant token-bucket sheds *)
-  mutable adm_shed_capacity : int; (* queue-at-capacity sheds *)
+(* Lifecycle and transition counters, all monotonic until a reset swaps
+   in a fresh record. The same record is the live counters and, copied,
+   the snapshot {!Runtime.metrics} returns. *)
+type metrics = {
+  mutable m_transitions : int; (* one-way sandbox crossings *)
+  mutable m_calls_pure : int;
+  mutable m_calls_readonly : int;
+  mutable m_calls_full : int;
+  mutable m_pkru_writes_elided : int;
+  mutable m_pages_zeroed_on_recycle : int;
+  mutable m_instantiations_cold : int; (* first use of a slot *)
+  mutable m_instantiations_warm : int; (* recycled slot reuse *)
+  mutable m_admitted : int; (* slot grants through the admission path *)
+  mutable m_adm_queued : int; (* tickets parked by the admission controller *)
+  mutable m_shed_sojourn : int; (* CoDel / ticket-deadline sheds *)
+  mutable m_shed_rate_limited : int; (* per-tenant token-bucket sheds *)
+  mutable m_shed_queue_full : int; (* queue-at-capacity sheds *)
 }
 
-let fresh_counters () =
+(* The field-wise sum of [ms], and the record's only constructor: [sum []]
+   is a fresh zero record and [sum [m]] a copy of [m]. *)
+let sum ms =
+  let s get = List.fold_left (fun acc m -> acc + get m) 0 ms in
   {
-    transitions = 0;
-    calls_pure = 0;
-    calls_readonly = 0;
-    calls_full = 0;
-    pkru_writes_elided = 0;
-    pages_zeroed_on_recycle = 0;
-    instantiations_cold = 0;
-    instantiations_warm = 0;
-    admitted = 0;
-    adm_queued = 0;
-    adm_shed_sojourn = 0;
-    adm_shed_rate = 0;
-    adm_shed_capacity = 0;
+    m_transitions = s (fun m -> m.m_transitions);
+    m_calls_pure = s (fun m -> m.m_calls_pure);
+    m_calls_readonly = s (fun m -> m.m_calls_readonly);
+    m_calls_full = s (fun m -> m.m_calls_full);
+    m_pkru_writes_elided = s (fun m -> m.m_pkru_writes_elided);
+    m_pages_zeroed_on_recycle = s (fun m -> m.m_pages_zeroed_on_recycle);
+    m_instantiations_cold = s (fun m -> m.m_instantiations_cold);
+    m_instantiations_warm = s (fun m -> m.m_instantiations_warm);
+    m_admitted = s (fun m -> m.m_admitted);
+    m_adm_queued = s (fun m -> m.m_adm_queued);
+    m_shed_sojourn = s (fun m -> m.m_shed_sojourn);
+    m_shed_rate_limited = s (fun m -> m.m_shed_rate_limited);
+    m_shed_queue_full = s (fun m -> m.m_shed_queue_full);
   }
-
-let reset_counters c =
-  c.transitions <- 0;
-  c.calls_pure <- 0;
-  c.calls_readonly <- 0;
-  c.calls_full <- 0;
-  c.pkru_writes_elided <- 0;
-  c.pages_zeroed_on_recycle <- 0;
-  c.instantiations_cold <- 0;
-  c.instantiations_warm <- 0;
-  c.admitted <- 0;
-  c.adm_queued <- 0;
-  c.adm_shed_sojourn <- 0;
-  c.adm_shed_rate <- 0;
-  c.adm_shed_capacity <- 0
 
 (* Domain-local aggregate of the same counters across every engine created
    on the calling domain. Engines are often created, exercised and dropped
    inside a single workload run (e.g. {!Sfi_workloads.Kernel.run}), so a
    harness that only sees the run's result can still report
-   transition/lifecycle totals. Every per-engine counter bump mirrors into
-   this record. *)
-let domain_counters_key = Domain.DLS.new_key fresh_counters
+   transition/lifecycle totals. *)
+let domain_counters_key = Domain.DLS.new_key (fun () -> sum [])
 let domain_counters () = Domain.DLS.get domain_counters_key
 
 (* CoDel-style adaptive admission over the slot pool: a per-ticket sojourn
@@ -164,7 +153,7 @@ type engine = {
   transition_overhead_cycles : int;
   pure_springboard_cycles : int;
   readonly_springboard_cycles : int;
-  counters : counters;
+  mutable counters : metrics;
   retry_capacity : int;
   waiters : int Queue.t; (* tickets waiting for a slot, FIFO *)
   waiter_set : (int, unit) Hashtbl.t; (* same tickets, O(1) membership *)
@@ -209,3 +198,10 @@ and activation = {
 and import = { im_fn : instance -> int64 array -> int64; im_class : hostcall_class }
 
 let ok_exn what = function Ok () -> () | Error msg -> failwith (what ^ ": " ^ msg)
+
+(* Add [n] to one counter of [e] and of the domain aggregate. [add] names
+   the counter; a closed function is a static closure, so a bump
+   allocates nothing. *)
+let bump e (add : metrics -> int -> unit) n =
+  add e.counters n;
+  add (domain_counters ()) n

@@ -114,7 +114,7 @@ let create_engine ?cost ?tlb ?(fsgsbase_available = true) ?max_map_count
       transition_overhead_cycles;
       pure_springboard_cycles;
       readonly_springboard_cycles;
-      counters = fresh_counters ();
+      counters = sum [];
       retry_capacity = retry_queue_capacity;
       waiters = Queue.create ();
       waiter_set = Hashtbl.create 64;
@@ -197,11 +197,6 @@ let shed_reason_code = function
   | Shed_rate_limited -> 1
   | Shed_queue_full -> 2
 
-let shed_reason_name = function
-  | Shed_sojourn -> "sojourn"
-  | Shed_rate_limited -> "rate-limited"
-  | Shed_queue_full -> "queue-full"
-
 let default_admission =
   {
     target_delay_ns = 100_000.0;
@@ -242,11 +237,7 @@ let set_slot_reserve e n =
   e.slot_reserve <- n
 
 let admit e ~ticket ~tenant ~now =
-  let c = e.counters and dc = domain_counters () in
-  let count_admit () =
-    c.admitted <- c.admitted + 1;
-    dc.admitted <- dc.admitted + 1
-  in
+  let count_admit () = bump e (fun c n -> c.m_admitted <- c.m_admitted + n) 1 in
   match e.admission with
   | None -> (
       (* Legacy path: the blind bounded-FIFO retry queue, with rejections
@@ -257,8 +248,7 @@ let admit e ~ticket ~tenant ~now =
           r
       | `Wait -> `Wait
       | `Rejected ->
-          c.adm_shed_capacity <- c.adm_shed_capacity + 1;
-          dc.adm_shed_capacity <- dc.adm_shed_capacity + 1;
+          bump e (fun c n -> c.m_shed_queue_full <- c.m_shed_queue_full + n) 1;
           `Shed Shed_queue_full)
   | Some a -> (
       let acfg = a.acfg in
@@ -280,15 +270,11 @@ let admit e ~ticket ~tenant ~now =
       in
       let shed reason ~sojourn =
         (match reason with
-        | Shed_sojourn ->
-            c.adm_shed_sojourn <- c.adm_shed_sojourn + 1;
-            dc.adm_shed_sojourn <- dc.adm_shed_sojourn + 1
+        | Shed_sojourn -> bump e (fun c n -> c.m_shed_sojourn <- c.m_shed_sojourn + n) 1
         | Shed_rate_limited ->
-            c.adm_shed_rate <- c.adm_shed_rate + 1;
-            dc.adm_shed_rate <- dc.adm_shed_rate + 1
+            bump e (fun c n -> c.m_shed_rate_limited <- c.m_shed_rate_limited + n) 1
         | Shed_queue_full ->
-            c.adm_shed_capacity <- c.adm_shed_capacity + 1;
-            dc.adm_shed_capacity <- dc.adm_shed_capacity + 1);
+            bump e (fun c n -> c.m_shed_queue_full <- c.m_shed_queue_full + n) 1);
         Sfi_trace.Trace.admission_shed e.trace ~tenant ~sojourn:(int_of_float sojourn)
           ~reason:(shed_reason_code reason);
         `Shed reason
@@ -368,8 +354,7 @@ let admit e ~ticket ~tenant ~now =
               else begin
                 Queue.push (ticket, now) a.aqueue;
                 Hashtbl.replace a.amember ticket now;
-                c.adm_queued <- c.adm_queued + 1;
-                dc.adm_queued <- dc.adm_queued + 1;
+                bump e (fun c n -> c.m_adm_queued <- c.m_adm_queued + n) 1;
                 Sfi_trace.Trace.admission_queue e.trace ~tenant
                   ~depth:(Hashtbl.length a.amember);
                 `Wait
@@ -695,8 +680,6 @@ let arm_sanitizer e =
                                (Machine.get_pkru m) expected inst.inst_color))
                  end)))
 
-let disarm_sanitizer e = Machine.set_sanitizer e.machine None
-
 (* --- debugging accessors used by the fuzz harness --- *)
 
 let read_global inst i =
@@ -706,91 +689,49 @@ let vmctx_addr inst = inst.vmctx
 
 (* --- metrics --- *)
 
-type metrics = {
-  m_transitions : int;
-  m_calls_pure : int;
-  m_calls_readonly : int;
-  m_calls_full : int;
-  m_pkru_writes_elided : int;
-  m_pages_zeroed_on_recycle : int;
-  m_instantiations_cold : int;
-  m_instantiations_warm : int;
-  m_admitted : int;
-  m_adm_queued : int;
-  m_shed_sojourn : int;
-  m_shed_rate_limited : int;
-  m_shed_queue_full : int;
-}
-
-let metrics_of_counters c =
-  {
-    m_transitions = c.transitions;
-    m_calls_pure = c.calls_pure;
-    m_calls_readonly = c.calls_readonly;
-    m_calls_full = c.calls_full;
-    m_pkru_writes_elided = c.pkru_writes_elided;
-    m_pages_zeroed_on_recycle = c.pages_zeroed_on_recycle;
-    m_instantiations_cold = c.instantiations_cold;
-    m_instantiations_warm = c.instantiations_warm;
-    m_admitted = c.admitted;
-    m_adm_queued = c.adm_queued;
-    m_shed_sojourn = c.adm_shed_sojourn;
-    m_shed_rate_limited = c.adm_shed_rate;
-    m_shed_queue_full = c.adm_shed_capacity;
-  }
-
-let metrics e = metrics_of_counters e.counters
-let transitions e = e.counters.transitions
-let instantiations e = e.counters.instantiations_cold + e.counters.instantiations_warm
-let pages_zeroed e = e.counters.pages_zeroed_on_recycle
+let metrics e = sum [ e.counters ]
+let transitions e = e.counters.m_transitions
+let instantiations e = e.counters.m_instantiations_cold + e.counters.m_instantiations_warm
+let pages_zeroed e = e.counters.m_pages_zeroed_on_recycle
 let elapsed_ns e = Machine.elapsed_ns e.machine
 
 let reset_metrics e =
   Machine.reset_counters e.machine;
-  reset_counters e.counters
+  e.counters <- sum []
 
 (* Domain-local aggregate across every engine this domain has run —
    including engines created and dropped inside workload helpers, which a
    bench harness never sees directly. *)
-let domain_metrics () = metrics_of_counters (domain_counters ())
-let reset_domain_metrics () = reset_counters (domain_counters ())
+let domain_metrics () = sum [ domain_counters () ]
+let reset_domain_metrics () = Domain.DLS.set domain_counters_key (sum [])
+let zero_metrics = sum []
+let merged_metrics = sum
 
-let zero_metrics = metrics_of_counters (Rt_types.fresh_counters ())
-
-let add_metrics a b =
-  {
-    m_transitions = a.m_transitions + b.m_transitions;
-    m_calls_pure = a.m_calls_pure + b.m_calls_pure;
-    m_calls_readonly = a.m_calls_readonly + b.m_calls_readonly;
-    m_calls_full = a.m_calls_full + b.m_calls_full;
-    m_pkru_writes_elided = a.m_pkru_writes_elided + b.m_pkru_writes_elided;
-    m_pages_zeroed_on_recycle =
-      a.m_pages_zeroed_on_recycle + b.m_pages_zeroed_on_recycle;
-    m_instantiations_cold = a.m_instantiations_cold + b.m_instantiations_cold;
-    m_instantiations_warm = a.m_instantiations_warm + b.m_instantiations_warm;
-    m_admitted = a.m_admitted + b.m_admitted;
-    m_adm_queued = a.m_adm_queued + b.m_adm_queued;
-    m_shed_sojourn = a.m_shed_sojourn + b.m_shed_sojourn;
-    m_shed_rate_limited = a.m_shed_rate_limited + b.m_shed_rate_limited;
-    m_shed_queue_full = a.m_shed_queue_full + b.m_shed_queue_full;
-  }
-
-let merged_metrics snapshots = List.fold_left add_metrics zero_metrics snapshots
-
-let metrics_fields m =
-  let f = float_of_int in
+let counters =
   [
-    ("transitions", f m.m_transitions);
-    ("hostcalls_pure", f m.m_calls_pure);
-    ("hostcalls_readonly", f m.m_calls_readonly);
-    ("hostcalls_full", f m.m_calls_full);
-    ("pkru_writes_elided", f m.m_pkru_writes_elided);
-    ("pages_zeroed_on_recycle", f m.m_pages_zeroed_on_recycle);
-    ("instantiations_cold", f m.m_instantiations_cold);
-    ("instantiations_warm", f m.m_instantiations_warm);
-    ("admission_admitted", f m.m_admitted);
-    ("admission_queued", f m.m_adm_queued);
-    ("admission_shed_sojourn", f m.m_shed_sojourn);
-    ("admission_shed_rate_limited", f m.m_shed_rate_limited);
-    ("admission_shed_queue_full", f m.m_shed_queue_full);
+    ("transitions", "one-way sandbox crossings", fun m -> m.m_transitions);
+    ("calls_pure", "hostcalls through the pure springboard", fun m -> m.m_calls_pure);
+    ( "calls_readonly",
+      "hostcalls through the read-only springboard",
+      fun m -> m.m_calls_readonly );
+    ("calls_full", "hostcalls through the full springboard", fun m -> m.m_calls_full);
+    ( "pkru_writes_elided",
+      "PKRU writes skipped by the elision rules",
+      fun m -> m.m_pkru_writes_elided );
+    ( "pages_zeroed_on_recycle",
+      "dirty pages dropped by slot recycles",
+      fun m -> m.m_pages_zeroed_on_recycle );
+    ("instantiations_cold", "first-use slot bring-ups", fun m -> m.m_instantiations_cold);
+    ("instantiations_warm", "recycled-slot reuses", fun m -> m.m_instantiations_warm);
+    ("admission_admitted", "slot grants through admission", fun m -> m.m_admitted);
+    ( "admission_queued",
+      "tickets parked by the admission controller",
+      fun m -> m.m_adm_queued );
+    ("admission_shed_sojourn", "CoDel / ticket-deadline sheds", fun m -> m.m_shed_sojourn);
+    ( "admission_shed_rate_limited",
+      "per-tenant token-bucket sheds",
+      fun m -> m.m_shed_rate_limited );
+    ( "admission_shed_queue_full",
+      "queue-at-capacity sheds",
+      fun m -> m.m_shed_queue_full );
   ]

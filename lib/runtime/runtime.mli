@@ -194,8 +194,6 @@ type shed_reason =
 val shed_reason_code : shed_reason -> int
 (** Stable wire code ([0]/[1]/[2]) matching the trace-event reason. *)
 
-val shed_reason_name : shed_reason -> string
-
 val set_admission : engine -> admission_config option -> unit
 (** Arm (or with [None] disarm) adaptive admission. Arming resets the
     controller; parked retry-queue tickets are unaffected (the two
@@ -345,7 +343,6 @@ exception Sanitizer_violation of violation
 
 val pp_violation : Format.formatter -> violation -> unit
 val arm_sanitizer : engine -> unit
-val disarm_sanitizer : engine -> unit
 
 val read_global : instance -> int -> int64
 (** Raw bits of global [i] in the instance's vmctx — the compiled-side
@@ -363,32 +360,35 @@ val transitions : engine -> int
 
 val instantiations : engine -> int
 (** Instantiations performed, cold and warm: [m_instantiations_cold +
-    m_instantiations_warm] without building the {!metrics} record. *)
+    m_instantiations_warm] without copying the {!metrics} record. *)
 
 val pages_zeroed : engine -> int
-(** [m_pages_zeroed_on_recycle] without building the {!metrics} record. *)
+(** [m_pages_zeroed_on_recycle] without copying the {!metrics} record. *)
 
-(** Immutable snapshot of the engine's lifecycle and transition counters,
-    all monotonic until {!reset_metrics}. *)
-type metrics = {
-  m_transitions : int;  (** one-way sandbox crossings *)
-  m_calls_pure : int;  (** hostcalls through the [Pure] springboard *)
-  m_calls_readonly : int;  (** hostcalls through the [Readonly] springboard *)
-  m_calls_full : int;  (** hostcalls through the full springboard *)
-  m_pkru_writes_elided : int;
+(** The engine's lifecycle and transition counters, all monotonic until
+    {!reset_metrics}. The runtime bumps one record of this type per engine
+    and one per domain; what callers receive is a copy, a snapshot that
+    later work does not change. *)
+type metrics = private {
+  mutable m_transitions : int;  (** one-way sandbox crossings *)
+  mutable m_calls_pure : int;  (** hostcalls through the [Pure] springboard *)
+  mutable m_calls_readonly : int;  (** hostcalls through the [Readonly] springboard *)
+  mutable m_calls_full : int;  (** hostcalls through the full springboard *)
+  mutable m_pkru_writes_elided : int;
       (** [wrpkru]s a full transition would have executed but the fast path
           skipped (cheap-class hostcalls, unchanged-PKRU exits) *)
-  m_pages_zeroed_on_recycle : int;  (** total dirty pages dropped by recycles *)
-  m_instantiations_cold : int;  (** first-use slot bring-ups *)
-  m_instantiations_warm : int;  (** recycled-slot reuses *)
-  m_admitted : int;  (** slot grants through {!admit} *)
-  m_adm_queued : int;  (** tickets parked by the admission controller *)
-  m_shed_sojourn : int;  (** CoDel / ticket-deadline sheds *)
-  m_shed_rate_limited : int;  (** per-tenant token-bucket sheds *)
-  m_shed_queue_full : int;  (** queue-at-capacity sheds (incl. FIFO rejects) *)
+  mutable m_pages_zeroed_on_recycle : int;  (** total dirty pages dropped by recycles *)
+  mutable m_instantiations_cold : int;  (** first-use slot bring-ups *)
+  mutable m_instantiations_warm : int;  (** recycled-slot reuses *)
+  mutable m_admitted : int;  (** slot grants through {!admit} *)
+  mutable m_adm_queued : int;  (** tickets parked by the admission controller *)
+  mutable m_shed_sojourn : int;  (** CoDel / ticket-deadline sheds *)
+  mutable m_shed_rate_limited : int;  (** per-tenant token-bucket sheds *)
+  mutable m_shed_queue_full : int;  (** queue-at-capacity sheds (incl. FIFO rejects) *)
 }
 
 val metrics : engine -> metrics
+(** A snapshot of the engine's counters. *)
 
 val elapsed_ns : engine -> float
 val reset_metrics : engine -> unit
@@ -414,16 +414,15 @@ val reset_domain_metrics : unit -> unit
     what the sharded FaaS layer ({!Sfi_faas.Shard}) does per shard. *)
 
 val zero_metrics : metrics
-(** All-zero snapshot — the identity of {!add_metrics}. *)
-
-val add_metrics : metrics -> metrics -> metrics
-(** Field-wise sum of two snapshots. *)
+(** All-zero snapshot — the identity of {!merged_metrics}. *)
 
 val merged_metrics : metrics list -> metrics
 (** Field-wise sum of per-domain snapshots, each taken with
     {!domain_metrics} on the domain that did the work. *)
 
-val metrics_fields : metrics -> (string * float) list
-(** The snapshot as stable [(field, value)] pairs — one entry per
-    counter, in declaration order. The naming backbone for exported
-    gauges and flight-recorder snapshots. *)
+val counters : (string * string * (metrics -> int)) list
+(** Every counter once, in declaration order: its name, its help text and
+    its field. Exporters iterate this table: [sfi run --metrics-out]
+    writes each counter as the gauge [sfi_<name>_total], the bench harness
+    as the metric [rt_<name>], and {!Sfi_faas.Shard.metrics_fingerprint}
+    digests the fields in this order. *)

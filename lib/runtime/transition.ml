@@ -21,17 +21,10 @@ let wrpkru_cycles e = (Machine.cost_model e.machine).Cost.wrpkru_cycles
    they go straight onto the machine's cycle counter. *)
 let charge_cycles e n = Machine.charge_extra_cycles e.machine n
 
-(* Every per-engine counter bump mirrors into the domain-local aggregate
-   (see {!Rt_types.domain_counters}): the helpers below bump both. *)
-let count_transitions e n =
-  e.counters.transitions <- e.counters.transitions + n;
-  let d = domain_counters () in
-  d.transitions <- d.transitions + n
+let count_transitions e n = bump e (fun c n -> c.m_transitions <- c.m_transitions + n) n
 
 let count_elided e n =
-  e.counters.pkru_writes_elided <- e.counters.pkru_writes_elided + n;
-  let d = domain_counters () in
-  d.pkru_writes_elided <- d.pkru_writes_elided + n
+  bump e (fun c n -> c.m_pkru_writes_elided <- c.m_pkru_writes_elided + n) n
 
 (* Entry half of an invoke: fixed stack-switch / exception-handler setup.
    The entry-sequence [wrpkru] is real compiled code, charged by the
@@ -62,23 +55,19 @@ let charge_exit e inst =
    under the sandbox's own image — pkey 0 keeps the host block
    reachable). *)
 let charge_hostcall e inst clazz =
-  let c = e.counters and d = domain_counters () in
   count_transitions e 2;
   let cost =
     match clazz with
     | Pure ->
-        c.calls_pure <- c.calls_pure + 1;
-        d.calls_pure <- d.calls_pure + 1;
+        bump e (fun c n -> c.m_calls_pure <- c.m_calls_pure + n) 1;
         if colorguard e then count_elided e 2;
         e.pure_springboard_cycles
     | Readonly ->
-        c.calls_readonly <- c.calls_readonly + 1;
-        d.calls_readonly <- d.calls_readonly + 1;
+        bump e (fun c n -> c.m_calls_readonly <- c.m_calls_readonly + n) 1;
         if colorguard e then count_elided e 2;
         e.readonly_springboard_cycles
     | Full ->
-        c.calls_full <- c.calls_full + 1;
-        d.calls_full <- d.calls_full + 1;
+        bump e (fun c n -> c.m_calls_full <- c.m_calls_full + n) 1;
         let base = 2 * e.transition_overhead_cycles in
         if colorguard e then
           if inst.inst_color <> 0 then base + (2 * wrpkru_cycles e)

@@ -833,48 +833,29 @@ let prom_value v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%g" v
 
-(* Exposition-format escaping: HELP text escapes backslash and newline;
-   label values additionally escape the double quote. *)
-let prom_escape ~quote s =
+(* Exposition-format escaping of HELP text: backslash and newline. *)
+let prom_escape s =
   let b = Buffer.create (String.length s) in
   String.iter
     (fun c ->
       match c with
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
-      | '"' when quote -> Buffer.add_string b "\\\""
       | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
 
-let prometheus_labeled metrics =
+let prometheus metrics =
   let b = Buffer.create 512 in
-  (* One HELP/TYPE header per metric name, emitted at its first sample;
-     later samples of the same family (other label sets) follow bare. *)
+  (* One HELP/TYPE header per metric name, emitted at its first sample. *)
   let seen = Hashtbl.create 16 in
   List.iter
-    (fun (name, help, labels, v) ->
+    (fun (name, help, v) ->
       if not (Hashtbl.mem seen name) then begin
         Hashtbl.add seen name ();
-        Buffer.add_string b
-          (Printf.sprintf "# HELP %s %s\n" name (prom_escape ~quote:false help));
+        Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" name (prom_escape help));
         Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" name)
       end;
-      Buffer.add_string b name;
-      (match labels with
-      | [] -> ()
-      | ls ->
-          Buffer.add_char b '{';
-          List.iteri
-            (fun i (k, lv) ->
-              if i > 0 then Buffer.add_char b ',';
-              Buffer.add_string b
-                (Printf.sprintf "%s=\"%s\"" k (prom_escape ~quote:true lv)))
-            ls;
-          Buffer.add_char b '}');
-      Buffer.add_string b (Printf.sprintf " %s\n" (prom_value v)))
+      Buffer.add_string b (Printf.sprintf "%s %s\n" name (prom_value v)))
     metrics;
   Buffer.contents b
-
-let prometheus metrics =
-  prometheus_labeled (List.map (fun (n, h, v) -> (n, h, [], v)) metrics)

@@ -284,12 +284,5 @@ val prometheus : (string * string * float) list -> string
 (** [prometheus [(name, help, value); ...]] renders Prometheus text
     exposition format: a [# HELP] and [# TYPE ... gauge] line followed
     by the sample for each metric. HELP text is escaped per the format
-    (backslash and newline). *)
-
-val prometheus_labeled :
-  (string * string * (string * string) list * float) list -> string
-(** Like {!prometheus} with a label set per sample:
-    [(name, help, [(label, value); ...], v)] renders
-    [name{label="value",...} v]. Label values are escaped (backslash,
-    double quote, newline). Samples sharing a metric name share one
-    [# HELP]/[# TYPE] header, emitted at the first occurrence. *)
+    (backslash and newline). Samples sharing a metric name share one
+    header, emitted at the first occurrence. *)

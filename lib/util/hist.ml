@@ -19,7 +19,6 @@ type t = {
   counts : int array; (* slot 0 = zero/underflow, then n_exp * sub slots *)
   mutable n : int;
   mutable sum : float;
-  mutable vmax : float;
   mutable exemplars : exemplar option array; (* [||] until first exemplar *)
 }
 
@@ -32,14 +31,12 @@ let create ?(sub = 16) () =
     counts = Array.make (1 + (n_exp * sub)) 0;
     n = 0;
     sum = 0.0;
-    vmax = 0.0;
     exemplars = [||];
   }
 
 let sub_buckets t = t.sub
 let count t = t.n
 let total t = t.sum
-let max_recorded t = t.vmax
 
 (* The bucket of [v], read off its IEEE fields. [Float.frexp v] is
    [(m, e)] with [m] in [0.5, 1); for a normal [v], [e] is the biased
@@ -81,8 +78,7 @@ let bucket_width_at t v = width_of_slot t (index t v)
 let record_at t i v =
   t.counts.(i) <- t.counts.(i) + 1;
   t.n <- t.n + 1;
-  t.sum <- t.sum +. v;
-  if v > t.vmax then t.vmax <- v
+  t.sum <- t.sum +. v
 
 let record t v = record_at t (index t v) v
 
@@ -191,7 +187,6 @@ let merge dst src =
   done;
   dst.n <- dst.n + src.n;
   dst.sum <- dst.sum +. src.sum;
-  if src.vmax > dst.vmax then dst.vmax <- src.vmax;
   if Array.length src.exemplars > 0 then
     Array.iteri
       (fun i ex -> match ex with Some e -> offer_exemplar dst i e | None -> ())
@@ -203,6 +198,5 @@ let copy t =
     counts = Array.copy t.counts;
     n = t.n;
     sum = t.sum;
-    vmax = t.vmax;
     exemplars = (if Array.length t.exemplars = 0 then [||] else Array.copy t.exemplars);
   }

@@ -54,9 +54,6 @@ val total : t -> float
 (** Sum of recorded sample values (accumulated exactly, not
     reconstructed from bucket representatives). *)
 
-val max_recorded : t -> float
-(** Largest value recorded so far, [0.0] when empty. *)
-
 val percentile : t -> float -> float
 (** [percentile t p] mirrors {!Stats.percentile}: rank [p/100 * (n-1)]
     with linear interpolation between the two straddling order

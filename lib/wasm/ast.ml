@@ -10,12 +10,6 @@ let pp_value ppf = function
   | V_i32 v -> Format.fprintf ppf "%ld:i32" v
   | V_i64 v -> Format.fprintf ppf "%Ld:i64" v
 
-let value_equal a b =
-  match (a, b) with
-  | V_i32 x, V_i32 y -> Int32.equal x y
-  | V_i64 x, V_i64 y -> Int64.equal x y
-  | V_i32 _, V_i64 _ | V_i64 _, V_i32 _ -> false
-
 type functype = { params : valty list; results : valty list }
 
 let pp_functype ppf { params; results } =

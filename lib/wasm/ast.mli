@@ -21,7 +21,6 @@ type value = V_i32 of int32 | V_i64 of int64
 
 val value_ty : value -> valty
 val pp_value : Format.formatter -> value -> unit
-val value_equal : value -> value -> bool
 
 type functype = { params : valty list; results : valty list }
 (** At most one result, as in the Wasm MVP. *)

@@ -88,23 +88,6 @@ let code_size ~strategy k = (compile ~strategy k).Codegen.code_bytes
    measurement plus the domain-runtime aggregate. Lives here (not in the
    CLI) so the exposition-format lint can cover every gauge `sfi run
    --metrics-out` produces without shelling out. *)
-let runtime_gauge_help =
-  [
-    ("transitions", "one-way sandbox crossings");
-    ("hostcalls_pure", "hostcalls through the pure springboard");
-    ("hostcalls_readonly", "hostcalls through the read-only springboard");
-    ("hostcalls_full", "hostcalls through the full springboard");
-    ("pkru_writes_elided", "PKRU writes skipped by the elision rules");
-    ("pages_zeroed_on_recycle", "dirty pages dropped by slot recycles");
-    ("instantiations_cold", "first-use slot bring-ups");
-    ("instantiations_warm", "recycled-slot reuses");
-    ("admission_admitted", "slot grants through admission");
-    ("admission_queued", "tickets parked by the admission controller");
-    ("admission_shed_sojourn", "CoDel / ticket-deadline sheds");
-    ("admission_shed_rate_limited", "per-tenant token-bucket sheds");
-    ("admission_shed_queue_full", "queue-at-capacity sheds");
-  ]
-
 let prometheus_gauges m (dm : Runtime.metrics) =
   let f = float_of_int in
   [
@@ -127,11 +110,5 @@ let prometheus_gauges m (dm : Runtime.metrics) =
       f m.tier.Machine.superblock_instructions );
   ]
   @ List.map
-      (fun (field, v) ->
-        let help =
-          match List.assoc_opt field runtime_gauge_help with
-          | Some h -> h
-          | None -> field
-        in
-        ("sfi_" ^ field ^ "_total", help, v))
-      (Runtime.metrics_fields dm)
+      (fun (name, help, get) -> ("sfi_" ^ name ^ "_total", help, f (get dm)))
+      Runtime.counters

@@ -509,47 +509,35 @@ let lint_exposition text =
                Alcotest.failf "NaN sample: %s" line
          | _ -> Alcotest.failf "unparseable exposition line: %s" line)
 
+(* The exact gauge set `sfi run --metrics-out` writes for one kernel. *)
+let kernel_gauges =
+  lazy
+    (Runtime.reset_domain_metrics ();
+     let m = Kernel.run ~strategy:Sfi_core.Strategy.segue Sfi_workloads.Sightglass.gimli in
+     Kernel.prometheus_gauges m (Runtime.domain_metrics ()))
+
 let test_prometheus_lint_kernel_gauges () =
-  (* The exact gauge set `sfi run --metrics-out` writes. *)
-  Runtime.reset_domain_metrics ();
-  let m =
-    Kernel.run ~strategy:Sfi_core.Strategy.segue Sfi_workloads.Sightglass.gimli
-  in
-  let gauges = Kernel.prometheus_gauges m (Runtime.domain_metrics ()) in
+  let gauges = Lazy.force kernel_gauges in
   Alcotest.(check bool) "covers machine and runtime counters" true
     (List.length gauges >= 20);
   lint_exposition (Trace.prometheus gauges)
 
-let test_prometheus_labeled_escaping () =
-  let text =
-    Trace.prometheus_labeled
-      [
-        ("sfi_demo", "a \"quoted\" help\nwith newline", [ ("tenant", "a\\b\"c\nd") ], 1.0);
-        ("sfi_demo", "a \"quoted\" help\nwith newline", [ ("tenant", "plain") ], 2.0);
-      ]
-  in
-  lint_exposition text;
-  Alcotest.(check bool) "label backslash escaped" true
-    (let rec has i =
-       i + 4 <= String.length text && (String.sub text i 4 = "a\\\\b" || has (i + 1))
-     in
-     has 0);
-  Alcotest.(check bool) "label newline escaped" true
-    (let rec has i =
-       i + 2 <= String.length text && (String.sub text i 2 = "\\n" || has (i + 1))
-     in
-     has 0);
-  (* One HELP/TYPE header for the two samples of the shared name. *)
-  let count_sub sub =
-    let n = String.length sub in
-    let rec go i acc =
-      if i + n > String.length text then acc
-      else go (i + 1) (acc + if String.sub text i n = sub then 1 else 0)
-    in
-    go 0 0
-  in
-  Alcotest.(check int) "single HELP for a shared metric name" 1
-    (count_sub "# HELP sfi_demo")
+(* Every runtime counter is exported once, under its own gauge name and a
+   help text that says more than the name. *)
+let test_prometheus_gauge_per_counter () =
+  let gauges = Lazy.force kernel_gauges in
+  List.iter
+    (fun (name, _, _) ->
+      let gauge = "sfi_" ^ name ^ "_total" in
+      match List.filter (fun (g, _, _) -> g = gauge) gauges with
+      | [ (_, help, _) ] ->
+          if help = name || help = gauge then
+            Alcotest.failf "%s: help text is its bare name" gauge
+      | l -> Alcotest.failf "%s exported %d times" gauge (List.length l))
+    Runtime.counters;
+  let names = List.map (fun (g, _, _) -> g) gauges in
+  Alcotest.(check int) "gauge names unique" (List.length names)
+    (List.length (List.sort_uniq compare names))
 
 let tests =
   [
@@ -580,5 +568,5 @@ let tests =
     Harness.case "top golden output (plain)" test_top_golden_plain;
     Harness.case "prometheus lint over kernel gauges"
       test_prometheus_lint_kernel_gauges;
-    Harness.case "prometheus labeled escaping" test_prometheus_labeled_escaping;
+    Harness.case "prometheus gauge per runtime counter" test_prometheus_gauge_per_counter;
   ]

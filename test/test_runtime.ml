@@ -518,7 +518,7 @@ let test_domain_metrics_harvest () =
     (parent.Runtime.m_instantiations_cold + child.Runtime.m_instantiations_cold)
     merged.Runtime.m_instantiations_cold;
   Alcotest.(check bool) "zero_metrics is the identity" true
-    (Runtime.add_metrics Runtime.zero_metrics merged = merged)
+    (Runtime.merged_metrics [ Runtime.zero_metrics; merged ] = merged)
 
 (* The vmctx image is written straight into its pages. It must hold the
    same pages and bytes as the zero-filled, page-rounded template that

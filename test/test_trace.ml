@@ -306,7 +306,12 @@ let test_profiler_attributes_hot_loop () =
 let test_prometheus_format () =
   let text =
     Trace.prometheus
-      [ ("sfi_cycles_total", "Simulated cycles", 1234.0); ("sfi_ratio", "A ratio", 0.5) ]
+      [
+        ("sfi_cycles_total", "Simulated cycles", 1234.0);
+        ("sfi_ratio", "A ratio", 0.5);
+        ("sfi_demo", "a back\\slash\nand newline", 1.0);
+        ("sfi_demo", "a back\\slash\nand newline", 2.0);
+      ]
   in
   let has needle =
     let nl = String.length needle and tl = String.length text in
@@ -316,7 +321,20 @@ let test_prometheus_format () =
   Alcotest.(check bool) "help line" true (has "# HELP sfi_cycles_total Simulated cycles");
   Alcotest.(check bool) "type line" true (has "# TYPE sfi_cycles_total gauge");
   Alcotest.(check bool) "sample line" true (has "sfi_cycles_total 1234");
-  Alcotest.(check bool) "second metric" true (has "# TYPE sfi_ratio gauge")
+  Alcotest.(check bool) "second metric" true (has "# TYPE sfi_ratio gauge");
+  Alcotest.(check bool) "help backslash and newline escaped" true
+    (has "# HELP sfi_demo a back\\\\slash\\nand newline\n");
+  let count_sub sub =
+    let n = String.length sub in
+    let rec go i acc =
+      if i + n > String.length text then acc
+      else go (i + 1) (acc + if String.sub text i n = sub then 1 else 0)
+    in
+    go 0 0
+  in
+  Alcotest.(check int) "single HELP for a shared metric name" 1 (count_sub "# HELP sfi_demo");
+  Alcotest.(check int) "single TYPE for a shared metric name" 1 (count_sub "# TYPE sfi_demo");
+  Alcotest.(check int) "both samples of the shared name" 2 (count_sub "\nsfi_demo ")
 
 let test_sim_tenant_breakdown () =
   let ring = Trace.create_ring () in
