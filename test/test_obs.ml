@@ -522,6 +522,25 @@ let test_prometheus_lint_kernel_gauges () =
     (List.length gauges >= 20);
   lint_exposition (Trace.prometheus gauges)
 
+(* Escaped HELP text keeps the document lint-clean: a newline or backslash
+   in a help string stays inside its one HELP line, a double quote is
+   left as is (the format escapes it only inside label values, which this
+   exporter does not write), and a second sample of the same name follows
+   the shared header. *)
+let test_prometheus_labeled_escaping () =
+  let help = "a \"quoted\" back\\slash\nwith newline" in
+  let text = Trace.prometheus [ ("sfi_demo", help, 1.0); ("sfi_demo", help, 2.0) ] in
+  lint_exposition text;
+  Alcotest.(check (list string)) "exposition lines"
+    [
+      "# HELP sfi_demo a \"quoted\" back\\\\slash\\nwith newline";
+      "# TYPE sfi_demo gauge";
+      "sfi_demo 1";
+      "sfi_demo 2";
+      "";
+    ]
+    (String.split_on_char '\n' text)
+
 (* Every runtime counter is exported once, under its own gauge name and a
    help text that says more than the name. *)
 let test_prometheus_gauge_per_counter () =
@@ -568,5 +587,6 @@ let tests =
     Harness.case "top golden output (plain)" test_top_golden_plain;
     Harness.case "prometheus lint over kernel gauges"
       test_prometheus_lint_kernel_gauges;
+    Harness.case "prometheus labeled escaping" test_prometheus_labeled_escaping;
     Harness.case "prometheus gauge per runtime counter" test_prometheus_gauge_per_counter;
   ]
