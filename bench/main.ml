@@ -1458,6 +1458,27 @@ let check_baseline file outcomes =
     | _ -> []
   in
   let checked = ref 0 and skipped = ref 0 in
+  let baseline_metrics name =
+    List.find_map
+      (fun e ->
+        match (List.assoc_opt "name" e, List.assoc_opt "metrics" e) with
+        | Some (T.J_str n), Some (T.J_obj kvs) when n = name -> Some kvs
+        | _ -> None)
+      baseline_exps
+    |> Option.value ~default:[]
+  in
+  (* Published by this run but absent from the baseline: reported so a
+     new metric is seen, not gated until the baseline is regenerated. *)
+  let unbaselined =
+    List.concat_map
+      (fun o ->
+        let bmetrics = baseline_metrics o.o_name in
+        List.filter_map
+          (fun (k, _) ->
+            if List.mem_assoc k bmetrics then None else Some (o.o_name ^ "." ^ k))
+          o.o_metrics)
+      outcomes
+  in
   List.iter
     (fun e ->
       let name =
@@ -1496,8 +1517,9 @@ let check_baseline file outcomes =
     baseline_exps;
   Printf.printf
     "regress: %d metric(s) checked against %s (%d host metrics skipped), %d \
-     violation(s)\n%!"
-    !checked file !skipped !failures;
+     violation(s); %d published metric(s) not in the baseline, not gated%s\n%!"
+    !checked file !skipped !failures (List.length unbaselined)
+    (if unbaselined = [] then "" else ": " ^ String.concat " " unbaselined);
   !failures = 0
 
 let summarize outcomes ~total_wall_s =

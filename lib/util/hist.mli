@@ -4,7 +4,9 @@
     [2^(e-1), 2^e) is split into [sub] equal-width linear sub-buckets,
     where [sub] is a power of two so every bucket boundary is an exact
     dyadic rational (no accumulated rounding at the edges).  Recording is
-    O(1) and allocation-free on the hot path; histograms from different
+    O(1); the counts cover only the octaves recorded so far, so a
+    histogram pays memory for the range its samples span, and a record
+    allocates only when it reaches a new octave.  Histograms from different
     shards merge element-wise, and percentile queries mirror the rank
     semantics of {!Stats.percentile} — the answer is always within one
     bucket width of the exact sorted-array result (pinned by qcheck).

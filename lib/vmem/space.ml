@@ -12,17 +12,32 @@ type vma = { start : int; len : int; prot : Prot.t; pkey : int }
 type image = { img_pages : (int, Bytes.t) Hashtbl.t }
 
 (* A copy-on-write region: reads fall through to the (shared, immutable)
-   image; the first write to a page copies it into the space's private page
-   store and records it in [r_private], so recycling the region is
+   image; the first write to a page copies it into the region's own frame
+   store and records its offset in [r_dirty], so recycling the region is
    O(dirtied pages) — drop the private copies and reads revert to the
    image, exactly what madvise(MADV_DONTNEED) does to a MAP_PRIVATE file
-   mapping. *)
+   mapping.
+
+   The frame store is indexed by page offset from [r_first]: chunk
+   [off lsr chunk_shift], slot [off land (chunk_pages - 1)]. The chunk
+   index grows to the highest chunk written, never to [r_pages] (a default
+   reservation is a million pages); a chunk nothing wrote is [[||]], a slot
+   holding no frame is [no_frame]. Every frame in the store is dirty. *)
 type region = {
-  r_start : int;
-  r_len : int;
+  r_first : int; (* page number of the region's start *)
+  r_pages : int;
   r_image : image;
-  r_private : (int, unit) Hashtbl.t; (* absolute page numbers dirtied *)
+  mutable r_chunks : Bytes.t array array;
+  mutable r_dirty : int list; (* offsets of the frames in the store *)
+  mutable r_ndirty : int;
+  mutable r_shadow : int;
+      (* pages of the space's own store inside the region: privatized
+         before the region was registered, they shadow the image *)
 }
+
+let chunk_shift = 6
+let chunk_pages = 1 lsl chunk_shift
+let no_frame = Bytes.create 0
 
 (* See [epochs] in the interface. *)
 type epochs = { mutable generation : int; mutable data_epoch : int }
@@ -31,10 +46,13 @@ type t = {
   mutable vmas : vma Imap.t; (* keyed by start address *)
   mutable vma_count : int; (* [Imap.cardinal vmas], without the tree walk *)
   pages : (int, Bytes.t) Hashtbl.t;
+      (* pages outside every region, and the shadows counted in [r_shadow] *)
+  mutable region_resident : int; (* frames held by region stores *)
   mutable frames : Bytes.t list;
       (* private pages dropped since materialization, reused by the next
          fault: no more frames than the peak resident count *)
   mutable regions : region Imap.t; (* keyed by start address *)
+  mutable last_region : region; (* what [region_of_page] returned last *)
   max_map_count : int;
   epochs : epochs;
   (* [at_or_below s] is [s <= probe]: the predicate every VMA and region
@@ -44,14 +62,29 @@ type t = {
   at_or_below : int -> bool;
 }
 
+(* What [region_of_page] returns for a page no region covers; never
+   written. *)
+let no_region =
+  {
+    r_first = 0;
+    r_pages = 0;
+    r_image = { img_pages = Hashtbl.create 1 };
+    r_chunks = [||];
+    r_dirty = [];
+    r_ndirty = 0;
+    r_shadow = 0;
+  }
+
 let create ?(max_map_count = 65530) () =
   let rec t =
     {
       vmas = Imap.empty;
       vma_count = 0;
       pages = Hashtbl.create 16;
+      region_resident = 0;
       frames = [];
       regions = Imap.empty;
+      last_region = no_region;
       max_map_count;
       epochs = { generation = 0; data_epoch = 0 };
       probe = 0;
@@ -90,22 +123,62 @@ let page_info t ~addr =
 let aligned addr len =
   addr >= 0 && len > 0 && addr mod page_size = 0 && len mod page_size = 0
 
-(* What [region_of_page] returns for a page no region covers; never
-   written. *)
-let no_region =
-  { r_start = 0; r_len = 0; r_image = { img_pages = Hashtbl.create 1 }; r_private = Hashtbl.create 1 }
+let region_len r = r.r_pages lsl page_shift
 
+(* The region covering page [p], or [no_region]. A warm cycle touches one
+   region after another, so the last answer is tried first. *)
 let region_of_page t p =
-  let addr = p lsl page_shift in
-  t.probe <- addr;
-  match Imap.find_last t.at_or_below t.regions with
-  | _, r when addr < r.r_start + r.r_len -> r
-  | _ -> no_region
-  | exception Not_found -> no_region
+  let r = t.last_region in
+  let off = p - r.r_first in
+  if off >= 0 && off < r.r_pages then r
+  else begin
+    t.probe <- p lsl page_shift;
+    match Imap.find_last t.at_or_below t.regions with
+    | _, r when p < r.r_first + r.r_pages ->
+        t.last_region <- r;
+        r
+    | _ -> no_region
+    | exception Not_found -> no_region
+  end
 
-let image_page r p = Hashtbl.find_opt r.r_image.img_pages (p - (r.r_start lsr page_shift))
+(* What reads of a page nobody wrote return; never written. *)
+let zero_page = Bytes.make page_size '\000'
 
-(* Take page [p]'s private frame out of the page store and keep it for
+(* The image page at offset [off] of [r], or [zero_page]. *)
+let image_page r off =
+  match Hashtbl.find r.r_image.img_pages off with b -> b | exception Not_found -> zero_page
+
+(* The frame at offset [off] of [r]'s store, or [no_frame]. *)
+let frame r off =
+  let c = off lsr chunk_shift in
+  if c >= Array.length r.r_chunks then no_frame
+  else
+    let chunk = Array.unsafe_get r.r_chunks c in
+    if Array.length chunk = 0 then no_frame else Array.unsafe_get chunk (off land (chunk_pages - 1))
+
+(* Store [b] (a frame, or [no_frame] to clear) at offset [off] of [r],
+   growing the chunk index to reach it. *)
+let set_frame r off b =
+  let c = off lsr chunk_shift in
+  let n = Array.length r.r_chunks in
+  if c >= n then begin
+    let max_chunks = (r.r_pages + chunk_pages - 1) lsr chunk_shift in
+    let chunks = Array.make (min max_chunks (max (c + 1) (2 * n))) [||] in
+    Array.blit r.r_chunks 0 chunks 0 n;
+    r.r_chunks <- chunks
+  end;
+  let chunk = r.r_chunks.(c) in
+  let chunk =
+    if Array.length chunk > 0 then chunk
+    else begin
+      let chunk = Array.make chunk_pages no_frame in
+      r.r_chunks.(c) <- chunk;
+      chunk
+    end
+  in
+  chunk.(off land (chunk_pages - 1)) <- b
+
+(* Take page [p]'s private frame out of the space's store and keep it for
    reuse. Every caller bumps [data_epoch], which is what makes reuse safe:
    a [Bytes.t] cached from an older epoch is never read again. *)
 let release_frame t p =
@@ -115,12 +188,30 @@ let release_frame t p =
       t.frames <- b :: t.frames
   | None -> ()
 
+(* The same for the frame at offset [off] of [r]'s store, which is [b]. *)
+let release_region_frame t r off b =
+  set_frame r off no_frame;
+  t.frames <- b :: t.frames;
+  r.r_ndirty <- r.r_ndirty - 1;
+  t.region_resident <- t.region_resident - 1
+
 (* Forget a page's private copy; if a COW region covers it, its dirty set
-   must forget it too (the next write re-privatizes from the image). *)
+   forgets it too (the next write re-privatizes from the image). *)
 let drop_page t p =
-  release_frame t p;
   let r = region_of_page t p in
-  if r != no_region then Hashtbl.remove r.r_private p
+  if r == no_region then release_frame t p
+  else begin
+    let off = p - r.r_first in
+    let b = frame r off in
+    if b != no_frame then begin
+      release_region_frame t r off b;
+      r.r_dirty <- List.filter (fun o -> o <> off) r.r_dirty
+    end
+    else if r.r_shadow > 0 && Hashtbl.mem t.pages p then begin
+      release_frame t p;
+      r.r_shadow <- r.r_shadow - 1
+    end
+  end
 
 (* Does an existing VMA overlap [addr, addr+len)? Either the last one
    starting before [addr] extends into the range, or the first one
@@ -178,10 +269,37 @@ let merge_range t addr len =
   in
   merge_from (match find_vma t (addr - 1) with Some v -> v.start | None -> addr)
 
+let same_attrs a b = a.pkey = b.pkey && (a.prot == b.prot || a.prot = b.prot)
+
+(* Would [update_range] leave the layout as it is? True when the range is
+   exactly one VMA [v] that [f] keeps as it is and [merge_range] would
+   merge nothing: not [v]'s left neighbour with [v], nor [v] with its right
+   neighbour, nor that neighbour with its own successor (the merge walk
+   reaches the VMA starting at the range's end). *)
+let unchanged_by t addr len f =
+  let v = vma_at t addr in
+  v.start = addr && v.len = len
+  && same_attrs (f v) v
+  && t.vma_count <= t.max_map_count
+  && (let l = vma_at t (addr - 1) in
+      l == unmapped || not (same_attrs l v))
+  &&
+  match Imap.find_opt (addr + len) t.vmas with
+  | None -> true
+  | Some r -> (
+      (not (same_attrs r v))
+      && match Imap.find_opt (vma_end r) t.vmas with None -> true | Some n -> not (same_attrs n r))
+
 (* Apply [f] to every VMA fully inside [addr, addr+len), after splitting at
-   the edges. The range must be fully mapped. *)
+   the edges. The range must be fully mapped. A call that would change
+   nothing only bumps [generation]: the kernel shoots down TLBs on every
+   successful mprotect, changed or not. *)
 let update_range t addr len f =
   if not (aligned addr len) then Error "unaligned or empty range"
+  else if unchanged_by t addr len f then begin
+    bump_generation t;
+    Ok ()
+  end
   else begin
     let finish = addr + len in
     (* Verify full coverage before mutating. *)
@@ -242,7 +360,8 @@ let unmap t ~addr ~len =
     done;
     (* Backing registrations fully inside the range die with the mapping. *)
     t.regions <-
-      Imap.filter (fun s r -> not (s >= addr && s + r.r_len <= finish)) t.regions;
+      Imap.filter (fun s r -> not (s >= addr && s + region_len r <= finish)) t.regions;
+    t.last_region <- no_region;
     bump_generation t;
     bump_data_epoch t;
     Ok ()
@@ -278,51 +397,58 @@ let check_access t ~pkru ~addr ~len ~write =
 
 (* --- Sparse data store --- *)
 
-let zero_page = Bytes.make page_size '\000'
-
 (* The page-cache fill's read path: no option on a hit or a miss. *)
 let get_page_ro t p =
-  match Hashtbl.find t.pages p with
-  | b -> b
-  | exception Not_found -> (
-      let r = region_of_page t p in
-      match Hashtbl.find r.r_image.img_pages (p - (r.r_start lsr page_shift)) with
-      | b -> b
-      | exception Not_found -> zero_page)
+  let r = region_of_page t p in
+  if r == no_region then
+    match Hashtbl.find t.pages p with b -> b | exception Not_found -> zero_page
+  else
+    let off = p - r.r_first in
+    let b = frame r off in
+    if b != no_frame then b
+    else if r.r_shadow > 0 then
+      match Hashtbl.find t.pages p with b -> b | exception Not_found -> image_page r off
+    else image_page r off
 
-(* A page frame for a fault: a reused one when any was dropped, else a
-   fresh one. Its old contents are overwritten, by [src] or by zeros. *)
+(* A page frame for a fault, holding a copy of [src] ([zero_page] for an
+   anonymous page): a reused one when any was dropped, else a fresh one. *)
 let new_frame t src =
-  match (t.frames, src) with
-  | b :: rest, Some img ->
+  match t.frames with
+  | b :: rest ->
       t.frames <- rest;
-      Bytes.blit img 0 b 0 page_size;
+      if src == zero_page then Bytes.fill b 0 page_size '\000'
+      else Bytes.blit src 0 b 0 page_size;
       b
-  | b :: rest, None ->
-      t.frames <- rest;
-      Bytes.fill b 0 page_size '\000';
-      b
-  | [], Some img -> Bytes.copy img
-  | [], None -> Bytes.make page_size '\000'
+  | [] -> Bytes.copy src
 
+(* A fresh backing page replaces the shared zero/image page for reads
+   too, so any cached read-only view of the page is now stale: every
+   materialization bumps [data_epoch]. *)
 let get_page_rw t p =
-  match Hashtbl.find t.pages p with
-  | b -> b
-  | exception Not_found ->
-      let r = region_of_page t p in
-      let b =
-        if r != no_region then begin
-          (* Copy-on-write fault: privatize the image page. *)
-          Hashtbl.replace r.r_private p ();
-          new_frame t (image_page r p)
-        end
-        else new_frame t None
-      in
-      Hashtbl.replace t.pages p b;
-      (* A fresh backing page replaces the shared zero/image page for reads
-         too, so any cached read-only view of this page is now stale. *)
+  let r = region_of_page t p in
+  if r == no_region then (
+    match Hashtbl.find t.pages p with
+    | b -> b
+    | exception Not_found ->
+        let b = new_frame t zero_page in
+        Hashtbl.replace t.pages p b;
+        bump_data_epoch t;
+        b)
+  else
+    let off = p - r.r_first in
+    let b = frame r off in
+    if b != no_frame then b
+    else if r.r_shadow > 0 && Hashtbl.mem t.pages p then Hashtbl.find t.pages p
+    else begin
+      (* Copy-on-write fault: privatize the image page. *)
+      let b = new_frame t (image_page r off) in
+      set_frame r off b;
+      r.r_dirty <- off :: r.r_dirty;
+      r.r_ndirty <- r.r_ndirty + 1;
+      t.region_resident <- t.region_resident + 1;
       bump_data_epoch t;
       b
+    end
 
 let page_for_read t ~page = get_page_ro t page
 let page_for_write t ~page = get_page_rw t page
@@ -420,7 +546,7 @@ let copy t ~src ~dst ~len =
     write_bytes t ~addr:dst data
   end
 
-let resident_pages t = Hashtbl.length t.pages
+let resident_pages t = Hashtbl.length t.pages + t.region_resident
 
 (* --- Copy-on-write backing images --- *)
 
@@ -453,7 +579,7 @@ let image_pages img = Hashtbl.length img.img_pages
 
 let find_region_exact t ~addr ~len =
   match Imap.find_opt addr t.regions with
-  | Some r when r.r_len = len -> Some r
+  | Some r when region_len r = len -> Some r
   | Some _ | None -> None
 
 let set_backing t ~addr ~len image =
@@ -462,13 +588,29 @@ let set_backing t ~addr ~len image =
     (* Regions never overlap, so only the last one starting before the
        range's end can reach into it. *)
     match Imap.find_last_opt (fun s -> s < addr + len) t.regions with
-    | Some (s, r) -> s + r.r_len > addr
+    | Some (s, r) -> s + region_len r > addr
     | None -> false
   then Error "set_backing: overlaps an existing backing region"
   else begin
+    let r_first = page_of_addr addr and r_pages = page_of_addr len in
+    let r_shadow =
+      if Hashtbl.length t.pages = 0 then 0
+      else
+        Hashtbl.fold
+          (fun p _ n -> if p >= r_first && p < r_first + r_pages then n + 1 else n)
+          t.pages 0
+    in
     t.regions <-
       Imap.add addr
-        { r_start = addr; r_len = len; r_image = image; r_private = Hashtbl.create 16 }
+        {
+          r_first;
+          r_pages;
+          r_image = image;
+          r_chunks = [||];
+          r_dirty = [];
+          r_ndirty = 0;
+          r_shadow;
+        }
         t.regions;
     (* Reads in the range change from zeros to the image contents. *)
     bump_data_epoch t;
@@ -476,18 +618,16 @@ let set_backing t ~addr ~len image =
   end
 
 let dirty_pages t ~addr =
-  match Imap.find_opt addr t.regions with
-  | Some r -> Hashtbl.length r.r_private
-  | None -> 0
+  match Imap.find_opt addr t.regions with Some r -> r.r_ndirty | None -> 0
 
 let recycle t ~addr ~len =
   match find_region_exact t ~addr ~len with
   | None -> Error "recycle: no backing region registered for this range"
   | Some r ->
-      let n = Hashtbl.length r.r_private in
+      let n = r.r_ndirty in
       if n > 0 then begin
-        Hashtbl.iter (fun p () -> release_frame t p) r.r_private;
-        Hashtbl.reset r.r_private;
+        List.iter (fun off -> release_region_frame t r off (frame r off)) r.r_dirty;
+        r.r_dirty <- [];
         bump_data_epoch t
       end;
       Ok n

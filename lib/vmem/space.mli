@@ -33,8 +33,10 @@ val unmap : t -> addr:int -> len:int -> (unit, string) result
 
 val protect : t -> addr:int -> len:int -> prot:Prot.t -> (unit, string) result
 (** [mprotect]. The range must be fully mapped. Costs O(log n) per VMA
-    the range covers, not O(VMAs in the space). On [Error] nothing
-    changed. *)
+    the range covers, not O(VMAs in the space); re-applying the attributes
+    of a range that is already exactly one VMA, with no neighbour to merge,
+    costs a few lookups. Every success bumps [generation], whether or not
+    the layout changed. On [Error] nothing changed. *)
 
 val pkey_protect : t -> addr:int -> len:int -> prot:Prot.t -> key:int -> (unit, string) result
 (** [pkey_mprotect] — assign an MPK color to a mapped range (§5.1, step 2 of
@@ -176,7 +178,9 @@ val dirty_pages : t -> addr:int -> int
 val recycle : t -> addr:int -> len:int -> (int, string) result
 (** Drop every private page of the backing region exactly covering
     [\[addr, addr+len)], so reads revert to the pristine image. Returns the
-    number of pages dropped — the recycle's whole cost, O(dirty pages).
+    number of pages dropped — the recycle's whole cost, O(dirty pages):
+    the region keeps its private pages in its own store, indexed by page
+    offset, beside the list of offsets dirtied.
     The dropped frames are kept for the space's next copy-on-write faults,
     so a warm recycle/fault cycle allocates no pages.
     Mapping, protection and pkeys are untouched (MPK colors survive, §7

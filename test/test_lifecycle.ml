@@ -287,18 +287,23 @@ let words_per_warm_cycle ~live =
     cycle k
   done;
   let cycles = 1000 in
-  (* OCaml 5 adds major-heap allocations to [major_words] only at a major
-     slice, so flush the count on both sides of the window; the full major
-     also promotes the engine's set-up garbage before the window opens. *)
+  (* Minor words come from the domain's own counter, exact at any time.
+     OCaml 5.1 adds allocations to [Gc.quick_stat]'s counters only at a
+     collection (major-heap blocks at a major slice), so the major count
+     is read after a minor collection and a slice on each side of the
+     window; without them it reads 0. The full major also promotes the
+     engine's set-up garbage before the window opens. *)
   Gc.full_major ();
-  let s0 = Gc.quick_stat () in
+  let s0 = Gc.quick_stat () and w0 = Gc.minor_words () in
   for k = 1 to cycles do
     cycle k
   done;
+  let minor = Gc.minor_words () -. w0 in
+  Gc.minor ();
   ignore (Gc.major_slice 0);
   let s1 = Gc.quick_stat () in
-  let per f = (f s1 -. f s0) /. float_of_int cycles in
-  (per (fun s -> s.Gc.minor_words), per (fun s -> s.Gc.major_words))
+  let per words = words /. float_of_int cycles in
+  (per minor, per (s1.Gc.major_words -. s0.Gc.major_words))
 
 (* A warm cycle's host cost must follow the pages and VMAs it touches:
    no fresh 4 KiB page per copy-on-write fault (a page is a major-heap

@@ -153,6 +153,198 @@ let test_hist_exemplar_seal_and_merge_mismatch () =
     (Invalid_argument "Hist.merge: sub-bucket counts differ") (fun () ->
       Hist.merge h coarse)
 
+(* --- histogram vs a dense reference -------------------------------- *)
+
+(* A dense reference: one count and one exemplar slot for every bucket,
+   allocated up front, buckets found with [Float.frexp]. The windowed
+   histogram must answer every query exactly as this one does. *)
+module Dense = struct
+  let e_min = -20
+  let e_max = 63
+
+  type t = {
+    sub : int;
+    counts : int array;
+    ex : Hist.exemplar option array;
+    mutable n : int;
+    mutable sum : float;
+  }
+
+  let create sub =
+    let slots = 1 + ((e_max - e_min + 1) * sub) in
+    { sub; counts = Array.make slots 0; ex = Array.make slots None; n = 0; sum = 0.0 }
+
+  let top d = Array.length d.counts - 1
+
+  let index d v =
+    if not (v > 0.0) then 0
+    else if v = Float.infinity then top d
+    else
+      let m, e = Float.frexp v in
+      if e < e_min then 0
+      else if e > e_max then top d
+      else 1 + ((e - e_min) * d.sub) + int_of_float ((m -. 0.5) *. 2.0 *. float_of_int d.sub)
+
+  let representative d i =
+    if i = 0 then 0.0
+    else
+      let e = e_min + ((i - 1) / d.sub) and s = (i - 1) mod d.sub in
+      Float.ldexp (0.5 +. ((float_of_int s +. 0.5) /. (2.0 *. float_of_int d.sub))) e
+
+  let width d v =
+    let i = index d v in
+    if i = 0 then Float.ldexp 1.0 (e_min - 1)
+    else Float.ldexp (1.0 /. (2.0 *. float_of_int d.sub)) (e_min + ((i - 1) / d.sub))
+
+  let better (a : Hist.exemplar) (b : Hist.exemplar) =
+    if a.ex_value <> b.ex_value then a.ex_value > b.ex_value
+    else if a.ex_index <> b.ex_index then a.ex_index > b.ex_index
+    else Int64.unsigned_compare a.ex_ref b.ex_ref > 0
+
+  let offer d i ex =
+    match d.ex.(i) with Some cur when not (better ex cur) -> () | _ -> d.ex.(i) <- Some ex
+
+  let record d v ~index:k =
+    let i = index d v in
+    d.counts.(i) <- d.counts.(i) + 1;
+    d.n <- d.n + 1;
+    d.sum <- d.sum +. v;
+    offer d i { Hist.ex_value = v; ex_ref = 0L; ex_index = k }
+
+  let seal d fp =
+    Array.iteri
+      (fun i ex ->
+        match ex with
+        | Some e when e.Hist.ex_ref = 0L -> d.ex.(i) <- Some { e with ex_ref = fp }
+        | _ -> ())
+      d.ex
+
+  let slot_at_order d k =
+    let rec go i acc =
+      let acc = acc + d.counts.(i) in
+      if acc > k || i = top d then i else go (i + 1) acc
+    in
+    go 0 0
+
+  let order d r = max 0 (min (d.n - 1) r)
+
+  let percentile d p =
+    let rank = p /. 100.0 *. float_of_int (d.n - 1) in
+    let lo = order d (int_of_float (Float.floor rank)) in
+    let hi = order d (int_of_float (Float.ceil rank)) in
+    let vlo = representative d (slot_at_order d lo) in
+    if d.n = 1 || lo = hi then vlo
+    else
+      let vhi = representative d (slot_at_order d hi) in
+      vlo +. ((rank -. Float.floor rank) *. (vhi -. vlo))
+
+  let exemplar_at d p =
+    if d.n = 0 then None
+    else
+      let rank = if d.n = 1 then 0.0 else p /. 100.0 *. float_of_int (d.n - 1) in
+      let rec scan i = if i > top d then None else match d.ex.(i) with None -> scan (i + 1) | ex -> ex in
+      scan (slot_at_order d (order d (int_of_float (Float.ceil rank))))
+
+  let merge dst src =
+    Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
+    dst.n <- dst.n + src.n;
+    dst.sum <- dst.sum +. src.sum;
+    Array.iteri (fun i ex -> Option.iter (offer dst i) ex) src.ex
+
+  let copy d = { d with counts = Array.copy d.counts; ex = Array.copy d.ex }
+end
+
+(* Samples from a window of octaves [2^lo, 2^(lo + span)), or from the
+   zero bucket (zeros, negatives, values below the lowest octave) or the
+   top one (past the highest octave, infinity). Two histograms' windows
+   are drawn so that they are disjoint, nested or arbitrary. *)
+let hist_window_gen =
+  let open QCheck.Gen in
+  let zero = oneofl [ 0.0; -3.0; 1e-310; 1e-7; Float.neg_infinity ] in
+  let top = oneofl [ 1e19; 1e300; Float.max_float; Float.infinity ] in
+  let sample (lo, span) =
+    frequency
+      [
+        (8, map2 (fun e f -> Float.ldexp (1.0 +. f) e) (int_range lo (lo + span)) (float_bound_exclusive 1.0));
+        (1, zero);
+        (1, top);
+      ]
+  in
+  let window = pair (int_range (-22) 62) (int_range 0 4) in
+  let related (lo, span) =
+    oneof
+      [
+        (* nested *)
+        map2 (fun d s -> (lo + min d span, min s (span - min d span))) (int_bound 4) (int_bound 4);
+        (* disjoint, above or below *)
+        map (fun d -> if lo + span + d + 1 <= 62 then (lo + span + d + 1, 0) else (lo - d - 2, 0)) (int_bound 8);
+        window;
+      ]
+  in
+  window >>= fun wa ->
+  related wa >>= fun wb ->
+  triple (oneofl [ 1; 16 ])
+    (list_size (int_range 0 40) (sample wa))
+    (list_size (int_range 0 40) (sample wb))
+
+let prop_hist_matches_dense =
+  let ps = [ 0.0; 1.0; 25.0; 50.0; 90.0; 99.0; 99.9; 100.0 ] in
+  QCheck.Test.make ~name:"hist matches a dense reference histogram" ~count:500
+    (QCheck.make
+       ~print:(fun (sub, a, b) ->
+         let l xs = String.concat " " (List.map (Printf.sprintf "%h") xs) in
+         Printf.sprintf "sub %d\na: %s\nb: %s" sub (l a) (l b))
+       hist_window_gen)
+    (fun (sub, a, b) ->
+      let build off xs =
+        let h = Hist.create ~sub () and d = Dense.create sub in
+        List.iteri
+          (fun i v ->
+            Hist.record_exemplar h v ~index:(off + i);
+            Dense.record d v ~index:(off + i))
+          xs;
+        (h, d)
+      in
+      let same (h, d) =
+        Hist.count h = d.Dense.n
+        && Float.equal (Hist.total h) d.Dense.sum
+        && List.for_all
+             (fun p ->
+               Hist.exemplar_at h p = Dense.exemplar_at d p
+               && (d.Dense.n = 0 || Hist.percentile h p = Dense.percentile d p))
+             ps
+        && List.for_all (fun v -> Hist.bucket_width_at h v = Dense.width d v) (a @ b)
+      in
+      let ha, da = build 0 a and hb, db = build 1000 b in
+      Hist.seal_exemplars hb 0xB0BL;
+      Dense.seal db 0xB0BL;
+      let ha' = Hist.copy ha and da' = Dense.copy da in
+      let empty = Hist.create ~sub () and dempty = Dense.create sub in
+      Hist.merge empty hb;
+      Dense.merge dempty db;
+      Hist.merge ha hb;
+      Dense.merge da db;
+      Hist.merge hb ha';
+      Dense.merge db da';
+      same (ha, da) && same (hb, db) && same (empty, dempty) && same (ha', da'))
+
+(* A histogram pays for the octaves it records, not for the 1,345 buckets
+   it could: ten samples in one octave fit in a counts array of 17 words.
+   Both what recording allocates and what the histogram holds are counted,
+   since an array over 256 words would bypass the minor heap. *)
+let test_hist_small_footprint () =
+  let w0 = Gc.minor_words () in
+  let h = Hist.create () in
+  for i = 0 to 9 do
+    Hist.record h (1100.0 +. float_of_int i)
+  done;
+  let allocated = Gc.minor_words () -. w0 in
+  let held = Obj.reachable_words (Obj.repr h) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words allocated, %d held, both < 200" allocated held)
+    true
+    (allocated < 200.0 && held < 200)
+
 (* --- Stats.percentile edge cases ----------------------------------- *)
 
 let test_stats_percentile_edges () =
@@ -566,6 +758,8 @@ let tests =
     Harness.case "hist zero bucket and single sample" test_hist_zero_and_edge;
     Harness.case "hist exemplar seal, merge mismatch"
       test_hist_exemplar_seal_and_merge_mismatch;
+    QCheck_alcotest.to_alcotest prop_hist_matches_dense;
+    Harness.case "hist allocates for the octaves it records" test_hist_small_footprint;
     Harness.case "stats percentile edge cases" test_stats_percentile_edges;
     Harness.case "ring overflow keeps first, counts dropped"
       test_ring_overflow_keep_first;

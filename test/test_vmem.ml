@@ -593,9 +593,20 @@ type space_op =
   | S_fill of int * int * int
   | S_read of int * int
   | S_read_page of int
+  | S_reprotect of int  (** index into the window's VMAs: its own attributes again *)
+  | S_twin of int * int * int  (** two equal maps side by side, then reprotect the first *)
+  | S_big_write of int * int * int * int64  (** width, [big_pages] index, offset, value *)
 
 let window_pages = 12
 let prots = [| Prot.rw; Prot.r; Prot.none |]
+
+(* A 4 GiB backing region far above the window, mapped and registered
+   before the ops run, and the pages of it the ops write: offsets either
+   side of the first chunk edges and up to its last page, so the region's
+   page store grows its chunk index on demand. *)
+let big_base = 16 * 1024 * mb
+let big_len = 4 * 1024 * mb
+let big_pages = [| 0; 63; 64; 4097; 1 lsl 19; (big_len / page) - 1 |]
 
 let space_op_to_string = function
   | S_map (p, n, pr) -> Printf.sprintf "map %d+%d p%d" p n pr
@@ -610,6 +621,10 @@ let space_op_to_string = function
   | S_fill (a, n, b) -> Printf.sprintf "fill %#x+%d=%d" a n b
   | S_read (w, a) -> Printf.sprintf "read%d %#x" (8 * w) a
   | S_read_page p -> Printf.sprintf "read page %d" p
+  | S_reprotect i -> Printf.sprintf "reprotect vma #%d" i
+  | S_twin (p, n, pr) -> Printf.sprintf "twin %d+%d+%d p%d" p n n pr
+  | S_big_write (w, i, off, v) ->
+      Printf.sprintf "big write%d page %d+%d=%Ld" (8 * w) big_pages.(i) off v
 
 let space_ops_arb =
   let open QCheck.Gen in
@@ -633,13 +648,23 @@ let space_ops_arb =
         (1, map3 (fun a n b -> S_fill (a, n, b)) addr (int_bound 5000) (int_bound 255));
         (3, map2 (fun w a -> S_read (w, a)) (oneofl [ 1; 2; 4; 8 ]) addr);
         (1, map (fun p -> S_read_page p) (int_bound (window_pages - 1)));
+        (2, map (fun i -> S_reprotect i) (int_bound 7));
+        (1, map2 (fun (p, n) pr -> S_twin (p, (n + 1) / 2, pr)) range (int_bound 2));
+        ( 2,
+          map4
+            (fun w i off v -> S_big_write (w, i, off, v))
+            (oneofl [ 1; 2; 4; 8 ])
+            (int_bound (Array.length big_pages - 1))
+            (int_bound (page - 8))
+            ui64 );
       ]
   in
   QCheck.make
     ~print:(fun (mmc, ops) ->
       Printf.sprintf "max_map_count %d: %s" mmc
         (String.concat "; " (List.map space_op_to_string ops)))
-    (pair (int_range 2 8) (list_size (int_range 1 60) op))
+    (* The big region's VMA takes one of the budget's slots. *)
+    (pair (int_range 3 9) (list_size (int_range 1 60) op))
 
 let space_matches_model (max_map_count, ops) =
   let base = mb in
@@ -662,19 +687,35 @@ let space_matches_model (max_map_count, ops) =
     done;
     !v
   in
-  (* The generation must move exactly on a successful layout change. *)
+  let write w a v =
+    (match w with
+    | 1 -> Space.write8 s a (Int64.to_int v)
+    | 2 -> Space.write16 s a (Int64.to_int v)
+    | 4 -> Space.write32 s a (Int64.to_int32 v)
+    | _ -> Space.write64 s a v);
+    for i = 0 to w - 1 do
+      Space_model.write8 m (a + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)))
+    done
+  in
+  let pkey_protect (v : Space.vma) ~prot ~key =
+    let got = res (Space.pkey_protect s ~addr:v.start ~len:v.len ~prot ~key) in
+    (got, Space_model.update m v.start v.len (fun v -> { v with prot; pkey = key }))
+  in
+  (* [layout] counts the successful layout changes, each of which must
+     move the generation by one: a reprotect that changes nothing too. *)
   let step op =
-    let r = ref true and layout = ref false in
-    let check_same got want = r := got = want in
+    let r = ref true and layout = ref 0 in
+    let check_same got want = r := !r && got = want in
+    let changed got = if got then incr layout in
     (match op with
     | S_map (p, n, pr) ->
         let got = res (Space.map s ~addr:(base + (p * page)) ~len:(n * page) ~prot:prots.(pr)) in
         check_same got (Space_model.map m (base + (p * page)) (n * page) prots.(pr));
-        layout := got
+        changed got
     | S_unmap (p, n) ->
         let got = res (Space.unmap s ~addr:(base + (p * page)) ~len:(n * page)) in
         check_same got (Space_model.unmap m (base + (p * page)) (n * page));
-        layout := got
+        changed got
     | S_protect (p, n, pr) ->
         let got =
           res (Space.protect s ~addr:(base + (p * page)) ~len:(n * page) ~prot:prots.(pr))
@@ -682,7 +723,7 @@ let space_matches_model (max_map_count, ops) =
         check_same got
           (Space_model.update m (base + (p * page)) (n * page) (fun v ->
                { v with prot = prots.(pr) }));
-        layout := got
+        changed got
     | S_pkey (p, n, pr, key) ->
         let got =
           res
@@ -692,7 +733,7 @@ let space_matches_model (max_map_count, ops) =
         check_same got
           (Space_model.update m (base + (p * page)) (n * page) (fun v ->
                { v with prot = prots.(pr); pkey = key }));
-        layout := got
+        changed got
     | S_madvise (p, n) ->
         ok (Space.madvise_dontneed s ~addr:(base + (p * page)) ~len:(n * page));
         Space_model.drop_range m (base + (p * page)) (n * page)
@@ -711,16 +752,31 @@ let space_matches_model (max_map_count, ops) =
         let got = Space.recycle s ~addr:(base + (p * page)) ~len:(n * page) in
         check_same (Result.to_option got)
           (Space_model.recycle m (base + (p * page)) (n * page))
-    | S_write (w, a, v) ->
-        let a = base + a in
-        (match w with
-        | 1 -> Space.write8 s a (Int64.to_int v)
-        | 2 -> Space.write16 s a (Int64.to_int v)
-        | 4 -> Space.write32 s a (Int64.to_int32 v)
-        | _ -> Space.write64 s a v);
-        for i = 0 to w - 1 do
-          Space_model.write8 m (a + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)))
-        done
+    | S_write (w, a, v) -> write w (base + a) v
+    | S_big_write (w, i, off, v) -> write w (big_base + (big_pages.(i) * page) + off) v
+    | S_reprotect i -> (
+        match List.filter (fun (v : Space.vma) -> v.start < big_base) m.Space_model.vmas with
+        | [] -> ()
+        | vmas ->
+            let v = List.nth vmas (i mod List.length vmas) in
+            let got, want = pkey_protect v ~prot:v.prot ~key:v.pkey in
+            check_same got want;
+            changed got)
+    | S_twin (p, n, pr) ->
+        let map p =
+          let got = res (Space.map s ~addr:(base + (p * page)) ~len:(n * page) ~prot:prots.(pr)) in
+          check_same got (Space_model.map m (base + (p * page)) (n * page) prots.(pr));
+          changed got;
+          got
+        in
+        if map p && map (p + n) then begin
+          let first =
+            { Space.start = base + (p * page); len = n * page; prot = prots.(pr); pkey = Mpk.default_key }
+          in
+          let got, want = pkey_protect first ~prot:prots.(pr) ~key:Mpk.default_key in
+          check_same got want;
+          changed got
+        end
     | S_fill (a, n, b) ->
         Space.fill s ~addr:(base + a) ~len:n ~byte:b;
         for i = 0 to n - 1 do
@@ -735,7 +791,8 @@ let space_matches_model (max_map_count, ops) =
     (!r, !layout)
   in
   (* After every step: the VMA layout at every page edge and inside every
-     page, dirty counts, residency, and a few bytes of every page. *)
+     page, dirty counts, residency, and a few bytes of every page, the big
+     region's written pages included. *)
   let consistent () =
     Space.vma_count s = List.length m.Space_model.vmas
     && List.for_all
@@ -755,15 +812,28 @@ let space_matches_model (max_map_count, ops) =
              (fun off -> read_n 8 (base + (p * page) + off) = model_read_n 8 (base + (p * page) + off))
              [ 0; 2044; page - 8 ])
          (List.init window_pages Fun.id)
+    && Array.for_all
+         (fun p ->
+           List.for_all
+             (fun off ->
+               let a = big_base + (p * page) + off in
+               read_n 8 a = model_read_n 8 a)
+             [ 0; 2044; page - 8 ])
+         big_pages
   in
-  List.for_all
-    (fun op ->
-      let generation = Space.generation s in
-      let same, layout = step op in
-      same
-      && Space.generation s = generation + (if layout then 1 else 0)
-      && consistent ())
-    ops
+  let setup =
+    ok (Space.map s ~addr:big_base ~len:big_len ~prot:Prot.rw);
+    ok (Space.set_backing s ~addr:big_base ~len:big_len images.(0));
+    Space_model.map m big_base big_len Prot.rw
+    && Space_model.set_backing m big_base big_len model_images.(0)
+  in
+  setup
+  && List.for_all
+       (fun op ->
+         let generation = Space.generation s in
+         let same, layout = step op in
+         same && Space.generation s = generation + layout && consistent ())
+       ops
 
 let prop_space_matches_model =
   QCheck.Test.make ~name:"space matches a brute-force vma/page model" ~count:1000 space_ops_arb
