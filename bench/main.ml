@@ -1067,7 +1067,7 @@ let engine_compare () =
   (* Tracing ablation: the same kernel with the default (no sink), an
      explicit null sink, and a live ring sink. The null sink must be free —
      every emission site is one load-and-branch — and the ring sink must
-     stay under a few percent. Best-of-batches wall timing, as above. *)
+     stay under a few percent. Paired wall timing, below. *)
   let ablate = Sfi_workloads.Polybench.atax in
   let one ?trace () =
     (match trace with Some sink -> Trace.clear sink | None -> ());
@@ -1076,30 +1076,33 @@ let engine_compare () =
   ignore (one ()) (* warm the code and the kernel's lazy module *);
   let ring = Trace.create_ring () in
   (* Interleave the three configurations within each repetition and take
-     the per-configuration minimum: drift across the run (GC heap state,
-     neighbours on a shared machine) then biases all three alike instead
-     of whichever block ran last. *)
-  let base_s = ref infinity and null_s = ref infinity and ring_s = ref infinity in
+     the median, over repetitions, of each sink's time over the no-sink
+     time of the same repetition: drift across the run (GC heap state,
+     neighbours on a shared machine) then moves both sides of a ratio
+     alike, and one slow repetition cannot set the figure. *)
+  let base = ref [] and null_r = ref [] and ring_r = ref [] in
   for _ = 1 to 7 do
-    let m r v = if v < !r then r := v in
-    m base_s (one ());
-    m null_s (one ~trace:Trace.null ());
-    m ring_s (one ~trace:ring ())
+    let b = one () in
+    let n = one ~trace:Trace.null () in
+    let r = one ~trace:ring () in
+    base := b :: !base;
+    null_r := (n /. b) :: !null_r;
+    ring_r := (r /. b) :: !ring_r
   done;
-  let base_s = !base_s and null_s = !null_s and ring_s = !ring_s in
-  let pct x = (x -. base_s) /. base_s *. 100.0 in
-  metric Host "trace_null_overhead_pct" (pct null_s);
-  metric Host "trace_ring_overhead_pct" (pct ring_s);
+  let base_s = Stats.median !base in
+  let pct ratios = (Stats.median ratios -. 1.0) *. 100.0 in
+  let null_pct = pct !null_r and ring_pct = pct !ring_r in
+  metric Host "trace_null_overhead_pct" null_pct;
+  metric Host "trace_ring_overhead_pct" ring_pct;
   note
-    "Tracing ablation (atax on the default compiled engine, best of 7): no sink %.1f ms, null sink \
-     %.1f ms (%+.1f%%), ring sink %.1f ms (%+.1f%%, %d events). Null must be free; the ring \
+    "Tracing ablation (atax on the default compiled engine, median of 7 paired repetitions): no \
+     sink %.1f ms, null sink %+.1f%%, ring sink %+.1f%% (%d events). Null must be free; the ring \
      budget is <5%%."
-    (base_s *. 1e3) (null_s *. 1e3) (pct null_s) (ring_s *. 1e3) (pct ring_s)
-    (Trace.length ring);
+    (base_s *. 1e3) null_pct ring_pct (Trace.length ring);
   (* Wall-clock ablations on shared CI machines are noisy; only a
      pathological regression fails the experiment. *)
-  if pct ring_s > 25.0 then
-    failwith (Printf.sprintf "engine: ring-sink tracing overhead %.1f%% > 25%%" (pct ring_s))
+  if ring_pct > 25.0 then
+    failwith (Printf.sprintf "engine: ring-sink tracing overhead %.1f%% > 25%%" ring_pct)
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzz gate.                                             *)

@@ -36,8 +36,13 @@ let rax = gpr_index RAX
 let rcx = gpr_index RCX
 let rdx = gpr_index RDX
 let rsp = gpr_index RSP
-let[@inline] reg_get t i = Bytes.get_int64_ne t.regs (i lsl 3)
-let[@inline] reg_set t i v = Bytes.set_int64_ne t.regs (i lsl 3) v
+(* Unchecked: every index is a [gpr_index], so in bounds of the 128-byte
+   file. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] reg_get t i = get64u t.regs (i lsl 3)
+let[@inline] reg_set t i v = set64u t.regs (i lsl 3) v
 
 let[@inline] read_reg_w t w i =
   let v = reg_get t i in
@@ -343,7 +348,22 @@ let[@inline] set_sub_flags t w a b r =
    t.cf <- Int64.unsigned_compare ua ub < 0);
   t.of_ <- sign_bit w a <> sign_bit w b && sign_bit w r <> sign_bit w a
 
-let eval_cond t = function
+(* An ALU op's value and its flags, shared by every executor. *)
+let[@inline] alu_value op a b =
+  match op with
+  | Add -> Int64.add a b
+  | Sub -> Int64.sub a b
+  | And -> Int64.logand a b
+  | Or -> Int64.logor a b
+  | Xor -> Int64.logxor a b
+
+let[@inline] alu_flags t op w a b r =
+  match op with
+  | Add -> set_add_flags t w a b r
+  | Sub -> set_sub_flags t w a b r
+  | And | Or | Xor -> set_logic_flags t w r
+
+let[@inline] eval_cond t = function
   | E -> t.zf
   | NE -> not t.zf
   | L -> t.sf <> t.of_
@@ -573,12 +593,10 @@ let[@inline] write t w o v =
   | Omem e -> store_mem t w (ea_addr t e) v
   | Oimm _ -> invalid_arg "Machine: immediate as destination"
 
-(* Instruction [idx]'s semantics plus its dynamic charges (TLB walks,
-   dcache misses, load/store latency, the taken-branch adder); the caller
-   issues the retired-instruction, code-byte and fixed cycle charges. Ops
-   that redirect control set [t.pc] themselves; for every other op the
-   caller writes the successor pc. *)
-let compile_body t (l : loaded) idx =
+(* The body of any instruction: operand kinds, widths, ALU ops and
+   conditions are matched on each execution. [compile_body] calls it for
+   every shape it does not specialize. *)
+let generic_body t (l : loaded) idx =
   let next = idx + 1 and tgt = l.targets.(idx) in
   let index_of_off = l.index_of_off and code_base = t.code_base in
   match l.program.(idx) with
@@ -609,18 +627,8 @@ let compile_body t (l : loaded) idx =
       fun t ->
         let a = read t w d in
         let b = read t w s in
-        let r =
-          match op with
-          | Add -> Int64.add a b
-          | Sub -> Int64.sub a b
-          | And -> Int64.logand a b
-          | Or -> Int64.logor a b
-          | Xor -> Int64.logxor a b
-        in
-        (match op with
-        | Add -> set_add_flags t w a b r
-        | Sub -> set_sub_flags t w a b r
-        | And | Or | Xor -> set_logic_flags t w r);
+        let r = alu_value op a b in
+        alu_flags t op w a b r;
         write t w d r
   | Shift (op, w, dst, count) ->
       let d = resolve w dst and nmask = width_bits w - 1 in
@@ -768,6 +776,151 @@ let compile_body t (l : loaded) idx =
   | Hostcall n -> fun t -> t.hostcall t n
   | Trap k -> fun _ -> raise (Trap_exn k)
 
+(* Helpers for the specialized bodies below, each called with a constant
+   op and width. *)
+
+let[@inline] alu32 t op d b =
+  let a = read_reg_w t W32 d in
+  let v = alu_value op a b in
+  alu_flags t op W32 a b v;
+  write_reg_w t W32 d v
+
+let[@inline] shift32 t op d n =
+  let a = read_reg_w t W32 d in
+  let v = shift_value W32 op a n in
+  set_logic_flags t W32 v;
+  write_reg_w t W32 d v
+
+let[@inline] cmp32 t a b = set_sub_flags t W32 a b (Int64.sub a b)
+
+(* A conditional branch whose target resolved at load. *)
+let[@inline] branch t taken tgt next =
+  if taken then begin
+    charge t t.cost.Cost.taken_branch_cycles;
+    t.pc <- tgt
+  end
+  else t.pc <- next
+
+(* Instruction [idx]'s semantics plus its dynamic charges (TLB walks,
+   dcache misses, load/store latency, the taken-branch adder); the caller
+   issues the retired-instruction, code-byte and fixed cycle charges. Ops
+   that redirect control set [t.pc] themselves; for every other op the
+   caller writes the successor pc.
+
+   Each shape that makes up at least 0.5% of the dispatched slots on the
+   Figure 3 kernels gets a body chosen here, at translate time: its
+   operand kinds, width, ALU op and condition are settled, so the closure
+   that runs matches on none of them. 8- and 16-bit forms and every rarer
+   shape take [generic_body]. A new arm needs a row in [test_tier]'s
+   shape differential. *)
+let compile_body t (l : loaded) idx =
+  let r = gpr_index and next = idx + 1 and tgt = l.targets.(idx) in
+  let ea m = resolve_ea ~lea:false m in
+  match l.program.(idx) with
+  | Mov (W64, Reg d, Reg s) ->
+      let d = r d and s = r s in
+      fun t -> reg_set t d (reg_get t s)
+  | Mov (W32, Reg d, Reg s) ->
+      let d = r d and s = r s in
+      fun t ->
+        let v = read_reg_w t W32 s in
+        reg_set t d v
+  | Mov (((W32 | W64) as w), Reg d, Imm i) ->
+      (* A 32-bit write zero-extends: the masked immediate is the whole
+         register. *)
+      let d = r d and v = Int64.logand i (mask_of_width w) in
+      fun t -> reg_set t d v
+  | Mov (((W32 | W64) as w), Reg d, Mem m) -> (
+      (* A 32-bit load is zero-extended already. *)
+      let d = r d and e = ea m in
+      match w with
+      | W64 ->
+          fun t ->
+            let v = load_mem t W64 (ea_addr t e) in
+            reg_set t d v
+      | _ ->
+          fun t ->
+            let v = load_mem t W32 (ea_addr t e) in
+            reg_set t d v)
+  | Mov (((W32 | W64) as w), Mem m, Reg s) -> (
+      let e = ea m and s = r s in
+      match w with
+      | W64 ->
+          fun t ->
+            let a = ea_addr t e in
+            let v = reg_get t s in
+            store_mem t W64 a v
+      | _ ->
+          fun t ->
+            let a = ea_addr t e in
+            let v = reg_get t s in
+            store_mem t W32 a v)
+  | Movzx ((W32 | W64), W8, d, Mem m) ->
+      let d = r d and e = ea m in
+      fun t ->
+        let v = load_mem t W8 (ea_addr t e) in
+        reg_set t d v
+  (* A 32-bit Lea keeps the sum's low 32 bits: its address-size mask is
+     moot. *)
+  | Lea (W32, d, { base = Some b; index = None; disp; _ }) ->
+      let d = r d and b = r b and disp = Int64.of_int disp in
+      fun t ->
+        let v = Int64.add (reg_get t b) disp in
+        write_reg_w t W32 d v
+  | Lea (W32, d, { base = None; index = Some (i, s); disp; _ }) ->
+      let d = r d and i = r i and s = Int64.of_int (scale_factor s) in
+      let disp = Int64.of_int disp in
+      fun t ->
+        let v = Int64.add (Int64.mul (reg_get t i) s) disp in
+        write_reg_w t W32 d v
+  | Lea (W32, d, { base = Some b; index = Some (i, s); disp; _ }) ->
+      let d = r d and b = r b and i = r i and s = Int64.of_int (scale_factor s) in
+      let disp = Int64.of_int disp in
+      fun t ->
+        let v = Int64.add (Int64.add (reg_get t b) (Int64.mul (reg_get t i) s)) disp in
+        write_reg_w t W32 d v
+  | Alu (((And | Sub) as op), W32, Reg d, Imm i) -> (
+      let d = r d and b = Int64.logand i 0xFFFFFFFFL in
+      match op with
+      | And -> fun t -> alu32 t And d b
+      | _ -> fun t -> alu32 t Sub d b)
+  | Alu (((Add | Sub | And | Xor) as op), W32, Reg d, Reg s) -> (
+      let d = r d and s = r s in
+      match op with
+      | Add -> fun t -> alu32 t Add d (read_reg_w t W32 s)
+      | Sub -> fun t -> alu32 t Sub d (read_reg_w t W32 s)
+      | And -> fun t -> alu32 t And d (read_reg_w t W32 s)
+      | _ -> fun t -> alu32 t Xor d (read_reg_w t W32 s))
+  | Cmp (W32, Reg a, Imm i) ->
+      let a = r a and b = Int64.logand i 0xFFFFFFFFL in
+      fun t -> cmp32 t (read_reg_w t W32 a) b
+  | Cmp (W32, Reg a, Reg b) ->
+      let a = r a and b = r b in
+      fun t -> cmp32 t (read_reg_w t W32 a) (read_reg_w t W32 b)
+  | Test (W32, Reg a, Reg b) ->
+      let a = r a and b = r b in
+      fun t ->
+        let v = Int64.logand (reg_get t a) (reg_get t b) in
+        set_logic_flags t W32 v
+  | Imul (W32, d, Reg s) ->
+      let d = r d and s = r s in
+      fun t ->
+        let v = Int64.mul (reg_get t d) (reg_get t s) in
+        write_reg_w t W32 d v
+  | Shift (((Shl | Shr | Sar | Rol) as op), W32, Reg d, Count_imm n) -> (
+      let d = r d and n = n land 31 in
+      match op with
+      | Shl -> fun t -> shift32 t Shl d n
+      | Shr -> fun t -> shift32 t Shr d n
+      | Sar -> fun t -> shift32 t Sar d n
+      | _ -> fun t -> shift32 t Rol d n)
+  | Shift (Shl, W32, Reg d, Count_cl) ->
+      let d = r d in
+      fun t -> shift32 t Shl d (Int64.to_int (reg_get t rcx) land 31)
+  | Jcc (AE, _) when tgt >= 0 -> fun t -> branch t (eval_cond t AE) tgt next
+  | Jcc (NE, _) when tgt >= 0 -> fun t -> branch t (eval_cond t NE) tgt next
+  | _ -> generic_body t l idx
+
 (* --- The reference interpreter --- *)
 
 let step t =
@@ -804,18 +957,8 @@ let step t =
   | Alu (op, w, dst, src) ->
       charge t cost.Cost.alu_cycles;
       let a = read_operand t w dst and b = read_operand t w src in
-      let r =
-        match op with
-        | Add -> Int64.add a b
-        | Sub -> Int64.sub a b
-        | And -> Int64.logand a b
-        | Or -> Int64.logor a b
-        | Xor -> Int64.logxor a b
-      in
-      (match op with
-      | Add -> set_add_flags t w a b r
-      | Sub -> set_sub_flags t w a b r
-      | And | Or | Xor -> set_logic_flags t w r);
+      let r = alu_value op a b in
+      alu_flags t op w a b r;
       write_operand t w dst r
   | Shift (op, w, dst, count) ->
       charge t cost.Cost.alu_cycles;
@@ -971,3 +1114,4 @@ let run_reference t ~fuel =
   | Hostcall_exit _ -> result := Some Halted
   | Trap_exn k -> result := Some (Trapped k));
   match !result with Some s -> s | None -> assert false
+

@@ -13,14 +13,12 @@ let is_extended r = gpr_index r >= 8
 let mem_prefixes (m : mem) =
   (* native_base models absolute-pointer addressing: no prefixes. *)
   if m.native_base then 0
-  else (if m.seg <> None then 1 else 0) + if m.addr32 then 1 else 0
+  else (match m.seg with Some _ -> 1 | None -> 0) + if m.addr32 then 1 else 0
 
 (* ModRM + SIB + displacement bytes for a memory operand. *)
 let modrm_sib_disp (m : mem) =
   let needs_sib =
-    m.index <> None
-    || (match m.base with Some (RSP | R12) -> true | _ -> false)
-    || m.base = None
+    match (m.index, m.base) with Some _, _ | None, (Some (RSP | R12) | None) -> true | _ -> false
   in
   let disp_bytes =
     match m.base with
@@ -35,21 +33,27 @@ let mem_uses_extended (m : mem) =
   (match m.base with Some r -> is_extended r | None -> false)
   || match m.index with Some (r, _) -> is_extended r | None -> false
 
-let rex_needed w regs mems =
-  w = W64 || List.exists is_extended regs || List.exists mem_uses_extended mems
+(* Does an operand need REX (an extended register), and how many legacy
+   prefixes does it contribute? *)
+let operand_rex = function
+  | Reg r -> is_extended r
+  | Mem m -> mem_uses_extended m
+  | Imm _ -> false
+
+let operand_prefixes = function Mem m -> mem_prefixes m | Reg _ | Imm _ -> 0
 
 let operand_size_prefix w = if w = W16 then 1 else 0
 
-(* Generic "op reg/mem, reg/mem-or-imm" shape shared by mov/alu/cmp/test. *)
-let rm_form w dst src ~imm_is_8_ok =
-  let regs = List.filter_map (function Reg r -> Some r | _ -> None) [ dst; src ] in
-  let mems = List.filter_map (function Mem m -> Some m | _ -> None) [ dst; src ] in
-  let prefix = List.fold_left (fun acc m -> acc + mem_prefixes m) 0 mems in
-  let rex = if rex_needed w regs mems then 1 else 0 in
+(* Generic "op reg/mem, reg/mem-or-imm" shape shared by mov/alu/cmp/test;
+   [ext] marks a further extended register operand. It allocates nothing:
+   every compile and every engine load measures each instruction. *)
+let modrm_form w ~ext dst src ~imm_is_8_ok =
+  let prefix = operand_prefixes dst + operand_prefixes src in
+  let rex = if w = W64 || ext || operand_rex dst || operand_rex src then 1 else 0 in
   let body =
-    match mems with
-    | m :: _ -> modrm_sib_disp m
-    | [] -> 1 (* ModRM only, register-direct *)
+    match (dst, src) with
+    | Mem m, _ | _, Mem m -> modrm_sib_disp m
+    | _ -> 1 (* ModRM only, register-direct *)
   in
   let imm =
     match src with
@@ -62,32 +66,38 @@ let rm_form w dst src ~imm_is_8_ok =
   in
   operand_size_prefix w + prefix + rex + 1 + body + imm
 
+let rm_form w dst src ~imm_is_8_ok = modrm_form w ~ext:false dst src ~imm_is_8_ok
+
+(* [rm_form] with the register [r] as destination, without building
+   [Reg r]: RAX stands in for it and [ext] carries its REX bit. *)
+let reg_form w r src ~imm_is_8_ok = modrm_form w ~ext:(is_extended r) (Reg RAX) src ~imm_is_8_ok
+
 let instr_length (i : instr) =
   match i with
   | Label _ -> 0
   | Mov (w, dst, src) -> rm_form w dst src ~imm_is_8_ok:false
   | Movzx (dw, _, dst, src) | Movsx (dw, _, dst, src) ->
       (* 0F B6/B7/BE/BF: two-byte opcode. *)
-      1 + rm_form dw (Reg dst) src ~imm_is_8_ok:false
+      1 + reg_form dw dst src ~imm_is_8_ok:false
   | Lea (w, dst, m) ->
-      let rex = if rex_needed w [ dst ] [ m ] then 1 else 0 in
+      let rex = if w = W64 || is_extended dst || mem_uses_extended m then 1 else 0 in
       operand_size_prefix w + mem_prefixes m + rex + 1 + modrm_sib_disp m
   | Alu (_, w, dst, src) | Cmp (w, dst, src) -> rm_form w dst src ~imm_is_8_ok:true
   | Test (w, dst, src) -> rm_form w dst src ~imm_is_8_ok:false
   | Shift (_, w, dst, count) ->
       let base = rm_form w dst (Reg RCX) ~imm_is_8_ok:false in
       (match count with Count_imm 1 | Count_cl -> base | Count_imm _ -> base + 1)
-  | Imul (w, dst, src) -> 1 + rm_form w (Reg dst) src ~imm_is_8_ok:false
+  | Imul (w, dst, src) -> 1 + reg_form w dst src ~imm_is_8_ok:false
   | Bitcnt (_, w, dst, src) ->
       (* F3 0F B8/BC/BD /r: mandatory prefix + two-byte opcode. *)
-      2 + rm_form w (Reg dst) src ~imm_is_8_ok:false
+      2 + reg_form w dst src ~imm_is_8_ok:false
   | Div (w, _, src) -> rm_form w src (Reg RAX) ~imm_is_8_ok:false
   | Cqo w -> if w = W64 then 2 else 1
   | Neg (w, op) | Not (w, op) -> rm_form w op (Reg RAX) ~imm_is_8_ok:false
   | Setcc (_, r) ->
       (* setcc r8 (3 + possible REX) followed by the folded movzx (3). *)
       (if is_extended r then 4 else 3) + 3
-  | Cmovcc (_, w, dst, src) -> 1 + rm_form w (Reg dst) src ~imm_is_8_ok:false
+  | Cmovcc (_, w, dst, src) -> 1 + reg_form w dst src ~imm_is_8_ok:false
   | Jmp _ -> 5 (* jmp rel32 *)
   | Jcc _ -> 6 (* 0F 8x rel32 *)
   | Jmp_reg r | Call_reg r -> if is_extended r then 3 else 2

@@ -5,8 +5,9 @@
    at fuel edges before and after it (handcrafted, qcheck-random, and
    fuzzer corpus programs), traced runs that keep batching and stamp and
    observe exactly what the reference does, the page-access-cache
-   invalidation edge across a superblock boundary, and the
-   allocation-free execution core. *)
+   invalidation edge across a superblock boundary, the
+   allocation-free execution core, and every shape-specialized body
+   against the reference interpreter. *)
 
 module X = Sfi_x86.Ast
 module Machine = Sfi_machine.Machine
@@ -433,9 +434,13 @@ let test_pcache_superblock_boundary () =
 
 (* A register+memory loop: loads, stores and read-modify-write ALU ops at
    several widths, sign/zero extension, shift, lea, imul, push/pop and a
-   conditional branch — 14 instructions per trip. *)
+   conditional branch, then one of each specialized 32-bit body (and the
+   64-bit moves) — 41 instructions per trip. *)
 let alloc_loop n =
   let at disp = X.Mem (X.mem ~base:X.RBX ~disp ()) in
+  let r12 ?base ?index disp = X.Lea (X.W32, X.R12, X.mem ?base ?index ~disp ()) in
+  let alu op dst src = X.Alu (op, X.W32, X.Reg dst, src) in
+  let shift op count = X.Shift (op, X.W32, X.Reg X.R12, count) in
   [
     X.Mov (X.W64, X.Reg X.RBX, X.Imm (Int64.of_int mb));
     X.Mov (X.W64, X.Reg X.RCX, X.Imm (Int64.of_int n));
@@ -451,6 +456,34 @@ let alloc_loop n =
     X.Imul (X.W64, X.RDI, X.Reg X.RDX);
     X.Push (X.Reg X.RDI);
     X.Pop X.R8;
+    X.Mov (X.W64, X.Reg X.R9, X.Reg X.RAX);
+    X.Mov (X.W32, X.Reg X.R9, X.Reg X.R9);
+    X.Mov (X.W32, X.Reg X.R10, X.Imm 0x1234L);
+    X.Mov (X.W64, X.Reg X.R11, X.Imm 5L);
+    X.Mov (X.W32, at 24, X.Reg X.R9);
+    X.Mov (X.W32, X.Reg X.R9, at 24);
+    X.Mov (X.W64, X.Reg X.R10, at 0);
+    X.Movzx (X.W32, X.W8, X.R11, at 24);
+    r12 ~base:X.R9 12;
+    r12 ~index:(X.R9, X.S4) 12;
+    r12 ~base:X.R12 ~index:(X.R9, X.S2) 1;
+    X.Cmp (X.W32, X.Reg X.R9, X.Imm 7L);
+    X.Jcc (X.AE, "ae");
+    X.Label "ae";
+    alu X.And X.R10 (X.Imm 0xFFL);
+    alu X.Sub X.R10 (X.Imm 3L);
+    alu X.Add X.R11 (X.Reg X.R9);
+    alu X.Sub X.R11 (X.Reg X.R10);
+    alu X.And X.R12 (X.Reg X.R11);
+    alu X.Xor X.R12 (X.Reg X.R9);
+    X.Cmp (X.W32, X.Reg X.R11, X.Reg X.R12);
+    X.Test (X.W32, X.Reg X.R11, X.Reg X.R12);
+    X.Imul (X.W32, X.R11, X.Reg X.R9);
+    shift X.Shl (X.Count_imm 5);
+    shift X.Shr (X.Count_imm 3);
+    shift X.Sar (X.Count_imm 1);
+    shift X.Rol (X.Count_imm 7);
+    shift X.Shl X.Count_cl;
     X.Alu (X.Sub, X.W64, X.Reg X.RCX, X.Imm 1L);
     X.Cmp (X.W64, X.Reg X.RCX, X.Imm 0L);
     X.Jcc (X.NE, "loop");
@@ -547,6 +580,154 @@ let test_load_no_forced_minor_gc () =
     ~setup:(fun m -> Machine.set_reg m X.RBX (Int64.of_int (Machine.label_address m "leaf")))
     big_body
 
+(* ------------------------------------------------------------------ *)
+(* Specialized bodies against the reference interpreter.               *)
+(* ------------------------------------------------------------------ *)
+
+(* One row per body [Decode.compile_body] specializes. A row's program
+   reads its operands from RAX ([a]) and RCX ([b]), or takes [b] as an
+   immediate or shift count; RBX points at the data page, whose quadword
+   at +8 holds [b]. *)
+let shape_rows =
+  let at = X.Mem (X.mem ~base:X.RBX ~disp:8 ()) in
+  let gs_at = X.Mem (X.mem ~seg:X.GS ~index:(X.RDX, X.S8) ~disp:8 ~addr32:true ()) in
+  let cnt b = Int64.to_int b land 63 in
+  let alu op src _ _ = [ X.Alu (op, X.W32, X.Reg X.RAX, src) ] in
+  let shift op _ b = [ X.Shift (op, X.W32, X.Reg X.RAX, X.Count_imm (cnt b)) ] in
+  let jcc c _ _ =
+    [ X.Cmp (X.W64, X.Reg X.RAX, X.Reg X.RCX); X.Jcc (c, "over"); X.Mov (X.W64, X.Reg X.RDX, X.Imm 7L); X.Label "over" ]
+  in
+  [
+    ("mov64rr", fun _ _ -> [ X.Mov (X.W64, X.Reg X.RAX, X.Reg X.RCX) ]);
+    ("mov32rr", fun _ _ -> [ X.Mov (X.W32, X.Reg X.RAX, X.Reg X.RCX) ]);
+    ("mov64ri", fun _ b -> [ X.Mov (X.W64, X.Reg X.RAX, X.Imm b) ]);
+    ("mov32ri", fun _ b -> [ X.Mov (X.W32, X.Reg X.RAX, X.Imm b) ]);
+    ("mov64rm", fun _ _ -> [ X.Mov (X.W64, X.Reg X.RAX, at) ]);
+    ("mov32rm", fun _ _ -> [ X.Mov (X.W32, X.Reg X.RAX, at) ]);
+    ("mov32rm gs:addr32", fun _ _ -> [ X.Mov (X.W32, X.Reg X.RAX, gs_at) ]);
+    ("mov64mr", fun _ _ -> [ X.Mov (X.W64, at, X.Reg X.RAX); X.Mov (X.W64, X.Reg X.RCX, at) ]);
+    ("mov32mr", fun _ _ -> [ X.Mov (X.W32, at, X.Reg X.RAX); X.Mov (X.W64, X.Reg X.RCX, at) ]);
+    ("movzx32_8m", fun _ _ -> [ X.Movzx (X.W32, X.W8, X.RAX, at) ]);
+    ("movzx64_8m", fun _ _ -> [ X.Movzx (X.W64, X.W8, X.RAX, at) ]);
+    ("lea32 b+d", fun _ _ -> [ X.Lea (X.W32, X.RAX, X.mem ~base:X.RCX ~disp:(-3) ()) ]);
+    ( "lea32 i*s+d",
+      fun _ _ -> [ X.Lea (X.W32, X.RAX, X.mem ~index:(X.RCX, X.S4) ~disp:0x7FFFFFF0 ~addr32:true ()) ] );
+    ( "lea32 b+i*s+d",
+      fun _ _ -> [ X.Lea (X.W32, X.RAX, X.mem ~base:X.RAX ~index:(X.RCX, X.S8) ~disp:5 ()) ] );
+    ("and32ri", fun a b -> alu X.And (X.Imm b) a b);
+    ("sub32ri", fun a b -> alu X.Sub (X.Imm b) a b);
+    ("add32rr", alu X.Add (X.Reg X.RCX));
+    ("sub32rr", alu X.Sub (X.Reg X.RCX));
+    ("and32rr", alu X.And (X.Reg X.RCX));
+    ("xor32rr", alu X.Xor (X.Reg X.RCX));
+    ("cmp32ri", fun _ b -> [ X.Cmp (X.W32, X.Reg X.RAX, X.Imm b) ]);
+    ("cmp32rr", fun _ _ -> [ X.Cmp (X.W32, X.Reg X.RAX, X.Reg X.RCX) ]);
+    ("test32rr", fun _ _ -> [ X.Test (X.W32, X.Reg X.RAX, X.Reg X.RCX) ]);
+    ("imul32r", fun _ _ -> [ X.Imul (X.W32, X.RAX, X.Reg X.RCX) ]);
+    ("shl32ri", shift X.Shl);
+    ("shr32ri", shift X.Shr);
+    ("sar32ri", shift X.Sar);
+    ("rol32ri", shift X.Rol);
+    ("shl32 cl", fun _ _ -> [ X.Shift (X.Shl, X.W32, X.Reg X.RAX, X.Count_cl) ]);
+    ("jae", jcc X.AE);
+    ("jne", jcc X.NE);
+  ]
+
+(* 0, 1, -1, the 32-bit sign and range edges, [min_int64], and two values
+   with garbage above bit 31 that a 32-bit form must ignore. *)
+let shape_values =
+  [ 0L; 1L; -1L; 0x7FFFFFFFL; 0x80000000L; 0xFFFFFFFFL; Int64.min_int; 0xDEADBEEF80000001L;
+    0x12345678FFFFFFFEL ]
+
+let all_conds = X.[ E; NE; L; LE; G; GE; B; BE; A; AE; S; NS ]
+
+(* The row's op, then a Setcc on every condition, so each flag the op set
+   is read back through a register. *)
+let shape_program row a b =
+  row a b @ List.map (fun c -> X.Setcc (c, X.RDX)) all_conds
+
+let shape_setup a b m =
+  Machine.set_reg m X.RAX a;
+  Machine.set_reg m X.RCX b;
+  Machine.set_reg m X.RBX (Int64.of_int mb);
+  Machine.set_reg m X.RDX 0L;
+  Machine.set_seg_base m X.GS mb;
+  let q = Bytes.create 8 in
+  Bytes.set_int64_le q 0 b;
+  Space.write_bytes (Machine.space m) ~addr:(mb + 8) q
+
+(* The data page of each machine [make] built, for comparing stores. *)
+let data_page m = Space.read_bytes (Machine.space m) ~addr:mb ~len:64
+
+let test_shape_differential () =
+  List.iter
+    (fun (name, row) ->
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              let made = ref [] in
+              let make () =
+                let m = make_machine ~setup:(shape_setup a b) (shape_program row a b) () in
+                made := m :: !made;
+                m
+              in
+              (match Lockstep.run_pair ~stride:1 ~make ~entry:"entry" () with
+              | Ok Machine.Halted -> ()
+              | Ok _ -> Alcotest.failf "%s a=%Lx b=%Lx: did not halt" name a b
+              | Error d ->
+                  Alcotest.failf "%s a=%Lx b=%Lx: %s" name a b
+                    (Format.asprintf "%a" Lockstep.pp_divergence d));
+              match !made with
+              | [ c; r ] ->
+                  if not (Bytes.equal (data_page c) (data_page r)) then
+                    Alcotest.failf "%s a=%Lx b=%Lx: memory differs" name a b
+              | _ -> Alcotest.fail "Lockstep builds two machines")
+            shape_values)
+        shape_values)
+    shape_rows
+
+(* A specialized load or store that faults in the middle of a guarded
+   range: the compiled engine must roll the range's charges back to the
+   faulting slot and report the fault [step] reports. The block runs
+   whole (one dispatch), then the same program runs at strides 1/7/97. *)
+let test_shape_fault_mid_range () =
+  let far = X.Mem (X.mem ~base:X.RBX ~disp:(16 * Space.page_size) ()) in
+  List.iter
+    (fun (name, faulting, write) ->
+      let program =
+        [
+          X.Mov (X.W64, X.Reg X.RBX, X.Imm (Int64.of_int mb));
+          X.Mov (X.W64, X.Mem (X.mem ~base:X.RBX ()), X.Reg X.RBX);
+          X.Alu (X.Add, X.W32, X.Reg X.RAX, X.Reg X.RBX);
+          faulting;
+          X.Alu (X.Sub, X.W32, X.Reg X.RAX, X.Imm 1L);
+          X.Mov (X.W32, X.Mem (X.mem ~base:X.RBX ~disp:8 ()), X.Reg X.RAX);
+        ]
+      in
+      let run engine =
+        let m = make_machine program () in
+        Machine.set_engine m engine;
+        let st = Machine.execute m ~entry:"entry" () in
+        (m, st)
+      in
+      let c, st_c = run Machine.Compiled and r, st_r = run Machine.Reference in
+      if st_c <> Machine.Trapped X.Trap_out_of_bounds || st_r <> st_c then
+        Alcotest.failf "%s: both engines must trap out of bounds" name;
+      Alcotest.(check bool) (name ^ ": ran batched") true (Machine.superblock_retired c > 0);
+      Alcotest.(check bool) (name ^ ": snapshot rolled back to step's") true
+        (Machine.snapshot c = Machine.snapshot r);
+      Alcotest.(check bool) (name ^ ": fault info") true
+        (Machine.last_fault_info c
+        = Some { Machine.fault_addr = mb + (16 * Space.page_size); fault_write = write }
+        && Machine.last_fault_info c = Machine.last_fault_info r);
+      Alcotest.(check bool) (name ^ ": memory") true (Bytes.equal (data_page c) (data_page r));
+      lockstep_strides program)
+    [
+      ("mov64rm", X.Mov (X.W64, X.Reg X.RCX, far), false);
+      ("mov32mr", X.Mov (X.W32, far, X.Reg X.RAX), true);
+    ]
+
 let case name f = Alcotest.test_case name `Quick f
 
 let tests =
@@ -563,4 +744,6 @@ let tests =
     case "hot path: no allocation per instruction" test_hot_path_allocation_free;
     case "hot path: no allocation per line-straddling access" test_line_straddle_allocation_free;
     case "load path: no forced minor collections" test_load_no_forced_minor_gc;
+    case "shapes: specialized bodies = reference" test_shape_differential;
+    case "shapes: a fault mid-range rolls back" test_shape_fault_mid_range;
   ]
