@@ -680,43 +680,8 @@ let chaos_cmd =
     (match metrics_out with
     | None -> ()
     | Some path ->
-        let f = float_of_int in
         let oc = open_out path in
-        output_string oc
-          (Trace.prometheus
-             [
-               ("sfi_chaos_perturbations_total", "perturbations applied", f s.Sim.chaos_applied);
-               ("sfi_chaos_kills_total", "chaos kills with a victim", f s.Sim.chaos_kills);
-               ("sfi_requests_completed_total", "requests completed", f s.Sim.completed);
-               ("sfi_requests_failed_total", "requests failed", f s.Sim.failed);
-               ("sfi_availability", "completions / attempts", s.Sim.availability);
-               ("sfi_admission_admitted_total", "slot grants through admission", f s.Sim.admitted);
-               ( "sfi_admission_shed_sojourn_total",
-                 "CoDel / ticket-deadline sheds",
-                 f s.Sim.shed_sojourn );
-               ( "sfi_admission_shed_rate_limited_total",
-                 "per-tenant token-bucket sheds",
-                 f s.Sim.shed_rate_limited );
-               ( "sfi_admission_shed_queue_full_total",
-                 "queue-at-capacity sheds",
-                 f s.Sim.shed_queue_full );
-               ("sfi_breaker_opens_total", "circuit-breaker trips", f s.Sim.breaker_opens);
-               ( "sfi_breaker_fast_fails_total",
-                 "requests refused by an open breaker",
-                 f s.Sim.breaker_fast_fails );
-               ( "sfi_breakers_open",
-                 "breakers not closed at end of run",
-                 f s.Sim.breakers_open_at_end );
-               ( "sfi_slo_burn_alerts_started_total",
-                 "SLO burn-rate alerts raised",
-                 f s.Sim.slo_burn_starts );
-               ( "sfi_slo_burn_alerts_stopped_total",
-                 "SLO burn-rate alerts cleared",
-                 f s.Sim.slo_burn_stops );
-               ( "sfi_slo_tenants_burning",
-                 "tenants with a fast-window burn alert raised at end of run",
-                 f s.Sim.slo_burning_at_end );
-             ]);
+        output_string oc (Trace.prometheus (Sim.prometheus_gauges s));
         close_out oc;
         Printf.printf "  metrics           -> %s\n" path);
     let ok = ref (r.Chaos.violations = []) in
@@ -728,15 +693,12 @@ let chaos_cmd =
     if r.Chaos.violations = [] then Printf.printf "  invariants        all held\n";
     if repeat then begin
       let r2 = Chaos.run cfg in
-      let same =
-        r.Chaos.digest = r2.Chaos.digest
-        && Chaos.fingerprint r = Chaos.fingerprint r2
-        && r2.Chaos.violations = []
-      in
-      if same then Printf.printf "  repeat            deterministic (digest + counters match)\n"
+      let fp1 = Sfi_faas.Shard.result_fingerprint s in
+      let fp2 = Sfi_faas.Shard.result_fingerprint r2.Chaos.sim in
+      if r.Chaos.digest = r2.Chaos.digest && fp1 = fp2 && r2.Chaos.violations = [] then
+        Printf.printf "  repeat            deterministic (digest + counters match)\n"
       else begin
-        Printf.printf "  repeat            MISMATCH\n    run1 %s\n    run2 %s\n"
-          (Chaos.fingerprint r) (Chaos.fingerprint r2);
+        Printf.printf "  repeat            MISMATCH\n    run1 %016Lx\n    run2 %016Lx\n" fp1 fp2;
         ok := false
       end
     end;

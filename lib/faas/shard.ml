@@ -263,35 +263,10 @@ let result_fingerprint (r : Sim.result) =
   let mix64 v = h := Int64.mul (Int64.logxor !h v) 0x100000001B3L in
   let mixi v = mix64 (Int64.of_int v) in
   let mixf v = mix64 (Int64.bits_of_float v) in
-  mixi r.Sim.completed;
-  mixi r.Sim.failed;
-  mixi r.Sim.watchdog_kills;
-  mixi r.Sim.collateral_aborts;
-  mixi r.Sim.recycles;
-  mixi r.Sim.pages_zeroed;
-  mixi r.Sim.admitted;
-  mixi r.Sim.shed_sojourn;
-  mixi r.Sim.shed_rate_limited;
-  mixi r.Sim.shed_queue_full;
-  mixi r.Sim.shed_priority;
-  mixi r.Sim.deadline_misses;
-  mixi r.Sim.breaker_opens;
-  mixi r.Sim.breaker_fast_fails;
-  mixi r.Sim.breakers_open_at_end;
-  mixi r.Sim.degrade_steps;
-  mixi r.Sim.max_degrade_level;
-  mixi r.Sim.chaos_applied;
-  mixi r.Sim.chaos_kills;
-  mixi r.Sim.slo_burn_starts;
-  mixi r.Sim.slo_burn_stops;
-  mixi r.Sim.slo_burning_at_end;
-  mixf r.Sim.throughput_rps;
-  mixf r.Sim.goodput_rps;
-  mixf r.Sim.availability;
-  mixf r.Sim.capacity_rps;
-  mixi r.Sim.context_switches;
-  mixi r.Sim.user_transitions;
-  mixi r.Sim.dtlb_misses;
+  List.iter
+    (function
+      | _, _, Sim.Int get -> mixi (get r) | _, _, Sim.Float get -> mixf (get r))
+    Sim.counters;
   mix64 r.Sim.checksum;
   mixf r.Sim.simulated_ns;
   mixf r.Sim.cpu_busy_ns;

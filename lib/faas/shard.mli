@@ -86,9 +86,11 @@ val run : config -> report
     domains and must be thread-safe. *)
 
 val result_fingerprint : Sim.result -> int64
-(** FNV-1a digest of every counter, rate and per-tenant stat (floats by
-    bit pattern) — the equality witness for the determinism and 1-shard
-    bit-identity contracts. *)
+(** FNV-1a digest of every counter and rate in {!Sim.counters} order,
+    then the checksum, the simulated and busy times and every per-tenant
+    stat (floats by bit pattern) — the equality witness for the
+    determinism and 1-shard bit-identity contracts, and what
+    [sfi chaos --repeat] compares. *)
 
 val metrics_fingerprint : Sfi_runtime.Runtime.metrics -> int64
 (** FNV-1a digest of a runtime-metrics snapshot, its counters taken in

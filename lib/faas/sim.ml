@@ -141,34 +141,38 @@ type tenant_stat = {
   t_e2e_hist : Hist.t;
 }
 
+(* The run-wide counters and rates. One record of this type is a run's
+   live counters: the [mutable] fields are booked into it as the run
+   goes, and [totals] copies it with the values derived from the
+   per-slot tallies, the engines and the clock. *)
 type result = {
   completed : int;
   failed : int;
-  watchdog_kills : int;
-  collateral_aborts : int;
-  recycles : int;
+  mutable watchdog_kills : int;
+  mutable collateral_aborts : int;
+  mutable recycles : int;
   pages_zeroed : int;
   admitted : int;
   shed_sojourn : int;
   shed_rate_limited : int;
   shed_queue_full : int;
   shed_priority : int;
-  deadline_misses : int;
+  mutable deadline_misses : int;
   breaker_opens : int;
-  breaker_fast_fails : int;
+  mutable breaker_fast_fails : int;
   breakers_open_at_end : int;
-  degrade_steps : int;
-  max_degrade_level : int;
-  chaos_applied : int;
-  chaos_kills : int;
-  slo_burn_starts : int;
-  slo_burn_stops : int;
+  mutable degrade_steps : int;
+  mutable max_degrade_level : int;
+  mutable chaos_applied : int;
+  mutable chaos_kills : int;
+  mutable slo_burn_starts : int;
+  mutable slo_burn_stops : int;
   slo_burning_at_end : int;
   throughput_rps : float;
   goodput_rps : float;
   availability : float;
   capacity_rps : float;
-  context_switches : int;
+  mutable context_switches : int;
   user_transitions : int;
   dtlb_misses : int;
   checksum : int64;
@@ -300,6 +304,73 @@ let merge ~tenants results =
       tenants;
     }
 
+(* Each scalar counter and rate of a result once: its field name, its
+   help text and its field. The order is the digest's: [Shard.result_fingerprint]
+   mixes the fields in this order. *)
+type getter = Int of (result -> int) | Float of (result -> float)
+
+let counters =
+  [
+    ("completed", "requests that finished successfully", Int (fun r -> r.completed));
+    ("failed", "requests killed by a trap or the watchdog", Int (fun r -> r.failed));
+    ( "watchdog_kills",
+      "failed requests stopped by the watchdog deadline",
+      Int (fun r -> r.watchdog_kills) );
+    ( "collateral_aborts",
+      "in-flight requests aborted by a co-resident tenant's crash",
+      Int (fun r -> r.collateral_aborts) );
+    ("recycles", "instances re-created on recycled slots", Int (fun r -> r.recycles));
+    ("pages_zeroed", "dirty OS pages dropped by slot recycles", Int (fun r -> r.pages_zeroed));
+    ("admitted", "slot grants through admission", Int (fun r -> r.admitted));
+    ("shed_sojourn", "CoDel / ticket-deadline sheds", Int (fun r -> r.shed_sojourn));
+    ("shed_rate_limited", "per-tenant token-bucket sheds", Int (fun r -> r.shed_rate_limited));
+    ("shed_queue_full", "admission-queue-at-capacity sheds", Int (fun r -> r.shed_queue_full));
+    ( "shed_priority",
+      "low-priority arrivals shed by the degradation ladder",
+      Int (fun r -> r.shed_priority) );
+    ( "deadline_misses",
+      "completions past the request deadline",
+      Int (fun r -> r.deadline_misses) );
+    ("breaker_opens", "circuit-breaker trips", Int (fun r -> r.breaker_opens));
+    ( "breaker_fast_fails",
+      "requests refused by an open breaker",
+      Int (fun r -> r.breaker_fast_fails) );
+    ( "breakers_open_at_end",
+      "breakers not closed at end of run",
+      Int (fun r -> r.breakers_open_at_end) );
+    ("degrade_steps", "degradation-ladder transitions", Int (fun r -> r.degrade_steps));
+    ( "max_degrade_level",
+      "deepest degradation-ladder level reached",
+      Int (fun r -> r.max_degrade_level) );
+    ("chaos_applied", "chaos perturbations applied", Int (fun r -> r.chaos_applied));
+    ( "chaos_kills",
+      "chaos kills that found an in-flight victim",
+      Int (fun r -> r.chaos_kills) );
+    ("slo_burn_starts", "SLO burn-rate alerts raised", Int (fun r -> r.slo_burn_starts));
+    ("slo_burn_stops", "SLO burn-rate alerts cleared", Int (fun r -> r.slo_burn_stops));
+    ( "slo_burning_at_end",
+      "tenants with a fast-window burn alert raised at end of run",
+      Int (fun r -> r.slo_burning_at_end) );
+    ( "throughput_rps",
+      "requests retired per simulated second",
+      Float (fun r -> r.throughput_rps) );
+    ( "goodput_rps",
+      "in-deadline completions per simulated second",
+      Float (fun r -> r.goodput_rps) );
+    ("availability", "completions / attempts", Float (fun r -> r.availability));
+    ("capacity_rps", "completions per CPU-busy second", Float (fun r -> r.capacity_rps));
+    ("context_switches", "OS process switches", Int (fun r -> r.context_switches));
+    ("user_transitions", "sandbox entries and exits", Int (fun r -> r.user_transitions));
+    ("dtlb_misses", "simulated dTLB misses", Int (fun r -> r.dtlb_misses));
+  ]
+
+let prometheus_gauges r =
+  List.map
+    (function
+      | name, help, Int get -> ("sfi_" ^ name ^ "_total", help, float_of_int (get r))
+      | name, help, Float get -> ("sfi_" ^ name, help, get r))
+    counters
+
 (* --- the run state --------------------------------------------------- *)
 
 (* [run] is set-up, one event loop and the result. The loop's stages
@@ -372,19 +443,12 @@ type state = {
   heap_os_pages : int;
   lifecycle_prev : int array; (* per process, at the last [charge] *)
   engine_cycles : int array; (* per process, at the last [charge] *)
-  mutable watchdog_kills : int;
-  mutable collateral : int;
-  mutable recycles : int;
-  mutable deadline_misses : int;
-  mutable breaker_fast_fails : int;
+  live : result; (* the counters the run books directly *)
   (* The low 32 bits of every result, summed: an int holds the sum exactly
      up to 2^30 completions, so it equals the int64 sum. *)
   mutable checksum : int;
-  mutable context_switches : int;
   (* Chaos: the events still to apply, in time order. *)
   mutable chaos_pending : chaos_event list;
-  mutable chaos_applied : int;
-  mutable chaos_kills : int;
   mutable inst_fail_budget : int; (* slot acquisitions left to fail *)
   mutable current_proc : int;
   mutable rr_cursor : int;
@@ -392,12 +456,8 @@ type state = {
      window and the run of overloaded (> 0) or calm (< 0) windows that
      move it. *)
   mutable level : int;
-  mutable max_level : int;
-  mutable degrade_steps : int;
   mutable window_sheds : int;
   mutable streak : int;
-  mutable burn_starts : int;
-  mutable burn_stops : int;
 }
 
 (* The trace's reason code for the ladder's priority shed; the runtime's
@@ -480,52 +540,40 @@ let breakers_open st = count (fun b -> Breaker.state b <> Breaker.Closed) st.bre
 (* Tenants whose fast-window SLO alert is raised. *)
 let burning st = count (fun s -> Slo.alerting s Slo.Fast) st.slos
 
-(* The run's counters so far, the tenants' tallies summed: the one
-   definition the result and the flight recorder's snapshot read. The
+(* The run's counters so far: the live record, with the values derived
+   from the tenants' tallies, the engines and the clock. The one
+   definition the result and the flight recorder's snapshot read; the
    rates and the per-tenant breakdown are left to [run]. *)
 let totals st =
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 st.requests in
   let shed code = sum (fun r -> r.n_shed.(code)) in
   let rt = Runtime.merged_metrics (Array.to_list (Array.map Runtime.metrics st.engines)) in
   {
+    st.live with
     completed = sum (fun r -> r.n_completed);
-    failed = sum (fun r -> r.n_failed) - st.collateral;
-    watchdog_kills = st.watchdog_kills;
-    collateral_aborts = st.collateral;
-    recycles = st.recycles;
+    failed = sum (fun r -> r.n_failed) - st.live.collateral_aborts;
     pages_zeroed = rt.Runtime.m_pages_zeroed_on_recycle;
     admitted = rt.Runtime.m_admitted;
     shed_sojourn = shed (Runtime.shed_reason_code Runtime.Shed_sojourn);
     shed_rate_limited = shed (Runtime.shed_reason_code Runtime.Shed_rate_limited);
     shed_queue_full = shed (Runtime.shed_reason_code Runtime.Shed_queue_full);
     shed_priority = shed priority_shed;
-    deadline_misses = st.deadline_misses;
     breaker_opens = sum (fun r -> r.n_breaker_opens);
-    breaker_fast_fails = st.breaker_fast_fails;
     breakers_open_at_end = breakers_open st;
-    degrade_steps = st.degrade_steps;
-    max_degrade_level = st.max_level;
-    chaos_applied = st.chaos_applied;
-    chaos_kills = st.chaos_kills;
-    slo_burn_starts = st.burn_starts;
-    slo_burn_stops = st.burn_stops;
     slo_burning_at_end = burning st;
-    throughput_rps = 0.0;
-    goodput_rps = 0.0;
-    availability = 1.0;
-    capacity_rps = 0.0;
-    context_switches = st.context_switches;
     user_transitions = rt.Runtime.m_transitions;
     dtlb_misses =
       Array.fold_left (fun acc e -> acc + Machine.dtlb_misses (Runtime.machine e)) 0 st.engines;
     checksum = Int64.of_int st.checksum;
     simulated_ns = st.tm.now;
     cpu_busy_ns = st.tm.busy;
-    tenants = [||];
   }
 
 (* --- flight recorder: post-mortem freezes ---------------------------- *)
 
+(* Not read from [counters]: a bundle snapshots live ladder, admission
+   and machine state besides the result's counters, in a pinned order
+   that the golden flight digest hashes. *)
 let flight_counters st =
   let c = totals st in
   let fold f = Array.fold_left (fun acc e -> acc + f e) 0 st.engines in
@@ -571,11 +619,11 @@ let slo_transitions st id s =
       let burn_milli = int_of_float (tr.Slo.tr_burn *. 1000.0) in
       let window = match tr.Slo.tr_window with Slo.Fast -> 0 | Slo.Slow -> 1 in
       if tr.Slo.tr_started then begin
-        st.burn_starts <- st.burn_starts + 1;
+        st.live.slo_burn_starts <- st.live.slo_burn_starts + 1;
         Trace.slo_burn_start st.trace ~tenant:id ~burn_milli ~window
       end
       else begin
-        st.burn_stops <- st.burn_stops + 1;
+        st.live.slo_burn_stops <- st.live.slo_burn_stops + 1;
         Trace.slo_burn_stop st.trace ~tenant:id ~burn_milli ~window
       end)
     (Slo.evaluate s ~now:st.tm.now)
@@ -633,7 +681,7 @@ let breaker_allow st r =
       note_breaker st r.id b prev;
       if ok then r.bk_admitted <- true
       else begin
-        st.breaker_fast_fails <- st.breaker_fast_fails + 1;
+        st.live.breaker_fast_fails <- st.live.breaker_fast_fails + 1;
         Ready.set_due st.ready r.id
           (match Breaker.state b with
           | Breaker.Open -> Float.max (Breaker.retry_at b) (st.tm.now +. st.cfg.epoch_ns)
@@ -646,8 +694,8 @@ let breaker_allow st r =
 
 let apply_level st lvl =
   st.level <- lvl;
-  st.max_level <- max st.max_level lvl;
-  st.degrade_steps <- st.degrade_steps + 1;
+  st.live.max_degrade_level <- max st.live.max_degrade_level lvl;
+  st.live.degrade_steps <- st.live.degrade_steps + 1;
   (* L1: tighten admission and keep recycle headroom. L2: + stop hedging
      failed requests. L3 additionally sheds low-priority arrivals (in
      [acquire]). Stepping down unwinds in the same order. *)
@@ -732,7 +780,7 @@ let[@inline] complete st r arrival =
   let lat = st.tm.now -. Float.Array.get st.started r.id in
   let e2e = st.tm.now -. arrival in
   (match st.cfg.overload.request_deadline_ns with
-  | Some d when e2e > d -> st.deadline_misses <- st.deadline_misses + 1
+  | Some d when e2e > d -> st.live.deadline_misses <- st.live.deadline_misses + 1
   | _ -> ());
   feed_breaker st r.id lat;
   Trace.request_end st.trace ~tenant:r.id ~ok:true;
@@ -760,7 +808,7 @@ let take_slot st r =
   | _ -> (
       match Runtime.admit st.engines.(r.proc) ~ticket:r.id ~tenant:r.id ~now:st.tm.now with
       | `Ready inst ->
-          if r.had_inst then st.recycles <- st.recycles + 1;
+          if r.had_inst then st.live.recycles <- st.live.recycles + 1;
           r.had_inst <- true;
           r.parked <- false;
           r.inst <- Some inst;
@@ -814,7 +862,7 @@ let crash_process st proc ~except =
     (fun r2 ->
       if r2.proc = proc && r2.id <> except then begin
         if r2.act <> None then begin
-          st.collateral <- st.collateral + 1;
+          st.live.collateral_aborts <- st.live.collateral_aborts + 1;
           abort st r2
         end;
         kill_live r2;
@@ -876,7 +924,7 @@ let epoch st r =
         (* A watchdog kill (a runaway loop exceeded its deadline), or the
            instance died under us (e.g. collateral of a neighbour's crash):
            retry on a fresh instance. *)
-        if fault = Runtime.Fuel_exhausted then st.watchdog_kills <- st.watchdog_kills + 1;
+        if fault = Runtime.Fuel_exhausted then st.live.watchdog_kills <- st.live.watchdog_kills + 1;
         fail_step st r ~crash:false;
         false
     | `More -> false (* preempted; stays ready *)
@@ -901,7 +949,7 @@ let chaos_kill st =
   | [] -> -1
   | l ->
       let r = List.nth l (Prng.int st.chaos_rng (List.length l)) in
-      st.chaos_kills <- st.chaos_kills + 1;
+      st.live.chaos_kills <- st.live.chaos_kills + 1;
       fail st r;
       kill_live r;
       rearm st r Chaos_think;
@@ -919,13 +967,13 @@ let apply_chaos st ev =
         st.inst_fail_budget <- st.inst_fail_budget + n;
         (-1, "chaos.instantiate_fail")
   in
-  st.chaos_applied <- st.chaos_applied + 1;
+  st.live.chaos_applied <- st.live.chaos_applied + 1;
   freeze st reason;
   Option.iter
     (fun fn ->
       fn
         {
-          cr_index = st.chaos_applied - 1;
+          cr_index = st.live.chaos_applied - 1;
           cr_at_ns = ev.at_ns;
           cr_action = ev.action;
           cr_victim = victim;
@@ -968,7 +1016,7 @@ let ready_in st proc =
   i
 
 let switch_to st proc =
-  st.context_switches <- st.context_switches + 1;
+  st.live.context_switches <- st.live.context_switches + 1;
   bill st os_switch_ns;
   (* The incoming process finds the shared TLB polluted by whoever ran in
      between: model as a flush of its TLB state. *)
@@ -1124,26 +1172,15 @@ let setup cfg =
         | None -> 0);
       lifecycle_prev = Array.make nprocs 0;
       engine_cycles = Array.make nprocs 0;
-      watchdog_kills = 0;
-      collateral = 0;
-      recycles = 0;
-      deadline_misses = 0;
-      breaker_fast_fails = 0;
+      live = merge ~tenants:[||] [];
       checksum = 0;
-      context_switches = 0;
       chaos_pending = List.sort (fun a b -> compare a.at_ns b.at_ns) cfg.chaos;
-      chaos_applied = 0;
-      chaos_kills = 0;
       inst_fail_budget = 0;
       current_proc = 0;
       rr_cursor = 0;
       level = 0;
-      max_level = 0;
-      degrade_steps = 0;
       window_sheds = 0;
       streak = 0;
-      burn_starts = 0;
-      burn_stops = 0;
     }
   in
   Array.iter

@@ -256,14 +256,17 @@ type tenant_stat = {
   t_e2e_hist : Sfi_util.Hist.t;  (** end-to-end latency histogram *)
 }
 
-type result = {
+(** A run's counters and rates. The run books the [mutable] counters
+    into a live record of this type as it goes; what callers receive is
+    a copy that later work does not change. *)
+type result = private {
   completed : int;  (** requests that finished successfully *)
   failed : int;  (** requests killed by a trap or the watchdog *)
-  watchdog_kills : int;  (** subset of [failed] stopped by the deadline *)
-  collateral_aborts : int;
+  mutable watchdog_kills : int;  (** subset of [failed] stopped by the deadline *)
+  mutable collateral_aborts : int;
       (** in-flight requests aborted because a co-resident tenant crashed
           their shared process — the blast radius; always 0 for ColorGuard *)
-  recycles : int;  (** instances re-created on recycled slots *)
+  mutable recycles : int;  (** instances re-created on recycled slots *)
   pages_zeroed : int;
       (** OS pages of dirty state dropped by slot recycles, summed over all
           engines — the CoW runtime's whole lifecycle cost *)
@@ -272,20 +275,20 @@ type result = {
   shed_rate_limited : int;  (** per-tenant token-bucket sheds *)
   shed_queue_full : int;  (** admission-queue-at-capacity sheds *)
   shed_priority : int;  (** low-priority arrivals shed by the ladder at L3 *)
-  deadline_misses : int;
+  mutable deadline_misses : int;
       (** completions past [request_deadline_ns] — completed but excluded
           from goodput *)
   breaker_opens : int;  (** breaker trips, summed over tenants *)
-  breaker_fast_fails : int;
+  mutable breaker_fast_fails : int;
       (** requests refused by an open breaker without entering service
           (not counted in [failed]) *)
   breakers_open_at_end : int;  (** breakers not Closed when the run ended *)
-  degrade_steps : int;  (** ladder transitions (up or down) *)
-  max_degrade_level : int;  (** deepest ladder level reached (0-3) *)
-  chaos_applied : int;  (** perturbations applied from the schedule *)
-  chaos_kills : int;  (** [Chaos_kill]s that found an in-flight victim *)
-  slo_burn_starts : int;  (** burn-rate alert raises, both windows *)
-  slo_burn_stops : int;  (** burn-rate alert clears, both windows *)
+  mutable degrade_steps : int;  (** ladder transitions (up or down) *)
+  mutable max_degrade_level : int;  (** deepest ladder level reached (0-3) *)
+  mutable chaos_applied : int;  (** perturbations applied from the schedule *)
+  mutable chaos_kills : int;  (** [Chaos_kill]s that found an in-flight victim *)
+  mutable slo_burn_starts : int;  (** burn-rate alert raises, both windows *)
+  mutable slo_burn_stops : int;  (** burn-rate alert clears, both windows *)
   slo_burning_at_end : int;
       (** tenants whose fast-window alert was still raised at end of run *)
   throughput_rps : float;
@@ -302,7 +305,7 @@ type result = {
       (** completions per CPU-busy second — the per-core efficiency that
           Figure 6's throughput-gain percentages compare; 0 when no CPU work
           ran *)
-  context_switches : int;
+  mutable context_switches : int;
       (** OS-level process switches (multiprocess) — Figure 7a's metric;
           always 0 for ColorGuard, whose switches are user-level *)
   user_transitions : int;  (** sandbox entries/exits *)
@@ -314,6 +317,21 @@ type result = {
       (** per-tenant breakdown, indexed by request slot — the [sfi top]
           table *)
 }
+
+(** How {!counters} reads one field of a {!result}. *)
+type getter = Int of (result -> int) | Float of (result -> float)
+
+val counters : (string * string * getter) list
+(** Every scalar counter and rate of a {!result} once: its field name,
+    its help text and its field. Exporters iterate this table:
+    {!prometheus_gauges} writes each entry as a gauge, and
+    {!Sfi_faas.Shard.result_fingerprint} digests the fields in this
+    order. *)
+
+val prometheus_gauges : result -> (string * string * float) list
+(** One gauge per {!counters} entry, in table order: [sfi_<name>_total]
+    for an [Int] counter, [sfi_<name>] for a [Float] rate, with the
+    entry's help text. [sfi chaos --metrics-out] writes these. *)
 
 val validate : config -> (unit, string) Stdlib.result
 (** [Error reason] for a configuration {!run} refuses: [concurrency < 1];

@@ -191,11 +191,3 @@ let run ?(trace = Sfi_trace.Trace.null) ?flight cfg =
                   (Printf.sprintf "empty post-mortem bundle for %s" cls))
         classes);
   { digest; sim; violations = List.rev !violations }
-
-let fingerprint r =
-  let s = r.sim in
-  Printf.sprintf
-    "completed=%d failed=%d shed=%d/%d/%d recycles=%d kills=%d opens=%d fastfail=%d checksum=%Ld"
-    s.Sim.completed s.Sim.failed s.Sim.shed_sojourn s.Sim.shed_rate_limited
-    s.Sim.shed_queue_full s.Sim.recycles s.Sim.chaos_kills s.Sim.breaker_opens
-    s.Sim.breaker_fast_fails s.Sim.checksum

@@ -74,9 +74,6 @@ val run :
     floor, all breakers closed, every scheduled perturbation applied).
     When [flight] is supplied it is armed on the sim; at quiescence every
     injected fault class must have frozen a non-empty post-mortem bundle
-    or a ["postmortem"] violation is reported. *)
-
-val fingerprint : run_result -> string
-(** Compact counter summary (completed/failed/sheds/kills/checksum/…)
-    for determinism comparisons: two runs of the same config must have
-    equal digests {e and} equal fingerprints. *)
+    or a ["postmortem"] violation is reported. Deterministic: two runs
+    of one config have equal [digest]s and equal
+    {!Sfi_faas.Shard.result_fingerprint}s of [sim]. *)

@@ -750,6 +750,36 @@ let test_prometheus_gauge_per_counter () =
   Alcotest.(check int) "gauge names unique" (List.length names)
     (List.length (List.sort_uniq compare names))
 
+(* The gauge set `sfi chaos --metrics-out` writes for a short seeded
+   run: lint-clean, one gauge per [Sim.counters] entry holding that
+   entry's value, and no name twice. *)
+let test_prometheus_lint_chaos_gauges () =
+  let cfg =
+    {
+      (Chaos.default_config ~seed:0xC4A05L ~perturbations:10 ()) with
+      Chaos.duration_ns = 5.0e6;
+      concurrency = 16;
+    }
+  in
+  let sim = (Chaos.run cfg).Chaos.sim in
+  let gauges = Sim.prometheus_gauges sim in
+  lint_exposition (Trace.prometheus gauges);
+  List.iter
+    (fun (name, _, get) ->
+      let gauge, v =
+        match get with
+        | Sim.Int f -> ("sfi_" ^ name ^ "_total", float_of_int (f sim))
+        | Sim.Float f -> ("sfi_" ^ name, f sim)
+      in
+      match List.filter (fun (g, _, _) -> g = gauge) gauges with
+      | [ (_, _, got) ] -> Alcotest.(check (float 0.0)) gauge v got
+      | l -> Alcotest.failf "%s exported %d times" gauge (List.length l))
+    Sim.counters;
+  Alcotest.(check int) "one gauge per counter" (List.length Sim.counters) (List.length gauges);
+  let names = List.map (fun (g, _, _) -> g) gauges in
+  Alcotest.(check int) "gauge names unique" (List.length names)
+    (List.length (List.sort_uniq compare names))
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_hist_percentile_close;
@@ -783,4 +813,5 @@ let tests =
       test_prometheus_lint_kernel_gauges;
     Harness.case "prometheus labeled escaping" test_prometheus_labeled_escaping;
     Harness.case "prometheus gauge per runtime counter" test_prometheus_gauge_per_counter;
+    Harness.case "prometheus lint over chaos gauges" test_prometheus_lint_chaos_gauges;
   ]
