@@ -999,8 +999,13 @@ let chaos_tick st =
 (* --- scheduling ------------------------------------------------------- *)
 
 (* The first ready slot of process [proc] at or after the cursor,
-   cyclically; [-1] if none. The legacy scheduler picks the lowest-index
-   ready request, so a started request runs to completion before anything
+   cyclically; [-1] if none. The cursor stays. *)
+let first_ready st proc =
+  Ready.advance st.ready ~now:st.tm.now;
+  Ready.pick st.ready ~cursor:st.rr_cursor ~proc
+
+(* [first_ready], as the slot to step. The legacy scheduler picks the
+   lowest-index ready request, so a started request runs to completion before anything
    behind it starts: slots are barely contended and overload shows up as
    silent starvation of high-index tenants. [fair_scheduling] moves the
    cursor past each pick (processor sharing): every ready request gets an
@@ -1009,8 +1014,7 @@ let chaos_tick st =
    is built for. The legacy scan is the same scan with the cursor parked
    at 0, kept to keep earlier figures reproducible. *)
 let ready_in st proc =
-  Ready.advance st.ready ~now:st.tm.now;
-  let i = Ready.pick st.ready ~cursor:st.rr_cursor ~proc in
+  let i = first_ready st proc in
   if i >= 0 && st.cfg.fair_scheduling then
     st.rr_cursor <- (i + 1) mod Array.length st.requests;
   i
@@ -1024,12 +1028,15 @@ let switch_to st proc =
   st.current_proc <- proc;
   st.tm.slice_start <- st.tm.now
 
-(* The next process after the current one with a ready slot, or -1. *)
+(* The next process after the current one with a ready slot, or -1. A
+   probe: it leaves the cursor where it is, so after the switch the
+   scheduler steps the slot that justified it. With one process nothing
+   is probed. *)
 let other_with_work st =
   let nprocs = Array.length st.engines in
   let rec from k =
     let p = (st.current_proc + k) mod nprocs in
-    if k >= nprocs then -1 else if ready_in st p >= 0 then p else from (k + 1)
+    if k >= nprocs then -1 else if first_ready st p >= 0 then p else from (k + 1)
   in
   from 1
 

@@ -66,6 +66,28 @@ let test_multiprocess_scaling_shape () =
   Alcotest.(check int) "one process never switches" 0 s1;
   Alcotest.(check bool) "switches grow with process count (fig 7a)" true (s4 > 0 && s12 > s4)
 
+(* Fair scheduling over several processes: every slot is always ready
+   (zero think time) and each request spans several epochs, so each
+   timeslice ends in a process switch. The slot whose readiness justified
+   a switch must be the one stepped after it, so round robin reaches
+   every tenant of every process. *)
+let test_fair_switch_steps_probed_slot () =
+  let cfg =
+    {
+      (Sim.default_config ~mode:(Sim.Multiprocess 2) ~fair_scheduling:true ()) with
+      Sim.concurrency = 6;
+      duration_ns = 2.0e6;
+      io_mean_ns = 0.0;
+      epoch_ns = 5_000.0;
+    }
+  in
+  let r = Sim.run cfg in
+  Alcotest.(check bool) "processes switch" true (r.Sim.context_switches > 0);
+  Array.iter
+    (fun t ->
+      if t.Sim.t_completed = 0 then Alcotest.failf "tenant %d starved" t.Sim.t_id)
+    r.Sim.tenants
+
 let test_efficiency_gap () =
   (* Figure 6's direction: at high process counts ColorGuard serves the
      same load with less CPU. *)
@@ -309,7 +331,7 @@ let golden_cases () =
         sim_digests
           (golden_base
              (Sim.default_config ~mode:(Sim.Multiprocess 4) ~faults ~fair_scheduling:true ()))),
-      (0x3d9230602b8c9053L, 0x68cb52a97a207030L, 0x89c2ac027bfd572aL) );
+      (0x8649cc8838a8a709L, 0x710845e0c6f5cd8L, 0x156fbd30cdfeb126L) );
     ( "overload, legacy scheduler",
       (fun () -> sim_digests (golden_overload ~fair:false)),
       (0xc9ff62e3c7542434L, 0x1aeecafb69772b3L, 0x512e1ab8d27c438eL) );
@@ -632,6 +654,7 @@ let tests =
     Alcotest.test_case "multiprocess switch growth" `Slow test_multiprocess_scaling_shape;
     Alcotest.test_case "efficiency gap" `Slow test_efficiency_gap;
     Alcotest.test_case "dtlb direction" `Slow test_dtlb_direction;
+    Harness.case "fair switch steps the probed slot" test_fair_switch_steps_probed_slot;
     Harness.case "config validation" test_config_validation;
     Alcotest.test_case "faulty sim contained" `Slow test_faulty_sim_contained;
     Alcotest.test_case "fault-free behavior unchanged" `Slow test_fault_free_unchanged;
