@@ -790,15 +790,26 @@ let lifecycle () =
     [ 0; 4; 16; 64; 256 ];
   print_table t;
   (* (b) ... and not with the heap size: same dirty footprint on a 128 KiB
-     vs an 8 MiB heap. The pre-refactor runtime madvised the whole heap. *)
+     (2 Wasm pages) vs an 8 MiB (128 Wasm pages) heap. The pre-refactor
+     runtime madvised the whole heap. The evidence is the pages each
+     recycle zeroes, which must be equal; the host time is reported. *)
   let dirty = 16 in
-  let small, _ = warm_cycle (fresh_engine 2) ~dirty ~reps in
-  let large, _ = warm_cycle (fresh_engine 128) ~dirty ~reps in
+  let small, small_zeroed = warm_cycle (fresh_engine 2) ~dirty ~reps in
+  let large, large_zeroed = warm_cycle (fresh_engine 128) ~dirty ~reps in
+  metric Exact "warm_cycle_pages_zeroed_heap_2" small_zeroed;
+  metric Exact "warm_cycle_pages_zeroed_heap_128" large_zeroed;
   metric Host "warm_cycle_heap_ratio" (large /. small);
+  let heap_os_pages wasm_pages = wasm_pages * Sfi_wasm.Ast.page_size / os_page in
   note
-    "Heap-size independence: %d dirty pages cost %.0f ns to recycle on a 128 KiB heap, %.0f \
-     ns on an 8 MiB heap (ratio %.2fx; O(min_pages) recycling would be 64x)."
-    dirty small large (large /. small);
+    "Heap-size independence: after %d dirty pages a recycle zeroes %.1f pages on a 128 KiB \
+     heap and %.1f on an 8 MiB heap (O(min_pages) recycling would zero %d and %d); host time \
+     %.0f vs %.0f ns (ratio %.2fx)."
+    dirty small_zeroed large_zeroed (heap_os_pages 2) (heap_os_pages 128) small large
+    (large /. small);
+  if small_zeroed <> large_zeroed then
+    failwith
+      (Printf.sprintf "lifecycle: recycle zeroes %.1f pages on the small heap, %.1f on the large"
+         small_zeroed large_zeroed);
   (* (c) Cold vs warm instantiation rate. *)
   let rate_engine = fresh_engine 2 in
   let n = 512 in

@@ -305,8 +305,8 @@ let merge ~tenants results =
     }
 
 (* Each scalar counter and rate of a result once: its field name, its
-   help text and its field. The order is the digest's: [Shard.result_fingerprint]
-   mixes the fields in this order. *)
+   help text and its field, in the order [Shard.result_fingerprint]
+   mixes them. *)
 type getter = Int of (result -> int) | Float of (result -> float)
 
 let counters =
