@@ -193,8 +193,8 @@ let os_switch_ns = 5000.0
 (* The configurations [run] refuses, each with the reason. A closed loop
    never ends without a finite duration; an epoch shorter than one cycle
    gives every step no fuel, so the watchdog kills every request; and a
-   negative delay, page price or respawn time would move the clock
-   backwards. *)
+   negative delay, page price, respawn or arrival time would move the
+   clock backwards. *)
 let validate cfg =
   let finite_nonneg x = x >= 0.0 && Float.is_finite x in
   let f = cfg.faults in
@@ -216,7 +216,13 @@ let validate cfg =
   else if not (finite_nonneg f.respawn_ns) then
     Error "faults.respawn_ns must be finite and >= 0"
   else if f.deadline_epochs < 1 then Error "faults.deadline_epochs must be >= 1"
-  else Ok ()
+  else
+    let bad_tenant a = a.Workloads.tenant < 0 || a.Workloads.tenant >= cfg.concurrency in
+    match cfg.arrivals with
+    | Some arr when Array.exists bad_tenant arr -> Error "arrival tenant out of range"
+    | Some arr when Array.exists (fun a -> not (finite_nonneg a.Workloads.at_ns)) arr ->
+        Error "arrival at_ns must be finite and >= 0"
+    | Some _ | None -> Ok ()
 
 let fresh_engines cfg m =
   let create ?allocator colorguard =
@@ -1067,23 +1073,44 @@ let next_slot st =
 
 (* --- set-up, the loop and the result --------------------------------- *)
 
-(* The open loop's per-tenant arrival times, each tenant's sorted. *)
+(* The open loop's per-tenant arrival times, each tenant's sorted.
+   [Workloads.synthesize] emits arrivals in time order, so filling front
+   to back leaves each tenant's times sorted and the scan finds nothing
+   to do. A tenant's times out of order, or equal but not the same float
+   (0.0 and -0.0), are reversed before the stable sort, so such ties come
+   out last-listed first, as they always have. *)
 let arrival_schedule concurrency arr =
   let counts = Array.make concurrency 0 in
+  Array.iter (fun a -> counts.(a.Workloads.tenant) <- counts.(a.Workloads.tenant) + 1) arr;
+  let per = Array.map (fun n -> Float.Array.make n 0.0) counts in
+  Array.fill counts 0 concurrency 0;
   Array.iter
     (fun a ->
       let t = a.Workloads.tenant in
-      if t < 0 || t >= concurrency then invalid_arg "Sim: arrival tenant out of range";
+      Float.Array.set per.(t) counts.(t) a.Workloads.at_ns;
       counts.(t) <- counts.(t) + 1)
     arr;
-  let per = Array.map (fun n -> Float.Array.make n 0.0) counts in
+  let in_order a =
+    let rec from i =
+      i >= Float.Array.length a
+      ||
+      let x = Float.Array.get a (i - 1) and y = Float.Array.get a i in
+      (x < y || (x = y && Float.sign_bit x = Float.sign_bit y)) && from (i + 1)
+    in
+    from 1
+  in
   Array.iter
     (fun a ->
-      let t = a.Workloads.tenant in
-      counts.(t) <- counts.(t) - 1;
-      Float.Array.set per.(t) counts.(t) a.Workloads.at_ns)
-    arr;
-  Array.iter (Float.Array.stable_sort Float.compare) per;
+      if not (in_order a) then begin
+        let n = Float.Array.length a in
+        for i = 0 to (n / 2) - 1 do
+          let x = Float.Array.get a i in
+          Float.Array.set a i (Float.Array.get a (n - 1 - i));
+          Float.Array.set a (n - 1 - i) x
+        done;
+        Float.Array.stable_sort Float.compare a
+      end)
+    per;
   per
 
 let setup cfg =

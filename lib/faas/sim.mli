@@ -340,14 +340,15 @@ val validate : config -> (unit, string) Stdlib.result
     that is not finite or is shorter than one machine cycle (every step
     would get no fuel and the watchdog would kill every request); an
     [io_mean_ns], [page_zero_ns] or [faults.respawn_ns] that is negative
-    or not finite; [faults.deadline_epochs < 1]. *)
+    or not finite; [faults.deadline_epochs < 1]; an arrival whose tenant is
+    not below [concurrency], or whose [at_ns] is negative, NaN or
+    infinite. *)
 
 val run : config -> result
 (** Always runs to completion: sandbox misbehavior (traps, runaway loops,
     crashed processes) is contained and reported in the counters, never
     re-raised to the caller. Raises [Invalid_argument ("Sim: " ^ reason)]
-    when {!validate} gives [Error reason], and for an arrival for a tenant
-    out of range. *)
+    when {!validate} gives [Error reason]. *)
 
 val sheds : result -> int
 (** Requests shed before service, all four reasons: sojourn, rate limit,

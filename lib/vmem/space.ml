@@ -42,6 +42,21 @@ let no_frame = Bytes.create 0
 (* See [epochs] in the interface. *)
 type epochs = { mutable generation : int; mutable data_epoch : int }
 
+(* The translation memos: direct-mapped, indexed by a multiplicative
+   hash of the page. Slot [n] holds a page in [keys.(2n)], the [layout]
+   it was filled at in [keys.(2n+1)] and the answer in [vals.(n)];
+   [memo_index] gives [2n]. A slot is valid only while its stamp is the
+   space's [layout]. The hash spreads what a low-bit index would pile up:
+   every pool slot's stack and heap pages share their low bits. *)
+let memo_bits = 10
+let memo_slots = 1 lsl memo_bits
+
+(* The memos are built at the [memo_after]th tree walk, not with the space:
+   a cold start walks about twenty times and never pays for them. *)
+let memo_after = 256
+
+let[@inline] memo_index p = ((p * 0x4f1bbcdcbfa53e0b) lsr (Sys.int_size - memo_bits)) lsl 1
+
 type t = {
   mutable vmas : vma Imap.t; (* keyed by start address *)
   mutable vma_count : int; (* [Imap.cardinal vmas], without the tree walk *)
@@ -53,6 +68,17 @@ type t = {
          fault: no more frames than the peak resident count *)
   mutable regions : region Imap.t; (* keyed by start address *)
   mutable last_region : region; (* what [region_of_page] returned last *)
+  mutable layout : int;
+      (* bumped by every write of [vmas] or [regions] ([set_vmas],
+         [set_regions]): the stamp of the memos' valid slots. Never by a
+         reprotect that changes nothing, unlike [generation]. *)
+  mutable walks : int; (* tree walks while the memos are not built *)
+  (* [vma_at] and [region_of_page] (past [last_region]) by page; empty
+     arrays until built *)
+  mutable vma_keys : int array;
+  mutable vma_vals : vma array;
+  mutable region_keys : int array;
+  mutable region_vals : region array;
   max_map_count : int;
   epochs : epochs;
   (* [at_or_below s] is [s <= probe]: the predicate every VMA and region
@@ -85,6 +111,12 @@ let create ?(max_map_count = 65530) () =
       frames = [];
       regions = Imap.empty;
       last_region = no_region;
+      layout = 0;
+      walks = 0;
+      vma_keys = [||];
+      vma_vals = [||];
+      region_keys = [||];
+      region_vals = [||];
       max_map_count;
       epochs = { generation = 0; data_epoch = 0 };
       probe = 0;
@@ -106,12 +138,62 @@ let vma_end v = v.start + v.len
 
 let unmapped = { start = 0; len = 0; prot = Prot.none; pkey = 0 }
 
-let vma_at t addr =
+let set_vmas t vmas =
+  t.vmas <- vmas;
+  t.layout <- t.layout + 1
+
+let set_regions t regions =
+  t.regions <- regions;
+  t.layout <- t.layout + 1
+
+(* Count a tree walk; the [memo_after]th builds both memos, every slot
+   stamped below any [layout]. *)
+let count_walk t =
+  t.walks <- t.walks + 1;
+  if t.walks >= memo_after then begin
+    t.vma_keys <- Array.make (2 * memo_slots) (-1);
+    t.vma_vals <- Array.make memo_slots unmapped;
+    t.region_keys <- Array.make (2 * memo_slots) (-1);
+    t.region_vals <- Array.make memo_slots no_region
+  end
+
+let memo_live t = Array.length t.vma_keys > 0
+
+(* Does the memo slot [i] of [keys] hold page [p] at the current layout?
+   On a miss the caller walks and calls [memo_fill]. *)
+let[@inline] memo_hit t keys i p =
+  Array.unsafe_get keys i = p && Array.unsafe_get keys (i + 1) = t.layout
+
+let[@inline] memo_fill t keys i p =
+  Array.unsafe_set keys i p;
+  Array.unsafe_set keys (i + 1) t.layout
+
+(* VMAs are page-aligned, so the VMA of page [p] covers every address in
+   it. *)
+let walk_vmas t p =
+  let addr = p lsl page_shift in
   t.probe <- addr;
   match Imap.find_last t.at_or_below t.vmas with
   | _, v when addr < vma_end v -> v
   | _ -> unmapped
   | exception Not_found -> unmapped
+
+let vma_at t addr =
+  let p = addr lsr page_shift in
+  let keys = t.vma_keys in
+  if Array.length keys = 0 then begin
+    count_walk t;
+    walk_vmas t p
+  end
+  else
+    let i = memo_index p in
+    if memo_hit t keys i p then Array.unsafe_get t.vma_vals (i lsr 1)
+    else begin
+      let v = walk_vmas t p in
+      memo_fill t keys i p;
+      Array.unsafe_set t.vma_vals (i lsr 1) v;
+      v
+    end
 
 let find_vma t addr =
   let v = vma_at t addr in
@@ -125,6 +207,13 @@ let aligned addr len =
 
 let region_len r = r.r_pages lsl page_shift
 
+let walk_regions t p =
+  t.probe <- p lsl page_shift;
+  match Imap.find_last t.at_or_below t.regions with
+  | _, r when p < r.r_first + r.r_pages -> r
+  | _ -> no_region
+  | exception Not_found -> no_region
+
 (* The region covering page [p], or [no_region]. A warm cycle touches one
    region after another, so the last answer is tried first. *)
 let region_of_page t p =
@@ -132,13 +221,24 @@ let region_of_page t p =
   let off = p - r.r_first in
   if off >= 0 && off < r.r_pages then r
   else begin
-    t.probe <- p lsl page_shift;
-    match Imap.find_last t.at_or_below t.regions with
-    | _, r when p < r.r_first + r.r_pages ->
-        t.last_region <- r;
-        r
-    | _ -> no_region
-    | exception Not_found -> no_region
+    let keys = t.region_keys in
+    let r =
+      if Array.length keys = 0 then begin
+        count_walk t;
+        walk_regions t p
+      end
+      else
+        let i = memo_index p in
+        if memo_hit t keys i p then Array.unsafe_get t.region_vals (i lsr 1)
+        else begin
+          let r = walk_regions t p in
+          memo_fill t keys i p;
+          Array.unsafe_set t.region_vals (i lsr 1) r;
+          r
+        end
+    in
+    if r != no_region then t.last_region <- r;
+    r
   end
 
 (* What reads of a page nobody wrote return; never written. *)
@@ -230,7 +330,7 @@ let map t ~addr ~len ~prot =
   else if overlaps t addr len then Error "map: overlaps existing mapping"
   else if vma_count t >= t.max_map_count then Error "map: vm.max_map_count exceeded"
   else begin
-    t.vmas <- Imap.add addr { start = addr; len; prot; pkey = Mpk.default_key } t.vmas;
+    set_vmas t (Imap.add addr { start = addr; len; prot; pkey = Mpk.default_key } t.vmas);
     t.vma_count <- t.vma_count + 1;
     bump_generation t;
     Ok ()
@@ -243,7 +343,7 @@ let split_at t addr =
   | Some v when v.start < addr ->
       let left = { v with len = addr - v.start } in
       let right = { v with start = addr; len = vma_end v - addr } in
-      t.vmas <- Imap.add addr right (Imap.add v.start left t.vmas);
+      set_vmas t (Imap.add addr right (Imap.add v.start left t.vmas));
       t.vma_count <- t.vma_count + 1
   | Some _ | None -> ()
 
@@ -260,9 +360,9 @@ let merge_range t addr len =
     | Some (_, v) when v.start <= finish -> (
         match Imap.find_opt (vma_end v) t.vmas with
         | Some next when next.prot = v.prot && next.pkey = v.pkey ->
-            t.vmas <- Imap.remove next.start t.vmas;
+            set_vmas t
+              (Imap.add v.start { v with len = v.len + next.len } (Imap.remove next.start t.vmas));
             t.vma_count <- t.vma_count - 1;
-            t.vmas <- Imap.add v.start { v with len = v.len + next.len } t.vmas;
             merge_from v.start
         | Some _ | None -> merge_from (vma_end v))
     | Some _ | None -> ()
@@ -320,15 +420,16 @@ let update_range t addr len f =
       let rec update pos =
         if pos < finish then begin
           let v = Imap.find pos t.vmas in
-          t.vmas <- Imap.add pos (f v) t.vmas;
+          set_vmas t (Imap.add pos (f v) t.vmas);
           update (vma_end v)
         end
       in
       update addr;
       if vma_count t > t.max_map_count then begin
         (* Fail without a trace: the splits and new attributes never
-           happened, so the unbumped [generation] stays truthful. *)
-        t.vmas <- before;
+           happened, so the unbumped [generation] stays truthful.
+           [layout] moves, as on every write of the map. *)
+        set_vmas t before;
         t.vma_count <- count_before;
         Error "vm.max_map_count exceeded"
       end
@@ -352,15 +453,15 @@ let unmap t ~addr ~len =
     split_at t addr;
     split_at t (addr + len);
     let finish = addr + len in
-    t.vmas <- Imap.filter (fun s v -> not (s >= addr && vma_end v <= finish)) t.vmas;
+    set_vmas t (Imap.filter (fun s v -> not (s >= addr && vma_end v <= finish)) t.vmas);
     t.vma_count <- Imap.cardinal t.vmas;
     (* Drop page contents. *)
     for p = page_of_addr addr to page_of_addr (finish - 1) do
       drop_page t p
     done;
     (* Backing registrations fully inside the range die with the mapping. *)
-    t.regions <-
-      Imap.filter (fun s r -> not (s >= addr && s + region_len r <= finish)) t.regions;
+    set_regions t
+      (Imap.filter (fun s r -> not (s >= addr && s + region_len r <= finish)) t.regions);
     t.last_region <- no_region;
     bump_generation t;
     bump_data_epoch t;
@@ -600,8 +701,8 @@ let set_backing t ~addr ~len image =
           (fun p _ n -> if p >= r_first && p < r_first + r_pages then n + 1 else n)
           t.pages 0
     in
-    t.regions <-
-      Imap.add addr
+    set_regions t
+      (Imap.add addr
         {
           r_first;
           r_pages;
@@ -611,7 +712,7 @@ let set_backing t ~addr ~len image =
           r_ndirty = 0;
           r_shadow;
         }
-        t.regions;
+        t.regions);
     (* Reads in the range change from zeros to the image contents. *)
     bump_data_epoch t;
     Ok ()

@@ -64,6 +64,17 @@ val vma_at : t -> int -> vma
 val vma_count : t -> int
 val max_map_count : t -> int
 
+val memo_live : t -> bool
+(** Whether the space has built its translation memo. Lookups by page
+    ({!vma_at}, {!find_vma}, {!page_info}, {!check_access} and the
+    backing-region lookup of every data access) walk the VMA and region
+    maps until the space has walked them a few hundred times; then a
+    1,024-slot memo, indexed by a hash of the page, answers repeats. A
+    slot stays valid until the VMAs or backing regions change: {!map},
+    {!unmap}, a {!protect} or {!pkey_protect} that changes the layout, or
+    {!set_backing}. A reprotect that changes nothing keeps it, although it
+    bumps [generation]. Answers are the same either way. *)
+
 type epochs = private {
   mutable generation : int;
       (** Incremented on every successful layout change ([map], [unmap],

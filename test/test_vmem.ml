@@ -189,7 +189,22 @@ let test_tlb () =
   Tlb.flush t;
   Alcotest.(check bool) "flush empties" true (Tlb.lookup t ~page:1 = None);
   Tlb.reset_counters t;
-  Alcotest.(check int) "counters reset" 0 (Tlb.hits t)
+  Alcotest.(check int) "counters reset" 0 (Tlb.hits t);
+  (* No set for a negative page, masked or not; the counters stay put. *)
+  List.iter
+    (fun entries ->
+      let t =
+        Tlb.create { Tlb.entries; ways = 2; page_walk_levels = 4; walk_cycles_per_level = 5 }
+      in
+      List.iter
+        (fun page ->
+          Alcotest.check_raises "negative page looked up" (Invalid_argument "Tlb: negative page")
+            (fun () -> ignore (Tlb.lookup_slot t ~page));
+          Alcotest.check_raises "negative page filled" (Invalid_argument "Tlb: negative page")
+            (fun () -> ignore (Tlb.fill_slot t ~page ~payload:0)))
+        [ -1; -(entries / 2); min_int ];
+      Alcotest.(check int) "no miss counted" 0 (Tlb.misses t))
+    [ 8; 12 ]
 
 (* Each fill must be a recency event of its own. Before the clock bump in
    [fill_slot], a filled line reused the last lookup's stamp: two
@@ -326,7 +341,10 @@ let tlb_ops_arb =
     ~print:(fun (geo, ops) ->
       Printf.sprintf "%dx%d: %s" (fst geo) (snd geo)
         (String.concat "; " (List.map tlb_op_to_string ops)))
-    (pair (oneofl [ (8, 2); (16, 4); (4, 4); (8, 1) ]) (list_size (int_range 1 120) op))
+    (* Power-of-two set counts take the mask, the others [mod]. *)
+    (pair
+       (oneofl [ (8, 2); (16, 4); (4, 4); (8, 1); (12, 2); (24, 8); (6, 1) ])
+       (list_size (int_range 1 120) op))
 
 let tlb_events ring =
   List.map (fun e -> (e.Sfi_trace.Trace.ev_name, e.ev_a0)) (Sfi_trace.Trace.events ring)
@@ -666,7 +684,18 @@ let space_ops_arb =
     (* The big region's VMA takes one of the budget's slots. *)
     (pair (int_range 3 9) (list_size (int_range 1 60) op))
 
-let space_matches_model (max_map_count, ops) =
+(* Addresses read after every step besides the fixed ones: any page of
+   the window and a page either side, and pages of the big region. *)
+let probes_arb =
+  let open QCheck.Gen in
+  list_size (int_range 1 8)
+    (oneof
+       [
+         map (fun a -> mb - page + a) (int_bound (((window_pages + 2) * page) - 1));
+         map (fun p -> big_base + (p * page)) (int_bound ((big_len / page) - 1));
+       ])
+
+let space_matches_model ((max_map_count, ops), probes) =
   let base = mb in
   let s = Space.create ~max_map_count () in
   let m = Space_model.create max_map_count in
@@ -796,6 +825,9 @@ let space_matches_model (max_map_count, ops) =
   let consistent () =
     Space.vma_count s = List.length m.Space_model.vmas
     && List.for_all
+         (fun a -> Space.find_vma s a = Space_model.find m a && read_n 1 a = model_read_n 1 a)
+         probes
+    && List.for_all
          (fun p ->
            List.for_all
              (fun a -> Space.find_vma s a = Space_model.find m a)
@@ -821,13 +853,21 @@ let space_matches_model (max_map_count, ops) =
              [ 0; 2044; page - 8 ])
          big_pages
   in
+  (* Lookups build the translation memo after a few hundred walks: walk
+     until they have, so every step runs against the memo, stamps and
+     all. *)
   let setup =
     ok (Space.map s ~addr:big_base ~len:big_len ~prot:Prot.rw);
     ok (Space.set_backing s ~addr:big_base ~len:big_len images.(0));
+    let k = ref 0 in
+    while (not (Space.memo_live s)) && !k < 100_000 do
+      ignore (Space.find_vma s (big_base + (!k * page)));
+      incr k
+    done;
     Space_model.map m big_base big_len Prot.rw
     && Space_model.set_backing m big_base big_len model_images.(0)
   in
-  setup
+  setup && Space.memo_live s
   && List.for_all
        (fun op ->
          let generation = Space.generation s in
@@ -836,7 +876,11 @@ let space_matches_model (max_map_count, ops) =
        ops
 
 let prop_space_matches_model =
-  QCheck.Test.make ~name:"space matches a brute-force vma/page model" ~count:1000 space_ops_arb
+  QCheck.Test.make ~name:"space matches a brute-force vma/page model" ~count:1000
+    (QCheck.pair space_ops_arb
+       (QCheck.make
+          ~print:(fun l -> String.concat " " (List.map (Printf.sprintf "%#x") l))
+          probes_arb))
     space_matches_model
 
 (* A dropped frame comes back for the next fault: filled with the image
