@@ -104,6 +104,12 @@ let run cfg =
   if cfg.shards < 1 then invalid_arg "Shard.run: shards must be >= 1";
   let base = cfg.base in
   let n = base.Sim.concurrency in
+  (* Refuse what the sim would before the weights index by tenant, so a
+     bad arrival gets its reason. A run with no tenants and no arrivals
+     serves nothing and is not refused. *)
+  let no_work = n = 0 && (match base.Sim.arrivals with None -> true | Some a -> a = [||]) in
+  if not no_work then
+    Result.iter_error (fun reason -> invalid_arg ("Sim: " ^ reason)) (Sim.validate base);
   let shards = cfg.shards in
   (* Offered load per tenant: scheduled arrivals in open-loop mode, one
      closed-loop client each otherwise. *)

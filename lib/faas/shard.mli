@@ -78,7 +78,10 @@ type report = {
 
 val run : config -> report
 (** Run the sharded simulation: one spawned domain per shard, joined and
-    merged deterministically. Raises [Invalid_argument] if [shards < 1].
+    merged deterministically. Raises [Invalid_argument] if [shards < 1],
+    and [Invalid_argument ("Sim: " ^ reason)] when {!Sim.validate} gives
+    [base] [Error reason], unless [base] has no tenants and no arrivals
+    (such a run serves nothing).
 
     When [base.chaos] is non-empty the schedule is dealt round-robin
     across shards (preserving the total perturbation count); a supplied

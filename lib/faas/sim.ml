@@ -1076,9 +1076,7 @@ let next_slot st =
 (* The open loop's per-tenant arrival times, each tenant's sorted.
    [Workloads.synthesize] emits arrivals in time order, so filling front
    to back leaves each tenant's times sorted and the scan finds nothing
-   to do. A tenant's times out of order, or equal but not the same float
-   (0.0 and -0.0), are reversed before the stable sort, so such ties come
-   out last-listed first, as they always have. *)
+   to do. *)
 let arrival_schedule concurrency arr =
   let counts = Array.make concurrency 0 in
   Array.iter (fun a -> counts.(a.Workloads.tenant) <- counts.(a.Workloads.tenant) + 1) arr;
@@ -1093,24 +1091,11 @@ let arrival_schedule concurrency arr =
   let in_order a =
     let rec from i =
       i >= Float.Array.length a
-      ||
-      let x = Float.Array.get a (i - 1) and y = Float.Array.get a i in
-      (x < y || (x = y && Float.sign_bit x = Float.sign_bit y)) && from (i + 1)
+      || (Float.Array.get a (i - 1) <= Float.Array.get a i && from (i + 1))
     in
     from 1
   in
-  Array.iter
-    (fun a ->
-      if not (in_order a) then begin
-        let n = Float.Array.length a in
-        for i = 0 to (n / 2) - 1 do
-          let x = Float.Array.get a i in
-          Float.Array.set a i (Float.Array.get a (n - 1 - i));
-          Float.Array.set a (n - 1 - i) x
-        done;
-        Float.Array.stable_sort Float.compare a
-      end)
-    per;
+  Array.iter (fun a -> if not (in_order a) then Float.Array.stable_sort Float.compare a) per;
   per
 
 let setup cfg =

@@ -10,7 +10,6 @@ let default_config = { entries = 64; ways = 4; page_walk_levels = 4; walk_cycles
 type t = {
   config : config;
   sets : int;
-  set_mask : int; (* [sets - 1] when [sets] is a power of two, else -1 *)
   tags : int array; (* tags.(set * ways + way) = page number, -1 = never filled *)
   payloads : int array;
   stamps : int array; (* LRU stamps; larger = more recent *)
@@ -28,7 +27,6 @@ let create config =
   {
     config;
     sets;
-    set_mask = (if sets land (sets - 1) = 0 then sets - 1 else -1);
     tags = Array.make config.entries (-1);
     payloads = Array.make config.entries 0;
     stamps = Array.make config.entries 0;
@@ -43,16 +41,9 @@ let set_trace t sink = t.trace <- sink
 
 let walk_cost t = t.config.page_walk_levels * t.config.walk_cycles_per_level
 
-(* The first slot of [page]'s set: a mask instead of a divide for the
-   machine's power-of-two caches. Pages are never negative: [mod] would
-   give a negative set, the mask a wrong one. *)
-let[@inline] set_base t page =
-  if page < 0 then invalid_arg "Tlb: negative page";
-  let set = if t.set_mask >= 0 then page land t.set_mask else page mod t.sets in
-  set * t.config.ways
-
 let lookup_slot t ~page =
-  let base = set_base t page in
+  let set = page mod t.sets in
+  let base = set * t.config.ways in
   t.clock <- t.clock + 1;
   let way = ref 0 in
   while !way < t.config.ways && t.tags.(base + !way) <> page do
@@ -84,7 +75,8 @@ let[@inline] live_stamp t slot =
   if s > t.floor then s else 0
 
 let fill_slot t ~page ~payload =
-  let base = set_base t page in
+  let set = page mod t.sets in
+  let base = set * t.config.ways in
   let victim = ref base and oldest = ref (live_stamp t base) in
   for slot = base + 1 to base + t.config.ways - 1 do
     let s = live_stamp t slot in

@@ -22,9 +22,6 @@ type config = {
 type t = {
   config : config;
   sets : int;  (** [entries / ways]; a page's set is [page mod sets] *)
-  set_mask : int;
-      (** [sets - 1] when [sets] is a power of two, else -1: the set is
-          then [page land set_mask], with no divide *)
   tags : int array;
       (** [tags.(set * ways + way)]: the page cached in that slot, -1 if
           never filled. A {!flush} leaves tags in place. *)
@@ -51,8 +48,7 @@ val create : config -> t
 val lookup : t -> page:int -> int option
 (** [lookup t ~page] returns the cached payload on a hit (updating recency)
     or [None] on a miss. The caller walks the page table, charges
-    {!walk_cost}, and {!fill}s. Every lookup and fill raises
-    [Invalid_argument] for a negative [page]. *)
+    {!walk_cost}, and {!fill}s. *)
 
 val fill : t -> page:int -> payload:int -> unit
 (** Insert a translation, evicting the set's LRU entry if needed. The fill

@@ -120,7 +120,8 @@ let test_config_validation () =
   (* Configurations the sim cannot run: an endless closed loop, an epoch
      with no fuel (every request a watchdog kill), and prices or delays
      that would move the clock backwards. Each is refused before anything
-     runs, with the reason [Sim.validate] gives. *)
+     runs, with the reason [Sim.validate] gives, by the sharded entry
+     point too. *)
   Alcotest.(check (result unit string)) "default config valid" (Ok ())
     (Sim.validate (quick_cfg ()));
   let epoch_msg = "Sim: epoch_ns must be finite and at least one machine cycle" in
@@ -128,6 +129,8 @@ let test_config_validation () =
   List.iter
     (fun (name, msg, cfg) ->
       Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (Sim.run cfg));
+      Alcotest.check_raises (name ^ ", 2 shards") (Invalid_argument msg) (fun () ->
+          ignore (Shard.run (Shard.default_config ~shards:2 cfg)));
       Alcotest.(check (result unit string))
         (name ^ ": validate agrees")
         (Error (String.sub msg 5 (String.length msg - 5)))
@@ -174,6 +177,8 @@ let test_config_validation () =
         { c with Sim.arrivals = sched { Wk.at_ns = infinity; tenant = 1 } });
        ("negative arrival", at_msg,
         { c with Sim.arrivals = sched { Wk.at_ns = -1.0; tenant = 1 } });
+       ("arrival for tenant 9 of 4", tenant_msg,
+        { c with Sim.concurrency = 4; arrivals = sched { Wk.at_ns = 2.0e3; tenant = 9 } });
      ]);
   (* The schedule's boundary values run: an arrival at time zero, and one
      for the last tenant. *)
