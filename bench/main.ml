@@ -506,25 +506,60 @@ let scaling () =
 
 let process_counts = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 13; 14; 15 ]
 
+(* A metric-key spelling of each figure workload. *)
+let workload_key = function
+  | Fworkloads.Templating -> "templating"
+  | Fworkloads.Hash_balance -> "hash"
+  | Fworkloads.Regex_filter -> "regex"
+  | Fworkloads.Micro_kv -> "micro_kv"
+
+(* Raise if any band check failed, naming every failure. *)
+let assert_bands name = function
+  | [] -> ()
+  | failures -> failwith (name ^ ": " ^ String.concat "; " failures)
+
 let fig6 () =
   section
     "Figure 6 - Multiprocess scaling vs ColorGuard: per-core throughput gain (paper: grows \
      with process count, max ~29%)";
+  let gains =
+    List.map
+      (fun w ->
+        let cfg = Sim.default_config ~workload:w () in
+        (w, List.map (fun k -> (k, Sim.throughput_gain ~workload:w ~processes:k cfg)) process_counts))
+      Fworkloads.all
+  in
   let t =
     Table.create ~headers:("processes" :: List.map (fun w -> Fworkloads.name w) Fworkloads.all)
   in
   List.iter
     (fun k ->
-      let cells =
-        List.map
-          (fun w ->
-            let cfg = Sim.default_config ~workload:w () in
-            Table.cell_pct (Sim.throughput_gain ~workload:w ~processes:k cfg))
-          Fworkloads.all
-      in
-      Table.add_row t (string_of_int k :: cells))
+      Table.add_row t
+        (string_of_int k :: List.map (fun (_, g) -> Table.cell_pct (List.assoc k g)) gains))
     process_counts;
-  print_table t
+  print_table t;
+  (* The Strong claim, as bands: one process pays no switch tax, so the
+     gain there is noise around 0; the curve's peak is near the paper's
+     ~29%. *)
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let peaks =
+    List.map
+      (fun (w, g) ->
+        let key = workload_key w in
+        let at1 = List.assoc 1 g in
+        let peak = List.fold_left (fun acc (_, x) -> Float.max acc x) neg_infinity g in
+        metric Exact (Printf.sprintf "fig6_gain_%s_1p" key) at1;
+        metric Exact (Printf.sprintf "fig6_gain_%s_15p" key) (List.assoc 15 g);
+        metric Exact (Printf.sprintf "fig6_max_gain_%s" key) peak;
+        if Float.abs at1 > 3.0 then fail "%s gains %.1f%% at 1 process, outside +-3%%" key at1;
+        if peak < 15.0 || peak > 40.0 then
+          fail "%s peaks at %.1f%%, outside [15%%, 40%%]" key peak;
+        peak)
+      gains
+  in
+  metric Exact "fig6_max_gain" (List.fold_left Float.max neg_infinity peaks);
+  assert_bands "fig6" (List.rev !failures)
 
 let fig7 () =
   section
@@ -536,20 +571,45 @@ let fig7 () =
         [ "processes"; "MP ctx switches"; "MP dTLB misses"; "CG transitions"; "CG dTLB misses" ]
   in
   let cfg = { (Sim.default_config ()) with Sim.duration_ns = 40.0e6 } in
-  List.iter
-    (fun k ->
-      let mp = Sim.run { cfg with Sim.mode = Sim.Multiprocess k } in
-      let cg = Sim.run { cfg with Sim.mode = Sim.Colorguard } in
-      Table.add_row t
-        [
-          string_of_int k;
-          string_of_int mp.Sim.context_switches;
-          string_of_int mp.Sim.dtlb_misses;
-          string_of_int cg.Sim.user_transitions;
-          string_of_int cg.Sim.dtlb_misses;
-        ])
-    [ 1; 3; 5; 7; 9; 11; 13; 15 ];
-  print_table t
+  let rows =
+    List.map
+      (fun k ->
+        let mp = Sim.run { cfg with Sim.mode = Sim.Multiprocess k } in
+        let cg = Sim.run { cfg with Sim.mode = Sim.Colorguard } in
+        Table.add_row t
+          [
+            string_of_int k;
+            string_of_int mp.Sim.context_switches;
+            string_of_int mp.Sim.dtlb_misses;
+            string_of_int cg.Sim.user_transitions;
+            string_of_int cg.Sim.dtlb_misses;
+          ];
+        (k, mp, cg))
+      [ 1; 3; 5; 7; 9; 11; 13; 15 ]
+  in
+  print_table t;
+  let mp_at k = List.find_map (fun (k', mp, _) -> if k' = k then Some mp else None) rows in
+  let mp1 = Option.get (mp_at 1) and mp15 = Option.get (mp_at 15) in
+  let cg_misses = List.map (fun (_, _, cg) -> cg.Sim.dtlb_misses) rows in
+  metric Exact "fig7_mp_switches_1p" (float_of_int mp1.Sim.context_switches);
+  metric Exact "fig7_mp_switches_15p" (float_of_int mp15.Sim.context_switches);
+  metric Exact "fig7_mp_dtlb_misses_1p" (float_of_int mp1.Sim.dtlb_misses);
+  metric Exact "fig7_mp_dtlb_misses_15p" (float_of_int mp15.Sim.dtlb_misses);
+  metric Exact "fig7_cg_dtlb_misses" (float_of_int (List.hd cg_misses));
+  (* The shape claim: one process never switches, and multiprocess
+     switches and misses rise by 15 processes while ColorGuard, one
+     process whatever the count, misses exactly the same. *)
+  let failures =
+    List.filter_map
+      (fun (ok, msg) -> if ok then None else Some msg)
+      [
+        (mp1.Sim.context_switches = 0, "MP switches at 1 process");
+        (mp15.Sim.context_switches > mp1.Sim.context_switches, "MP switches do not rise");
+        (mp15.Sim.dtlb_misses > mp1.Sim.dtlb_misses, "MP dTLB misses do not rise");
+        (List.for_all (( = ) (List.hd cg_misses)) cg_misses, "CG dTLB misses vary");
+      ]
+  in
+  assert_bands "fig7" failures
 
 (* ------------------------------------------------------------------ *)
 (* Degraded mode: the Figure 6 comparison with misbehaving tenants.    *)
