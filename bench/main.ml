@@ -712,8 +712,7 @@ let overload () =
     in
     Sim.run
       {
-        (Sim.default_config ~workload:Fworkloads.Hash_balance ~churn:true ~overload:ov
-           ~fair_scheduling:true ())
+        (Sim.default_config ~workload:Fworkloads.Hash_balance ~churn:true ~overload:ov ())
         with
         Sim.concurrency;
         duration_ns = 40.0e6;
@@ -1238,7 +1237,7 @@ let scale () =
              Sim.admission =
                Some { Runtime.default_admission with Runtime.tenant_rate = 60_000.0 };
            }
-         ~fair_scheduling:true ()) with
+         ()) with
       Sim.concurrency = tenants;
       duration_ns;
       seed;

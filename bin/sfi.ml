@@ -430,8 +430,7 @@ let top_cmd =
        recoveries actually show up in a short run. *)
     let churn = resilient || crash_tenants <> [] in
     let cfg =
-      { (Sim.default_config ~mode ~workload ~faults ~overload ~churn
-           ~fair_scheduling:churn ()) with
+      { (Sim.default_config ~mode ~workload ~faults ~overload ~churn ()) with
         Sim.duration_ns = duration *. 1e6 }
     in
     or_invalid_config (Sim.validate cfg);
@@ -863,7 +862,7 @@ let scale_cmd =
     in
     let base =
       {
-        (Sim.default_config ~workload ~overload ~fair_scheduling:true ()) with
+        (Sim.default_config ~workload ~overload ()) with
         Sim.concurrency = tenants;
         duration_ns;
         seed;

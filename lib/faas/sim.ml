@@ -94,14 +94,13 @@ type config = {
   engine : Machine.engine_kind option;
   chaos : chaos_event list;
   on_perturbation : (chaos_report -> unit) option;
-  fair_scheduling : bool;
   arrivals : Workloads.arrival array option;
 }
 
 let default_config ?(mode = Colorguard) ?(workload = Workloads.Hash_balance)
     ?(faults = no_faults) ?(churn = false) ?(page_zero_ns = 0.0)
     ?(legacy_lifecycle = false) ?(overload = no_overload) ?engine ?(chaos = [])
-    ?on_perturbation ?(fair_scheduling = false) ?flight () =
+    ?on_perturbation ?fair_scheduling:_ ?flight () =
   {
     mode;
     workload;
@@ -120,7 +119,6 @@ let default_config ?(mode = Colorguard) ?(workload = Workloads.Hash_balance)
     engine;
     chaos;
     on_perturbation;
-    fair_scheduling;
     arrivals = None;
   }
 
@@ -213,6 +211,8 @@ let validate cfg =
   else if not (finite_nonneg cfg.io_mean_ns) then Error "io_mean_ns must be finite and >= 0"
   else if not (finite_nonneg cfg.page_zero_ns) then
     Error "page_zero_ns must be finite and >= 0"
+  else if cfg.legacy_lifecycle && cfg.page_zero_ns = 0.0 then
+    Error "legacy_lifecycle needs page_zero_ns > 0"
   else if not (finite_nonneg f.respawn_ns) then
     Error "faults.respawn_ns must be finite and >= 0"
   else if f.deadline_epochs < 1 then Error "faults.deadline_epochs must be >= 1"
@@ -1010,21 +1010,6 @@ let first_ready st proc =
   Ready.advance st.ready ~now:st.tm.now;
   Ready.pick st.ready ~cursor:st.rr_cursor ~proc
 
-(* [first_ready], as the slot to step. The legacy scheduler picks the
-   lowest-index ready request, so a started request runs to completion before anything
-   behind it starts: slots are barely contended and overload shows up as
-   silent starvation of high-index tenants. [fair_scheduling] moves the
-   cursor past each pick (processor sharing): every ready request gets an
-   epoch in turn, in-flight requests hold their slots across preemption,
-   and excess demand queues at admission — the regime the overload stack
-   is built for. The legacy scan is the same scan with the cursor parked
-   at 0, kept to keep earlier figures reproducible. *)
-let ready_in st proc =
-  let i = first_ready st proc in
-  if i >= 0 && st.cfg.fair_scheduling then
-    st.rr_cursor <- (i + 1) mod Array.length st.requests;
-  i
-
 let switch_to st proc =
   st.live.context_switches <- st.live.context_switches + 1;
   bill st os_switch_ns;
@@ -1057,15 +1042,19 @@ let idle_jump st =
 
 (* The slot to step next, or -1 after a process switch or an idle jump.
    The OS round-robins the processes on [epoch_ns] timeslices; ColorGuard
-   is one process, which never switches. *)
+   is one process, which never switches. Within a process the cursor
+   moves past each pick (processor sharing): every ready request gets an
+   epoch in turn, in-flight requests hold their slots across preemption,
+   and excess demand queues at admission. *)
 let next_slot st =
   (* A timeslice expires: move on if someone else has work. *)
   if st.tm.now -. st.tm.slice_start >= st.cfg.epoch_ns then begin
     let p = other_with_work st in
     if p >= 0 then switch_to st p else st.tm.slice_start <- st.tm.now
   end;
-  let i = ready_in st st.current_proc in
-  if i < 0 then begin
+  let i = first_ready st st.current_proc in
+  if i >= 0 then st.rr_cursor <- (i + 1) mod Array.length st.requests
+  else begin
     let p = other_with_work st in
     if p >= 0 then switch_to st p else idle_jump st
   end;

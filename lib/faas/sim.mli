@@ -159,8 +159,8 @@ type config = {
   legacy_lifecycle : bool;
       (** bill every instantiate at the pre-refactor runtime's O(min_pages)
           cost (whole-heap madvise + data-segment rewrite) instead of the
-          CoW runtime's O(dirty pages); only meaningful with
-          [page_zero_ns > 0] *)
+          CoW runtime's O(dirty pages); {!validate} refuses it with
+          [page_zero_ns = 0], which would bill nothing *)
   trace : Sfi_trace.Trace.t;
       (** structured-event sink for per-tenant request spans
           ([Trace.null] by default, a no-op). The sim installs the simulated
@@ -186,15 +186,6 @@ type config = {
   on_perturbation : (chaos_report -> unit) option;
       (** called after each perturbation is applied — the chaos harness's
           invariant-check hook *)
-  fair_scheduling : bool;
-      (** [false] (legacy): the scheduler picks the lowest-index ready
-          request, so a started request runs to completion before anything
-          behind it starts — slots are barely contended and overload shows
-          up as silent starvation of the highest-index tenants. [true]:
-          round-robin processor sharing — every ready request gets an
-          epoch in turn, in-flight requests hold their pool slots across
-          preemption, and excess demand queues (and is shed) at admission.
-          The overload/chaos experiments run with this on. *)
   arrivals : Workloads.arrival array option;
       (** [None] (default): the closed loop. [Some schedule]: the open
           loop over [concurrency] tenants (see {!Workloads.synthesize}).
@@ -222,7 +213,15 @@ val default_config :
   config
 (** concurrency 128, duration 20 ms, IO mean 5 ms, epoch 1 ms, ColorGuard,
     hash workload, no faults, no churn, free lifecycle work, no tracing,
-    legacy (run-to-completion) scheduling. *)
+    round-robin processor sharing (the only scheduler: every ready
+    request gets an epoch in turn, in-flight requests hold their pool
+    slots across preemption, and excess demand queues, and is shed, at
+    admission).
+
+    [fair_scheduling] is accepted and ignored. It named the processor
+    sharing that is now the only scheduler, and the benchmark in
+    [perfbench/] still passes it; it goes when that benchmark next
+    changes. *)
 
 type tenant_stat = {
   t_id : int;  (** the request slot — one closed-loop tenant *)
@@ -340,9 +339,10 @@ val validate : config -> (unit, string) Stdlib.result
     that is not finite or is shorter than one machine cycle (every step
     would get no fuel and the watchdog would kill every request); an
     [io_mean_ns], [page_zero_ns] or [faults.respawn_ns] that is negative
-    or not finite; [faults.deadline_epochs < 1]; an arrival whose tenant is
-    not below [concurrency], or whose [at_ns] is negative, NaN or
-    infinite. *)
+    or not finite; [legacy_lifecycle] with [page_zero_ns = 0] (no
+    lifecycle work would be billed at all); [faults.deadline_epochs < 1];
+    an arrival whose tenant is not below [concurrency], or whose [at_ns]
+    is negative, NaN or infinite. *)
 
 val run : config -> result
 (** Always runs to completion: sandbox misbehavior (traps, runaway loops,

@@ -109,7 +109,7 @@ let sim_config cfg ~events ~on_perturbation ~trace ~flight =
   in
   {
     (Sim.default_config ~workload:cfg.workload ~churn:true ~overload
-       ?engine:cfg.engine ~chaos:events ~on_perturbation ~fair_scheduling:true ())
+       ?engine:cfg.engine ~chaos:events ~on_perturbation ())
     with
     Sim.concurrency = cfg.concurrency;
     duration_ns = cfg.duration_ns;

@@ -1,8 +1,11 @@
-(* Structured tracing: a preallocated ring of integer-coded events.
+(* Structured tracing: a ring of integer-coded events.
 
    Events are stored column-wise in parallel int arrays so that emitting
-   never allocates: the hot-path cost of an enabled sink is one clock
-   call and five array stores. Event identity is a small packed code
+   never allocates once the arrays are grown: the hot-path cost of an
+   enabled sink is one clock call and five array stores. A keep-first
+   ring starts at [initial_slots] and doubles its arrays as it fills, up
+   to its capacity, so a ring that catches a few thousand events does not
+   pin the major heap for 65,536. Event identity is a small packed code
    [(name_id lsl 2) lor phase]; the name/category tables below are the
    single source of truth for the vocabulary. *)
 
@@ -13,11 +16,12 @@ type t = {
       (* false: keep-first (drops count overflow). true: keep-last tail
          ring — overflow overwrites the oldest event; [head] marks the
          logical start once wrapped. *)
-  ts : int array;
-  code : int array;
-  track : int array;
-  a0 : int array;
-  a1 : int array;
+  mutable ts : int array;
+  mutable code : int array;
+  mutable track : int array;
+  mutable a0 : int array;
+  mutable a1 : int array;
+      (* The five columns, all of one length between [len] and [cap]. *)
   mutable len : int;
   mutable head : int;
   mutable dropped : int;
@@ -120,17 +124,21 @@ let null =
     tee = None;
   }
 
-let make_ring ~wrap capacity =
+(* A ring of [capacity] events whose columns start [slots] long. The
+   readers that fill a ring by index ([logical], [merge_shards]) ask for
+   every slot up front. *)
+let make_ring ?slots ~wrap capacity =
   if capacity <= 0 then invalid_arg "Trace.create_ring: capacity must be > 0";
+  let n = Option.value slots ~default:capacity in
   {
     active = true;
     cap = capacity;
     wrap;
-    ts = Array.make capacity 0;
-    code = Array.make capacity 0;
-    track = Array.make capacity 0;
-    a0 = Array.make capacity 0;
-    a1 = Array.make capacity 0;
+    ts = Array.make n 0;
+    code = Array.make n 0;
+    track = Array.make n 0;
+    a0 = Array.make n 0;
+    a1 = Array.make n 0;
     len = 0;
     head = 0;
     dropped = 0;
@@ -139,7 +147,11 @@ let make_ring ~wrap capacity =
     tee = None;
   }
 
-let create_ring ?(capacity = 65536) () = make_ring ~wrap:false capacity
+let initial_slots = 1024
+
+let create_ring ?(capacity = 65536) () =
+  make_ring ~slots:(min capacity initial_slots) ~wrap:false capacity
+
 let create_tail_ring ?(capacity = 256) () = make_ring ~wrap:true capacity
 let enabled t = t.active
 let set_clock t f = t.clock <- f
@@ -155,11 +167,27 @@ let length t = t.len
 let capacity t = t.cap
 let dropped t = t.dropped
 
+(* Double the columns of a keep-first ring that has filled them, up to
+   its capacity. *)
+let[@inline never] grow t =
+  let n = min t.cap (2 * Array.length t.ts) in
+  let widen a =
+    let b = Array.make n 0 in
+    Array.blit a 0 b 0 t.len;
+    b
+  in
+  t.ts <- widen t.ts;
+  t.code <- widen t.code;
+  t.track <- widen t.track;
+  t.a0 <- widen t.a0;
+  t.a1 <- widen t.a1
+
 let[@inline] store t ts code track a0 a1 =
   if t.len < t.cap then begin
     (* [head] is nonzero only once a tail ring has wrapped, and then
        [len = cap], so an unfilled ring always appends at [len]. *)
     let i = t.len in
+    if i = Array.length t.ts then grow t;
     t.ts.(i) <- ts;
     t.code.(i) <- code;
     t.track.(i) <- track;
@@ -419,7 +447,7 @@ let merge_shards rings =
       1 rings
   in
   let total = Array.fold_left (fun acc r -> acc + r.len) 0 rings in
-  let out = create_ring ~capacity:(max 1 total) () in
+  let out = make_ring ~wrap:false (max 1 total) in
   out.shard_stride <- (if k > 1 then stride else 0);
   out.dropped <- Array.fold_left (fun acc r -> acc + r.dropped) 0 rings;
   let idx = Array.make k 0 in

@@ -3,8 +3,8 @@
     A {!t} is an event sink. The default sink, {!null}, is permanently
     disabled: every emitter is a single load-and-branch, so instrumented
     code pays nothing when tracing is off. {!create_ring} builds an
-    enabled sink backed by preallocated integer arrays — emitting an
-    event is a handful of array stores and never allocates. When the
+    enabled sink backed by integer arrays — emitting an event is a
+    handful of array stores, and allocates only when the ring grows. When the
     ring fills up the earliest events are kept and later ones are
     counted in {!dropped}, so span nesting of the captured prefix stays
     well-formed.
@@ -35,14 +35,17 @@ val null : t
 
 val create_ring : ?capacity:int -> unit -> t
 (** A fresh enabled ring sink. [capacity] (default [65536]) bounds the
-    number of retained events; all storage is allocated up front. *)
+    number of retained events. Storage starts at 1,024 events (or
+    [capacity], if smaller) and doubles as the ring fills, up to
+    [capacity]; once grown, emitting never allocates. *)
 
 val create_tail_ring : ?capacity:int -> unit -> t
 (** A keep-last ring: once full, each new event overwrites the oldest
     one (still counted in {!dropped}), so the sink always holds the most
-    recent [capacity] (default [256]) events. This is the flight
-    recorder's backing store; inspection and export see events in
-    logical oldest-to-newest order regardless of where the wrap landed. *)
+    recent [capacity] (default [256]) events, all allocated up front.
+    This is the flight recorder's backing store; inspection and export
+    see events in logical oldest-to-newest order regardless of where the
+    wrap landed. *)
 
 val set_tee : t -> t option -> unit
 (** [set_tee t (Some r)] forwards every event stored into [t] to [r] as

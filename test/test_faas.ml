@@ -66,27 +66,41 @@ let test_multiprocess_scaling_shape () =
   Alcotest.(check int) "one process never switches" 0 s1;
   Alcotest.(check bool) "switches grow with process count (fig 7a)" true (s4 > 0 && s12 > s4)
 
-(* Fair scheduling over several processes: every slot is always ready
-   (zero think time) and each request spans several epochs, so each
+(* Processor sharing: every slot is always ready (zero think time) and
+   each request spans several epochs, so over several processes each
    timeslice ends in a process switch. The slot whose readiness justified
-   a switch must be the one stepped after it, so round robin reaches
-   every tenant of every process. *)
+   a switch must be the one stepped after it, and within a process the
+   cursor moves past each pick, so every tenant is served: one process or
+   several. *)
 let test_fair_switch_steps_probed_slot () =
-  let cfg =
-    {
-      (Sim.default_config ~mode:(Sim.Multiprocess 2) ~fair_scheduling:true ()) with
-      Sim.concurrency = 6;
-      duration_ns = 2.0e6;
-      io_mean_ns = 0.0;
-      epoch_ns = 5_000.0;
-    }
+  let starved mode =
+    let cfg =
+      {
+        (Sim.default_config ~mode ()) with
+        Sim.concurrency = 6;
+        duration_ns = 2.0e6;
+        io_mean_ns = 0.0;
+        epoch_ns = 5_000.0;
+      }
+    in
+    let r = Sim.run cfg in
+    if mode <> Sim.Colorguard && r.Sim.context_switches = 0 then
+      Alcotest.fail "processes never switch";
+    Array.fold_left (fun n t -> if t.Sim.t_completed = 0 then n + 1 else n) 0 r.Sim.tenants
   in
-  let r = Sim.run cfg in
-  Alcotest.(check bool) "processes switch" true (r.Sim.context_switches > 0);
-  Array.iter
-    (fun t ->
-      if t.Sim.t_completed = 0 then Alcotest.failf "tenant %d starved" t.Sim.t_id)
-    r.Sim.tenants
+  let report =
+    List.filter_map
+      (fun (name, mode) ->
+        match starved mode with
+        | 0 -> None
+        | n -> Some (Printf.sprintf "%s starved %d of 6" name n))
+      [
+        ("colorguard", Sim.Colorguard);
+        ("2 processes", Sim.Multiprocess 2);
+        ("3 processes", Sim.Multiprocess 3);
+      ]
+  in
+  if report <> [] then Alcotest.fail (String.concat "; " report)
 
 let test_efficiency_gap () =
   (* Figure 6's direction: at high process counts ColorGuard serves the
@@ -152,6 +166,8 @@ let test_config_validation () =
        ("negative io", nonneg "io_mean_ns", { c with Sim.io_mean_ns = -1.0 });
        ("nan io", nonneg "io_mean_ns", { c with Sim.io_mean_ns = nan });
        ("negative page price", nonneg "page_zero_ns", { c with Sim.page_zero_ns = -5.0 });
+       ("legacy lifecycle at no page price", "Sim: legacy_lifecycle needs page_zero_ns > 0",
+        { c with Sim.legacy_lifecycle = true });
        ("negative respawn", nonneg "faults.respawn_ns",
         { c with Sim.faults = { Sim.no_faults with Sim.respawn_ns = -1.0 } });
        ("zero deadline", "Sim: faults.deadline_epochs must be >= 1",
@@ -300,7 +316,7 @@ let golden_base ?(workload = Wk.Hash_balance) ?(concurrency = 24) ?(duration_ns 
     ?(io_mean_ns = 100_000.0) ?(epoch_ns = 5_000.0) cfg =
   { cfg with Sim.workload; concurrency; duration_ns; io_mean_ns; epoch_ns; seed = 0x60D1L }
 
-let golden_overload ~fair =
+let golden_overload () =
   let ov =
     {
       Sim.no_overload with
@@ -315,7 +331,7 @@ let golden_overload ~fair =
       slo = Some (Slo.default_config ~latency_ns:40_000.0 ~fast_window_ns:100_000.0 ());
     }
   in
-  golden_base (Sim.default_config ~churn:true ~overload:ov ~fair_scheduling:fair ())
+  golden_base (Sim.default_config ~churn:true ~overload:ov ())
 
 let golden_chaos flight =
   let ov =
@@ -338,7 +354,7 @@ let golden_chaos flight =
         { Sim.at_ns; action })
   in
   golden_base
-    (Sim.default_config ~churn:true ~overload:ov ~chaos ~fair_scheduling:true ~flight ())
+    (Sim.default_config ~churn:true ~overload:ov ~chaos ~flight ())
 
 let golden_open_loop () =
   let ov =
@@ -349,7 +365,7 @@ let golden_open_loop () =
         Some { Runtime.default_admission with Runtime.tenant_rate = 5_000.0; tenant_burst = 1.0 };
     }
   in
-  let cfg = golden_base (Sim.default_config ~churn:true ~overload:ov ~fair_scheduling:true ()) in
+  let cfg = golden_base (Sim.default_config ~churn:true ~overload:ov ()) in
   {
     cfg with
     Sim.arrivals =
@@ -404,13 +420,10 @@ let golden_cases () =
         in
         sim_digests
           (golden_base
-             (Sim.default_config ~mode:(Sim.Multiprocess 4) ~faults ~fair_scheduling:true ()))),
+             (Sim.default_config ~mode:(Sim.Multiprocess 4) ~faults ()))),
       (0x8649cc8838a8a709L, 0x710845e0c6f5cd8L, 0x156fbd30cdfeb126L) );
-    ( "overload, legacy scheduler",
-      (fun () -> sim_digests (golden_overload ~fair:false)),
-      (0xc9ff62e3c7542434L, 0x1aeecafb69772b3L, 0x512e1ab8d27c438eL) );
-    ( "overload, fair scheduler",
-      (fun () -> sim_digests (golden_overload ~fair:true)),
+    ( "overload",
+      (fun () -> sim_digests (golden_overload ())),
       (0x65039fcac4185c83L, 0xa75b97e71055309cL, 0x13875dbe447316aaL) );
     ( "churn, CoW lifecycle billing",
       (fun () -> sim_digests (golden_base (Sim.default_config ~churn:true ~page_zero_ns:4937.5 ()))),
@@ -434,7 +447,7 @@ let golden_cases () =
         let ov = { Sim.no_overload with Sim.pool_slots = Some 4 } in
         sim_digests
           (golden_base ~concurrency:96
-             (Sim.default_config ~churn:true ~overload:ov ~fair_scheduling:true ()))),
+             (Sim.default_config ~churn:true ~overload:ov ()))),
       (0xed393360d9da72c9L, 0x3286d1c65bfff43cL, 0x84188b664b30b656L) );
     ( "4 shards over 3 tenants",
       (fun () ->
@@ -500,8 +513,7 @@ let identity_cfg (multiprocess, open_loop, faulty, overloaded, churn, chaos, see
   let mode = if multiprocess then Sim.Multiprocess 2 else Sim.Colorguard in
   let cfg =
     golden_base ~concurrency:12 ~duration_ns:1.5e6
-      (Sim.default_config ~mode ~faults ~churn ~overload:ov ~chaos
-         ~fair_scheduling:(seed mod 2 = 0) ())
+      (Sim.default_config ~mode ~faults ~churn ~overload:ov ~chaos ())
   in
   let cfg = { cfg with Sim.seed = Int64.of_int (seed + 1) } in
   if open_loop then
@@ -598,44 +610,41 @@ let prop_ready_set_matches_scan =
   QCheck.Test.make ~count:300 ~name:"ready set picks what the linear scan picked"
     (QCheck.make ~print gen)
     (fun (slots, procs, ops) ->
-      List.for_all
-        (fun fair ->
-          let rs = Ready.create ~slots ~procs in
-          let due = Array.make slots infinity in
-          let now = ref 0.0 and cursor = ref 0 in
-          let check_next () =
-            (* The earliest due time still in the future; with no slot
-               ready, the old fold over every slot. *)
-            let future = Array.fold_left (fun acc d -> if d > !now then min acc d else acc) infinity due in
-            if Ready.next_ready_time rs <> future then
-              QCheck.Test.fail_reportf "next_ready_time %g, scan %g" (Ready.next_ready_time rs) future;
-            if scan_pick due ~now:!now ~cursor:0 ~proc:(-1) ~procs < 0 then begin
-              let all = Array.fold_left min infinity due in
-              if Ready.next_ready_time rs <> all then
-                QCheck.Test.fail_reportf "idle next_ready_time %g, fold %g"
-                  (Ready.next_ready_time rs) all
-            end
-          in
-          List.iter
-            (fun op ->
-              (match op with
-              | Set_due (i, d) ->
-                  due.(i) <- !now +. d;
-                  Ready.set_due rs i due.(i) ~now:!now
-              | Advance d -> now := !now +. d
-              | Pick proc ->
-                  Ready.advance rs ~now:!now;
-                  let want = scan_pick due ~now:!now ~cursor:!cursor ~proc ~procs in
-                  let got = Ready.pick rs ~cursor:!cursor ~proc in
-                  if got <> want then
-                    QCheck.Test.fail_reportf "%s cursor %d proc %d: picked %d, scan %d"
-                      (if fair then "fair" else "legacy") !cursor proc got want;
-                  if fair && got >= 0 then cursor := (got + 1) mod slots);
+      let rs = Ready.create ~slots ~procs in
+      let due = Array.make slots infinity in
+      let now = ref 0.0 and cursor = ref 0 in
+      let check_next () =
+        (* The earliest due time still in the future; with no slot
+           ready, the old fold over every slot. *)
+        let future = Array.fold_left (fun acc d -> if d > !now then min acc d else acc) infinity due in
+        if Ready.next_ready_time rs <> future then
+          QCheck.Test.fail_reportf "next_ready_time %g, scan %g" (Ready.next_ready_time rs) future;
+        if scan_pick due ~now:!now ~cursor:0 ~proc:(-1) ~procs < 0 then begin
+          let all = Array.fold_left min infinity due in
+          if Ready.next_ready_time rs <> all then
+            QCheck.Test.fail_reportf "idle next_ready_time %g, fold %g"
+              (Ready.next_ready_time rs) all
+        end
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Set_due (i, d) ->
+              due.(i) <- !now +. d;
+              Ready.set_due rs i due.(i) ~now:!now
+          | Advance d -> now := !now +. d
+          | Pick proc ->
               Ready.advance rs ~now:!now;
-              check_next ())
-            ops;
-          true)
-        [ true; false ])
+              let want = scan_pick due ~now:!now ~cursor:!cursor ~proc ~procs in
+              let got = Ready.pick rs ~cursor:!cursor ~proc in
+              if got <> want then
+                QCheck.Test.fail_reportf "cursor %d proc %d: picked %d, scan %d" !cursor proc
+                  got want;
+              if got >= 0 then cursor := (got + 1) mod slots);
+          Ready.advance rs ~now:!now;
+          check_next ())
+        ops;
+      true)
 
 (* --- host cost of a request --- *)
 
@@ -653,7 +662,7 @@ let marginal_minor_words ~min_requests cfg (short, long) =
   if c2 - c1 < min_requests then Alcotest.failf "too few requests to measure: %d" (c2 - c1);
   (w2 -. w1) /. float_of_int (c2 - c1)
 
-(* An open-loop Micro-KV request under admission and the fair scheduler. *)
+(* An open-loop Micro-KV request under admission. *)
 let minor_words_per_request () =
   let tenants = 64 in
   marginal_minor_words ~min_requests:5000
@@ -672,7 +681,7 @@ let minor_words_per_request () =
                Sim.admission =
                  Some { Runtime.default_admission with Runtime.tenant_rate = 200_000.0 };
              }
-           ~fair_scheduling:true ())
+           ())
         with
         Sim.concurrency = tenants;
         duration_ns = (ms +. 2.0) *. 1e6;

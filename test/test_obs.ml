@@ -551,8 +551,7 @@ let check_sim_observers_bit_identical engine =
   let faults = { Sim.no_faults with Sim.trap_rate = 0.05 } in
   let cfg =
     {
-      (Sim.default_config ~overload ~faults ~churn:true ~fair_scheduling:true
-         ~engine ())
+      (Sim.default_config ~overload ~faults ~churn:true ~engine ())
       with
       Sim.concurrency = 16;
       duration_ns = 3.0e6;

@@ -92,6 +92,61 @@ let test_ring_keeps_first_and_counts_drops () =
   Alcotest.(check int) "clear empties" 0 (Trace.length t);
   Alcotest.(check int) "clear resets drops" 0 (Trace.dropped t)
 
+(* A default ring grows its storage as it fills. Event [n] (from 1) is a
+   fault on sandbox [n mod 7] at address [n], a write when [n] is odd,
+   stamped [10 n]. Right after each growth the ring's first and newest
+   events must be intact, and once full it keeps exactly the first
+   65,536 and counts the rest as dropped. *)
+let test_ring_grows_to_capacity () =
+  let t = Trace.create_ring () in
+  let n = ref 0 in
+  Trace.set_clock t (fun () -> 10 * !n);
+  let check_event what k (e : Trace.event) =
+    if
+      e.Trace.ev_ts <> 10 * k
+      || e.Trace.ev_track <> k mod 7
+      || e.Trace.ev_a0 <> k
+      || e.Trace.ev_a1 <> k land 1
+    then
+      Alcotest.failf "%s: event %d reads ts %d, track %d, args %d/%d" what k e.Trace.ev_ts
+        e.Trace.ev_track e.Trace.ev_a0 e.Trace.ev_a1
+  in
+  let growths = ref 0 in
+  for k = 1 to 70_000 do
+    n := k;
+    Trace.fault t ~sandbox:(k mod 7) ~addr:k ~write:(k land 1 = 1);
+    (* Storage starts at 1,024 events and doubles: event [k] lands in
+       fresh storage when [k - 1] is 1,024 times a power of two. *)
+    let filled = k - 1 in
+    if filled >= 1024 && filled <= 32768 && filled land (filled - 1) = 0 then begin
+      incr growths;
+      let evs = Trace.events t in
+      check_event (Printf.sprintf "first, after %d" k) 1 (List.hd evs);
+      check_event (Printf.sprintf "newest, after %d" k) k (List.nth evs (k - 1))
+    end
+  done;
+  Alcotest.(check int) "growths checked" 6 !growths;
+  Alcotest.(check int) "capacity" 65536 (Trace.capacity t);
+  Alcotest.(check int) "length" 65536 (Trace.length t);
+  Alcotest.(check int) "dropped" 4464 (Trace.dropped t);
+  List.iteri (fun i e -> check_event "kept" (i + 1) e) (Trace.events t)
+
+(* A fresh default ring takes a few thousand major-heap words, not the
+   327,680 of five full 65,536-slot columns. *)
+let test_fresh_ring_is_small () =
+  (* The domain's counts reach [Gc.quick_stat] at a minor collection. *)
+  let direct () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = direct () in
+  let t = Trace.create_ring () in
+  let words = direct () -. w0 in
+  Alcotest.(check int) "capacity" 65536 (Trace.capacity t);
+  if words >= 10_000.0 then
+    Alcotest.failf "a fresh ring allocated %.0f major words (bound 10,000)" words
+
 let test_clock_stamps_events () =
   let t = Trace.create_ring ~capacity:16 () in
   let now = ref 100 in
@@ -381,6 +436,8 @@ let tests =
   [
     Harness.case "null sink is inert" test_null_sink_inert;
     Harness.case "ring keeps first events, counts drops" test_ring_keeps_first_and_counts_drops;
+    Harness.case "ring grows to its capacity" test_ring_grows_to_capacity;
+    Harness.case "fresh ring is small" test_fresh_ring_is_small;
     Harness.case "clock stamps events" test_clock_stamps_events;
     Harness.case "validate rejects unbalanced spans" test_validate_rejects_unbalanced_spans;
     Harness.case "validate rejects colliding streams" test_validate_rejects_colliding_streams;
