@@ -412,7 +412,7 @@ let golden_cases () =
   [
     ( "closed-loop colorguard",
       (fun () -> sim_digests (golden_base (Sim.default_config ()))),
-      (0x853b4665a371c234L, 0xb55125c2e246f82fL, 0x982983b344bc240aL) );
+      (0x645190009b36f582L, 0x47aacac3296ed3f5L, 0xcdf75d74716d1f24L) );
     ( "multiprocess 4, trap/runaway/watchdog faults",
       (fun () ->
         let faults =
@@ -427,13 +427,13 @@ let golden_cases () =
       (0x65039fcac4185c83L, 0xa75b97e71055309cL, 0x13875dbe447316aaL) );
     ( "churn, CoW lifecycle billing",
       (fun () -> sim_digests (golden_base (Sim.default_config ~churn:true ~page_zero_ns:4937.5 ()))),
-      (0xa478432ea87888eeL, 0x22ba5f99aa2ff15bL, 0x9f620bd64cbfde1eL) );
+      (0x3f32ecc73e38edcL, 0x860b499a136334e1L, 0xd524e8129306e285L) );
     ( "churn, legacy lifecycle billing",
       (fun () ->
         sim_digests
           (golden_base
              (Sim.default_config ~churn:true ~page_zero_ns:4937.5 ~legacy_lifecycle:true ()))),
-      (0x40fab024e558d885L, 0x3594d967aee365cL, 0xb58ac3c0e41e62f6L) );
+      (0x641907386910e15eL, 0xddb794557c381d49L, 0xe6850c106b0c7a1fL) );
     ( "chaos with a flight recorder",
       (fun () ->
         let r, t, m = sim_digests (golden_chaos fr) in
