@@ -513,8 +513,9 @@ let workload_key = function
   | Fworkloads.Regex_filter -> "regex"
   | Fworkloads.Micro_kv -> "micro_kv"
 
-(* Raise if any band check failed, naming every failure. *)
-let assert_bands name = function
+(* Raise naming every (holds, failure message) check that does not hold. *)
+let assert_bands name checks =
+  match List.filter_map (fun (ok, msg) -> if ok then None else Some msg) checks with
   | [] -> ()
   | failures -> failwith (name ^ ": " ^ String.concat "; " failures)
 
@@ -541,25 +542,25 @@ let fig6 () =
   (* The Strong claim, as bands: one process pays no switch tax, so the
      gain there is noise around 0; the curve's peak is near the paper's
      ~29%. *)
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let peaks =
-    List.map
+  let peak g = List.fold_left (fun acc (_, x) -> Float.max acc x) neg_infinity g in
+  let checks =
+    List.concat_map
       (fun (w, g) ->
-        let key = workload_key w in
-        let at1 = List.assoc 1 g in
-        let peak = List.fold_left (fun acc (_, x) -> Float.max acc x) neg_infinity g in
+        let key = workload_key w and at1 = List.assoc 1 g and top = peak g in
         metric Exact (Printf.sprintf "fig6_gain_%s_1p" key) at1;
         metric Exact (Printf.sprintf "fig6_gain_%s_15p" key) (List.assoc 15 g);
-        metric Exact (Printf.sprintf "fig6_max_gain_%s" key) peak;
-        if Float.abs at1 > 3.0 then fail "%s gains %.1f%% at 1 process, outside +-3%%" key at1;
-        if peak < 15.0 || peak > 40.0 then
-          fail "%s peaks at %.1f%%, outside [15%%, 40%%]" key peak;
-        peak)
+        metric Exact (Printf.sprintf "fig6_max_gain_%s" key) top;
+        [
+          ( Float.abs at1 <= 3.0,
+            Printf.sprintf "%s gains %.1f%% at 1 process, outside +-3%%" key at1 );
+          ( top >= 15.0 && top <= 40.0,
+            Printf.sprintf "%s peaks at %.1f%%, outside [15%%, 40%%]" key top );
+        ])
       gains
   in
-  metric Exact "fig6_max_gain" (List.fold_left Float.max neg_infinity peaks);
-  assert_bands "fig6" (List.rev !failures)
+  metric Exact "fig6_max_gain"
+    (List.fold_left (fun acc (_, g) -> Float.max acc (peak g)) neg_infinity gains);
+  assert_bands "fig6" checks
 
 let fig7 () =
   section
@@ -584,13 +585,12 @@ let fig7 () =
             string_of_int cg.Sim.user_transitions;
             string_of_int cg.Sim.dtlb_misses;
           ];
-        (k, mp, cg))
+        (k, (mp, cg)))
       [ 1; 3; 5; 7; 9; 11; 13; 15 ]
   in
   print_table t;
-  let mp_at k = List.find_map (fun (k', mp, _) -> if k' = k then Some mp else None) rows in
-  let mp1 = Option.get (mp_at 1) and mp15 = Option.get (mp_at 15) in
-  let cg_misses = List.map (fun (_, _, cg) -> cg.Sim.dtlb_misses) rows in
+  let mp1, _ = List.assoc 1 rows and mp15, _ = List.assoc 15 rows in
+  let cg_misses = List.map (fun (_, (_, cg)) -> cg.Sim.dtlb_misses) rows in
   metric Exact "fig7_mp_switches_1p" (float_of_int mp1.Sim.context_switches);
   metric Exact "fig7_mp_switches_15p" (float_of_int mp15.Sim.context_switches);
   metric Exact "fig7_mp_dtlb_misses_1p" (float_of_int mp1.Sim.dtlb_misses);
@@ -599,17 +599,13 @@ let fig7 () =
   (* The shape claim: one process never switches, and multiprocess
      switches and misses rise by 15 processes while ColorGuard, one
      process whatever the count, misses exactly the same. *)
-  let failures =
-    List.filter_map
-      (fun (ok, msg) -> if ok then None else Some msg)
-      [
-        (mp1.Sim.context_switches = 0, "MP switches at 1 process");
-        (mp15.Sim.context_switches > mp1.Sim.context_switches, "MP switches do not rise");
-        (mp15.Sim.dtlb_misses > mp1.Sim.dtlb_misses, "MP dTLB misses do not rise");
-        (List.for_all (( = ) (List.hd cg_misses)) cg_misses, "CG dTLB misses vary");
-      ]
-  in
-  assert_bands "fig7" failures
+  assert_bands "fig7"
+    [
+      (mp1.Sim.context_switches = 0, "MP switches at 1 process");
+      (mp15.Sim.context_switches > mp1.Sim.context_switches, "MP switches do not rise");
+      (mp15.Sim.dtlb_misses > mp1.Sim.dtlb_misses, "MP dTLB misses do not rise");
+      (List.for_all (( = ) (List.hd cg_misses)) cg_misses, "CG dTLB misses vary");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Degraded mode: the Figure 6 comparison with misbehaving tenants.    *)
