@@ -432,26 +432,32 @@ let[@inline] pop64 t =
 
 let halt_sentinel = 0L
 
-(* Resolve an absolute code byte address to an instruction index through the
-   flat offset table (first instruction at a given address wins, as labels
-   share the address of the instruction that follows them). *)
-let jump_via index_of_off code_base t addr =
+(* Resolve an absolute code byte address to an instruction index: the
+   lowest index whose offset is the target (labels share the offset of the
+   instruction that follows them), found by binary search over the sorted
+   [offsets] — indirect branches are rare enough that a per-byte table is
+   not worth its load-time cost. The final entry, [code_len], is no
+   instruction, so a target there resolves only to a trailing label. *)
+let jump_via offsets code_base t addr =
   (match t.sanitizer with
   | None -> ()
   | Some f -> f t ~kind:San_branch ~addr ~len:0);
-  let off = addr - code_base in
-  if off >= 0 && off < Array.length index_of_off && index_of_off.(off) >= 0 then
-    t.pc <- index_of_off.(off)
+  let off = addr - code_base and n = Array.length offsets - 1 in
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if offsets.(mid) < off then lo := mid + 1 else hi := mid
+  done;
+  if !lo < n && offsets.(!lo) = off then t.pc <- !lo
   else raise (Trap_exn Trap_out_of_bounds)
 
 let jump_to_address t addr =
   let l = get_loaded t in
-  jump_via l.index_of_off t.code_base t addr
+  jump_via l.offsets t.code_base t addr
 
 (* Code offset of the instruction after [idx]: a call there pushes
    [code_base] plus this. *)
-let next_offset (l : loaded) idx =
-  if idx + 1 < Array.length l.offsets then l.offsets.(idx + 1) else l.code_len
+let next_offset (l : loaded) idx = l.offsets.(idx + 1)
 
 (* Pure value computations shared by the reference interpreter and the
    per-op bodies, so the executors cannot drift. *)
@@ -598,7 +604,7 @@ let[@inline] write t w o v =
    every shape it does not specialize. *)
 let generic_body t (l : loaded) idx =
   let next = idx + 1 and tgt = l.targets.(idx) in
-  let index_of_off = l.index_of_off and code_base = t.code_base in
+  let offsets = l.offsets and code_base = t.code_base in
   match l.program.(idx) with
   | Label _ | Nop -> fun _ -> ()
   | Mov (w, dst, src) ->
@@ -712,7 +718,7 @@ let generic_body t (l : loaded) idx =
         else t.pc <- next
   | Jmp_reg r ->
       let i = gpr_index r in
-      fun t -> jump_via index_of_off code_base t (Int64.to_int (reg_get t i) land addr_mask_47)
+      fun t -> jump_via offsets code_base t (Int64.to_int (reg_get t i) land addr_mask_47)
   | Call _ ->
       let ret_addr = Int64.of_int (code_base + next_offset l idx) in
       fun t ->
@@ -723,12 +729,12 @@ let generic_body t (l : loaded) idx =
       let i = gpr_index r and ret_addr = Int64.of_int (code_base + next_offset l idx) in
       fun t ->
         push64 t ret_addr;
-        jump_via index_of_off code_base t (Int64.to_int (reg_get t i) land addr_mask_47)
+        jump_via offsets code_base t (Int64.to_int (reg_get t i) land addr_mask_47)
   | Ret ->
       fun t ->
         let addr = pop64 t in
         if addr = halt_sentinel then raise Halt_exn;
-        jump_via index_of_off code_base t (Int64.to_int addr land addr_mask_47)
+        jump_via offsets code_base t (Int64.to_int addr land addr_mask_47)
   | Push op ->
       let s = resolve W64 op in
       fun t ->
@@ -928,7 +934,7 @@ let step t =
   if t.pc < 0 || t.pc >= Array.length l.program then raise (Trap_exn Trap_out_of_bounds);
   let instr = l.program.(t.pc) in
   t.counters.instructions <- t.counters.instructions + 1;
-  charge_frontend t l.lengths.(t.pc);
+  charge_frontend t (next_offset l t.pc - l.offsets.(t.pc));
   let cost = t.cost in
   (* Direct-branch targets were resolved at load; -1 marks a label that did
      not exist, which surfaces as the same [Not_found] the per-step Hashtbl

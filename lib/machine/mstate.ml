@@ -64,12 +64,12 @@ type block_class = Bpure | Bload | Bhazard | Bbypass
 
 type loaded = {
   program : program;
-  offsets : int array; (* byte offset of each instruction *)
+  (* Byte offset of each instruction, then [code_len]: instruction [idx]
+     encodes to [offsets.(idx+1) - offsets.(idx)] bytes. *)
+  offsets : int array;
   labels : (string, int) Hashtbl.t; (* label -> instruction index; cold lookups only *)
   code_len : int;
-  lengths : int array; (* encoded length of each instruction *)
   targets : int array; (* direct-branch target index, -1 = unresolved label *)
-  index_of_off : int array; (* code byte offset -> instruction index, -1 = none *)
   (* The basic blocks partitioning [0, n), then the off-end sentinel. A
      block's first entry replaces its descriptor with the compiled block. *)
   blocks : block array;

@@ -28,8 +28,9 @@ open Translate
 
 (* Compile block [bi] on its first entry and install the compiled copy in
    its [blocks] slot. Prefix sums run over the block's first [j] dispatch
-   slots; labels contribute nothing: they encode to no bytes, and [step]
-   retires no instruction and charges no fixed cycles for them. *)
+   slots; labels contribute nothing: they encode to no bytes (so the
+   bytes are an offset difference), and [step] retires no instruction and
+   charges no fixed cycles for them. *)
 let compile_block t (l : loaded) bi =
   let b = l.blocks.(bi) in
   let s = b.b_start and k = b.b_len in
@@ -43,7 +44,7 @@ let compile_block t (l : loaded) bi =
     let i = prog.(s + j) in
     let is_label = match i with Label _ -> true | _ -> false in
     bodies.(j) <- compile_body t l (s + j);
-    pre_bytes.(j + 1) <- (pre_bytes.(j) + if is_label then 0 else l.lengths.(s + j));
+    pre_bytes.(j + 1) <- l.offsets.(s + j + 1) - l.offsets.(s);
     pre_fixed.(j + 1) <- (pre_fixed.(j) + if is_label then 0 else fixed_cycles t i);
     pre_instrs.(j + 1) <- (pre_instrs.(j) + if is_label then 0 else 1)
   done;

@@ -156,11 +156,13 @@ let analyze_blocks program targets =
 
 let install t program =
   let n = Array.length program in
-  (* One encoding pass; offsets and code length are its prefix sums. *)
-  let lengths = Encode.lengths program in
-  let offsets = Array.make n 0 and code_len = ref 0 in
-  Array.iteri (fun idx len -> offsets.(idx) <- !code_len; code_len := !code_len + len) lengths;
-  let code_len = !code_len in
+  (* One encoding pass; offsets are its prefix sums, and the last one is
+     the code length. *)
+  let offsets = Array.make (n + 1) 0 in
+  for idx = 0 to n - 1 do
+    offsets.(idx + 1) <- offsets.(idx) + Encode.instr_length program.(idx)
+  done;
+  let code_len = offsets.(n) in
   let labels = Hashtbl.create 64 in
   Array.iteri
     (fun idx i ->
@@ -170,10 +172,6 @@ let install t program =
           Hashtbl.replace labels l idx
       | _ -> ())
     program;
-  (* First instruction at a given byte offset wins (labels share the offset
-     of the instruction that follows them). *)
-  let index_of_off = Array.make (code_len + 1) (-1) in
-  Array.iteri (fun idx off -> if index_of_off.(off) < 0 then index_of_off.(off) <- idx) offsets;
   let targets =
     Array.map
       (function
@@ -183,20 +181,7 @@ let install t program =
       program
   in
   let blocks, block_of = analyze_blocks program targets in
-  let l =
-    {
-      program;
-      offsets;
-      labels;
-      code_len;
-      lengths;
-      targets;
-      index_of_off;
-      blocks;
-      block_of;
-      promoted = 0;
-    }
-  in
+  let l = { program; offsets; labels; code_len; targets; blocks; block_of; promoted = 0 } in
   t.loaded <- Some l;
   (* Samples collected against the replaced program describe instruction
      indices that no longer mean anything; they are dropped, and the loss

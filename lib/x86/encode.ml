@@ -117,8 +117,6 @@ let instr_length (i : instr) =
 
 let program_length (p : program) = Array.fold_left (fun acc i -> acc + instr_length i) 0 p
 
-let lengths (p : program) = Array.map instr_length p
-
 let layout (p : program) =
   let offsets = Array.make (Array.length p) 0 in
   let off = ref 0 in

@@ -607,8 +607,9 @@ let load_path_programs =
            [ Strategy.wasm_default; Strategy.segue ])
        modules)
 
-(* [install]'s single-pass offsets, lengths and code length equal the
-   encoder's own three passes, and every call pushes [code_base] plus the
+(* [install]'s single-pass offsets (n + 1 of them, ending at the code
+   length) equal the encoder's own passes, their differences are the
+   encoded lengths, and every call pushes [code_base] plus the
    next instruction's offset, through a one-slot range of the compiled
    engine and the reference [step] alike. A call may leave through a trap or an
    unresolved label after its push; only the pushed word is checked. *)
@@ -624,10 +625,16 @@ let test_load_layout_and_return_addresses () =
       Sfi_machine.Translate.install t program;
       let l = Mstate.get_loaded t in
       let offsets = Encode.layout program and code_len = Encode.program_length program in
-      Alcotest.(check (array int)) "offsets" offsets l.Mstate.offsets;
-      Alcotest.(check (array int)) "lengths" (Encode.lengths program) l.Mstate.lengths;
-      Alcotest.(check int) "code length" code_len l.Mstate.code_len;
       let n = Array.length program and top = mb + Space.page_size in
+      Alcotest.(check (array int)) "offsets" (Array.append offsets [| code_len |]) l.Mstate.offsets;
+      Alcotest.(check int) "code length" code_len l.Mstate.code_len;
+      Array.iteri
+        (fun idx i ->
+          Alcotest.(check int)
+            (Printf.sprintf "length of instruction %d" idx)
+            (Encode.instr_length i)
+            (l.Mstate.offsets.(idx + 1) - l.Mstate.offsets.(idx)))
+        program;
       Array.iteri
         (fun idx (i : X.instr) ->
           match i with
@@ -657,6 +664,86 @@ let test_load_layout_and_return_addresses () =
     (Printf.sprintf "direct (%d) and indirect (%d) calls covered" !calls !call_regs)
     true
     (!calls > 0 && !call_regs > 0)
+
+(* Indirect targets resolve to the lowest instruction index at their
+   offset, and any other target traps at the branch. Each of the three
+   indirect branches ([jmp r10], [call r10], [push r10; ret]) goes to
+   [target m]: the labels "a" and "b" and the [mov] after them share one
+   offset, and the program ends with a label at [code_len]. One slice
+   runs through the branch on each engine; Lockstep then runs the whole
+   program on both. *)
+let test_indirect_target_resolution () =
+  let tail =
+    [ X.Trap X.Trap_unreachable; X.Label "a"; X.Label "b"; X.Mov (X.W64, X.Reg X.RAX, X.Imm 1L);
+      X.Ret; X.Label "end" ]
+  in
+  let make branch target () =
+    let space = Space.create () in
+    (match Space.map space ~addr:mb ~len:Space.page_size ~prot:Prot.rw with
+    | Ok () -> ()
+    | Error e -> failwith e);
+    let m = Machine.create space in
+    Machine.load_program m (Array.of_list ((X.Label "entry" :: branch) @ tail));
+    Machine.set_reg m X.RSP (Int64.of_int (mb + Space.page_size));
+    Machine.set_reg m X.R10 (Int64.of_int (target m));
+    m
+  in
+  let base m = fst (Machine.code_bounds m) in
+  let code_end m = base m + snd (Machine.code_bounds m) in
+  let cases =
+    [
+      ("label a", (fun m -> Machine.label_address m "a"), Some "a");
+      ("label b, the offset of a and the mov", (fun m -> Machine.label_address m "b"), Some "a");
+      ("code_len", code_end, Some "end");
+      ("inside the mov", (fun m -> Machine.label_address m "b" + 1), None);
+      ("inside the first instruction", (fun m -> base m + 1), None);
+      ("before the code", (fun m -> base m - 8), None);
+      ("one past code_len", (fun m -> code_end m + 1), None);
+      ("far past the code", (fun m -> base m + (1 lsl 40)), None);
+    ]
+  in
+  List.iter
+    (fun (bname, branch) ->
+      let at = List.length branch in
+      List.iter
+        (fun (tname, target, lands) ->
+          let what = Printf.sprintf "%s to %s" bname tname in
+          List.iter
+            (fun engine ->
+              let m = make branch target () in
+              Machine.set_engine m engine;
+              let seen = ref [] in
+              Machine.set_sanitizer m
+                (Some
+                   (fun _ ~kind ~addr ~len:_ ->
+                     if kind = Machine.San_branch then seen := addr :: !seen));
+              Machine.start m ~entry:"entry";
+              let status = Machine.run m ~fuel:(at + 1) in
+              let ename = match engine with Machine.Compiled -> "compiled" | _ -> "reference" in
+              let what = Printf.sprintf "%s (%s)" what ename in
+              Alcotest.(check (list int)) (what ^ ": target seen") [ target m ] !seen;
+              match lands with
+              | Some label ->
+                  Alcotest.(check bool) (what ^ ": runs on") true (status = Machine.Yielded);
+                  Alcotest.(check int) (what ^ ": lands") (Machine.label_index m label) (Machine.pc m)
+              | None ->
+                  Alcotest.(check bool)
+                    (what ^ ": traps out of bounds")
+                    true
+                    (status = Machine.Trapped X.Trap_out_of_bounds);
+                  Alcotest.(check int) (what ^ ": at the branch") at (Machine.pc m))
+            [ Machine.Reference; Machine.Compiled ];
+          match Lockstep.run_pair ~make:(make branch target) ~entry:"entry" () with
+          | Ok _ -> ()
+          | Error d ->
+              Alcotest.failf "%s: engines diverged: %s" what
+                (Format.asprintf "%a" Lockstep.pp_divergence d))
+        cases)
+    [
+      ("jmp", [ X.Jmp_reg X.R10 ]);
+      ("call", [ X.Call_reg X.R10 ]);
+      ("ret", [ X.Push (X.Reg X.R10); X.Ret ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Page-cache differential against a per-access walk.                  *)
@@ -1031,4 +1118,5 @@ let tests =
     case "fault: pinned verdict names its own access" test_fault_pinned_verdict;
     case "fault: sanitizer violation records none" test_fault_sanitizer_leaves_none;
     case "load path: layout and return addresses" test_load_layout_and_return_addresses;
+    case "indirect targets: lowest index at the offset, else a trap" test_indirect_target_resolution;
   ]

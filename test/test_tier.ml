@@ -580,6 +580,24 @@ let test_load_no_forced_minor_gc () =
     ~setup:(fun m -> Machine.set_reg m X.RBX (Int64.of_int (Machine.label_address m "leaf")))
     big_body
 
+(* What [load_program] puts straight on the major heap is its arrays of
+   more than 256 words: per-program tables. They must be a few words per
+   instruction (offsets, targets, the block table and its index), never
+   one per code byte. Promoted words are subtracted, so a minor
+   collection during the load does not count. *)
+let test_load_major_words () =
+  let program = Array.of_list (X.Label "entry" :: big_body) in
+  let n = Array.length program in
+  let m = Machine.create (Space.create ()) in
+  let _, p0, j0 = Gc.counters () in
+  Machine.load_program m program;
+  let _, p1, j1 = Gc.counters () in
+  let direct = int_of_float (j1 -. j0 -. (p1 -. p0)) in
+  let bound = (4 * n) + 512 in
+  if direct > bound then
+    Alcotest.failf "%d words straight on the major heap for %d instructions (%d code bytes; bound %d)"
+      direct n (snd (Machine.code_bounds m)) bound
+
 (* ------------------------------------------------------------------ *)
 (* Specialized bodies against the reference interpreter.               *)
 (* ------------------------------------------------------------------ *)
@@ -744,6 +762,7 @@ let tests =
     case "hot path: no allocation per instruction" test_hot_path_allocation_free;
     case "hot path: no allocation per line-straddling access" test_line_straddle_allocation_free;
     case "load path: no forced minor collections" test_load_no_forced_minor_gc;
+    case "load path: major words per instruction, not per code byte" test_load_major_words;
     case "shapes: specialized bodies = reference" test_shape_differential;
     case "shapes: a fault mid-range rolls back" test_shape_fault_mid_range;
   ]
