@@ -527,7 +527,14 @@ let fig6 () =
     List.map
       (fun w ->
         let cfg = Sim.default_config ~workload:w () in
-        (w, List.map (fun k -> (k, Sim.throughput_gain ~workload:w ~processes:k cfg)) process_counts))
+        (* ColorGuard's run does not depend on the process count: one serves the curve. *)
+        let colorguard = Sim.run { cfg with Sim.mode = Sim.Colorguard } in
+        ( w,
+          List.map
+            (fun k ->
+              let multiprocess = Sim.run { cfg with Sim.mode = Sim.Multiprocess k } in
+              (k, Sim.throughput_gain ~colorguard ~multiprocess))
+            process_counts ))
       Fworkloads.all
   in
   let t =

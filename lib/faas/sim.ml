@@ -1260,14 +1260,12 @@ let run cfg =
   end;
   with_rates { (totals st) with tenants = tenant_stats st }
 
-let throughput_gain ~workload ~processes cfg =
+let throughput_gain ~colorguard ~multiprocess =
   (* Capacity per core-second: below CPU saturation both strategies finish
      the same IO-bound load, but multiprocess scaling burns core time on
      process switches and cold TLBs — time that at scale would have served
      additional requests. This is the per-core efficiency Figure 6 reports. *)
-  let cg = run { cfg with mode = Colorguard; workload } in
-  let mp = run { cfg with mode = Multiprocess processes; workload } in
-  (cg.capacity_rps -. mp.capacity_rps) /. mp.capacity_rps *. 100.0
+  (colorguard.capacity_rps -. multiprocess.capacity_rps) /. multiprocess.capacity_rps *. 100.0
 
 (* The `sfi top` table formats live here so the golden-output test can pin
    the column alignment without shelling out to the binary. *)

@@ -363,10 +363,10 @@ val merge : tenants:tenant_stat array -> result list -> result
     no parts is the empty result: zero counters and rates, availability
     1. *)
 
-val throughput_gain : workload:Workloads.t -> processes:int -> config -> float
-(** Percent throughput advantage of ColorGuard over [processes]-process
-    scaling for the same load — one point of Figure 6. The [config] supplies
-    everything except mode/workload. *)
+val throughput_gain : colorguard:result -> multiprocess:result -> float
+(** Percent throughput advantage of a ColorGuard run over a multiprocess
+    run of the same load — one point of Figure 6. A ColorGuard run does not
+    depend on the process count, so one serves every point of a curve. *)
 
 val top_header : breakers:bool -> string
 (** Column header of the [sfi top] per-tenant table. With [breakers] the

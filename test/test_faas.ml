@@ -105,10 +105,13 @@ let test_fair_switch_steps_probed_slot () =
 let test_efficiency_gap () =
   (* Figure 6's direction: at high process counts ColorGuard serves the
      same load with less CPU. *)
-  let cfg = quick_cfg () in
-  let gain = Sim.throughput_gain ~workload:Wk.Hash_balance ~processes:12 cfg in
-  Alcotest.(check bool) "double-digit gain at 12 processes" true (gain > 5.0);
-  let gain1 = Sim.throughput_gain ~workload:Wk.Hash_balance ~processes:1 cfg in
+  let cfg = { (quick_cfg ()) with Sim.workload = Wk.Hash_balance } in
+  let colorguard = Sim.run { cfg with Sim.mode = Sim.Colorguard } in
+  let gain k =
+    Sim.throughput_gain ~colorguard ~multiprocess:(Sim.run { cfg with Sim.mode = Sim.Multiprocess k })
+  in
+  Alcotest.(check bool) "double-digit gain at 12 processes" true (gain 12 > 5.0);
+  let gain1 = gain 1 in
   Alcotest.(check bool) "no gain against a single process" true (Float.abs gain1 < 3.0)
 
 let test_dtlb_direction () =
