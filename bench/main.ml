@@ -579,11 +579,12 @@ let fig7 () =
         [ "processes"; "MP ctx switches"; "MP dTLB misses"; "CG transitions"; "CG dTLB misses" ]
   in
   let cfg = { (Sim.default_config ()) with Sim.duration_ns = 40.0e6 } in
+  (* ColorGuard's run does not depend on the process count: one serves every row. *)
+  let cg = Sim.run { cfg with Sim.mode = Sim.Colorguard } in
   let rows =
     List.map
       (fun k ->
         let mp = Sim.run { cfg with Sim.mode = Sim.Multiprocess k } in
-        let cg = Sim.run { cfg with Sim.mode = Sim.Colorguard } in
         Table.add_row t
           [
             string_of_int k;
@@ -592,26 +593,27 @@ let fig7 () =
             string_of_int cg.Sim.user_transitions;
             string_of_int cg.Sim.dtlb_misses;
           ];
-        (k, (mp, cg)))
+        (k, mp))
       [ 1; 3; 5; 7; 9; 11; 13; 15 ]
   in
   print_table t;
-  let mp1, _ = List.assoc 1 rows and mp15, _ = List.assoc 15 rows in
-  let cg_misses = List.map (fun (_, (_, cg)) -> cg.Sim.dtlb_misses) rows in
+  let mp1 = List.assoc 1 rows and mp15 = List.assoc 15 rows in
   metric Exact "fig7_mp_switches_1p" (float_of_int mp1.Sim.context_switches);
   metric Exact "fig7_mp_switches_15p" (float_of_int mp15.Sim.context_switches);
   metric Exact "fig7_mp_dtlb_misses_1p" (float_of_int mp1.Sim.dtlb_misses);
   metric Exact "fig7_mp_dtlb_misses_15p" (float_of_int mp15.Sim.dtlb_misses);
-  metric Exact "fig7_cg_dtlb_misses" (float_of_int (List.hd cg_misses));
-  (* The shape claim: one process never switches, and multiprocess
-     switches and misses rise by 15 processes while ColorGuard, one
-     process whatever the count, misses exactly the same. *)
+  metric Exact "fig7_cg_dtlb_misses" (float_of_int cg.Sim.dtlb_misses);
+  (* The shape claim: one process never switches, multiprocess switches
+     and misses rise by 15 processes, and from 3 processes up ColorGuard
+     misses fewer than multiprocess (at 1 process the two are within a
+     few misses of each other). *)
   assert_bands "fig7"
     [
       (mp1.Sim.context_switches = 0, "MP switches at 1 process");
       (mp15.Sim.context_switches > mp1.Sim.context_switches, "MP switches do not rise");
       (mp15.Sim.dtlb_misses > mp1.Sim.dtlb_misses, "MP dTLB misses do not rise");
-      (List.for_all (( = ) (List.hd cg_misses)) cg_misses, "CG dTLB misses vary");
+      ( List.for_all (fun (k, mp) -> k < 3 || cg.Sim.dtlb_misses < mp.Sim.dtlb_misses) rows,
+        "CG dTLB misses not below MP's from 3 processes" );
     ]
 
 (* ------------------------------------------------------------------ *)
