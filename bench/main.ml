@@ -1303,8 +1303,8 @@ let experiments =
     ("scale", scale);
   ]
 
-(* The CI tier: cheap experiments only, plus the engine cross-check and
-   the differential fuzz gate. *)
+(* The CI tier: cheap experiments, fig6 and fig7's gated paper claims,
+   the engine cross-check and the differential fuzz gate. *)
 let quick_ids =
   [ "table2"; "table1"; "scaling"; "fig6"; "fig7"; "lifecycle"; "overload"; "mte"; "engine";
     "fuzz"; "scale" ]
